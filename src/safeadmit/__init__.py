@@ -15,10 +15,9 @@ from .arm import (CartesianDynamicsTerms, CartesianState, JointState,
 from .errors import (ConfigError, InfeasibleQp, SimulationAborted,
                      SingularConfiguration, StartOutsideSafeSet, ValidationError)
 from .qp import QpProblem, QpSolution, solve, solve_with_slack
-from .safety import (ConstraintEvaluation, ConstraintSet, EcbfGains,
-                     ObstacleConstraint, WorkspaceConstraint, assemble_qp,
-                     check_start_inside, eval_obstacle, eval_workspace_max,
-                     eval_workspace_min, filter_force)
+from .safety import (ConstraintSet, EcbfGains, ObstacleConstraint, RowValues,
+                     WorkspaceConstraint, assemble_qp, check_start_inside,
+                     filter_force)
 from .sim import (ScenarioConfig, TraceRecord, desired_trajectory, human_force,
                   records_equal, run, scenario_library)
 from .smc import (ControllerState, FxtismcGains, compensating_control, control,

@@ -71,12 +71,17 @@ class DesiredPoint:
 DesiredInput = Union[DesiredPoint, Callable[[float], DesiredPoint]]
 
 
+def _msd_accel(params: AdmittanceParams, x1, x2, desired: DesiredPoint) -> np.ndarray:
+    """The MSD's force-free acceleration at position x1 and velocity x2."""
+    return -(params.k_b * (x2 - desired.xdot_d)
+             + params.k_k * (x1 - desired.x_d)
+             - params.k_m * desired.xddot_d) / params.k_m
+
+
 def drift_term(params: AdmittanceParams, state: AdmittanceState,
                desired: DesiredPoint) -> np.ndarray:
     """Force-free acceleration of the reference per axis."""
-    return -(params.k_b * (state.x2 - desired.xdot_d)
-             + params.k_k * (state.x1 - desired.x_d)
-             - params.k_m * desired.xddot_d) / params.k_m
+    return _msd_accel(params, state.x1, state.x2, desired)
 
 
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
@@ -89,8 +94,7 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    force = _pair(force)
-    g = params.input_gain
+    gf = params.input_gain * _pair(force)
 
     if callable(desired):
         d0 = desired(t)
@@ -100,9 +104,7 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
         d0 = dh = d1 = desired
 
     def accel(x1, x2, des):
-        return -(params.k_b * (x2 - des.xdot_d)
-                 + params.k_k * (x1 - des.x_d)
-                 - params.k_m * des.xddot_d) / params.k_m + g * force
+        return _msd_accel(params, x1, x2, des) + gf
 
     x1, x2 = state.x1, state.x2
     k1p, k1v = x2, accel(x1, x2, d0)

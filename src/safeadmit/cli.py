@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--slack", action="store_true",
                        help="soften barrier rows with penalized slack")
     p_run.add_argument("--all-presets", action="store_true",
-                       help="run every preset (concurrently)")
+                       help="run every preset")
 
     p_rep = sub.add_parser("report", help="recompute the report from a CSV trace")
     p_rep.add_argument("csv", help="trace file written by 'run'")
@@ -152,10 +151,7 @@ def main(argv=None) -> int:
         if args.all_presets:
             configs = [_apply_overrides(cfg, args)
                        for cfg in scenario_library().values()]
-            with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-                codes = list(pool.map(lambda c: _run_one(c, out_dir, args.plot),
-                                      configs))
-            return max(codes)
+            return max([_run_one(c, out_dir, args.plot) for c in configs])
         config = _apply_overrides(_resolve_scenario(args.scenario), args)
         return _run_one(config, out_dir, args.plot)
     except (ConfigError, ValidationError, OSError) as exc:

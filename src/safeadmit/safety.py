@@ -1,29 +1,36 @@
 """Barrier-based force filter for the admittance reference system.
 
-Each position constraint (workspace box sides, obstacle clearance) is a
-relative-degree-two barrier on the reference state. Differentiating the
-barrier twice along the admittance dynamics yields an expression affine in
-the interaction force, h_ddot = p + q_row . u, so enforcing
+Every position constraint is one quadratic barrier on the reference
+position x1,
 
-    h_ddot + k1 * h + k2 * h_dot >= 0
+    h = sum w * (x1 - c)**2 - r**2,
 
-for every constraint is a set of linear rows A u <= b with A_row = -q_row
-and b = p + k1*h + k2*h_dot. The filter projects the measured human force
-onto that polyhedron (minimal-deviation QP) and returns the safe force plus
-the additive compensation.
+with a diagonal weight w: the unit vector e_a for a workspace box side on
+axis a (centre c = x_max or x_min), and (1, 1) for the obstacle clearance
+ball (centre x_obs). A ConstraintSet holds these rows in one table, built
+when the set is made, and evaluates all of them together.
 
-Note on the velocity term: differentiating 2*(x1 - c)*x2 gives
-2*(x1 - c)*x2dot + 2*x2**2; the squared velocity term is used throughout.
+Along the admittance dynamics x1dot = x2, x2dot = drift + g * u, with the
+per-axis input gain g = 1/k_m, each barrier has relative degree two:
+
+    Lf_h   = 2 sum w (x1 - c) x2
+    h_ddot = p + q . u,  p = 2 sum w (x1 - c) drift + 2 sum w x2**2,
+                         q = 2 w (x1 - c) * g
+
+so enforcing h_ddot + K0 * h + K1 * Lf_h >= 0 for every row is a set of
+linear rows A u <= b with A = -q and b = p + K0 * h + K1 * Lf_h. The filter
+projects the measured human force onto that polyhedron (minimal-deviation
+QP) and returns the safe force plus the additive compensation.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .admittance import AdmittanceState, _pair
 from .errors import StartOutsideSafeSet, ValidationError
-from .qp import QpProblem, QpSolution, solve, solve_with_slack
+from .qp import QpProblem, solve, solve_with_slack
 
 
 @dataclass
@@ -81,74 +88,32 @@ class EcbfGains:
             raise ValidationError("barrier gains must be positive")
 
 
-@dataclass
-class ConstraintEvaluation:
-    """Barrier value, its first derivative along the drift, and the affine
-    decomposition of the second derivative: h_ddot(u) = p + q_row . u."""
+class RowValues(NamedTuple):
+    """Every barrier row at one reference state, in table order: h, its
+    derivative Lf_h along the drift, the affine second derivative
+    h_ddot(u) = p + q @ u, and the row's gain pair K."""
 
-    h: float
-    lf_h: float
-    p: float
-    q_row: np.ndarray
-
-
-def eval_workspace_max(ws: WorkspaceConstraint, adm: AdmittanceState,
-                       drift, gain_g: float, axis: int) -> ConstraintEvaluation:
-    d = adm.x1[axis] - ws.x_max[axis]
-    x2 = adm.x2[axis]
-    q_row = np.zeros(2)
-    q_row[axis] = 2.0 * d * gain_g
-    return ConstraintEvaluation(
-        h=d * d - ws.r * ws.r,
-        lf_h=2.0 * d * x2,
-        p=2.0 * d * float(drift[axis]) + 2.0 * x2 * x2,
-        q_row=q_row,
-    )
+    h: np.ndarray
+    lf_h: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    K: np.ndarray
 
 
-def eval_workspace_min(ws: WorkspaceConstraint, adm: AdmittanceState,
-                       drift, gain_g: float, axis: int) -> ConstraintEvaluation:
-    d = ws.x_min[axis] - adm.x1[axis]
-    x2 = adm.x2[axis]
-    q_row = np.zeros(2)
-    q_row[axis] = -2.0 * d * gain_g
-    return ConstraintEvaluation(
-        h=d * d - ws.r * ws.r,
-        lf_h=-2.0 * d * x2,
-        p=-2.0 * d * float(drift[axis]) + 2.0 * x2 * x2,
-        q_row=q_row,
-    )
-
-
-def eval_obstacle(obs: ObstacleConstraint, adm: AdmittanceState,
-                  drift, gain_g: float) -> ConstraintEvaluation:
-    d = adm.x1 - obs.x_obs
-    drift = np.asarray(drift, dtype=float)
-    return ConstraintEvaluation(
-        h=float(d @ d) - obs.r * obs.r,
-        lf_h=float(2.0 * d @ adm.x2),
-        p=float(2.0 * d @ drift + 2.0 * adm.x2 @ adm.x2),
-        q_row=2.0 * d * gain_g,
-    )
-
-
-def assemble_qp(evals: List[ConstraintEvaluation], gains: List[np.ndarray],
-                u_nom) -> QpProblem:
+def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
     """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2."""
-    if len(evals) != len(gains):
-        raise ValidationError("evals and gains must have equal length")
-    u_nom = _pair(u_nom)
-    if not evals:
-        return QpProblem(u_nom=u_nom, A=np.zeros((0, 2)), b=np.zeros(0))
-    A = np.stack([-ev.q_row for ev in evals])
-    b = np.array([ev.p + float(K[0]) * ev.h + float(K[1]) * ev.lf_h
-                  for ev, K in zip(evals, gains)])
-    return QpProblem(u_nom=u_nom, A=A, b=b)
+    b = rows.p + rows.K[:, 0] * rows.h + rows.K[:, 1] * rows.lf_h
+    return QpProblem(u_nom=_pair(u_nom), A=-rows.q, b=b)
 
 
 @dataclass
 class ConstraintSet:
-    """Enabled constraints plus their barrier gains and the slack policy."""
+    """Enabled constraints plus their barrier gains and the slack policy.
+
+    The row table is built once, here: per row a name, the diagonal weight
+    w, the centre c, r and r**2, the gain pair K, and the side (+1 for an
+    upper box wall, -1 for a lower one, 0 for the obstacle).
+    """
 
     workspace: Optional[WorkspaceConstraint] = None
     obstacle: Optional[ObstacleConstraint] = None
@@ -156,45 +121,42 @@ class ConstraintSet:
     slack: bool = False
     slack_weight: float = 1e6
 
-    def evaluate(self, adm: AdmittanceState, drift, gain_g: float):
-        """Named barrier evaluations with their gain pairs, in row order."""
+    def __post_init__(self):
         rows = []
-        if self.workspace is not None:
-            for axis, suffix in ((0, "x"), (1, "y")):
-                rows.append((f"ws_max_{suffix}",
-                             eval_workspace_max(self.workspace, adm, drift, gain_g, axis),
-                             self.gains.K_max[axis]))
-                rows.append((f"ws_min_{suffix}",
-                             eval_workspace_min(self.workspace, adm, drift, gain_g, axis),
-                             self.gains.K_min[axis]))
-        if self.obstacle is not None:
-            rows.append(("obs",
-                         eval_obstacle(self.obstacle, adm, drift, gain_g),
-                         self.gains.K_obs))
-        return rows
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        out = []
-        if self.workspace is not None:
-            out += ["ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y"]
-        if self.obstacle is not None:
-            out.append("obs")
-        return tuple(out)
-
-    def barrier_values(self, x1) -> Dict[str, float]:
-        """Barrier values at a reference position (diagnostics/logging)."""
-        x1 = _pair(x1)
-        out: Dict[str, float] = {}
         ws, obs = self.workspace, self.obstacle
         if ws is not None:
             for axis, suffix in ((0, "x"), (1, "y")):
-                out[f"ws_max_{suffix}"] = (x1[axis] - ws.x_max[axis]) ** 2 - ws.r ** 2
-                out[f"ws_min_{suffix}"] = (ws.x_min[axis] - x1[axis]) ** 2 - ws.r ** 2
+                e = np.eye(2)[axis]
+                rows.append((f"ws_max_{suffix}", e, ws.x_max, ws.r, self.gains.K_max[axis], 1.0))
+                rows.append((f"ws_min_{suffix}", e, ws.x_min, ws.r, self.gains.K_min[axis], -1.0))
         if obs is not None:
-            d = x1 - obs.x_obs
-            out["obs"] = float(d @ d) - obs.r ** 2
-        return out
+            rows.append(("obs", np.ones(2), obs.x_obs, obs.r, self.gains.K_obs, 0.0))
+        names, w, c, r, K, side = zip(*rows) if rows else ((),) * 6
+        self.names: Tuple[str, ...] = names
+        self._w = np.array(w).reshape(-1, 2)
+        self._c = np.array(c).reshape(-1, 2)
+        self._r = np.array(r)
+        self._r2 = self._r * self._r
+        self._K = np.array(K).reshape(-1, 2)
+        self._side = np.array(side)
+
+    def _h(self, x1):
+        """Weighted offsets w * (x1 - c) and the barrier values h."""
+        off = x1 - self._c
+        wd = self._w * off
+        return wd, (wd * off).sum(axis=1) - self._r2
+
+    def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
+        """Every row at ``adm`` under the force-free acceleration ``drift``
+        and the per-axis input gain ``g``."""
+        wd, h = self._h(adm.x1)
+        return RowValues(h=h, lf_h=2.0 * wd @ adm.x2,
+                         p=2.0 * (wd @ drift + self._w @ (adm.x2 * adm.x2)),
+                         q=2.0 * wd * g, K=self._K)
+
+    def barrier_values(self, x1) -> Dict[str, float]:
+        """Barrier values at a reference position (diagnostics/logging)."""
+        return dict(zip(self.names, self._h(_pair(x1))[1].tolist()))
 
 
 @dataclass
@@ -209,30 +171,22 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState,
                        tol: float = 1e-9) -> None:
     """Verify the reference starts in the intended safe-set component.
 
-    For the box sides the safe set h >= 0 has two components; only the one
-    on the interior side of the shrunk boundary is intended, so the position
-    itself is checked, not just h.
+    For a box side the safe set h >= 0 has two components; only the one on
+    the interior side of the shrunk boundary is intended, so the offset
+    toward the wall must be at most -r. For the obstacle, h >= 0.
     """
-    x1 = adm.x1
-    ws = cset.workspace
-    if ws is not None:
-        if (x1 > ws.x_max - ws.r + tol).any() or (x1 < ws.x_min + ws.r - tol).any():
-            raise StartOutsideSafeSet(
-                f"reference start {x1} outside the shrunk workspace box "
-                f"[{ws.x_min + ws.r}, {ws.x_max - ws.r}]"
-            )
-    obs = cset.obstacle
-    if obs is not None:
-        d = x1 - obs.x_obs
-        if float(d @ d) < obs.r ** 2 - tol:
-            raise StartOutsideSafeSet(
-                f"reference start {x1} inside the obstacle clearance ball "
-                f"centre {obs.x_obs}, radius {obs.r}"
-            )
+    wd, h = cset._h(adm.x1)
+    toward_wall = cset._side * wd.sum(axis=1)
+    bad = np.where(cset._side != 0.0, toward_wall > -cset._r + tol, h < -tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StartOutsideSafeSet(
+            f"reference start {adm.x1} outside the safe set of barrier row "
+            f"'{cset.names[i]}' (h = {h[i]:.6g})"
+        )
 
 
-def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift,
-                 gain_g: float, f_e):
+def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """Project the human force onto the barrier polyhedron.
 
     Returns (f_e_hat, f_e_comp, FilterDiagnostics) with
@@ -240,11 +194,11 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift,
     row is already satisfied by f_e, the filter is the identity.
     """
     f_e = _pair(f_e)
-    rows = cset.evaluate(adm, drift, gain_g)
-    h = {name: ev.h for name, ev, _ in rows}
-    if not rows:
+    rows = cset.evaluate(adm, drift, g)
+    h = dict(zip(cset.names, rows.h.tolist()))
+    if not cset.names:
         return f_e.copy(), np.zeros(2), FilterDiagnostics(h=h, active=(), status="ok")
-    problem = assemble_qp([ev for _, ev, _ in rows], [K for _, _, K in rows], f_e)
+    problem = assemble_qp(rows, f_e)
     if cset.slack:
         sol, slacks = solve_with_slack(problem, cset.slack_weight)
         status = "slack" if slacks.max() > 0.0 else "ok"

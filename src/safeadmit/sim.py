@@ -76,6 +76,8 @@ class ScenarioConfig:
             raise ValidationError("dt must be positive")
         if not self.duration >= self.dt:
             raise ValidationError("duration must be at least one step")
+        if not math.isfinite(self.duration):
+            raise ValidationError("duration must be finite")
         if not np.isfinite(np.asarray(self.force_amplitude, dtype=float)).all():
             raise ValidationError("force amplitudes must be finite")
 
@@ -128,7 +130,7 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
     adm_params = config.admittance
     cset = config.constraint_set()
     have_rows = bool(cset.names)
-    gain_g = float(adm_params.input_gain[0])
+    g = adm_params.input_gain
 
     def desired(t: float) -> DesiredPoint:
         return desired_trajectory(t, config.circle_radius, config.circle_rate)
@@ -156,11 +158,11 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
                 diag = FilterDiagnostics(h=cset.barrier_values(adm.x1),
                                          active=(), status=status)
             else:
-                f_hat, f_comp, diag = filter_force(cset, adm, drift, gain_g, f_e)
+                f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
 
             terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
             cart = arm.cartesian_state(params, joint)
-            ref = DesiredPoint(adm.x1, adm.x2, drift + gain_g * f_hat)
+            ref = DesiredPoint(adm.x1, adm.x2, drift + g * f_hat)
             f_c, ctrl_state = smc.control(config.controller, ctrl_state, terms,
                                           cart, ref, config.dt,
                                           nominal_only=config.nominal_only)

@@ -10,10 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safeadmit import (AdmittanceParams, AdmittanceState, DesiredPoint,
-                       InfeasibleQp, QpProblem, ScenarioConfig,
-                       admittance_step, drift_term, eval_obstacle,
-                       eval_workspace_max, eval_workspace_min, emit_csv,
+from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
+                       DesiredPoint, InfeasibleQp, QpProblem, ScenarioConfig,
+                       admittance_step, drift_term, emit_csv,
                        inverse_kinematics, jacobian, read_csv, records_equal,
                        run, scenario_library, solve)
 from safeadmit.arm import (JointState, ManipulatorParams,
@@ -151,11 +150,20 @@ def test_08_lie_derivatives_match_finite_differences():
     ws = WorkspaceConstraint((-0.13, -0.13), (0.13, 0.13), 0.04)
     obs = ObstacleConstraint((-0.07, 0.07), 0.04)
     params = AdmittanceParams()
-    gain_g = float(params.input_gain[0])
+    cset = ConstraintSet(workspace=ws, obstacle=obs)
+
+    def row(name):
+        i = cset.names.index(name)
+
+        def evaluate(st, d):
+            rows = cset.evaluate(st, d, params.input_gain)
+            return type(rows)(*(v[i] for v in rows))
+        return evaluate
+
     evaluators = {
-        "workspace-max": lambda st, d: eval_workspace_max(ws, st, d, gain_g, 0),
-        "workspace-min": lambda st, d: eval_workspace_min(ws, st, d, gain_g, 1),
-        "obstacle": lambda st, d: eval_obstacle(obs, st, d, gain_g),
+        "workspace-max": row("ws_max_x"),
+        "workspace-min": row("ws_min_y"),
+        "obstacle": row("obs"),
     }
     delta = 1e-6
     for label, evaluate in evaluators.items():
@@ -173,11 +181,11 @@ def test_08_lie_derivatives_match_finite_differences():
             ev2 = evaluate(ahead, drift_term(params, ahead, des))
             # first derivative along the flow (force-independent value)
             fd1 = (ev2.h - ev.h) / delta
-            model1 = ev.lf_h + 0.5 * delta * (ev.p + ev.q_row @ u)
+            model1 = ev.lf_h + 0.5 * delta * (ev.p + ev.q @ u)
             worst1 = max(worst1, abs(fd1 - model1) / max(abs(model1), 1e-3))
             # second derivative: affine decomposition in the held force
             fd2 = (ev2.lf_h - ev.lf_h) / delta
-            model2 = ev.p + ev.q_row @ u
+            model2 = ev.p + ev.q @ u
             worst2 = max(worst2, abs(fd2 - model2) / max(abs(model2), 1e-2))
         assert worst1 <= 1e-4
         assert worst2 <= 1e-3

@@ -110,7 +110,15 @@ class TestRun:
         assert code == 0
         for name in scenario_library():
             assert (tmp_path / f"{name}.csv").exists()
-            assert f"scenario: {name}" in out
+        printed = [line.split(": ", 1)[1] for line in out.splitlines()
+                   if line.startswith("scenario: ")]
+        assert printed == list(scenario_library())
+
+    def test_infinite_duration_exits_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--scenario", "workspace",
+                               "--duration", "inf", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "duration" in err
 
 
 class TestReport:

@@ -5,16 +5,22 @@ from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
                        DesiredPoint, EcbfGains, ObstacleConstraint,
                        StartOutsideSafeSet, ValidationError,
                        WorkspaceConstraint, admittance_step, assemble_qp,
-                       check_start_inside, drift_term, eval_obstacle,
-                       eval_workspace_max, eval_workspace_min, filter_force,
-                       solve)
+                       check_start_inside, drift_term, filter_force, solve)
 
 from qp_oracle import project_oracle
 
 WS = WorkspaceConstraint(x_min=(-0.13, -0.13), x_max=(0.13, 0.13), r=0.04)
 OBS = ObstacleConstraint(x_obs=(-0.07, 0.07), r=0.04)
 ADM_PARAMS = AdmittanceParams()
-GAIN_G = float(ADM_PARAMS.input_gain[0])
+GAIN_G = ADM_PARAMS.input_gain
+CSET = ConstraintSet(workspace=WS, obstacle=OBS)
+
+
+def _row(name, st, drift):
+    """One row of the barrier table at a state."""
+    rows = CSET.evaluate(st, drift, GAIN_G)
+    i = CSET.names.index(name)
+    return type(rows)(*(v[i] for v in rows))
 
 
 def _state(x1, x2=(0.0, 0.0)):
@@ -50,15 +56,15 @@ class TestConstraintTypes:
 
 class TestBarrierValues:
     def test_boundary_max(self):
-        ev = eval_workspace_max(WS, _state((0.09, 0.0)), np.zeros(2), GAIN_G, 0)
+        ev = _row("ws_max_x", _state((0.09, 0.0)), np.zeros(2))
         assert abs(ev.h) < 1e-12
 
     def test_interior_max_value(self):
-        ev = eval_workspace_max(WS, _state((0.0, 0.0)), np.zeros(2), GAIN_G, 0)
+        ev = _row("ws_max_x", _state((0.0, 0.0)), np.zeros(2))
         assert abs(ev.h - 0.0153) < 1e-12
 
     def test_boundary_min(self):
-        ev = eval_workspace_min(WS, _state((-0.09, 0.0)), np.zeros(2), GAIN_G, 0)
+        ev = _row("ws_min_x", _state((-0.09, 0.0)), np.zeros(2))
         assert abs(ev.h) < 1e-12
 
     def test_min_max_reflection_symmetry(self, rng):
@@ -66,20 +72,33 @@ class TestBarrierValues:
             x1 = rng.uniform(-0.2, 0.2, 2)
             x2 = rng.uniform(-1, 1, 2)
             drift = rng.uniform(-1, 1, 2)
-            lo = eval_workspace_min(WS, _state(x1, x2), drift, GAIN_G, 0)
-            hi = eval_workspace_max(WS, _state(-x1, -x2), -drift, GAIN_G, 0)
+            lo = _row("ws_min_x", _state(x1, x2), drift)
+            hi = _row("ws_max_x", _state(-x1, -x2), -drift)
             assert abs(lo.h - hi.h) < 1e-12
             assert abs(lo.lf_h - hi.lf_h) < 1e-12
             assert abs(lo.p - hi.p) < 1e-12
-            assert np.abs(lo.q_row + hi.q_row).max() < 1e-12
+            assert np.abs(lo.q + hi.q).max() < 1e-12
 
     def test_obstacle_on_sphere(self):
-        ev = eval_obstacle(OBS, _state((-0.03, 0.07)), np.zeros(2), GAIN_G)
+        ev = _row("obs", _state((-0.03, 0.07)), np.zeros(2))
         assert abs(ev.h) < 1e-12
 
     def test_obstacle_at_origin(self):
-        ev = eval_obstacle(OBS, _state((0.0, 0.0)), np.zeros(2), GAIN_G)
+        ev = _row("obs", _state((0.0, 0.0)), np.zeros(2))
         assert abs(ev.h - 0.0082) < 1e-12
+
+    def test_barrier_values_match_evaluate(self, rng):
+        for _ in range(20):
+            st = _state(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
+            rows = CSET.evaluate(st, np.zeros(2), GAIN_G)
+            assert CSET.barrier_values(st.x1) == dict(zip(CSET.names, rows.h.tolist()))
+
+    def test_input_gain_per_axis(self):
+        # each axis of q carries its own gain 1/k_m
+        g = AdmittanceParams(k_m=(20.0, 5.0)).input_gain
+        q = CSET.evaluate(_state((0.01, -0.02)), np.zeros(2), g).q
+        q_unit = CSET.evaluate(_state((0.01, -0.02)), np.zeros(2), 1.0).q
+        assert np.array_equal(q, q_unit * g)
 
 
 class TestLieDerivatives:
@@ -94,11 +113,11 @@ class TestLieDerivatives:
 
     def _evaluators(self):
         return [
-            lambda st, drift: eval_workspace_max(WS, st, drift, GAIN_G, 0),
-            lambda st, drift: eval_workspace_max(WS, st, drift, GAIN_G, 1),
-            lambda st, drift: eval_workspace_min(WS, st, drift, GAIN_G, 0),
-            lambda st, drift: eval_workspace_min(WS, st, drift, GAIN_G, 1),
-            lambda st, drift: eval_obstacle(OBS, st, drift, GAIN_G),
+            lambda st, drift: _row("ws_max_x", st, drift),
+            lambda st, drift: _row("ws_max_y", st, drift),
+            lambda st, drift: _row("ws_min_x", st, drift),
+            lambda st, drift: _row("ws_min_y", st, drift),
+            lambda st, drift: _row("obs", st, drift),
         ]
 
     def test_first_derivative_matches_flow(self, rng):
@@ -125,34 +144,33 @@ class TestLieDerivatives:
                 ahead = admittance_step(ADM_PARAMS, st, des, u, delta)
                 ev2 = evaluate(ahead, drift_term(ADM_PARAMS, ahead, des))
                 fd = (ev2.lf_h - ev.lf_h) / delta
-                model = ev.p + ev.q_row @ u
+                model = ev.p + ev.q @ u
                 denom = max(abs(model), 1e-2)
                 assert abs(fd - model) / denom <= 1e-3
 
 
 class TestAssembleQp:
     def test_empty_list_identity(self):
-        prob = assemble_qp([], [], (1.0, -2.0))
+        rows = ConstraintSet().evaluate(_state((0.0, 0.0)), np.zeros(2), GAIN_G)
+        prob = assemble_qp(rows, (1.0, -2.0))
         sol = solve(prob)
         assert np.array_equal(sol.u, [1.0, -2.0])
 
     def test_boundary_row_pushes_inward(self):
         # at rest exactly on the shrunk boundary the row reads u_x <= 0
-        ev = eval_workspace_max(WS, _state((0.09, 0.0)), np.zeros(2), 0.05, 0)
-        assert abs(ev.q_row[0] - (-0.004)) < 1e-15
-        prob = assemble_qp([ev], [np.array([500.0, 50.0])], (0.0, 0.0))
-        # A_row = -q_row = (0.004, 0); b = 0 => 0.004 u_x <= 0
-        assert np.allclose(prob.A, [[0.004, 0.0]])
+        rows = ConstraintSet(workspace=WS).evaluate(_state((0.09, 0.0)), np.zeros(2), 0.05)
+        assert abs(rows.q[0, 0] - (-0.004)) < 1e-15
+        prob = assemble_qp(rows, (0.0, 0.0))
+        # A_row = -q = (0.004, 0); b = 0 => 0.004 u_x <= 0
+        assert np.allclose(prob.A[0], [0.004, 0.0])
         assert abs(prob.b[0]) < 1e-15
-        sol = solve(assemble_qp([ev], [np.array([500.0, 50.0])], (1.0, 0.0)))
+        sol = solve(assemble_qp(rows, (1.0, 0.0)))
         assert sol.u[0] <= 1e-9
 
     def test_interior_row_inactive(self, rng):
-        st = _state((0.0, 0.0))
-        evs = [eval_workspace_max(WS, st, np.zeros(2), GAIN_G, a) for a in (0, 1)]
-        gains = [np.array([500.0, 50.0])] * 2
+        rows = ConstraintSet(workspace=WS).evaluate(_state((0.0, 0.0)), np.zeros(2), GAIN_G)
         u_nom = rng.uniform(-2, 2, 2)
-        prob = assemble_qp(evs, gains, u_nom)
+        prob = assemble_qp(rows, u_nom)
         sol = solve(prob)
         assert np.array_equal(sol.u, u_nom)
         oracle = project_oracle(prob.u_nom, prob.A, prob.b)
@@ -207,8 +225,7 @@ class TestFilter:
             st = AdmittanceState(rng.uniform(-0.12, 0.12, 2), rng.uniform(-0.5, 0.5, 2))
             drift = rng.uniform(-1, 1, 2)
             f = rng.uniform(-5, 5, 2)
-            rows = cset.evaluate(st, drift, GAIN_G)
-            prob = assemble_qp([ev for _, ev, _ in rows], [K for _, _, K in rows], f)
+            prob = assemble_qp(cset.evaluate(st, drift, GAIN_G), f)
             f_hat, f_comp, _ = filter_force(cset, st, drift, GAIN_G, f)
             oracle = project_oracle(prob.u_nom, prob.A, prob.b)
             assert oracle is not None

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safeadmit import (ScenarioConfig, SimulationAborted, ValidationError,
+from safeadmit import (AdmittanceParams, ScenarioConfig, SimulationAborted,
+                       ValidationError,
                        WorkspaceConstraint, desired_trajectory, human_force,
                        records_equal, run, scenario_library)
 
@@ -53,6 +54,10 @@ class TestScenarioConfig:
     def test_duration_shorter_than_step_rejected(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(duration=1e-4, dt=1e-3)
+
+    def test_infinite_duration_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            ScenarioConfig(duration=math.inf)
 
     def test_start_clipped_into_workspace(self):
         cfg = scenario_library()["workspace"]
@@ -164,3 +169,18 @@ class TestRun:
         jumps = [np.abs(b.f_c - a.f_c).max()
                  for a, b in zip(trace[2000:6000], trace[2001:6001])]
         assert max(jumps) < 2.0 * (30.0 + 5.0) + 5.0
+
+
+@pytest.mark.parametrize("k_m", [(20.0, 5.0), (5.0, 20.0)])
+@pytest.mark.parametrize("name", ["workspace", "combined"])
+def test_anisotropic_virtual_mass_stays_in_box(name, k_m):
+    # each axis of a barrier row must carry its own input gain 1/k_m; with
+    # one shared gain these runs left the shrunk box by up to 2.6 mm
+    # within the first 5 s
+    cfg = replace(scenario_library()[name], duration=5.0,
+                  admittance=AdmittanceParams(k_m=k_m))
+    trace = run(cfg)
+    min_h = min(v for rec in trace for k, v in rec.h.items() if k.startswith("ws_"))
+    max_xf = max(np.abs(rec.x_f).max() for rec in trace)
+    assert min_h >= -1e-6
+    assert max_xf <= 0.09 + 1e-6
