@@ -18,9 +18,8 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, SimulationAborted, ValidationError
-from .safety import ObstacleConstraint, WorkspaceConstraint
-from .sim import (DEFAULT_BOUNDS, DEFAULT_OBSTACLE, DEFAULT_SAFE_DISTANCE,
-                  ScenarioConfig, run, scenario_library)
+from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
+from .sim import ScenarioConfig, run, scenario_library
 from .traceio import compute_report, emit_csv, emit_plot, read_csv
 
 OUT_ENV = "SAFEGUARD_OUT"
@@ -71,13 +70,11 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         ws = config.workspace
         obs = config.obstacle
         if args.constraints in ("workspace", "both") and ws is None:
-            ws = WorkspaceConstraint((-DEFAULT_BOUNDS, -DEFAULT_BOUNDS),
-                                     (DEFAULT_BOUNDS, DEFAULT_BOUNDS),
-                                     DEFAULT_SAFE_DISTANCE)
+            ws = WorkspaceConstraint()
         if args.constraints in ("obstacle", "none"):
             ws = None
         if args.constraints in ("obstacle", "both") and obs is None:
-            obs = ObstacleConstraint(DEFAULT_OBSTACLE, DEFAULT_SAFE_DISTANCE)
+            obs = ObstacleConstraint()
         if args.constraints in ("workspace", "none"):
             obs = None
         config = replace(config, workspace=ws, obstacle=obs)

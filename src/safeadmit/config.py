@@ -1,24 +1,32 @@
 """INI-style scenario configuration files.
 
-Sections and keys (all optional; unspecified keys take the standard
-two-link benchmark defaults, and an empty file yields the `combined`
-constraint setup):
+Sections and keys (all optional; an omitted key takes its dataclass
+default, and an empty file yields the `combined` constraint setup):
 
   [robot]        m1 m2 l1 l2 gravity singularity_tolerance
   [admittance]   k_m k_b k_k                (scalar or "x,y" pair)
-  [ecbf]         k_max k_min k_obs          ("position,velocity" pairs)
+  [ecbf]         k_max k_min k_obs          ("position,velocity" pairs;
+                                             k_max and k_min serve both axes)
   [controller]   lambda1..lambda3 alpha beta kappa1..kappa4
                  m_exp n_exp p_exp q_exp rho epsilon
                  boundary_layer use_sign force_limit
   [scenario]     name duration dt radius rate a1 a2 q0 qdot0
                  admittance_start ("auto" or "x,y") nominal_only
   [constraints]  set (workspace|obstacle|both|none) x_min x_max x_obs r
-                 bypass slack
+                 bypass slack               (one r serves both constraints)
 
-Unknown sections or keys are a hard error.
+Unknown sections or keys are a hard error, and so is a number that is not
+finite. One field table, _FIELDS, gives the known keys, the parser and
+serialize_config, so parse_config_text(serialize_config(c)) equals c field
+for field. serialize_config raises ValidationError, naming the key, for a
+config the INI cannot carry: a workspace r that differs from the obstacle
+r, a K_max or K_min whose two axes differ, a number that is not finite, or
+a name with a line break or with leading or trailing whitespace.
 """
 
 import configparser
+import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,46 +34,36 @@ from .admittance import AdmittanceParams
 from .arm import ManipulatorParams
 from .errors import ConfigError, ValidationError
 from .safety import EcbfGains, ObstacleConstraint, WorkspaceConstraint
-from .sim import (DEFAULT_BOUNDS, DEFAULT_OBSTACLE, DEFAULT_SAFE_DISTANCE,
-                  ScenarioConfig)
+from .sim import ScenarioConfig
 from .smc import FxtismcGains
 
-_SECTIONS = ("robot", "admittance", "ecbf", "controller", "scenario", "constraints")
+# Each target names a ScenarioConfig attribute and its dataclass, or the
+# ScenarioConfig itself ("scenario").
+_TARGETS = {"robot": ManipulatorParams, "admittance": AdmittanceParams,
+            "ecbf": EcbfGains, "controller": FxtismcGains,
+            "workspace": WorkspaceConstraint, "obstacle": ObstacleConstraint,
+            "scenario": ScenarioConfig}
 
-_KEYS = {
-    "robot": ("m1", "m2", "l1", "l2", "gravity", "singularity_tolerance"),
-    "admittance": ("k_m", "k_b", "k_k"),
-    "ecbf": ("k_max", "k_min", "k_obs"),
-    "controller": ("lambda1", "lambda2", "lambda3", "alpha", "beta",
-                   "kappa1", "kappa2", "kappa3", "kappa4",
-                   "m_exp", "n_exp", "p_exp", "q_exp", "rho", "epsilon",
-                   "boundary_layer", "use_sign", "force_limit"),
-    "scenario": ("name", "duration", "dt", "radius", "rate", "a1", "a2",
-                 "q0", "qdot0", "admittance_start", "nominal_only"),
-    "constraints": ("set", "x_min", "x_max", "x_obs", "r", "bypass", "slack"),
-}
-
-_CONSTRAINT_SETS = ("workspace", "obstacle", "both", "none")
+# The optional constraints each value of [constraints] set enables.
+_CONSTRAINT_SETS = {"workspace": ("workspace",), "obstacle": ("obstacle",),
+                    "both": ("workspace", "obstacle"), "none": ()}
 
 
-def _float(section, key, raw) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-
-
-def _pair_of(section, key, raw):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"[{section}] {key}: expected 'x,y', got {raw!r}")
-    return tuple(_float(section, key, p) for p in parts)
-
-
-def _scalar_or_pair(section, key, raw):
-    if "," in raw:
-        return _pair_of(section, key, raw)
-    return _float(section, key, raw)
+def _numbers(*sizes):
+    """The parser of one number, of an "x,y" pair, or of either (sizes)."""
+    def parse(section, key, raw):
+        parts = raw.split(",")
+        if len(parts) not in sizes:
+            raise ConfigError(f"[{section}] {key}: expected "
+                              f"{' or '.join(map(str, sizes))} number(s), got {raw!r}")
+        try:
+            values = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+        return values[0] if len(values) == 1 else values
+    return parse
 
 
 def _bool(section, key, raw) -> bool:
@@ -77,206 +75,146 @@ def _bool(section, key, raw) -> bool:
     raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Parse an INI scenario file; file-level errors raise ConfigError with
-    the offending line, invariant violations raise ValidationError."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_parser(parser)
+def _auto_or_pair(section, key, raw):
+    return None if raw.strip().lower() == "auto" else _numbers(2)(section, key, raw)
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    return config_from_parser(parser)
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KEYS[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    def getf(section, key, default):
-        raw = get(section, key)
-        return default if raw is None else _float(section, key, raw)
-
-    def getb(section, key, default):
-        raw = get(section, key)
-        return default if raw is None else _bool(section, key, raw)
-
-    robot = ManipulatorParams(
-        m1=getf("robot", "m1", 1.5),
-        m2=getf("robot", "m2", 1.0),
-        l1=getf("robot", "l1", 0.3),
-        l2=getf("robot", "l2", 0.3),
-        gravity=getf("robot", "gravity", 9.81),
-        singularity_tolerance=getf("robot", "singularity_tolerance", 1e-4),
-    )
-
-    def adm_field(key, default):
-        raw = get("admittance", key)
-        return default if raw is None else _scalar_or_pair("admittance", key, raw)
-
-    admittance = AdmittanceParams(
-        k_m=adm_field("k_m", 20.0),
-        k_b=adm_field("k_b", 20.0),
-        k_k=adm_field("k_k", 100.0),
-    )
-
-    def gain_pair(key, default):
-        raw = get("ecbf", key)
-        return default if raw is None else _pair_of("ecbf", key, raw)
-
-    ecbf = EcbfGains(
-        K_max=gain_pair("k_max", (500.0, 50.0)),
-        K_min=gain_pair("k_min", (500.0, 50.0)),
-        K_obs=gain_pair("k_obs", (700.0, 70.0)),
-    )
-
-    ctrl_defaults = FxtismcGains()
-    ctrl_kwargs = {}
-    for key in _KEYS["controller"]:
-        if key == "use_sign":
-            ctrl_kwargs[key] = getb("controller", key, ctrl_defaults.use_sign)
-        else:
-            ctrl_kwargs[key] = getf("controller", key, getattr(ctrl_defaults, key))
-    controller = FxtismcGains(**ctrl_kwargs)
-
-    cset_kind = get("constraints", "set", "both")
-    if cset_kind not in _CONSTRAINT_SETS:
+def _constraint_set(section, key, raw) -> str:
+    if raw not in _CONSTRAINT_SETS:
         raise ConfigError(
-            f"[constraints] set must be one of {_CONSTRAINT_SETS}, got {cset_kind!r}")
-    workspace = None
-    obstacle = None
-    if cset_kind in ("workspace", "both"):
-        raw_min = get("constraints", "x_min")
-        raw_max = get("constraints", "x_max")
-        workspace = WorkspaceConstraint(
-            x_min=(_pair_of("constraints", "x_min", raw_min) if raw_min is not None
-                   else (-DEFAULT_BOUNDS, -DEFAULT_BOUNDS)),
-            x_max=(_pair_of("constraints", "x_max", raw_max) if raw_max is not None
-                   else (DEFAULT_BOUNDS, DEFAULT_BOUNDS)),
-            r=getf("constraints", "r", DEFAULT_SAFE_DISTANCE),
-        )
-    if cset_kind in ("obstacle", "both"):
-        raw_obs = get("constraints", "x_obs")
-        obstacle = ObstacleConstraint(
-            x_obs=(_pair_of("constraints", "x_obs", raw_obs) if raw_obs is not None
-                   else DEFAULT_OBSTACLE),
-            r=getf("constraints", "r", DEFAULT_SAFE_DISTANCE),
-        )
-
-    raw_start = get("scenario", "admittance_start", "auto")
-    start = None if raw_start.strip().lower() == "auto" else \
-        _pair_of("scenario", "admittance_start", raw_start)
-    raw_q0 = get("scenario", "q0")
-    raw_qd0 = get("scenario", "qdot0")
-
-    return ScenarioConfig(
-        name=get("scenario", "name", "custom"),
-        duration=getf("scenario", "duration", 16.0),
-        dt=getf("scenario", "dt", 1e-3),
-        circle_radius=getf("scenario", "radius", 0.14),
-        circle_rate=getf("scenario", "rate", 0.5),
-        force_amplitude=(getf("scenario", "a1", 1.0), getf("scenario", "a2", 2.0)),
-        robot=robot,
-        admittance=admittance,
-        ecbf=ecbf,
-        controller=controller,
-        workspace=workspace,
-        obstacle=obstacle,
-        filter_bypass=getb("constraints", "bypass", False),
-        slack=getb("constraints", "slack", False),
-        q0=(_pair_of("scenario", "q0", raw_q0) if raw_q0 is not None
-            else (0.5236, 2.0944)),
-        qdot0=(_pair_of("scenario", "qdot0", raw_qd0) if raw_qd0 is not None
-               else (0.0, 0.0)),
-        admittance_start=start,
-        nominal_only=getb("scenario", "nominal_only", False),
-    )
+            f"[{section}] {key} must be one of {tuple(_CONSTRAINT_SETS)}, got {raw!r}")
+    return raw
 
 
-def _fmt(v) -> str:
+def _fmt(section, key, v) -> str:
     arr = np.asarray(v, dtype=float).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"[{section}] {key}: the INI holds only finite numbers, got {v}")
     return ",".join(format(x, ".17g") for x in arr)
 
 
+def _fmt_name(section, key, v) -> str:
+    if "\n" in v or "\r" in v or v != v.strip():
+        raise ValidationError(f"[{section}] {key}: the INI cannot carry {v!r} "
+                              "(line break, or leading or trailing whitespace)")
+    return v
+
+
+# A kind is how one INI value is read from text and written back:
+# (parse(section, key, raw text), fmt(section, key, value)).
+_NUM = (_numbers(1), _fmt)
+_NUM_OR_PAIR = (_numbers(1, 2), _fmt)
+_PAIR = (_numbers(2), _fmt)
+_BOOL = (_bool, lambda section, key, v: str(bool(v)).lower())
+_NAME = (lambda section, key, raw: raw, _fmt_name)
+_START = (_auto_or_pair, lambda section, key, v: "auto" if v is None else _fmt(section, key, v))
+_SET = (_constraint_set, lambda section, key, v: v)
+
+
+def _one(section, key, kind, target, name=None, *index):
+    return (section, key, kind, ((target, name or key, *index),))
+
+
+def _named_like(section, cls, kind):
+    """Rows for a section whose keys are the dataclass's own field names."""
+    return [_one(section, f.name, _BOOL if isinstance(f.default, bool) else kind, section)
+            for f in fields(cls)]
+
+
+# The field table, one row per INI key: (section, key, kind, places). A
+# place is (target, field), or (target, field, index) for one entry of a
+# sequence field; r, k_max and k_min each fill two places.
+_FIELDS = (
+    *_named_like("robot", ManipulatorParams, _NUM),
+    *_named_like("admittance", AdmittanceParams, _NUM_OR_PAIR),
+    ("ecbf", "k_max", _PAIR, (("ecbf", "K_max", 0), ("ecbf", "K_max", 1))),
+    ("ecbf", "k_min", _PAIR, (("ecbf", "K_min", 0), ("ecbf", "K_min", 1))),
+    _one("ecbf", "k_obs", _PAIR, "ecbf", "K_obs"),
+    *_named_like("controller", FxtismcGains, _NUM),
+    _one("scenario", "name", _NAME, "scenario"),
+    _one("scenario", "duration", _NUM, "scenario"),
+    _one("scenario", "dt", _NUM, "scenario"),
+    _one("scenario", "radius", _NUM, "scenario", "circle_radius"),
+    _one("scenario", "rate", _NUM, "scenario", "circle_rate"),
+    _one("scenario", "a1", _NUM, "scenario", "force_amplitude", 0),
+    _one("scenario", "a2", _NUM, "scenario", "force_amplitude", 1),
+    _one("scenario", "q0", _PAIR, "scenario"),
+    _one("scenario", "qdot0", _PAIR, "scenario"),
+    _one("scenario", "admittance_start", _START, "scenario"),
+    _one("scenario", "nominal_only", _BOOL, "scenario"),
+    ("constraints", "set", _SET, ()),
+    _one("constraints", "x_min", _PAIR, "workspace"),
+    _one("constraints", "x_max", _PAIR, "workspace"),
+    _one("constraints", "x_obs", _PAIR, "obstacle"),
+    ("constraints", "r", _NUM, (("workspace", "r"), ("obstacle", "r"))),
+    _one("constraints", "bypass", _BOOL, "scenario", "filter_bypass"),
+    _one("constraints", "slack", _BOOL, "scenario"),
+)
+
+_ROWS = {(section, key): (kind, places) for section, key, kind, places in _FIELDS}
+_SECTIONS = {section for section, _ in _ROWS}
+# Default instances, from which a sequence field that the INI fills one
+# entry at a time (a1, a2, k_max, k_min) takes its other entries.
+_DEFAULTS = {target: cls() for target, cls in _TARGETS.items()}
+
+
+def parse_config(path) -> ScenarioConfig:
+    """Parse an INI scenario file (see parse_config_text)."""
+    with open(path) as fh:
+        return parse_config_text(fh.read(), source=str(path))
+
+
+def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
+    """Parse INI scenario text; file-level errors raise ConfigError with
+    the offending line, invariant violations raise ValidationError."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
+    kwargs = {target: {} for target in _TARGETS}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if (section, key) not in _ROWS:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            (parse, _), places = _ROWS[section, key]
+            value = parse(section, key, raw)
+            for target, name, *index in places:
+                if index:
+                    entries = list(kwargs[target].get(name, getattr(_DEFAULTS[target], name)))
+                    entries[index[0]] = value
+                    kwargs[target][name] = tuple(entries)
+                else:
+                    kwargs[target][name] = value
+
+    enabled = _CONSTRAINT_SETS[parser.get("constraints", "set", fallback="both")]
+    parts = {target: cls(**kwargs[target])
+             if target in enabled or target not in ("workspace", "obstacle") else None
+             for target, cls in _TARGETS.items() if target != "scenario"}
+    return ScenarioConfig(**kwargs["scenario"], **parts)
+
+
 def serialize_config(config: ScenarioConfig) -> str:
-    """Canonical text form; parse(serialize(c)) round-trips exactly."""
-    r = config.robot
-    a = config.admittance
-    g = config.ecbf
-    c = config.controller
-    lines = [
-        "[robot]",
-        f"m1 = {_fmt(r.m1)}", f"m2 = {_fmt(r.m2)}",
-        f"l1 = {_fmt(r.l1)}", f"l2 = {_fmt(r.l2)}",
-        f"gravity = {_fmt(r.gravity)}",
-        f"singularity_tolerance = {_fmt(r.singularity_tolerance)}",
-        "",
-        "[admittance]",
-        f"k_m = {_fmt(a.k_m)}", f"k_b = {_fmt(a.k_b)}", f"k_k = {_fmt(a.k_k)}",
-        "",
-        "[ecbf]",
-        f"k_max = {_fmt(g.K_max[0])}",
-        f"k_min = {_fmt(g.K_min[0])}",
-        f"k_obs = {_fmt(g.K_obs)}",
-        "",
-        "[controller]",
-    ]
-    for key in _KEYS["controller"]:
-        val = getattr(c, key)
-        lines.append(f"{key} = {str(val).lower() if key == 'use_sign' else _fmt(val)}")
-    if config.workspace is not None and config.obstacle is not None:
-        kind = "both"
-    elif config.workspace is not None:
-        kind = "workspace"
-    elif config.obstacle is not None:
-        kind = "obstacle"
-    else:
-        kind = "none"
-    lines += [
-        "",
-        "[scenario]",
-        f"name = {config.name}",
-        f"duration = {_fmt(config.duration)}",
-        f"dt = {_fmt(config.dt)}",
-        f"radius = {_fmt(config.circle_radius)}",
-        f"rate = {_fmt(config.circle_rate)}",
-        f"a1 = {_fmt(config.force_amplitude[0])}",
-        f"a2 = {_fmt(config.force_amplitude[1])}",
-        f"q0 = {_fmt(config.q0)}",
-        f"qdot0 = {_fmt(config.qdot0)}",
-        "admittance_start = " + ("auto" if config.admittance_start is None
-                                 else _fmt(config.admittance_start)),
-        f"nominal_only = {str(config.nominal_only).lower()}",
-        "",
-        "[constraints]",
-        f"set = {kind}",
-    ]
-    if config.workspace is not None:
-        lines += [f"x_min = {_fmt(config.workspace.x_min)}",
-                  f"x_max = {_fmt(config.workspace.x_max)}"]
-    if config.obstacle is not None:
-        lines.append(f"x_obs = {_fmt(config.obstacle.x_obs)}")
-    if config.workspace is not None or config.obstacle is not None:
-        r_val = config.workspace.r if config.workspace is not None else config.obstacle.r
-        lines.append(f"r = {_fmt(r_val)}")
-    lines += [f"bypass = {str(config.filter_bypass).lower()}",
-              f"slack = {str(config.slack).lower()}"]
+    """Canonical text form, written from the rows the parser reads; raises
+    ValidationError for a config the INI cannot carry (module docstring)."""
+    objs = {target: config if target == "scenario" else getattr(config, target)
+            for target in _TARGETS}
+    lines = []
+    for section, key, (_, fmt), places in _FIELDS:
+        if f"[{section}]" not in lines:
+            lines += ([""] if lines else []) + [f"[{section}]"]
+        if key == "set":
+            enabled = tuple(t for t in ("workspace", "obstacle") if objs[t] is not None)
+            values = [next(k for k, v in _CONSTRAINT_SETS.items() if v == enabled)]
+        else:
+            values = [getattr(objs[t], name)[index[0]] if index else getattr(objs[t], name)
+                      for t, name, *index in places if objs[t] is not None]
+        if not values:
+            continue
+        if any(not np.array_equal(v, values[0]) for v in values[1:]):
+            raise ValidationError(f"[{section}] {key}: one INI value cannot carry "
+                                  f"the differing values {values}")
+        lines.append(f"{key} = {fmt(section, key, values[0])}")
     return "\n".join(lines) + "\n"

@@ -32,12 +32,18 @@ from .admittance import AdmittanceState, _pair
 from .errors import StartOutsideSafeSet, ValidationError
 from .qp import QpProblem, solve, solve_with_slack
 
+# Table-1 geometry: the workspace box half-width, the obstacle centre and
+# the safe distance r.
+DEFAULT_BOUNDS = 0.13
+DEFAULT_OBSTACLE = (-0.07, 0.07)
+DEFAULT_SAFE_DISTANCE = 0.04
+
 
 @dataclass
 class WorkspaceConstraint:
-    x_min: np.ndarray
-    x_max: np.ndarray
-    r: float
+    x_min: np.ndarray = (-DEFAULT_BOUNDS, -DEFAULT_BOUNDS)
+    x_max: np.ndarray = (DEFAULT_BOUNDS, DEFAULT_BOUNDS)
+    r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
         self.x_min = _pair(self.x_min)
@@ -51,8 +57,8 @@ class WorkspaceConstraint:
 
 @dataclass
 class ObstacleConstraint:
-    x_obs: np.ndarray
-    r: float
+    x_obs: np.ndarray = DEFAULT_OBSTACLE
+    r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
         self.x_obs = _pair(self.x_obs)

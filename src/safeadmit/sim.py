@@ -16,14 +16,12 @@ from . import arm, smc
 from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step, _pair
 from .arm import JointState, ManipulatorParams
 from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError
-from .safety import ConstraintSet, EcbfGains, FilterDiagnostics, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
+# DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
+from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, FilterDiagnostics, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
 
 # Table-1 style defaults shared by the preset scenarios.
 DEFAULT_Q0 = (0.5236, 2.0944)
-DEFAULT_BOUNDS = 0.13
-DEFAULT_OBSTACLE = (-0.07, 0.07)
-DEFAULT_SAFE_DISTANCE = 0.04
 DEFAULT_AMPLITUDES = (1.0, 2.0)
 
 
@@ -189,10 +187,8 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
 
 def scenario_library() -> Dict[str, ScenarioConfig]:
     """The four canonical presets."""
-    ws = WorkspaceConstraint(x_min=(-DEFAULT_BOUNDS, -DEFAULT_BOUNDS),
-                             x_max=(DEFAULT_BOUNDS, DEFAULT_BOUNDS),
-                             r=DEFAULT_SAFE_DISTANCE)
-    obs = ObstacleConstraint(x_obs=DEFAULT_OBSTACLE, r=DEFAULT_SAFE_DISTANCE)
+    ws = WorkspaceConstraint()
+    obs = ObstacleConstraint()
     workspace = ScenarioConfig(name="workspace", workspace=ws)
     baseline = replace(workspace, name="baseline-unsafe", filter_bypass=True)
     obstacle_only = ScenarioConfig(name="obstacle-only", obstacle=obs)

@@ -114,6 +114,20 @@ class TestRun:
                    if line.startswith("scenario: ")]
         assert printed == list(scenario_library())
 
+    @pytest.mark.parametrize("section,line", [
+        ("robot", "m1 = inf"), ("admittance", "k_m = inf"),
+        ("admittance", "k_b = nan"), ("controller", "rho = inf"),
+        ("ecbf", "k_obs = inf,1"), ("constraints", "x_obs = nan,0"),
+        ("robot", "singularity_tolerance = inf"),
+    ])
+    def test_non_finite_config_number_exits_one(self, capsys, tmp_path, section, line):
+        cfg_path = tmp_path / "nonfinite.ini"
+        cfg_path.write_text(f"[scenario]\nduration = 0.01\n[{section}]\n{line}\n")
+        code, _, err = run_cli(capsys, "run", "--scenario", str(cfg_path),
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert any(l.startswith("error: [") for l in err.splitlines())
+
     def test_infinite_duration_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--scenario", "workspace",
                                "--duration", "inf", "--out", str(tmp_path))

@@ -1,11 +1,31 @@
-from dataclasses import replace
+import math
+import re
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from safeadmit import (ConfigError, ValidationError, parse_config,
+from safeadmit import (AdmittanceParams, ConfigError, EcbfGains,
+                       ManipulatorParams, ObstacleConstraint, ScenarioConfig,
+                       ValidationError, WorkspaceConstraint, parse_config,
                        scenario_library)
 from safeadmit.config import (parse_config_text, serialize_config)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def assert_fields_equal(a, b, path="config"):
+    """Every field of two configs, recursively; arrays compare exactly."""
+    if is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif a is None or b is None or isinstance(a, str):
+        assert a == b, path
+    else:
+        assert np.array_equal(a, b), f"{path}: {a!r} != {b!r}"
 
 
 class TestDefaults:
@@ -103,6 +123,23 @@ r = 0.05
         with pytest.raises(ConfigError):
             parse_config_text("[constraints]\nbypass = maybe\n")
 
+    def test_readme_example_parses(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = parse_config_text(block)
+        assert cfg.name == "demo"
+        assert cfg.robot.m1 == 1.5 and cfg.workspace.r == cfg.obstacle.r == 0.04
+        assert cfg.admittance_start is None and cfg.controller.alpha == 0.714285
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        cfg = parse_config_text("[constraints]\nx_obs = 0.1, 0.1\n"
+                                "[scenario]\na2 = 3\n[ecbf]\nk_min = 400, 40\n")
+        assert_fields_equal(cfg.robot, ManipulatorParams())
+        assert_fields_equal(cfg.workspace, WorkspaceConstraint())
+        assert cfg.obstacle.r == ObstacleConstraint().r
+        assert cfg.force_amplitude == (ScenarioConfig().force_amplitude[0], 3.0)
+        assert np.array_equal(cfg.ecbf.K_max, EcbfGains().K_max)
+        assert np.array_equal(cfg.ecbf.K_min, [[400.0, 40.0], [400.0, 40.0]])
+
     def test_explicit_admittance_start(self):
         cfg = parse_config_text("[scenario]\nadmittance_start = 0.01, -0.02\n")
         assert cfg.admittance_start == (0.01, -0.02)
@@ -115,13 +152,7 @@ class TestRoundTrip:
         text = serialize_config(cfg)
         reparsed = parse_config_text(text)
         assert serialize_config(reparsed) == text
-        assert reparsed.name == cfg.name
-        assert reparsed.duration == cfg.duration
-        assert reparsed.robot == cfg.robot
-        assert reparsed.controller == cfg.controller
-        assert np.array_equal(reparsed.admittance.k_m, cfg.admittance.k_m)
-        assert (reparsed.workspace is None) == (cfg.workspace is None)
-        assert (reparsed.obstacle is None) == (cfg.obstacle is None)
+        assert_fields_equal(reparsed, cfg)
 
     def test_presets_round_trip(self):
         for cfg in scenario_library().values():
@@ -146,3 +177,94 @@ class TestRoundTrip:
         path = tmp_path / "scenario.ini"
         path.write_text(serialize_config(cfg))
         assert serialize_config(parse_config(path)) == serialize_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        replace(scenario_library()["combined"], admittance=AdmittanceParams(k_m=(20.0, 5.0))),
+        ScenarioConfig(name="obs", obstacle=ObstacleConstraint(r=0.05)),
+    ], ids=["anisotropic-k_m", "obstacle-only-own-r"])
+    def test_more_configs_round_trip(self, cfg):
+        self._assert_round_trips(cfg)
+
+    @pytest.mark.parametrize("key,change", [
+        ("r", {"obstacle": ObstacleConstraint(r=0.05)}),
+        ("k_max", {"ecbf": EcbfGains(K_max=[[500.0, 50.0], [300.0, 30.0]])}),
+        ("k_min", {"ecbf": EcbfGains(K_min=[[500.0, 50.0], [300.0, 30.0]])}),
+        ("gravity", {"robot": ManipulatorParams(gravity=math.inf)}),
+        *[("name", {"name": name}) for name in ("  pad", "pad ", "two\nlines", "cr\rname", "\t")],
+    ])
+    def test_what_the_ini_cannot_carry_is_refused(self, key, change):
+        cfg = replace(scenario_library()["combined"], **change)
+        with pytest.raises(ValidationError, match=rf"^\[\w+\] {key}:"):
+            serialize_config(cfg)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _rarely(usual, rare):
+    """Draws from ``rare`` about one time in four, else from ``usual``."""
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else usual)
+
+
+_GAIN_PAIR = st.tuples(_floats(1.0, 1e3), _floats(0.1, 1e2))
+
+
+@st.composite
+def _configs(draw):
+    """Configs the API accepts, over the fields the INI shares or cannot carry."""
+    r_ws = draw(_floats(1e-3, 0.05))
+    r_obs = draw(_rarely(st.just(r_ws), _floats(1e-3, 0.1)))
+    lo = (-draw(_floats(0.05, 0.3)), -draw(_floats(0.05, 0.3)))
+    hi = (draw(_floats(0.05, 0.3)), draw(_floats(0.05, 0.3)))
+    k_m = draw(st.one_of(_floats(0.5, 100.0), st.tuples(_floats(0.5, 100.0), _floats(0.5, 100.0))))
+    per_axis = _rarely(_GAIN_PAIR, st.tuples(_GAIN_PAIR, _GAIN_PAIR))
+    kind = draw(st.sampled_from(["workspace", "obstacle", "both", "none"]))
+    try:
+        return ScenarioConfig(
+            name=draw(_rarely(st.text(max_size=8),
+                              st.text(st.sampled_from(" \t\n\r;#=%[]a"), max_size=8))),
+            duration=draw(_floats(1e-3, 100.0)),
+            force_amplitude=(draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0))),
+            robot=ManipulatorParams(gravity=draw(_rarely(
+                _floats(0.0, 20.0), st.sampled_from([math.inf, -math.inf, math.nan])))),
+            admittance=AdmittanceParams(k_m=k_m),
+            ecbf=EcbfGains(K_max=draw(per_axis), K_min=draw(per_axis), K_obs=draw(_GAIN_PAIR)),
+            workspace=(WorkspaceConstraint(lo, hi, r_ws)
+                       if kind in ("workspace", "both") else None),
+            obstacle=(ObstacleConstraint((draw(_floats(-0.3, 0.3)), draw(_floats(-0.3, 0.3))), r_obs)
+                      if kind in ("obstacle", "both") else None),
+            slack=draw(st.booleans()),
+        )
+    except ValidationError:
+        assume(False)
+
+
+def _refused_keys(cfg):
+    """The documented cases the INI cannot carry, by key."""
+    keys = set()
+    if cfg.workspace is not None and cfg.obstacle is not None and cfg.workspace.r != cfg.obstacle.r:
+        keys.add("r")
+    for field, key in (("K_max", "k_max"), ("K_min", "k_min")):
+        if not np.array_equal(*getattr(cfg.ecbf, field)):
+            keys.add(key)
+    if not math.isfinite(cfg.robot.gravity):
+        keys.add("gravity")
+    if "\n" in cfg.name or "\r" in cfg.name or cfg.name != cfg.name.strip():
+        keys.add("name")
+    return keys
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_configs())
+def test_serialize_refuses_or_round_trips(cfg):
+    refused = _refused_keys(cfg)
+    if refused:
+        with pytest.raises(ValidationError) as err:
+            serialize_config(cfg)
+        assert re.match(r"\[\w+\] (\w+):", str(err.value)).group(1) in refused
+        return
+    text = serialize_config(cfg)
+    reparsed = parse_config_text(text)
+    assert_fields_equal(reparsed, cfg)
+    assert serialize_config(reparsed) == text
