@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 
 def _pair(v) -> np.ndarray:
@@ -34,6 +34,7 @@ class AdmittanceParams:
         self.k_m = _pair(self.k_m)
         self.k_b = _pair(self.k_b)
         self.k_k = _pair(self.k_k)
+        require_finite(self)
         if not (self.k_m > 0.0).all():
             raise ValidationError("k_m must be positive")
         if (self.k_b < 0.0).any() or (self.k_k < 0.0).any():

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularConfiguration, ValidationError
+from .errors import SingularConfiguration, ValidationError, require_finite
 
 
 @dataclass
@@ -29,6 +29,7 @@ class ManipulatorParams:
     singularity_tolerance: float = 1e-4
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("m1", "m2", "l1", "l2"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")

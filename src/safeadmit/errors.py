@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finiteness check
+that parameter dataclasses run at construction."""
+
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 
 class SingularConfiguration(RuntimeError):
@@ -28,3 +33,15 @@ class ConfigError(ValueError):
 
 class ValidationError(ValueError):
     """A parameter violates one of its invariants."""
+
+
+def require_finite(params) -> None:
+    """Raise ValidationError naming the first numeric field of the dataclass
+    ``params`` that holds NaN or infinity. Strings, None and nested
+    dataclasses (which check themselves) are skipped."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is None or isinstance(value, str) or is_dataclass(value):
+            continue
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValidationError(f"{f.name} must be finite")

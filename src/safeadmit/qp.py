@@ -1,13 +1,15 @@
 """Exact solver for small dense projection QPs.
 
 Solves min ||u - u_nom||^2 subject to A u <= b by enumerating active
-subsets of size <= n in (size, lexicographic) order and returning the first
-KKT point. Because the objective is strictly convex, any primal-feasible
-candidate with nonnegative multipliers is the unique global optimum, so the
-first hit is both optimal and carries the lexicographically smallest active
-set of minimal size. Deterministic by construction.
+subsets in (size, lexicographic) order and returning the first KKT point.
+The objective is strictly convex, so that point is the unique optimum, and
+its active set is the lexicographically smallest one of minimal size.
 
-Sized for n <= 4 variables and m <= 8 rows; larger problems are rejected.
+One SVD per subset, A_S = U diag(s) V^T, tests the rows' rank and gives the
+point and its multipliers without forming the Gram matrix A_S A_S^T, which
+would square the rows' conditioning. The penalized-slack variant is the
+same projection on a lifted variable. Problems are sized for n <= 4
+variables and m <= 8 rows; larger ones are rejected.
 """
 
 from dataclasses import dataclass, field
@@ -53,97 +55,61 @@ class QpSolution:
     objective: float = 0.0
 
 
-def _rank_deficient(A_S: np.ndarray) -> bool:
-    """Pivoted Gaussian elimination rank test with tolerance RANK_TOL."""
-    M = A_S.copy()
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[piv, c]) <= RANK_TOL:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r + 1:] -= np.outer(M[r + 1:, c] / M[r, c], M[r])
-        r += 1
-    return r < rows
-
-
-def solve(problem: QpProblem) -> QpSolution:
-    u_nom, A, b = problem.u_nom, problem.A, problem.b
-    n = u_nom.size
-    m = A.shape[0]
+def _check_size(problem: QpProblem) -> None:
+    n, m = problem.u_nom.size, problem.A.shape[0]
     if n > MAX_VARS or m > MAX_ROWS:
         raise ValidationError(
             f"solver sized for n<={MAX_VARS}, m<={MAX_ROWS}; got n={n}, m={m}"
         )
-    if m == 0 or (A @ u_nom <= b + FEAS_TOL).all():
-        return QpSolution(u=u_nom.copy(), active_set=(), objective=0.0)
 
-    for k in range(1, n + 1):
-        for S in combinations(range(m), k):
-            A_S = A[list(S)]
-            if _rank_deficient(A_S):
+
+def _project(u_nom: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """Return (u, S): the projection of u_nom onto {A u <= b} and the first
+    active subset S, in (size, lexicographic) order, at which it is a KKT
+    point. Raises InfeasibleQp when no subset gives one."""
+    Au = A @ u_nom
+    if (Au <= b + FEAS_TOL).all():
+        return u_nom.copy(), ()
+    resid = Au - b
+    for k in range(1, u_nom.size + 1):
+        for S in combinations(range(A.shape[0]), k):
+            rows = list(S)
+            U, s, Vt = np.linalg.svd(A[rows], full_matrices=False)
+            if s[-1] <= RANK_TOL:
                 continue
-            gram = A_S @ A_S.T
-            b_S = b[list(S)]
-            lam = np.linalg.solve(gram, A_S @ u_nom - b_S)
-            u = u_nom - A_S.T @ lam
-            # one refinement pass: the Gram system squares the row
-            # conditioning, so polish lambda until A_S u = b_S holds tightly
-            lam = lam + np.linalg.solve(gram, A_S @ u - b_S)
-            if (lam < DUAL_TOL).any():
+            # u = u_nom - A_S^T lam with A_S u = b_S: lam = U (y / s)
+            y = U.T @ resid[rows] / s
+            if (U @ (y / s) < DUAL_TOL).any():
                 continue
-            u = u_nom - A_S.T @ lam
+            u = u_nom - Vt.T @ y
             if (A @ u <= b + FEAS_TOL).all():
-                du = u - u_nom
-                return QpSolution(u=u, active_set=S, objective=float(du @ du))
+                return u, S
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
 
 
-def solve_with_slack(problem: QpProblem, weight: float = 1e6):
-    """Soft-constrained variant: one nonnegative slack per row, quadratic
-    penalty ``weight`` on the slacks. Always feasible.
+def solve(problem: QpProblem) -> QpSolution:
+    _check_size(problem)
+    u, S = _project(problem.u_nom, problem.A, problem.b)
+    du = u - problem.u_nom
+    return QpSolution(u=u, active_set=S, objective=float(du @ du))
 
-    Equivalent to min ||u - u_nom||^2 + weight * sum(max(0, A u - b)^2),
-    solved exactly by enumerating the violation pattern (which rows carry
-    positive slack); patterns are tried in (popcount, lexicographic) order
-    so the result is deterministic.
+
+def solve_with_slack(problem: QpProblem, weight: float = 1e6):
+    """Soft-constrained variant, always feasible: minimizes
+    ||u - u_nom||^2 + weight * ||max(0, A u - b)||^2.
+
+    This is the projection of (u_nom, 0) onto {[A, -I/sqrt(weight)] v <= b}
+    for v = (u, sqrt(weight) * slack); its rows are independent, so it is
+    never empty, and the active set is that lifted problem's.
 
     Returns (QpSolution, slacks) where slacks[j] = max(0, A_j u - b_j).
     """
+    _check_size(problem)
     u_nom, A, b = problem.u_nom, problem.A, problem.b
-    n = u_nom.size
     m = A.shape[0]
-    if n > MAX_VARS or m > MAX_ROWS:
-        raise ValidationError(
-            f"solver sized for n<={MAX_VARS}, m<={MAX_ROWS}; got n={n}, m={m}"
-        )
-    patterns = sorted(range(1 << m), key=lambda p: (bin(p).count("1"), p))
-    eye = np.eye(n)
-    for pattern in patterns:
-        V = [j for j in range(m) if pattern >> j & 1]
-        if V:
-            A_V = A[V]
-            H = eye + weight * A_V.T @ A_V
-            u = np.linalg.solve(H, u_nom + weight * A_V.T @ b[V])
-        else:
-            u = u_nom.copy()
-        resid = A @ u - b
-        ok = True
-        for j in range(m):
-            if (pattern >> j & 1) and resid[j] < -FEAS_TOL:
-                ok = False
-                break
-            if not (pattern >> j & 1) and resid[j] > FEAS_TOL:
-                ok = False
-                break
-        if ok:
-            slacks = np.maximum(resid, 0.0)
-            active = tuple(j for j in range(m) if abs(resid[j]) <= FEAS_TOL or slacks[j] > 0)
-            du = u - u_nom
-            return QpSolution(u=u, active_set=active, objective=float(du @ du)), slacks
-    raise InfeasibleQp("no consistent violation pattern found")  # pragma: no cover
-
+    lifted_A = np.hstack([A, -np.eye(m) / np.sqrt(weight)])
+    v, S = _project(np.concatenate([u_nom, np.zeros(m)]), lifted_A, b)
+    u = v[:u_nom.size]
+    du = u - u_nom
+    return (QpSolution(u=u, active_set=S, objective=float(du @ du)),
+            np.maximum(A @ u - b, 0.0))

@@ -29,7 +29,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .admittance import AdmittanceState, _pair
-from .errors import StartOutsideSafeSet, ValidationError
+from .errors import StartOutsideSafeSet, ValidationError, require_finite
 from .qp import QpProblem, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
@@ -49,6 +49,7 @@ class WorkspaceConstraint:
         self.x_min = _pair(self.x_min)
         self.x_max = _pair(self.x_max)
         self.r = float(self.r)
+        require_finite(self)
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
         if not (self.x_min + self.r < self.x_max - self.r).all():
@@ -63,6 +64,7 @@ class ObstacleConstraint:
     def __post_init__(self):
         self.x_obs = _pair(self.x_obs)
         self.r = float(self.r)
+        require_finite(self)
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
 
@@ -90,6 +92,7 @@ class EcbfGains:
         self.K_max = _gain_pairs(self.K_max)
         self.K_min = _gain_pairs(self.K_min)
         self.K_obs = np.asarray(self.K_obs, dtype=float).reshape(2).copy()
+        require_finite(self)
         if (self.K_max <= 0).any() or (self.K_min <= 0).any() or (self.K_obs <= 0).any():
             raise ValidationError("barrier gains must be positive")
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import arm, smc
 from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step, _pair
 from .arm import JointState, ManipulatorParams
-from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError
+from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError, require_finite
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
 from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, FilterDiagnostics, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
@@ -70,14 +70,11 @@ class ScenarioConfig:
     nominal_only: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if not self.dt > 0.0:
             raise ValidationError("dt must be positive")
         if not self.duration >= self.dt:
             raise ValidationError("duration must be at least one step")
-        if not math.isfinite(self.duration):
-            raise ValidationError("duration must be finite")
-        if not np.isfinite(np.asarray(self.force_amplitude, dtype=float)).all():
-            raise ValidationError("force amplitudes must be finite")
 
     def constraint_set(self) -> ConstraintSet:
         return ConstraintSet(workspace=self.workspace, obstacle=self.obstacle,

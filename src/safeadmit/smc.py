@@ -21,7 +21,7 @@ import numpy as np
 
 from .admittance import DesiredPoint, _pair
 from .arm import CartesianDynamicsTerms, CartesianState
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
@@ -50,6 +50,7 @@ class FxtismcGains:
     force_limit: float = 1e5
 
     def __post_init__(self):
+        require_finite(self)
         positive = ("lambda1", "lambda2", "lambda3", "kappa1", "kappa2",
                     "kappa3", "kappa4", "rho", "epsilon", "force_limit")
         for name in positive:

@@ -147,6 +147,14 @@ r = 0.05
                                  ).admittance_start is None
 
 
+def _robot_with_gravity(gravity):
+    # ManipulatorParams refuses a non-finite gravity, but its fields stay
+    # assignable after construction.
+    robot = ManipulatorParams()
+    robot.gravity = gravity
+    return robot
+
+
 class TestRoundTrip:
     def _assert_round_trips(self, cfg):
         text = serialize_config(cfg)
@@ -189,7 +197,7 @@ class TestRoundTrip:
         ("r", {"obstacle": ObstacleConstraint(r=0.05)}),
         ("k_max", {"ecbf": EcbfGains(K_max=[[500.0, 50.0], [300.0, 30.0]])}),
         ("k_min", {"ecbf": EcbfGains(K_min=[[500.0, 50.0], [300.0, 30.0]])}),
-        ("gravity", {"robot": ManipulatorParams(gravity=math.inf)}),
+        ("gravity", {"robot": _robot_with_gravity(math.inf)}),
         *[("name", {"name": name}) for name in ("  pad", "pad ", "two\nlines", "cr\rname", "\t")],
     ])
     def test_what_the_ini_cannot_carry_is_refused(self, key, change):
@@ -226,7 +234,7 @@ def _configs(draw):
                               st.text(st.sampled_from(" \t\n\r;#=%[]a"), max_size=8))),
             duration=draw(_floats(1e-3, 100.0)),
             force_amplitude=(draw(_floats(-5.0, 5.0)), draw(_floats(-5.0, 5.0))),
-            robot=ManipulatorParams(gravity=draw(_rarely(
+            robot=_robot_with_gravity(draw(_rarely(
                 _floats(0.0, 20.0), st.sampled_from([math.inf, -math.inf, math.nan])))),
             admittance=AdmittanceParams(k_m=k_m),
             ecbf=EcbfGains(K_max=draw(per_axis), K_min=draw(per_axis), K_obs=draw(_GAIN_PAIR)),

@@ -4,7 +4,7 @@ import pytest
 from safeadmit import InfeasibleQp, QpProblem, ValidationError, solve
 from safeadmit.qp import FEAS_TOL, solve_with_slack
 
-from qp_oracle import feasible_by_sampling, project_oracle
+from qp_oracle import feasible_by_sampling, project_oracle, slack_oracle
 
 
 def random_problem(rng, n_max=3, m_max=6):
@@ -44,10 +44,27 @@ class TestSolveExamples:
             solve(QpProblem(u_nom=[0.0], A=[[1.0], [-1.0]], b=[-1.0, 0.0]))
 
     def test_size_guard(self):
-        with pytest.raises(ValidationError):
-            solve(QpProblem(u_nom=np.zeros(5), A=np.zeros((1, 5)), b=[1.0]))
-        with pytest.raises(ValidationError):
-            solve(QpProblem(u_nom=np.zeros(2), A=np.zeros((9, 2)), b=np.ones(9)))
+        for solver in (solve, solve_with_slack):
+            with pytest.raises(ValidationError):
+                solver(QpProblem(u_nom=np.zeros(5), A=np.zeros((1, 5)), b=[1.0]))
+            with pytest.raises(ValidationError):
+                solver(QpProblem(u_nom=np.zeros(2), A=np.zeros((9, 2)), b=np.ones(9)))
+
+    @pytest.mark.parametrize("A,b", [
+        # parallel rows, the shape of the filter's ws_max_x / ws_min_x pair
+        ([[1.0, 0.0], [2.0, 0.0]], [0.5, 0.6]),
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),
+        ([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.5]),
+        ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]),
+    ], ids=["parallel", "duplicate", "zero-row", "infeasible-pair"])
+    def test_dependent_rows_match_oracle(self, A, b):
+        prob = QpProblem(u_nom=[1.0, 1.0], A=A, b=b)
+        expected = project_oracle(prob.u_nom, prob.A, prob.b)
+        if expected is None:
+            with pytest.raises(InfeasibleQp):
+                solve(prob)
+        else:
+            assert np.linalg.norm(solve(prob).u - expected) <= 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
@@ -139,6 +156,15 @@ class TestSlack:
         _, light = solve_with_slack(prob, weight=1e2)
         _, heavy = solve_with_slack(prob, weight=1e8)
         assert heavy.max() <= light.max() + 1e-9
+
+    def test_oracle_equivalence(self, rng):
+        for _ in range(300):
+            prob = random_problem(rng)
+            for w in (1e2, 1e6, 1e9):
+                expected = slack_oracle(prob.u_nom, prob.A, prob.b, w)
+                sol, slacks = solve_with_slack(prob, weight=w)
+                assert np.linalg.norm(sol.u - expected) <= 1e-6
+                assert np.array_equal(slacks, np.maximum(prob.A @ sol.u - prob.b, 0.0))
 
     def test_slack_oracle_scalar(self):
         # min (u-0)^2 + w*max(0, u-(-1))^2 with row u <= -1:

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safeadmit import (AdmittanceParams, ScenarioConfig, SimulationAborted,
-                       ValidationError,
+from safeadmit import (AdmittanceParams, EcbfGains, FxtismcGains,
+                       ManipulatorParams, ObstacleConstraint, ScenarioConfig,
+                       SimulationAborted, ValidationError,
                        WorkspaceConstraint, desired_trajectory, human_force,
                        records_equal, run, scenario_library)
 
@@ -58,6 +59,27 @@ class TestScenarioConfig:
     def test_infinite_duration_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             ScenarioConfig(duration=math.inf)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ManipulatorParams(gravity=math.nan),
+        lambda: ManipulatorParams(m1=math.inf),
+        lambda: ManipulatorParams(singularity_tolerance=math.inf),
+        lambda: AdmittanceParams(k_b=math.nan),
+        lambda: AdmittanceParams(k_k=math.nan),
+        lambda: AdmittanceParams(k_m=math.inf),
+        lambda: EcbfGains(K_obs=(math.nan, 70.0)),
+        lambda: EcbfGains(K_max=(math.inf, 50.0)),
+        lambda: ObstacleConstraint(x_obs=(math.nan, 0.0)),
+        lambda: ObstacleConstraint(r=math.inf),
+        lambda: WorkspaceConstraint(x_max=(math.inf, math.inf)),
+        lambda: FxtismcGains(lambda1=math.inf),
+        lambda: FxtismcGains(rho=math.inf),
+        lambda: ScenarioConfig(circle_radius=math.nan),
+        lambda: ScenarioConfig(q0=(math.nan, 0.0)),
+    ])
+    def test_non_finite_parameter_rejected_at_construction(self, make):
+        with pytest.raises(ValidationError, match="must be finite"):
+            make()
 
     def test_start_clipped_into_workspace(self):
         cfg = scenario_library()["workspace"]
