@@ -10,18 +10,11 @@ with the force as the control input. Axes are decoupled.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
-
-
-def _pair(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(2, float(arr))
-    return arr.reshape(2).copy()
+from .errors import ValidationError, _pair, _xy, all_finite, require_finite
 
 
 @dataclass
@@ -53,7 +46,7 @@ class AdmittanceState:
     def __post_init__(self):
         self.x1 = _pair(self.x1)
         self.x2 = _pair(self.x2)
-        if not (np.isfinite(self.x1).all() and np.isfinite(self.x2).all()):
+        if not all_finite(*self.x1.tolist(), *self.x2.tolist()):
             raise ValidationError("admittance state entries must be finite")
 
 
@@ -69,20 +62,29 @@ class DesiredPoint:
         self.xddot_d = _pair(self.xddot_d)
 
 
-DesiredInput = Union[DesiredPoint, Callable[[float], DesiredPoint]]
+DesiredInput = Union[DesiredPoint, Callable[[float], DesiredPoint],
+                     Sequence[DesiredPoint]]
 
 
-def _msd_accel(params: AdmittanceParams, x1, x2, desired: DesiredPoint) -> np.ndarray:
-    """The MSD's force-free acceleration at position x1 and velocity x2."""
-    return -(params.k_b * (x2 - desired.xdot_d)
-             + params.k_k * (x1 - desired.x_d)
-             - params.k_m * desired.xddot_d) / params.k_m
+def _axes(d: DesiredPoint):
+    """Per axis, the desired (position, velocity, acceleration)."""
+    return tuple(zip(d.x_d.tolist(), d.xdot_d.tolist(), d.xddot_d.tolist()))
+
+
+def _msd_accel(k_m: float, k_b: float, k_k: float, x1: float, x2: float,
+               desired) -> float:
+    """One axis of the MSD's force-free acceleration at position x1 and
+    velocity x2; ``desired`` is that axis's (x_d, xdot_d, xddot_d)."""
+    x_d, xdot_d, xddot_d = desired
+    return -(k_b * (x2 - xdot_d) + k_k * (x1 - x_d) - k_m * xddot_d) / k_m
 
 
 def drift_term(params: AdmittanceParams, state: AdmittanceState,
                desired: DesiredPoint) -> np.ndarray:
     """Force-free acceleration of the reference per axis."""
-    return _msd_accel(params, state.x1, state.x2, desired)
+    return np.array([_msd_accel(*k, x1, x2, d) for k, x1, x2, d in zip(
+        zip(params.k_m.tolist(), params.k_b.tolist(), params.k_k.tolist()),
+        state.x1.tolist(), state.x2.tolist(), _axes(desired))])
 
 
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
@@ -90,29 +92,33 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
                     t: float = 0.0) -> AdmittanceState:
     """One RK4 step with the force zero-order-held across the step.
 
-    ``desired`` may be a single DesiredPoint (held constant) or a callable
-    t -> DesiredPoint sampled at the RK4 substep times.
+    ``desired`` is a single DesiredPoint (held constant), a callable
+    t -> DesiredPoint sampled at the RK4 substep times t, t + dt/2 and
+    t + dt, or those three samples as a sequence, so that several
+    references stepped over the same interval can share one sampling.
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    gf = params.input_gain * _pair(force)
+    if isinstance(desired, DesiredPoint):
+        desired = (desired,) * 3
+    elif callable(desired):
+        desired = (desired(t), desired(t + 0.5 * dt), desired(t + dt))
+    elif len(desired) != 3:
+        raise ValidationError("desired needs its samples at t, t + dt/2 and t + dt")
+    x1_next, x2_next = [], []
+    for k_m, k_b, k_k, g, f, x1, x2, d0, dh, d1 in zip(
+            params.k_m.tolist(), params.k_b.tolist(), params.k_k.tolist(),
+            params.input_gain.tolist(), _xy(force), state.x1.tolist(),
+            state.x2.tolist(), *map(_axes, desired)):
+        gf = g * f
 
-    if callable(desired):
-        d0 = desired(t)
-        dh = desired(t + 0.5 * dt)
-        d1 = desired(t + dt)
-    else:
-        d0 = dh = d1 = desired
+        def accel(x1, x2, des):
+            return _msd_accel(k_m, k_b, k_k, x1, x2, des) + gf
 
-    def accel(x1, x2, des):
-        return _msd_accel(params, x1, x2, des) + gf
-
-    x1, x2 = state.x1, state.x2
-    k1p, k1v = x2, accel(x1, x2, d0)
-    k2p, k2v = x2 + 0.5 * dt * k1v, accel(x1 + 0.5 * dt * k1p, x2 + 0.5 * dt * k1v, dh)
-    k3p, k3v = x2 + 0.5 * dt * k2v, accel(x1 + 0.5 * dt * k2p, x2 + 0.5 * dt * k2v, dh)
-    k4p, k4v = x2 + dt * k3v, accel(x1 + dt * k3p, x2 + dt * k3v, d1)
-    return AdmittanceState(
-        x1 + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
+        k1p, k1v = x2, accel(x1, x2, d0)
+        k2p, k2v = x2 + 0.5 * dt * k1v, accel(x1 + 0.5 * dt * k1p, x2 + 0.5 * dt * k1v, dh)
+        k3p, k3v = x2 + 0.5 * dt * k2v, accel(x1 + 0.5 * dt * k2p, x2 + 0.5 * dt * k2v, dh)
+        k4p, k4v = x2 + dt * k3v, accel(x1 + dt * k3p, x2 + dt * k3v, d1)
+        x1_next.append(x1 + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+        x2_next.append(x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+    return AdmittanceState(x1_next, x2_next)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularConfiguration, ValidationError, require_finite
+from .errors import SingularConfiguration, ValidationError, _xy, all_finite, require_finite
 
 
 @dataclass
@@ -43,9 +43,9 @@ class JointState:
     qdot: np.ndarray
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(2).copy()
-        self.qdot = np.asarray(self.qdot, dtype=float).reshape(2).copy()
-        if not (np.isfinite(self.q).all() and np.isfinite(self.qdot).all()):
+        self.q = np.array(self.q, dtype=float).reshape(2)
+        self.qdot = np.array(self.qdot, dtype=float).reshape(2)
+        if not all_finite(*self.q.tolist(), *self.qdot.tolist()):
             raise ValidationError("joint state entries must be finite")
 
 
@@ -55,9 +55,9 @@ class CartesianState:
     xdot: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(2).copy()
-        self.xdot = np.asarray(self.xdot, dtype=float).reshape(2).copy()
-        if not (np.isfinite(self.x).all() and np.isfinite(self.xdot).all()):
+        self.x = np.array(self.x, dtype=float).reshape(2)
+        self.xdot = np.array(self.xdot, dtype=float).reshape(2)
+        if not all_finite(*self.x.tolist(), *self.xdot.tolist()):
             raise ValidationError("cartesian state entries must be finite")
 
 
@@ -76,37 +76,91 @@ class CartesianDynamicsTerms:
     Xi: np.ndarray
 
 
-def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
-    q1, q2 = float(q[0]), float(q[1])
+# The kernels below work on Python floats: a 2-vector is a pair and a 2x2
+# matrix a pair of rows. The public functions wrap them in numpy arrays.
+
+def _fk(params: ManipulatorParams, q1: float, q2: float):
     l1, l2 = params.l1, params.l2
-    return np.array(
-        [l1 * math.cos(q1) + l2 * math.cos(q1 + q2),
-         l1 * math.sin(q1) + l2 * math.sin(q1 + q2)]
-    )
+    return (l1 * math.cos(q1) + l2 * math.cos(q1 + q2),
+            l1 * math.sin(q1) + l2 * math.sin(q1 + q2))
 
 
-def jacobian(params: ManipulatorParams, q) -> np.ndarray:
-    q1, q2 = float(q[0]), float(q[1])
+def _jac(params: ManipulatorParams, q1: float, q2: float):
     l1, l2 = params.l1, params.l2
     s1, c1 = math.sin(q1), math.cos(q1)
     s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
-    return np.array(
-        [[-l1 * s1 - l2 * s12, -l2 * s12],
-         [l1 * c1 + l2 * c12, l2 * c12]]
-    )
+    return ((-l1 * s1 - l2 * s12, -l2 * s12),
+            (l1 * c1 + l2 * c12, l2 * c12))
 
 
-def jacobian_dot(params: ManipulatorParams, state: JointState) -> np.ndarray:
-    q1, q2 = state.q
-    qd1, qd2 = state.qdot
+def _jac_dot(params: ManipulatorParams, q1, q2, qd1, qd2):
     l1, l2 = params.l1, params.l2
     s1, c1 = math.sin(q1), math.cos(q1)
     s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
     w = qd1 + qd2
-    return np.array(
-        [[-l1 * c1 * qd1 - l2 * c12 * w, -l2 * c12 * w],
-         [-l1 * s1 * qd1 - l2 * s12 * w, -l2 * s12 * w]]
-    )
+    return ((-l1 * c1 * qd1 - l2 * c12 * w, -l2 * c12 * w),
+            (-l1 * s1 * qd1 - l2 * s12 * w, -l2 * s12 * w))
+
+
+def _joint_terms(params: ManipulatorParams, q1, q2, qd1, qd2,
+                 include_friction: bool):
+    """(M, c_vec, G, F) of the joint-space model; see joint_dynamics_terms."""
+    m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s2, c2 = math.sin(q2), math.cos(q2)
+    c12 = math.cos(q1 + q2)
+
+    a = m2 * l2 * l2
+    b = m2 * l1 * l2
+    M = ((a + 2.0 * b * c2 + (m1 + m2) * l1 * l1, a + b * c2),
+         (a + b * c2, a))
+    c_vec = (-b * s2 * qd2 * qd2 - 2.0 * b * s2 * qd1 * qd2,
+             b * s2 * qd1 * qd1)
+    G = (m2 * l2 * g * c12 + (m1 + m2) * l1 * g * c1,
+         m2 * l2 * g * c12)
+    if include_friction:
+        f1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
+        F = (f1, -f1)
+    else:
+        F = (0.0, 0.0)
+    return M, c_vec, G, F
+
+
+def _inv2(A, det: float):
+    (a, b), (c, d) = A
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+def _det(A) -> float:
+    (a, b), (c, d) = A
+    return a * d - b * c
+
+
+def _mv(A, v):
+    (a, b), (c, d) = A
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def _tv(A, v):
+    """A^T v."""
+    (a, b), (c, d) = A
+    return (a * v[0] + c * v[1], b * v[0] + d * v[1])
+
+
+def _mm(A, B):
+    return tuple(zip(*(_mv(A, col) for col in zip(*B))))
+
+
+def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
+    return np.array(_fk(params, float(q[0]), float(q[1])))
+
+
+def jacobian(params: ManipulatorParams, q) -> np.ndarray:
+    return np.array(_jac(params, float(q[0]), float(q[1])))
+
+
+def jacobian_dot(params: ManipulatorParams, state: JointState) -> np.ndarray:
+    return np.array(_jac_dot(params, *state.q.tolist(), *state.qdot.tolist()))
 
 
 def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
@@ -116,67 +170,45 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     c_vec is the Coriolis/centrifugal force *vector* (already multiplied by
     the joint velocities). F is zeroed when include_friction is False.
     """
-    q1, q2 = state.q
-    qd1, qd2 = state.qdot
-    m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
-    s1, c1 = math.sin(q1), math.cos(q1)
-    s2, c2 = math.sin(q2), math.cos(q2)
-    c12 = math.cos(q1 + q2)
-
-    a = m2 * l2 * l2
-    b = m2 * l1 * l2
-    M = np.array(
-        [[a + 2.0 * b * c2 + (m1 + m2) * l1 * l1, a + b * c2],
-         [a + b * c2, a]]
-    )
-    c_vec = np.array(
-        [-b * s2 * qd2 * qd2 - 2.0 * b * s2 * qd1 * qd2,
-         b * s2 * qd1 * qd1]
-    )
-    G = np.array(
-        [m2 * l2 * g * c12 + (m1 + m2) * l1 * g * c1,
-         m2 * l2 * g * c12]
-    )
-    if include_friction:
-        f1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
-        F = np.array([f1, -f1])
-    else:
-        F = np.zeros(2)
-    return M, c_vec, G, F
-
-
-def _inv2(A: np.ndarray, det: float) -> np.ndarray:
-    return np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+    terms = _joint_terms(params, *state.q.tolist(), *state.qdot.tolist(),
+                         include_friction)
+    return tuple(map(np.array, terms))
 
 
 def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
                              include_friction: bool = True) -> CartesianDynamicsTerms:
-    J = jacobian(params, state.q)
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    q1, q2 = state.q.tolist()
+    qdot = state.qdot.tolist()
+    J = _jac(params, q1, q2)
+    det = _det(J)
     if abs(det) < params.singularity_tolerance:
         raise SingularConfiguration(
             f"|det J| = {abs(det):.3e} below tolerance {params.singularity_tolerance:.3e}"
         )
     Jinv = _inv2(J, det)
-    JinvT = Jinv.T
-    M, c_vec, G, F = joint_dynamics_terms(params, state, include_friction)
-    Jdot = jacobian_dot(params, state)
-    M_x = JinvT @ M @ Jinv
-    bias = JinvT @ (c_vec + G + F - M @ Jinv @ Jdot @ state.qdot)
-    det_mx = M_x[0, 0] * M_x[1, 1] - M_x[0, 1] * M_x[1, 0]
-    Xi = _inv2(M_x, det_mx)
-    return CartesianDynamicsTerms(M_x=M_x, bias=bias, Xi=Xi)
+    JinvT = tuple(zip(*Jinv))
+    M, c_vec, G, F = _joint_terms(params, q1, q2, *qdot, include_friction)
+    Jdot = _jac_dot(params, q1, q2, *qdot)
+    M_x = _mm(_mm(JinvT, M), Jinv)
+    coupling = _mv(M, _mv(Jinv, _mv(Jdot, qdot)))
+    bias = _mv(JinvT, [c + g + f - m for c, g, f, m in zip(c_vec, G, F, coupling)])
+    Xi = _inv2(M_x, _det(M_x))
+    return CartesianDynamicsTerms(M_x=np.array(M_x), bias=np.array(bias), Xi=np.array(Xi))
+
+
+def _joint_accel(params: ManipulatorParams, q1, q2, qd1, qd2, tau_c, f_e,
+                 include_friction: bool):
+    M, c_vec, G, F = _joint_terms(params, q1, q2, qd1, qd2, include_friction)
+    rhs = [tau + jf - c - g - f for tau, jf, c, g, f in
+           zip(tau_c, _tv(_jac(params, q1, q2), f_e), c_vec, G, F)]
+    return _mv(_inv2(M, _det(M)), rhs)
 
 
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
                 include_friction: bool = True) -> np.ndarray:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F)."""
-    st = JointState(q, qdot)
-    M, c_vec, G, F = joint_dynamics_terms(params, st, include_friction)
-    J = jacobian(params, q)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    rhs = tau_c + J.T @ f_e - c_vec - G - F
-    return _inv2(M, det) @ rhs
+    return np.array(_joint_accel(params, *_xy(q), *_xy(qdot), _xy(tau_c),
+                                 _xy(f_e), include_friction))
 
 
 def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
@@ -189,25 +221,26 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    tau_c = np.asarray(tau_c, dtype=float)
-    f_e = np.asarray(f_e, dtype=float)
+    tau_c, f_e = _xy(tau_c), _xy(f_e)
 
-    def deriv(q, qd):
-        return qd, joint_accel(params, q, qd, tau_c, f_e, include_friction)
+    def deriv(q1, q2, qd1, qd2):
+        return (qd1, qd2) + _joint_accel(params, q1, q2, qd1, qd2, tau_c, f_e,
+                                         include_friction)
 
-    q0, qd0 = state.q, state.qdot
-    k1q, k1v = deriv(q0, qd0)
-    k2q, k2v = deriv(q0 + 0.5 * dt * k1q, qd0 + 0.5 * dt * k1v)
-    k3q, k3v = deriv(q0 + 0.5 * dt * k2q, qd0 + 0.5 * dt * k2v)
-    k4q, k4v = deriv(q0 + dt * k3q, qd0 + dt * k3v)
-    q = q0 + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    qd = qd0 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return JointState(q, qd)
+    y = state.q.tolist() + state.qdot.tolist()
+    k1 = deriv(*y)
+    k2 = deriv(*[yi + 0.5 * dt * k for yi, k in zip(y, k1)])
+    k3 = deriv(*[yi + 0.5 * dt * k for yi, k in zip(y, k2)])
+    k4 = deriv(*[yi + dt * k for yi, k in zip(y, k3)])
+    q1, q2, qd1, qd2 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return JointState((q1, q2), (qd1, qd2))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:
-    J = jacobian(params, state.q)
-    return CartesianState(forward_kinematics(params, state.q), J @ state.qdot)
+    q1, q2 = state.q.tolist()
+    return CartesianState(_fk(params, q1, q2),
+                          _mv(_jac(params, q1, q2), state.qdot.tolist()))
 
 
 def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> np.ndarray:

@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dt", type=float, default=None)
     p_run.add_argument("--plot", action="store_true", help="also emit an SVG plot")
     p_run.add_argument("--slack", action="store_true",
-                       help="soften barrier rows with penalized slack")
+                       help="where the barrier rows conflict, fall back to "
+                            "penalized slack instead of aborting")
     p_run.add_argument("--all-presets", action="store_true",
                        help="run every preset")
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit, and the finiteness check
-that parameter dataclasses run at construction."""
+"""Exception types shared across the toolkit, and the checks and 2-vector
+coercions that the dataclasses run at construction."""
 
+import math
 from dataclasses import fields, is_dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -45,3 +47,24 @@ def require_finite(params) -> None:
             continue
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValidationError(f"{f.name} must be finite")
+
+
+def all_finite(*values: float) -> bool:
+    """Whether every one of the floats ``values`` is neither NaN nor infinite."""
+    return all(map(math.isfinite, values))
+
+
+def _pair(v) -> np.ndarray:
+    """A fresh float 2-vector from a 2-vector, or from a scalar repeated."""
+    arr = np.array(v, dtype=float)
+    if arr.shape == (2,):
+        return arr
+    if arr.ndim == 0:
+        return np.full(2, float(arr))
+    return arr.reshape(2)
+
+
+def _xy(v) -> Tuple[float, float]:
+    """The two floats of a 2-vector, or of a scalar repeated."""
+    x, y = _pair(v).tolist()
+    return x, y

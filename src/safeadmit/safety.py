@@ -28,8 +28,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .admittance import AdmittanceState, _pair
-from .errors import StartOutsideSafeSet, ValidationError, require_finite
+from .admittance import AdmittanceState
+from .errors import InfeasibleQp, StartOutsideSafeSet, ValidationError, _pair, _xy, require_finite
 from .qp import QpProblem, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
@@ -111,8 +111,9 @@ class RowValues(NamedTuple):
 
 def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
     """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2."""
-    b = rows.p + rows.K[:, 0] * rows.h + rows.K[:, 1] * rows.lf_h
-    return QpProblem(u_nom=_pair(u_nom), A=-rows.q, b=b)
+    b = [p + k0 * h + k1 * lf for p, (k0, k1), h, lf in
+         zip(rows.p.tolist(), rows.K.tolist(), rows.h.tolist(), rows.lf_h.tolist())]
+    return QpProblem(u_nom=_pair(u_nom), A=-rows.q, b=np.array(b))
 
 
 @dataclass
@@ -120,8 +121,12 @@ class ConstraintSet:
     """Enabled constraints plus their barrier gains and the slack policy.
 
     The row table is built once, here: per row a name, the diagonal weight
-    w, the centre c, r and r**2, the gain pair K, and the side (+1 for an
-    upper box wall, -1 for a lower one, 0 for the obstacle).
+    w, the centre c, r, the gain pair K, and the side (+1 for an upper box
+    wall, -1 for a lower one, 0 for the obstacle).
+
+    With ``slack`` set, a step whose rows conflict takes the penalized
+    projection instead of aborting; ``slack_weight`` prices the squared
+    slack of a unit-norm row, in N^-2 (see filter_force).
     """
 
     workspace: Optional[WorkspaceConstraint] = None
@@ -140,32 +145,39 @@ class ConstraintSet:
                 rows.append((f"ws_min_{suffix}", e, ws.x_min, ws.r, self.gains.K_min[axis], -1.0))
         if obs is not None:
             rows.append(("obs", np.ones(2), obs.x_obs, obs.r, self.gains.K_obs, 0.0))
-        names, w, c, r, K, side = zip(*rows) if rows else ((),) * 6
-        self.names: Tuple[str, ...] = names
-        self._w = np.array(w).reshape(-1, 2)
-        self._c = np.array(c).reshape(-1, 2)
-        self._r = np.array(r)
-        self._r2 = self._r * self._r
-        self._K = np.array(K).reshape(-1, 2)
-        self._side = np.array(side)
+        self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
+        # per row: w (2 floats), c (2 floats), r, side
+        self._rows = [(*w.tolist(), *c.tolist(), r, side) for _, w, c, r, _, side in rows]
+        self._K = np.array([row[4] for row in rows]).reshape(-1, 2)
 
     def _h(self, x1):
-        """Weighted offsets w * (x1 - c) and the barrier values h."""
-        off = x1 - self._c
-        wd = self._w * off
-        return wd, (wd * off).sum(axis=1) - self._r2
+        """Per row: the weighted offsets w * (x1 - c) and the barrier value h."""
+        x, y = x1
+        out = []
+        for w0, w1, c0, c1, r, _ in self._rows:
+            o0, o1 = x - c0, y - c1
+            wd0, wd1 = w0 * o0, w1 * o1
+            out.append((wd0, wd1, wd0 * o0 + wd1 * o1 - r * r))
+        return out
 
     def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
         """Every row at ``adm`` under the force-free acceleration ``drift``
         and the per-axis input gain ``g``."""
-        wd, h = self._h(adm.x1)
-        return RowValues(h=h, lf_h=2.0 * wd @ adm.x2,
-                         p=2.0 * (wd @ drift + self._w @ (adm.x2 * adm.x2)),
-                         q=2.0 * wd * g, K=self._K)
+        vx, vy = adm.x2.tolist()
+        dx, dy = _xy(drift)
+        gx, gy = _xy(g)
+        h, lf_h, p, q = [], [], [], []
+        for (w0, w1, *_), (wd0, wd1, hj) in zip(self._rows, self._h(adm.x1.tolist())):
+            h.append(hj)
+            lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
+            p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
+            q.append((2.0 * wd0 * gx, 2.0 * wd1 * gy))
+        return RowValues(h=np.array(h), lf_h=np.array(lf_h), p=np.array(p),
+                         q=np.array(q).reshape(-1, 2), K=self._K)
 
     def barrier_values(self, x1) -> Dict[str, float]:
         """Barrier values at a reference position (diagnostics/logging)."""
-        return dict(zip(self.names, self._h(_pair(x1))[1].tolist()))
+        return {name: hj for name, (_, _, hj) in zip(self.names, self._h(_xy(x1)))}
 
 
 @dataclass
@@ -184,15 +196,22 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState,
     the interior side of the shrunk boundary is intended, so the offset
     toward the wall must be at most -r. For the obstacle, h >= 0.
     """
-    wd, h = cset._h(adm.x1)
-    toward_wall = cset._side * wd.sum(axis=1)
-    bad = np.where(cset._side != 0.0, toward_wall > -cset._r + tol, h < -tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise StartOutsideSafeSet(
-            f"reference start {adm.x1} outside the safe set of barrier row "
-            f"'{cset.names[i]}' (h = {h[i]:.6g})"
-        )
+    for name, (*_, r, side), (wd0, wd1, h) in zip(
+            cset.names, cset._rows, cset._h(adm.x1.tolist())):
+        bad = side * (wd0 + wd1) > -r + tol if side else h < -tol
+        if bad:
+            raise StartOutsideSafeSet(
+                f"reference start {adm.x1} outside the safe set of barrier row "
+                f"'{name}' (h = {h:.6g})"
+            )
+
+
+def _unit_rows(problem: QpProblem) -> QpProblem:
+    """The same polyhedron with every nonzero row (a_j, b_j) divided by
+    |a_j|, so that a row's slack is a force in newtons."""
+    norms = np.linalg.norm(problem.A, axis=1)
+    norms[norms == 0.0] = 1.0
+    return QpProblem(problem.u_nom, problem.A / norms[:, None], problem.b / norms)
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
@@ -201,6 +220,10 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     Returns (f_e_hat, f_e_comp, FilterDiagnostics) with
     f_e_comp = f_e_hat - f_e. With no enabled constraints, or when every
     row is already satisfied by f_e, the filter is the identity.
+
+    The hard projection is always tried first. Only where the rows conflict
+    (InfeasibleQp) does a slack set fall back to the penalized projection,
+    on rows scaled to unit norm; that step's status is then "slack".
     """
     f_e = _pair(f_e)
     rows = cset.evaluate(adm, drift, g)
@@ -208,12 +231,15 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     if not cset.names:
         return f_e.copy(), np.zeros(2), FilterDiagnostics(h=h, active=(), status="ok")
     problem = assemble_qp(rows, f_e)
-    if cset.slack:
-        sol, slacks = solve_with_slack(problem, cset.slack_weight)
-        status = "slack" if slacks.max() > 0.0 else "ok"
-        diag = FilterDiagnostics(h=h, active=sol.active_set, status=status,
-                                 slack_max=float(slacks.max()))
-    else:
+    try:
         sol = solve(problem)
         diag = FilterDiagnostics(h=h, active=sol.active_set, status="ok")
+    except InfeasibleQp:
+        if not cset.slack:
+            raise
+        sol, slacks = solve_with_slack(_unit_rows(problem), cset.slack_weight)
+        slack_max = float(slacks.max())
+        diag = FilterDiagnostics(h=h, active=sol.active_set,
+                                 status="slack" if slack_max > 0.0 else "ok",
+                                 slack_max=slack_max)
     return sol.u, sol.u - f_e, diag

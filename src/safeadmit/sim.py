@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import arm, smc
-from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step, _pair
+from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step
 from .arm import JointState, ManipulatorParams
-from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError, require_finite
+from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError, _xy, require_finite
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
 from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, FilterDiagnostics, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
@@ -38,14 +38,15 @@ def desired_trajectory(t: float, radius: float = 0.14, rate: float = 0.5) -> Des
 def human_force(t: float, a=DEFAULT_AMPLITUDES) -> np.ndarray:
     """Scripted interaction force: cosine ramp-in over [4,5), constant 2a
     over [5,10), cosine ramp-out over [10,11), zero elsewhere."""
-    a = _pair(a)
     if 4.0 <= t < 5.0:
-        return a * (1.0 - math.cos(math.pi * t))
-    if 5.0 <= t < 10.0:
-        return 2.0 * a
-    if 10.0 <= t < 11.0:
-        return a * (1.0 + math.cos(math.pi * t))
-    return np.zeros(2)
+        scale = 1.0 - math.cos(math.pi * t)
+    elif 5.0 <= t < 10.0:
+        scale = 2.0
+    elif 10.0 <= t < 11.0:
+        scale = 1.0 + math.cos(math.pi * t)
+    else:
+        return np.zeros(2)
+    return np.array([a_i * scale for a_i in _xy(a)])
 
 
 @dataclass
@@ -120,12 +121,16 @@ def records_equal(a: TraceRecord, b: TraceRecord) -> bool:
 def run(config: ScenarioConfig) -> List[TraceRecord]:
     """Execute one scenario; returns one record per step, endpoints
     inclusive. On abort the partial trace is attached to the raised
-    SimulationAborted as ``.trace``."""
+    SimulationAborted as ``.trace``, and the message names the step, its
+    time and the stage that failed: start (the safe-set check), admittance,
+    filter, control or plant. A state that is not finite, or a float kernel
+    that overflows on the way to one, aborts with ValidationError."""
     params = config.robot
     adm_params = config.admittance
     cset = config.constraint_set()
     have_rows = bool(cset.names)
     g = adm_params.input_gain
+    dt = config.dt
 
     def desired(t: float) -> DesiredPoint:
         return desired_trajectory(t, config.circle_radius, config.circle_rate)
@@ -134,14 +139,16 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
     shadow = AdmittanceState(adm.x1, adm.x2)
     joint = JointState(config.q0, config.qdot0)
     ctrl_state = ControllerState()
-    steps = round(config.duration / config.dt)
+    steps = round(config.duration / dt)
     trace: List[TraceRecord] = []
+    k, t, stage = 0, 0.0, "start"
 
     try:
         if have_rows and not config.filter_bypass:
             check_start_inside(cset, adm)
         for k in range(steps + 1):
-            t = k * config.dt
+            t = k * dt
+            stage = "admittance"
             des = desired(t)
             f_e = human_force(t, config.force_amplitude)
             drift = drift_term(adm_params, adm, des)
@@ -153,33 +160,50 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
                 diag = FilterDiagnostics(h=cset.barrier_values(adm.x1),
                                          active=(), status=status)
             else:
+                stage = "filter"
                 f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
 
+            stage = "control"
             terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
             cart = arm.cartesian_state(params, joint)
             ref = DesiredPoint(adm.x1, adm.x2, drift + g * f_hat)
             f_c, ctrl_state = smc.control(config.controller, ctrl_state, terms,
-                                          cart, ref, config.dt,
+                                          cart, ref, dt,
                                           nominal_only=config.nominal_only)
 
             trace.append(TraceRecord(
-                t=t, x_d=des.x_d, x_f=adm.x1.copy(), x_r_shadow=shadow.x1.copy(),
+                t=t, x_d=des.x_d, x_f=adm.x1, x_r_shadow=shadow.x1,
                 x_actual=cart.x, f_e=f_e, f_e_hat=f_hat, f_e_comp=f_comp,
                 f_c=f_c, h=diag.h, qp_active=diag.active, qp_status=diag.status,
             ))
 
             if k < steps:
-                adm = admittance_step(adm_params, adm, desired, f_hat, config.dt, t=t)
-                shadow = admittance_step(adm_params, shadow, desired, f_e, config.dt, t=t)
+                stage = "admittance"
+                # one sampling of the substep points serves both references
+                points = (des, desired(t + 0.5 * dt), desired(t + dt))
+                adm = admittance_step(adm_params, adm, points, f_hat, dt, t=t)
+                shadow = admittance_step(adm_params, shadow, points, f_e, dt, t=t)
+                stage = "plant"
                 tau_c = arm.jacobian(params, joint.q).T @ f_c
-                joint = arm.plant_step(params, joint, tau_c, f_e, config.dt)
+                joint = arm.plant_step(params, joint, tau_c, f_e, dt)
     except (SingularConfiguration, InfeasibleQp, StartOutsideSafeSet,
             ValidationError) as exc:
-        raise SimulationAborted(
-            f"scenario '{config.name}' aborted after {len(trace)} steps: {exc}",
-            cause=exc, trace=trace,
-        ) from exc
+        raise _aborted(config, trace, k, t, stage, exc) from exc
+    except (ArithmeticError, ValueError) as exc:
+        # a float kernel met an overflow or a non-finite argument (a bare
+        # OverflowError, or ValueError from math.sin(inf)): the state diverged
+        cause = ValidationError(f"the {stage} state diverged: {exc}")
+        raise _aborted(config, trace, k, t, stage, cause) from exc
     return trace
+
+
+def _aborted(config: ScenarioConfig, trace, k: int, t: float, stage: str,
+             cause: Exception) -> SimulationAborted:
+    return SimulationAborted(
+        f"scenario '{config.name}' aborted at step {k} (t = {t:.6g} s) in the "
+        f"{stage} stage: {cause}",
+        cause=cause, trace=trace,
+    )
 
 
 def scenario_library() -> Dict[str, ScenarioConfig]:

@@ -15,13 +15,16 @@ term is smoothed by a boundary-layer saturation by default; pure sign
 switching is available behind ``use_sign`` for fidelity runs.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Tuple
 
 import numpy as np
 
-from .admittance import DesiredPoint, _pair
-from .arm import CartesianDynamicsTerms, CartesianState
-from .errors import ValidationError, require_finite
+from .admittance import DesiredPoint
+from .arm import CartesianDynamicsTerms, CartesianState, _mv
+from .errors import ValidationError, _xy, all_finite, require_finite
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
@@ -69,62 +72,111 @@ class FxtismcGains:
 
 @dataclass
 class ControllerState:
-    """Integral-surface bookkeeping threaded through successive calls."""
+    """Integral-surface bookkeeping threaded through successive calls, one
+    float per axis."""
 
     initialized: bool = False
-    s_initial: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    sigma_integral: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    prev_integrand: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    s_initial: Tuple[float, float] = (0.0, 0.0)
+    sigma_integral: Tuple[float, float] = (0.0, 0.0)
+    prev_integrand: Tuple[float, float] = (0.0, 0.0)
+
+
+# The kernels below work per axis on Python floats; the public functions
+# wrap them for numpy arrays.
+
+def _spow(z: float, a: float) -> float:
+    """The signed power [z]^a = sign(z) |z|^a."""
+    return math.copysign(abs(z) ** a, z)
 
 
 def signed_power(z, a: float) -> np.ndarray:
     if not a > 0.0:
         raise ValidationError("exponent must be positive")
-    z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.abs(z) ** a
+    return np.vectorize(_spow, otypes=[float])(z, a)
 
 
-def _power_slope(z, a: float) -> np.ndarray:
+def _power_slope(z: float, a: float) -> float:
     """d/dz sign(z)|z|^a = a |z|^(a-1), floored near zero for a < 1."""
-    mag = np.abs(np.asarray(z, dtype=float))
+    mag = abs(z)
     if a < 1.0:
-        mag = np.maximum(mag, POWER_SLOPE_FLOOR)
+        mag = max(mag, POWER_SLOPE_FLOOR)
     return a * mag ** (a - 1.0)
+
+
+def _model(terms: CartesianDynamicsTerms):
+    """M_x and gamma = -Xi @ bias, the friction-free task-space drift."""
+    Xi, bias = terms.Xi.tolist(), terms.bias.tolist()
+    return terms.M_x.tolist(), [-(a * bias[0] + b * bias[1]) for a, b in Xi]
+
+
+def _nominal(gains: FxtismcGains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d):
+    """The backstepping nominal law M_x @ v from per-axis float lists."""
+    l1, l2, l3 = gains.lambda1, gains.lambda2, gains.lambda3
+    a, b = gains.alpha, gains.beta
+    v = []
+    for gm, xi, xdi, r, rdot, rddot in zip(gamma, x, xdot, x_d, xdot_d, xddot_d):
+        s1 = xi - r
+        s1dot = xdi - rdot
+        alpha_s = -(l1 * s1 + l2 * _spow(s1, a) + l3 * _spow(s1, b)) + rdot
+        alpha_s_dot = (-(l1 + l2 * _power_slope(s1, a) + l3 * _power_slope(s1, b)) * s1dot
+                       + rddot)
+        s2 = xdi - alpha_s
+        v.append(-gm + alpha_s_dot - l1 * s2 - l2 * _spow(s2, a) - l3 * _spow(s2, b))
+    return _mv(M_x, v)
 
 
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
                     cart: CartesianState, ref: DesiredPoint) -> np.ndarray:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    l1, l2, l3 = gains.lambda1, gains.lambda2, gains.lambda3
-    a, b = gains.alpha, gains.beta
-    gamma = -terms.Xi @ terms.bias
+    M_x, gamma = _model(terms)
+    return np.array(_nominal(gains, M_x, gamma, cart.x.tolist(), cart.xdot.tolist(),
+                             ref.x_d.tolist(), ref.xdot_d.tolist(), ref.xddot_d.tolist()))
 
-    s1 = cart.x - ref.x_d
-    s1dot = cart.xdot - ref.xdot_d
-    alpha_s = -(l1 * s1 + l2 * signed_power(s1, a) + l3 * signed_power(s1, b)) + ref.xdot_d
-    alpha_s_dot = (-(l1 + l2 * _power_slope(s1, a) + l3 * _power_slope(s1, b)) * s1dot
-                   + ref.xddot_d)
-    s2 = cart.xdot - alpha_s
-    v = (-gamma + alpha_s_dot
-         - l1 * s2 - l2 * signed_power(s2, a) - l3 * signed_power(s2, b))
-    return terms.M_x @ v
+
+def _sliding(gains: FxtismcGains, e: float, edot: float) -> float:
+    w = edot + gains.kappa2 * _spow(e, gains.n_exp)
+    return e + gains.kappa1 ** -gains.m_exp * _spow(w, 1.0 / gains.m_exp)
 
 
 def sliding_variable(gains: FxtismcGains, e, edot) -> np.ndarray:
-    w = np.asarray(edot, dtype=float) + gains.kappa2 * signed_power(e, gains.n_exp)
-    return np.asarray(e, dtype=float) + gains.kappa1 ** -gains.m_exp * signed_power(w, 1.0 / gains.m_exp)
+    return np.vectorize(lambda e, edot: _sliding(gains, e, edot), otypes=[float])(e, edot)
 
 
-def _sigma_integrand(gains: FxtismcGains, e, edot, eddot) -> np.ndarray:
+def _sigma_integrand(gains: FxtismcGains, e: float, edot: float, eddot: float) -> float:
     """Time derivative of the sliding variable under the model error
     acceleration eddot (chain rule through the signed powers)."""
-    e = np.asarray(e, dtype=float)
-    edot = np.asarray(edot, dtype=float)
-    eddot = np.asarray(eddot, dtype=float)
     m, n = gains.m_exp, gains.n_exp
-    w = edot + gains.kappa2 * signed_power(e, n)
-    wdot = eddot + gains.kappa2 * n * np.abs(e) ** (n - 1.0) * edot
-    return edot + gains.kappa1 ** -m / m * np.abs(w) ** (1.0 / m - 1.0) * wdot
+    w = edot + gains.kappa2 * _spow(e, n)
+    wdot = eddot + gains.kappa2 * n * abs(e) ** (n - 1.0) * edot
+    return edot + gains.kappa1 ** -m / m * abs(w) ** (1.0 / m - 1.0) * wdot
+
+
+def _compensate(gains: FxtismcGains, ctrl_state: ControllerState, M_x, e, edot,
+                eddot, dt: float):
+    """Integral sliding-mode compensation from per-axis floats; returns
+    (u_s, new_state). See compensating_control."""
+    if not dt > 0.0:
+        raise ValidationError("dt must be positive")
+    s = tuple(map(partial(_sliding, gains), e, edot))
+    g = tuple(map(partial(_sigma_integrand, gains), e, edot, eddot))
+    if not ctrl_state.initialized:
+        state = ControllerState(True, s, (0.0, 0.0), g)
+    else:
+        integral = tuple(i + 0.5 * dt * (gp + gi) for i, gp, gi in
+                         zip(ctrl_state.sigma_integral, ctrl_state.prev_integrand, g))
+        state = ControllerState(True, ctrl_state.s_initial, integral, g)
+    bl = gains.boundary_layer
+    v = []
+    for si, s0, i in zip(s, state.s_initial, state.sigma_integral):
+        sigma = si - s0 - i
+        if gains.use_sign:
+            switch = math.copysign(1.0, sigma) if sigma else 0.0
+        else:
+            switch = min(max(sigma / bl, -1.0), 1.0)
+        v.append(-(gains.rho + gains.epsilon) * switch
+                 - gains.kappa3 * _spow(sigma, gains.p_exp)
+                 - gains.kappa4 * _spow(sigma, gains.q_exp))
+    return _mv(M_x, v), state
 
 
 def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -136,26 +188,9 @@ def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
     sigma then integrates only the unmodelled part of the real dynamics.
     The running integral uses the trapezoidal rule.
     """
-    if not dt > 0.0:
-        raise ValidationError("dt must be positive")
-    s = sliding_variable(gains, e, edot)
-    g = _sigma_integrand(gains, e, edot, eddot)
-    if not ctrl_state.initialized:
-        state = ControllerState(initialized=True, s_initial=s.copy(),
-                                sigma_integral=np.zeros(2), prev_integrand=g)
-    else:
-        integral = ctrl_state.sigma_integral + 0.5 * dt * (ctrl_state.prev_integrand + g)
-        state = replace(ctrl_state, sigma_integral=integral, prev_integrand=g)
-    sigma = s - state.s_initial - state.sigma_integral
-
-    if gains.use_sign:
-        switch = np.sign(sigma)
-    else:
-        switch = np.clip(sigma / gains.boundary_layer, -1.0, 1.0)
-    v = (-(gains.rho + gains.epsilon) * switch
-         - gains.kappa3 * signed_power(sigma, gains.p_exp)
-         - gains.kappa4 * signed_power(sigma, gains.q_exp))
-    return terms.M_x @ v, state
+    u_s, state = _compensate(gains, ctrl_state, terms.M_x.tolist(), _xy(e),
+                             _xy(edot), _xy(eddot), dt)
+    return np.array(u_s), state
 
 
 def control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -165,17 +200,23 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     """Full control force (nominal + compensation), clamped per axis.
 
     The compensator's model acceleration is predicted from the friction-free
-    task-space dynamics under the nominal force alone.
+    task-space dynamics under the nominal force alone. A force or a
+    controller state that is not finite raises ValidationError.
     """
-    u0 = nominal_control(gains, terms, cart, ref)
-    if nominal_only:
-        f_c = u0
-        state = ctrl_state
-    else:
-        gamma = -terms.Xi @ terms.bias
-        e = cart.x - ref.x_d
-        edot = cart.xdot - ref.xdot_d
-        eddot = terms.Xi @ u0 + gamma - ref.xddot_d
-        u_s, state = compensating_control(gains, ctrl_state, terms, e, edot, eddot, dt)
-        f_c = u0 + u_s
-    return np.clip(f_c, -gains.force_limit, gains.force_limit), state
+    M_x, gamma = _model(terms)
+    x, xdot = cart.x.tolist(), cart.xdot.tolist()
+    x_d, xdot_d, xddot_d = ref.x_d.tolist(), ref.xdot_d.tolist(), ref.xddot_d.tolist()
+    f_c = _nominal(gains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d)
+    state = ctrl_state
+    if not nominal_only:
+        e = [a - b for a, b in zip(x, x_d)]
+        edot = [a - b for a, b in zip(xdot, xdot_d)]
+        model_acc = _mv(terms.Xi.tolist(), f_c)
+        eddot = [a + gm - r for a, gm, r in zip(model_acc, gamma, xddot_d)]
+        u_s, state = _compensate(gains, ctrl_state, M_x, e, edot, eddot, dt)
+        f_c = [u0 + us for u0, us in zip(f_c, u_s)]
+    limit = gains.force_limit
+    f_c = [min(max(f, -limit), limit) for f in f_c]
+    if not all_finite(*f_c, *state.s_initial, *state.sigma_integral, *state.prev_integrand):
+        raise ValidationError("control force or controller state entries must be finite")
+    return np.array(f_c), state

@@ -124,6 +124,12 @@ class TestStep:
         with pytest.raises(ValidationError):
             admittance_step(PAR, st, des, np.zeros(2), 0.0)
 
+    def test_two_samples_rejected(self):
+        st = AdmittanceState((0.0, 0.0), (0.0, 0.0))
+        des = DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValidationError):
+            admittance_step(PAR, st, (des, des), np.zeros(2), 1e-3)
+
     def test_nonfinite_state_rejected(self):
         with pytest.raises(ValidationError):
             AdmittanceState((np.nan, 0.0), (0.0, 0.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
-                       DesiredPoint, EcbfGains, ObstacleConstraint,
+                       DesiredPoint, EcbfGains, InfeasibleQp, ObstacleConstraint,
                        StartOutsideSafeSet, ValidationError,
                        WorkspaceConstraint, admittance_step, assemble_qp,
                        check_start_inside, drift_term, filter_force, solve)
@@ -238,6 +238,31 @@ class TestFilter:
         _, _, diag = filter_force(cset, _state((0.0, 0.0)), np.zeros(2), GAIN_G, (0.0, 0.0))
         assert set(diag.h) == set(cset.names)
         assert abs(diag.h["obs"] - 0.0082) < 1e-12
+
+    def test_slack_mode_equals_hard_where_feasible(self, rng):
+        hard, soft = self._cset(), self._cset(slack=True)
+        for _ in range(50):
+            st = AdmittanceState(rng.uniform(-0.12, 0.12, 2), rng.uniform(-0.5, 0.5, 2))
+            drift = rng.uniform(-1, 1, 2)
+            f = rng.uniform(-5, 5, 2)
+            f_hard, _, d_hard = filter_force(hard, st, drift, GAIN_G, f)
+            f_soft, _, d_soft = filter_force(soft, st, drift, GAIN_G, f)
+            assert np.array_equal(f_hard, f_soft)
+            assert d_hard.active == d_soft.active
+            assert d_soft.status == "ok" and d_soft.slack_max == 0.0
+
+    def test_slack_only_where_rows_conflict(self):
+        # inside the obstacle's clearance ball, right under the shrunk upper
+        # wall and moving up: the obstacle row pushes the reference up and
+        # the wall row pushes it down, so no force satisfies both
+        st, drift = _state((-0.07, 0.0875), (0.0, 0.3)), np.zeros(2)
+        with pytest.raises(InfeasibleQp):
+            filter_force(self._cset(), st, drift, GAIN_G, (0.0, 0.0))
+        f_hat, f_comp, diag = filter_force(self._cset(slack=True), st, drift,
+                                           GAIN_G, (0.0, 0.0))
+        assert np.isfinite(f_hat).all() and np.isfinite(f_comp).all()
+        assert diag.status == "slack" and diag.slack_max > 0.0
+        assert set(diag.active) == {CSET.names.index("ws_max_y"), CSET.names.index("obs")}
 
     def test_slack_mode_reports_status(self):
         cset = self._cset(slack=True)

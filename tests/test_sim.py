@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from safeadmit import (AdmittanceParams, EcbfGains, FxtismcGains,
                        ManipulatorParams, ObstacleConstraint, ScenarioConfig,
                        SimulationAborted, ValidationError,
-                       WorkspaceConstraint, desired_trajectory, human_force,
-                       records_equal, run, scenario_library)
+                       WorkspaceConstraint, compute_report, desired_trajectory,
+                       human_force, records_equal, run, scenario_library)
 
 
 class TestDesiredTrajectory:
@@ -206,3 +208,44 @@ def test_anisotropic_virtual_mass_stays_in_box(name, k_m):
     max_xf = max(np.abs(rec.x_f).max() for rec in trace)
     assert min_h >= -1e-6
     assert max_xf <= 0.09 + 1e-6
+
+
+@pytest.mark.parametrize("name", ["baseline-unsafe", "workspace", "obstacle-only", "combined"])
+def test_divergence_is_a_typed_abort(name):
+    # at dt = 5e-3 the closed loop diverges within ten steps; the abort
+    # names the step, its time and the stage, and no warning or bare
+    # arithmetic error escapes on the way
+    cfg = replace(scenario_library()[name], duration=2.0, dt=5e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(cfg)
+    exc = excinfo.value
+    assert isinstance(exc.cause, ValidationError)
+    assert 0 < len(exc.trace) < 20
+    where = re.search(r"at step (\d+) \(t = (\S+) s\) in the (\w+) stage", str(exc))
+    assert where is not None, str(exc)
+    step, t, stage = int(where[1]), float(where[2]), where[3]
+    assert step in (len(exc.trace) - 1, len(exc.trace))
+    assert t == pytest.approx(step * 5e-3)
+    assert stage in ("admittance", "filter", "control", "plant")
+
+
+@pytest.mark.parametrize("dt", [3e-3, 4e-3])
+def test_stable_step_sizes_complete(dt):
+    for cfg in scenario_library().values():
+        trace = run(replace(cfg, duration=2.0, dt=dt))
+        assert len(trace) == round(2.0 / dt) + 1
+
+
+def test_slack_equals_hard_where_feasible(preset_traces):
+    # the workspace rows never conflict, so slack mode is the hard filter
+    # step for step and no step reports slack
+    hard = preset_traces["workspace"]
+    soft = run(replace(scenario_library()["workspace"], slack=True))
+    assert len(soft) == len(hard)
+    for a, b in zip(hard, soft):
+        assert np.array_equal(a.f_e_hat, b.f_e_hat)
+        assert a.qp_active == b.qp_active
+        assert b.qp_status == "ok"
+    assert compute_report(soft, scenario="workspace").slack_steps == 0
