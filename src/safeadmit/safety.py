@@ -24,7 +24,7 @@ QP) and returns the safe force plus the additive compensation.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -175,14 +175,18 @@ class ConstraintSet:
         return RowValues(h=np.array(h), lf_h=np.array(lf_h), p=np.array(p),
                          q=np.array(q).reshape(-1, 2), K=self._K)
 
-    def barrier_values(self, x1) -> Dict[str, float]:
-        """Barrier values at a reference position (diagnostics/logging)."""
-        return {name: hj for name, (_, _, hj) in zip(self.names, self._h(_xy(x1)))}
+    def barrier_values(self, x1) -> np.ndarray:
+        """Barrier values at a reference position, in row-table order
+        (the trace's h row on a step without the filter)."""
+        return np.array([hj for _, _, hj in self._h(_xy(x1))])
 
 
 @dataclass
 class FilterDiagnostics:
-    h: Dict[str, float]
+    """One filter step: every barrier row's values at the state (the trace
+    logs ``rows.h``), the QP's active set, and its status."""
+
+    rows: RowValues
     active: Tuple[int, ...]
     status: str
     slack_max: float = 0.0
@@ -227,19 +231,18 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """
     f_e = _pair(f_e)
     rows = cset.evaluate(adm, drift, g)
-    h = dict(zip(cset.names, rows.h.tolist()))
     if not cset.names:
-        return f_e.copy(), np.zeros(2), FilterDiagnostics(h=h, active=(), status="ok")
+        return f_e.copy(), np.zeros(2), FilterDiagnostics(rows, active=(), status="ok")
     problem = assemble_qp(rows, f_e)
     try:
         sol = solve(problem)
-        diag = FilterDiagnostics(h=h, active=sol.active_set, status="ok")
+        diag = FilterDiagnostics(rows, active=sol.active_set, status="ok")
     except InfeasibleQp:
         if not cset.slack:
             raise
         sol, slacks = solve_with_slack(_unit_rows(problem), cset.slack_weight)
         slack_max = float(slacks.max())
-        diag = FilterDiagnostics(h=h, active=sol.active_set,
+        diag = FilterDiagnostics(rows, active=sol.active_set,
                                  status="slack" if slack_max > 0.0 else "ok",
                                  slack_max=slack_max)
     return sol.u, sol.u - f_e, diag

@@ -3,12 +3,14 @@
 Per step: sample the desired circle and the scripted human force, filter
 the force through the barrier QP, advance the (filtered) admittance
 reference and an unfiltered shadow copy, run the tracker, and advance the
-arm plant, logging every signal into a TraceRecord.
+arm plant. Each step's arrays are appended to one flat log; after the
+loop a single concatenation stacks them into a columnar Trace, one array
+per signal, whose ``trace[k]`` is a TraceRecord view of step k.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_t
 from .arm import JointState, ManipulatorParams
 from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError, _xy, require_finite
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
-from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, FilterDiagnostics, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
+from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
 
 # Table-1 style defaults shared by the preset scenarios.
@@ -94,8 +96,17 @@ class ScenarioConfig:
         return AdmittanceState(x1, des.xdot_d)
 
 
+# The 2-vector signals of a trace, in column order.
+VECTORS = ("x_d", "x_f", "x_r_shadow", "x_actual", "f_e", "f_e_hat", "f_e_comp", "f_c")
+# Every value of the qp_status column: the filter's own answer ("ok"), its
+# penalized fallback where the rows conflict ("slack"), and a bypassed filter.
+QP_STATUSES = ("ok", "slack", "bypass")
+
+
 @dataclass
 class TraceRecord:
+    """One step of a trace; ``h`` maps each barrier row's name to its value."""
+
     t: float
     x_d: np.ndarray
     x_f: np.ndarray
@@ -110,16 +121,80 @@ class TraceRecord:
     qp_status: str
 
 
+@dataclass(eq=False)
+class Trace:
+    """A run's signals, one column per signal over its N steps.
+
+    ``t`` is (N,); each name in VECTORS is an (N, 2) float array; ``h`` is
+    the (N, rows) matrix of barrier values, its columns named by
+    ``h_names`` in row-table order; ``qp_active`` holds one active set (a
+    tuple of row indices) and ``qp_status`` one of QP_STATUSES per step.
+
+    ``len(trace)`` is N. ``trace[k]`` is a TraceRecord view of step k whose
+    vectors share memory with the columns; iterating yields those views in
+    order, and a slice is a Trace of the sliced columns.
+    """
+
+    t: np.ndarray
+    x_d: np.ndarray
+    x_f: np.ndarray
+    x_r_shadow: np.ndarray
+    x_actual: np.ndarray
+    f_e: np.ndarray
+    f_e_hat: np.ndarray
+    f_e_comp: np.ndarray
+    f_c: np.ndarray
+    h: np.ndarray
+    h_names: Tuple[str, ...]
+    qp_active: Tuple[Tuple[int, ...], ...]
+    qp_status: Tuple[str, ...]
+
+    @classmethod
+    def from_matrix(cls, t, signals: np.ndarray, h_names, qp_active, qp_status) -> "Trace":
+        """A Trace whose columns are views of ``signals``, an (N, 16 + rows)
+        matrix holding the x/y pairs of the VECTORS in order, then the
+        barrier values."""
+        width = 2 * len(VECTORS)
+        return cls(t, *(signals[:, i:i + 2] for i in range(0, width, 2)),
+                   h=signals[:, width:], h_names=tuple(h_names),
+                   qp_active=tuple(qp_active), qp_status=tuple(qp_status))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trace(self.t[k], *(getattr(self, v)[k] for v in VECTORS), h=self.h[k],
+                         h_names=self.h_names, qp_active=self.qp_active[k],
+                         qp_status=self.qp_status[k])
+        return TraceRecord(float(self.t[k]), *(getattr(self, v)[k] for v in VECTORS),
+                           h=dict(zip(self.h_names, self.h[k].tolist())),
+                           qp_active=self.qp_active[k], qp_status=self.qp_status[k])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def records_equal(a: TraceRecord, b: TraceRecord) -> bool:
     """Bit-exact record comparison (used by the determinism checks)."""
-    vec = ("x_d", "x_f", "x_r_shadow", "x_actual", "f_e", "f_e_hat", "f_e_comp", "f_c")
     if a.t != b.t or a.h != b.h or a.qp_active != b.qp_active or a.qp_status != b.qp_status:
         return False
-    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in vec)
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in VECTORS)
 
 
-def run(config: ScenarioConfig) -> List[TraceRecord]:
-    """Execute one scenario; returns one record per step, endpoints
+def _stacked(signals: list, events: list, h_names: Tuple[str, ...]) -> Trace:
+    """The Trace of a run's flat logs. ``signals`` holds, step after step,
+    the VECTORS and then the row-ordered barrier values; ``events`` holds t,
+    the active set and the status of each step. One concatenation in
+    logging order stacks every signal at once."""
+    width = 2 * len(VECTORS) + len(h_names)
+    signals = np.concatenate(signals) if signals else np.zeros(0)
+    return Trace.from_matrix(np.array(events[0::3], dtype=float), signals.reshape(-1, width),
+                             h_names, events[1::3], events[2::3])
+
+
+def run(config: ScenarioConfig) -> Trace:
+    """Execute one scenario; returns its Trace, one row per step, endpoints
     inclusive. On abort the partial trace is attached to the raised
     SimulationAborted as ``.trace``, and the message names the step, its
     time and the stage that failed: start (the safe-set check), admittance,
@@ -140,7 +215,9 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
     joint = JointState(config.q0, config.qdot0)
     ctrl_state = ControllerState()
     steps = round(config.duration / dt)
-    trace: List[TraceRecord] = []
+    bypass_status = "bypass" if config.filter_bypass and have_rows else "ok"
+    signals: list = []  # per step: the VECTORS, then the barrier values
+    events: list = []   # per step: t, the active set, the status
     k, t, stage = 0, 0.0, "start"
 
     try:
@@ -156,12 +233,11 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
             if config.filter_bypass or not have_rows:
                 f_hat = f_e.copy()
                 f_comp = np.zeros(2)
-                status = "bypass" if config.filter_bypass and have_rows else "ok"
-                diag = FilterDiagnostics(h=cset.barrier_values(adm.x1),
-                                         active=(), status=status)
+                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
             else:
                 stage = "filter"
                 f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
+                h, active, status = diag.rows.h, diag.active, diag.status
 
             stage = "control"
             terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
@@ -171,11 +247,8 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
                                           cart, ref, dt,
                                           nominal_only=config.nominal_only)
 
-            trace.append(TraceRecord(
-                t=t, x_d=des.x_d, x_f=adm.x1, x_r_shadow=shadow.x1,
-                x_actual=cart.x, f_e=f_e, f_e_hat=f_hat, f_e_comp=f_comp,
-                f_c=f_c, h=diag.h, qp_active=diag.active, qp_status=diag.status,
-            ))
+            signals += (des.x_d, adm.x1, shadow.x1, cart.x, f_e, f_hat, f_comp, f_c, h)
+            events += (t, active, status)
 
             if k < steps:
                 stage = "admittance"
@@ -188,16 +261,16 @@ def run(config: ScenarioConfig) -> List[TraceRecord]:
                 joint = arm.plant_step(params, joint, tau_c, f_e, dt)
     except (SingularConfiguration, InfeasibleQp, StartOutsideSafeSet,
             ValidationError) as exc:
-        raise _aborted(config, trace, k, t, stage, exc) from exc
+        raise _aborted(config, _stacked(signals, events, cset.names), k, t, stage, exc) from exc
     except (ArithmeticError, ValueError) as exc:
         # a float kernel met an overflow or a non-finite argument (a bare
         # OverflowError, or ValueError from math.sin(inf)): the state diverged
         cause = ValidationError(f"the {stage} state diverged: {exc}")
-        raise _aborted(config, trace, k, t, stage, cause) from exc
-    return trace
+        raise _aborted(config, _stacked(signals, events, cset.names), k, t, stage, cause) from exc
+    return _stacked(signals, events, cset.names)
 
 
-def _aborted(config: ScenarioConfig, trace, k: int, t: float, stage: str,
+def _aborted(config: ScenarioConfig, trace: Trace, k: int, t: float, stage: str,
              cause: Exception) -> SimulationAborted:
     return SimulationAborted(
         f"scenario '{config.name}' aborted at step {k} (t = {t:.6g} s) in the "

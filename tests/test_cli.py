@@ -3,6 +3,8 @@ import pytest
 from safeadmit import read_csv, scenario_library, serialize_config
 from safeadmit.cli import main
 
+from conftest import MALFORMED_CASES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -153,3 +155,12 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope.csv"))
         assert code == 1
         assert "nope.csv" in err
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_malformed_csv_exits_one(self, capsys, malformed_csv, case):
+        path, line = malformed_csv(case)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert len(err.splitlines()) == 1

@@ -91,7 +91,7 @@ class TestBarrierValues:
         for _ in range(20):
             st = _state(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
             rows = CSET.evaluate(st, np.zeros(2), GAIN_G)
-            assert CSET.barrier_values(st.x1) == dict(zip(CSET.names, rows.h.tolist()))
+            assert CSET.barrier_values(st.x1).tolist() == rows.h.tolist()
 
     def test_input_gain_per_axis(self):
         # each axis of q carries its own gain 1/k_m
@@ -236,8 +236,8 @@ class TestFilter:
         cset = self._cset()
         assert cset.names == ("ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs")
         _, _, diag = filter_force(cset, _state((0.0, 0.0)), np.zeros(2), GAIN_G, (0.0, 0.0))
-        assert set(diag.h) == set(cset.names)
-        assert abs(diag.h["obs"] - 0.0082) < 1e-12
+        assert diag.rows.h.shape == (len(cset.names),)
+        assert abs(diag.rows.h[cset.names.index("obs")] - 0.0082) < 1e-12
 
     def test_slack_mode_equals_hard_where_feasible(self, rng):
         hard, soft = self._cset(), self._cset(slack=True)

@@ -165,7 +165,7 @@ class TestRun:
                       admittance_start=(0.2, 0.0), duration=1.0)
         with pytest.raises(SimulationAborted) as excinfo:
             run(cfg)
-        assert excinfo.value.trace == []
+        assert len(excinfo.value.trace) == 0
 
     def test_h_columns_follow_constraints(self, preset_traces):
         assert set(preset_traces["workspace"][0].h) == {

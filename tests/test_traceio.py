@@ -1,13 +1,44 @@
+import re
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safeadmit import (ScenarioConfig, ValidationError, compute_report,
+from safeadmit import (ObstacleConstraint, ScenarioConfig, SimulationAborted,
+                       ValidationError, WorkspaceConstraint, compute_report,
                        emit_csv, emit_plot, read_csv, records_equal, run,
                        scenario_library)
+from safeadmit.sim import QP_STATUSES, VECTORS, Trace
 from safeadmit.traceio import csv_header
+
+import trace_reference as ref
+from conftest import MALFORMED_CASES
+
+ROW_NAMES = ("ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs")
+
+# A 2 s run whose reference starts 0.3 mm under the shrunk upper wall and
+# moves down toward an obstacle just below it: on a few steps the wall and
+# obstacle rows conflict and the step takes the slack fallback.
+SLACK_RUN = ScenarioConfig(
+    name="slack", duration=2.0, slack=True, workspace=WorkspaceConstraint(),
+    obstacle=ObstacleConstraint(x_obs=(0.0, 0.0495)),
+    admittance_start=(0.0, 0.0897), circle_rate=-0.5)
+
+REFERENCE_CASES = (*scenario_library(), "no-constraint", "slack",
+                   *(f"{name}-abort" for name in scenario_library()))
+
+
+def same_columns(a: Trace, b: Trace) -> bool:
+    """Bit-exact equality of every column, sign bits of zeros included."""
+    return (a.h_names == b.h_names and a.qp_active == b.qp_active
+            and a.qp_status == b.qp_status
+            and all(getattr(a, c).shape == getattr(b, c).shape
+                    and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+                    for c in ("t", *VECTORS, "h")))
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +82,98 @@ class TestCsv:
         with pytest.raises(ValidationError):
             emit_csv([], tmp_path / "empty.csv")
 
+    def test_non_finite_rejected(self, short_trace, tmp_path):
+        # read_csv refuses a NaN or an infinity, so emit_csv does not write one
+        x_f = short_trace.x_f.copy()
+        x_f[2, 1] = np.inf
+        with pytest.raises(ValidationError, match="step 2: its xf_y is not finite"):
+            emit_csv(replace(short_trace, x_f=x_f), tmp_path / "inf.csv")
+        assert not (tmp_path / "inf.csv").exists()
+
     def test_repeated_emit_identical_bytes(self, short_trace, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(short_trace, p1)
         emit_csv(short_trace, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def reference_traces():
+    """Each preset at 2 s, a run without constraints, a run that engages
+    slack, and the partial trace of each preset's abort at dt = 5e-3."""
+    traces = {name: run(replace(cfg, duration=2.0))
+              for name, cfg in scenario_library().items()}
+    traces["no-constraint"] = run(ScenarioConfig(name="free", duration=2.0))
+    traces["slack"] = run(SLACK_RUN)
+    for name, cfg in scenario_library().items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationAborted) as excinfo:
+                run(replace(cfg, duration=2.0, dt=5e-3))
+        traces[f"{name}-abort"] = excinfo.value.trace
+    return traces
+
+
+class TestReferenceFormat:
+    """The columnar writer and reader against the row-wise reference."""
+
+    def test_cases_cover_their_shapes(self, reference_traces):
+        assert reference_traces["no-constraint"].h.shape == (2001, 0)
+        assert reference_traces["slack"].qp_status.count("slack") > 0
+        for name in scenario_library():
+            assert 0 < len(reference_traces[f"{name}-abort"]) < 20
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_bytes_equal_reference(self, reference_traces, case, tmp_path):
+        trace = reference_traces[case]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        emit_csv(trace, new)
+        ref.emit_csv(list(trace), old)
+        assert new.read_bytes() == old.read_bytes()
+        back = read_csv(new)
+        assert same_columns(trace, back)
+        old_back = ref.read_csv(new)
+        assert len(old_back) == len(back)
+        assert all(records_equal(a, b) for a, b in zip(old_back, back))
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.225073858507201e-308, 1e300, -1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def _columns(draw):
+    """A Trace of random columns: any finite float, any number of barrier
+    rows, and every active set over them."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(0, len(ROW_NAMES)))
+    numbers = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    width = 1 + 2 * len(VECTORS) + rows
+    matrix = np.array(draw(st.lists(numbers, min_size=n * width, max_size=n * width)),
+                      dtype=float).reshape(n, width)
+    subsets = [s for k in range(rows + 1) for s in combinations(range(rows), k)]
+    active = draw(st.lists(st.sampled_from(subsets), min_size=n, max_size=n))
+    status = draw(st.lists(st.sampled_from(QP_STATUSES), min_size=n, max_size=n))
+    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], ROW_NAMES[:rows], active, status)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_columns())
+def test_random_columns_round_trip_bit_exact(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("columns") / "trace.csv"
+    emit_csv(trace, path)
+    assert same_columns(trace, read_csv(path))
+    old = path.with_name("reference.csv")
+    ref.emit_csv(list(trace), old)
+    assert path.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+def test_malformed_csv_names_path_and_line(malformed_csv, case):
+    path, line = malformed_csv(case)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:{line}: ")):
+        read_csv(path)
 
 
 class TestReport:
