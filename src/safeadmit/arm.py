@@ -5,6 +5,11 @@ joint-space mass/Coriolis/gravity/friction terms, the task-space dynamics
 transform, and a fixed-step RK4 plant integrator.
 
 Conventions:
+- Every 2-vector is a float pair and every 2x2 matrix a pair of row pairs:
+  the state types hold Python floats, and the functions take and return
+  pairs, so the step never builds an array.
+- One set of sines and cosines per configuration (_trig) serves every term
+  evaluated there: in an RK4 stage of plant_step, M, c, G, F and J^T f_e.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -13,10 +18,11 @@ Conventions:
 
 from dataclasses import dataclass
 import math
+from typing import Tuple
 
 import numpy as np
 
-from .errors import SingularConfiguration, ValidationError, _xy, all_finite, require_finite
+from .errors import Pair, SingularConfiguration, ValidationError, all_finite, float_pair, require_finite
 
 
 @dataclass
@@ -39,25 +45,25 @@ class ManipulatorParams:
 
 @dataclass
 class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
+    q: Pair
+    qdot: Pair
 
     def __post_init__(self):
-        self.q = np.array(self.q, dtype=float).reshape(2)
-        self.qdot = np.array(self.qdot, dtype=float).reshape(2)
-        if not all_finite(*self.q.tolist(), *self.qdot.tolist()):
+        self.q = float_pair(self.q)
+        self.qdot = float_pair(self.qdot)
+        if not all_finite(*self.q, *self.qdot):
             raise ValidationError("joint state entries must be finite")
 
 
 @dataclass
 class CartesianState:
-    x: np.ndarray
-    xdot: np.ndarray
+    x: Pair
+    xdot: Pair
 
     def __post_init__(self):
-        self.x = np.array(self.x, dtype=float).reshape(2)
-        self.xdot = np.array(self.xdot, dtype=float).reshape(2)
-        if not all_finite(*self.x.tolist(), *self.xdot.tolist()):
+        self.x = float_pair(self.x)
+        self.xdot = float_pair(self.xdot)
+        if not all_finite(*self.x, *self.xdot):
             raise ValidationError("cartesian state entries must be finite")
 
 
@@ -68,47 +74,47 @@ class CartesianDynamicsTerms:
     ``bias`` folds the Coriolis/centrifugal, gravity and (optionally)
     friction contributions together with the -M J^-1 Jdot qdot term arising
     from the coordinate change, so bias = C_x*xdot + G_x + F_x as a single
-    vector.
+    pair. M_x and Xi are pairs of row pairs.
     """
 
-    M_x: np.ndarray
-    bias: np.ndarray
-    Xi: np.ndarray
+    M_x: Tuple[Pair, Pair]
+    bias: Pair
+    Xi: Tuple[Pair, Pair]
 
 
-# The kernels below work on Python floats: a 2-vector is a pair and a 2x2
-# matrix a pair of rows. The public functions wrap them in numpy arrays.
+def _trig(q1: float, q2: float):
+    """(sin q1, cos q1, sin q2, cos q2, sin(q1 + q2), cos(q1 + q2))."""
+    q12 = q1 + q2
+    return (math.sin(q1), math.cos(q1), math.sin(q2), math.cos(q2),
+            math.sin(q12), math.cos(q12))
 
-def _fk(params: ManipulatorParams, q1: float, q2: float):
+
+def _fk(params: ManipulatorParams, trig) -> Pair:
+    s1, c1, _, _, s12, c12 = trig
     l1, l2 = params.l1, params.l2
-    return (l1 * math.cos(q1) + l2 * math.cos(q1 + q2),
-            l1 * math.sin(q1) + l2 * math.sin(q1 + q2))
+    return l1 * c1 + l2 * c12, l1 * s1 + l2 * s12
 
 
-def _jac(params: ManipulatorParams, q1: float, q2: float):
+def _jac(params: ManipulatorParams, trig):
+    s1, c1, _, _, s12, c12 = trig
     l1, l2 = params.l1, params.l2
-    s1, c1 = math.sin(q1), math.cos(q1)
-    s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
     return ((-l1 * s1 - l2 * s12, -l2 * s12),
             (l1 * c1 + l2 * c12, l2 * c12))
 
 
-def _jac_dot(params: ManipulatorParams, q1, q2, qd1, qd2):
+def _jac_dot(params: ManipulatorParams, trig, qd1: float, qd2: float):
+    s1, c1, _, _, s12, c12 = trig
     l1, l2 = params.l1, params.l2
-    s1, c1 = math.sin(q1), math.cos(q1)
-    s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
     w = qd1 + qd2
     return ((-l1 * c1 * qd1 - l2 * c12 * w, -l2 * c12 * w),
             (-l1 * s1 * qd1 - l2 * s12 * w, -l2 * s12 * w))
 
 
-def _joint_terms(params: ManipulatorParams, q1, q2, qd1, qd2,
+def _joint_terms(params: ManipulatorParams, trig, qd1: float, qd2: float,
                  include_friction: bool):
     """(M, c_vec, G, F) of the joint-space model; see joint_dynamics_terms."""
     m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
-    s1, c1 = math.sin(q1), math.cos(q1)
-    s2, c2 = math.sin(q2), math.cos(q2)
-    c12 = math.cos(q1 + q2)
+    _, c1, s2, c2, _, c12 = trig
 
     a = m2 * l2 * l2
     b = m2 * l1 * l2
@@ -136,31 +142,38 @@ def _det(A) -> float:
     return a * d - b * c
 
 
-def _mv(A, v):
+def _mv(A, v) -> Pair:
     (a, b), (c, d) = A
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _tv(A, v):
+def _tv(A, v) -> Pair:
     """A^T v."""
     (a, b), (c, d) = A
     return (a * v[0] + c * v[1], b * v[0] + d * v[1])
 
 
 def _mm(A, B):
-    return tuple(zip(*(_mv(A, col) for col in zip(*B))))
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def forward_kinematics(params: ManipulatorParams, q) -> np.ndarray:
-    return np.array(_fk(params, float(q[0]), float(q[1])))
+def _transpose(A):
+    (a, b), (c, d) = A
+    return (a, c), (b, d)
 
 
-def jacobian(params: ManipulatorParams, q) -> np.ndarray:
-    return np.array(_jac(params, float(q[0]), float(q[1])))
+def forward_kinematics(params: ManipulatorParams, q) -> Pair:
+    return _fk(params, _trig(*q))
 
 
-def jacobian_dot(params: ManipulatorParams, state: JointState) -> np.ndarray:
-    return np.array(_jac_dot(params, *state.q.tolist(), *state.qdot.tolist()))
+def jacobian(params: ManipulatorParams, q):
+    return _jac(params, _trig(*q))
+
+
+def jacobian_dot(params: ManipulatorParams, state: JointState):
+    return _jac_dot(params, _trig(*state.q), *state.qdot)
 
 
 def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
@@ -170,45 +183,45 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     c_vec is the Coriolis/centrifugal force *vector* (already multiplied by
     the joint velocities). F is zeroed when include_friction is False.
     """
-    terms = _joint_terms(params, *state.q.tolist(), *state.qdot.tolist(),
-                         include_friction)
-    return tuple(map(np.array, terms))
+    return _joint_terms(params, _trig(*state.q), *state.qdot, include_friction)
 
 
 def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
                              include_friction: bool = True) -> CartesianDynamicsTerms:
-    q1, q2 = state.q.tolist()
-    qdot = state.qdot.tolist()
-    J = _jac(params, q1, q2)
+    qdot = state.qdot
+    trig = _trig(*state.q)
+    J = _jac(params, trig)
     det = _det(J)
     if abs(det) < params.singularity_tolerance:
         raise SingularConfiguration(
             f"|det J| = {abs(det):.3e} below tolerance {params.singularity_tolerance:.3e}"
         )
     Jinv = _inv2(J, det)
-    JinvT = tuple(zip(*Jinv))
-    M, c_vec, G, F = _joint_terms(params, q1, q2, *qdot, include_friction)
-    Jdot = _jac_dot(params, q1, q2, *qdot)
+    JinvT = _transpose(Jinv)
+    M, c_vec, G, F = _joint_terms(params, trig, *qdot, include_friction)
+    Jdot = _jac_dot(params, trig, *qdot)
     M_x = _mm(_mm(JinvT, M), Jinv)
     coupling = _mv(M, _mv(Jinv, _mv(Jdot, qdot)))
     bias = _mv(JinvT, [c + g + f - m for c, g, f, m in zip(c_vec, G, F, coupling)])
     Xi = _inv2(M_x, _det(M_x))
-    return CartesianDynamicsTerms(M_x=np.array(M_x), bias=np.array(bias), Xi=np.array(Xi))
+    return CartesianDynamicsTerms(M_x=M_x, bias=bias, Xi=Xi)
 
 
-def _joint_accel(params: ManipulatorParams, q1, q2, qd1, qd2, tau_c, f_e,
-                 include_friction: bool):
-    M, c_vec, G, F = _joint_terms(params, q1, q2, qd1, qd2, include_friction)
-    rhs = [tau + jf - c - g - f for tau, jf, c, g, f in
-           zip(tau_c, _tv(_jac(params, q1, q2), f_e), c_vec, G, F)]
-    return _mv(_inv2(M, _det(M)), rhs)
+def _qddot(params: ManipulatorParams, trig, qd1: float, qd2: float, tau_c: Pair,
+           f_e: Pair, include_friction: bool) -> Pair:
+    """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F) at the configuration
+    whose sines and cosines are ``trig``."""
+    M, (c1, c2), (g1, g2), (fr1, fr2) = _joint_terms(params, trig, qd1, qd2, include_friction)
+    jf1, jf2 = _tv(_jac(params, trig), f_e)
+    t1, t2 = tau_c
+    return _mv(_inv2(M, _det(M)), (t1 + jf1 - c1 - g1 - fr1, t2 + jf2 - c2 - g2 - fr2))
 
 
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
-                include_friction: bool = True) -> np.ndarray:
+                include_friction: bool = True) -> Pair:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F)."""
-    return np.array(_joint_accel(params, *_xy(q), *_xy(qdot), _xy(tau_c),
-                                 _xy(f_e), include_friction))
+    return _qddot(params, _trig(*q), *qdot, float_pair(tau_c), float_pair(f_e),
+                  include_friction)
 
 
 def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
@@ -221,29 +234,32 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    tau_c, f_e = _xy(tau_c), _xy(f_e)
+    tau_c, f_e = float_pair(tau_c), float_pair(f_e)
 
     def deriv(q1, q2, qd1, qd2):
-        return (qd1, qd2) + _joint_accel(params, q1, q2, qd1, qd2, tau_c, f_e,
-                                         include_friction)
+        return (qd1, qd2, *_qddot(params, _trig(q1, q2), qd1, qd2, tau_c, f_e,
+                                  include_friction))
 
-    y = state.q.tolist() + state.qdot.tolist()
-    k1 = deriv(*y)
-    k2 = deriv(*[yi + 0.5 * dt * k for yi, k in zip(y, k1)])
-    k3 = deriv(*[yi + 0.5 * dt * k for yi, k in zip(y, k2)])
-    k4 = deriv(*[yi + dt * k for yi, k in zip(y, k3)])
-    q1, q2, qd1, qd2 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    return JointState((q1, q2), (qd1, qd2))
+    def stage(h, k):
+        """The derivative at the step's start state plus h times k."""
+        return deriv(q1 + h * k[0], q2 + h * k[1], qd1 + h * k[2], qd2 + h * k[3])
+
+    (q1, q2), (qd1, qd2) = state.q, state.qdot
+    k1 = deriv(q1, q2, qd1, qd2)
+    k2 = stage(0.5 * dt, k1)
+    k3 = stage(0.5 * dt, k2)
+    k4 = stage(dt, k3)
+    y1, y2, y3, y4 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in
+                      zip((q1, q2, qd1, qd2), k1, k2, k3, k4)]
+    return JointState((y1, y2), (y3, y4))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:
-    q1, q2 = state.q.tolist()
-    return CartesianState(_fk(params, q1, q2),
-                          _mv(_jac(params, q1, q2), state.qdot.tolist()))
+    trig = _trig(*state.q)
+    return CartesianState(_fk(params, trig), _mv(_jac(params, trig), state.qdot))
 
 
-def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> np.ndarray:
+def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> Pair:
     """Closed-form IK of the end-effector position; raises if unreachable."""
     x = np.asarray(x, dtype=float)
     l1, l2 = params.l1, params.l2
@@ -255,4 +271,4 @@ def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> n
     if not elbow_up:
         q2 = -q2
     q1 = math.atan2(x[1], x[0]) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
-    return np.array([q1, q2])
+    return q1, q2

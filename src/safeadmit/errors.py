@@ -7,6 +7,10 @@ from typing import Tuple
 
 import numpy as np
 
+# A 2-vector of the step (a position, a force, a gain per axis) as two
+# Python floats; a 2x2 matrix is a pair of row pairs.
+Pair = Tuple[float, float]
+
 
 class SingularConfiguration(RuntimeError):
     """Jacobian determinant below the configured tolerance."""
@@ -64,7 +68,11 @@ def _pair(v) -> np.ndarray:
     return arr.reshape(2)
 
 
-def _xy(v) -> Tuple[float, float]:
-    """The two floats of a 2-vector, or of a scalar repeated."""
-    x, y = _pair(v).tolist()
-    return x, y
+def float_pair(v) -> Pair:
+    """The two floats of a 2-vector (any sequence of two numbers), or of a
+    scalar repeated."""
+    try:
+        x, y = v
+    except TypeError:
+        x = y = v
+    return float(x), float(y)

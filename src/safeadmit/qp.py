@@ -8,18 +8,21 @@ its active set is the lexicographically smallest one of minimal size.
 For n <= 2 variables every subset has at most two rows and the point has a
 closed form on Python floats: the foot of the perpendicular on one row, or
 Cramer's rule on a 2x2 system, whose rank test compares its smallest
-singular value |det| / sigma_max with RANK_TOL. For n > 2, one SVD per
+singular value |det| / sigma_max with RANK_TOL; n = 1 is solved as n = 2
+with a zero second column. For n > 2, one SVD per
 subset, A_S = U diag(s) V^T, tests the rows' rank and gives the point and
 its multipliers without forming the Gram matrix A_S A_S^T, which would
 square the rows' conditioning. The penalized-slack variant is the same
 projection on a lifted variable. Problems are sized for n <= 4 variables
 and m <= 8 rows; larger ones are rejected.
+
+A problem's u_nom and b are tuples of floats and its A a 2-D float array;
+a solution's u is a tuple of floats.
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import mul
 from typing import Tuple
 
 import numpy as np
@@ -36,59 +39,64 @@ MAX_ROWS = 8
 
 @dataclass
 class QpProblem:
-    u_nom: np.ndarray
+    u_nom: Tuple[float, ...]
     A: np.ndarray
-    b: np.ndarray
+    b: Tuple[float, ...]
 
     def __post_init__(self):
-        # float arrays of the right shape are kept, not copied: the solver
-        # never writes to them
-        self.u_nom = np.asarray(self.u_nom, dtype=float).reshape(-1)
-        n = self.u_nom.size
+        self.u_nom = tuple(map(float, self.u_nom))
+        n = len(self.u_nom)
+        # a float array of the right shape is kept, not copied: the solver
+        # never writes to it
         self.A = np.asarray(self.A, dtype=float).reshape(-1, n)
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.A.shape[0] != self.b.size:
+        self.b = tuple(map(float, self.b))
+        if self.A.shape[0] != len(self.b):
             raise ValidationError("A and b row counts differ")
         if n < 1:
             raise ValidationError("need at least one decision variable")
-        if not all_finite(*self.u_nom.tolist(), *self.A.ravel().tolist(), *self.b.tolist()):
+        if not all_finite(*self.u_nom, *self.A.ravel().tolist(), *self.b):
             raise ValidationError("QP entries must be finite")
 
 
 @dataclass
 class QpSolution:
-    u: np.ndarray
+    u: Tuple[float, ...]
     active_set: Tuple[int, ...] = field(default_factory=tuple)
     objective: float = 0.0
 
 
 def _check_size(problem: QpProblem) -> None:
-    n, m = problem.u_nom.size, problem.A.shape[0]
+    n, m = len(problem.u_nom), problem.A.shape[0]
     if n > MAX_VARS or m > MAX_ROWS:
         raise ValidationError(
             f"solver sized for n<={MAX_VARS}, m<={MAX_ROWS}; got n={n}, m={m}"
         )
 
 
-def _project_small(u_nom, A, b):
-    """_project for n <= 2 on float lists; returns (u as a list, S)."""
-    def feasible(u):
-        return all(sum(map(mul, a, u)) <= b_j + FEAS_TOL for a, b_j in zip(A, b))
+def _project_pair(u_nom, A, b):
+    """_project for n = 2 on floats: u_nom a pair, A a list of row pairs;
+    returns (u, S) with u a pair."""
+    bound = [b_j + FEAS_TOL for b_j in b]
 
-    if feasible(u_nom):
-        return list(u_nom), ()
-    resid = [sum(map(mul, a, u_nom)) - b_j for a, b_j in zip(A, b)]
-    for j, a in enumerate(A):
-        if math.hypot(*a) <= RANK_TOL:
+    def feasible(u0, u1):
+        for (a0, a1), c in zip(A, bound):
+            if a0 * u0 + a1 * u1 > c:
+                return False
+        return True
+
+    u0, u1 = u_nom
+    if feasible(u0, u1):
+        return u_nom, ()
+    resid = [a0 * u0 + a1 * u1 - b_j for (a0, a1), b_j in zip(A, b)]
+    for j, (a0, a1) in enumerate(A):
+        if math.hypot(a0, a1) <= RANK_TOL:
             continue
-        lam = resid[j] / sum(map(mul, a, a))
+        lam = resid[j] / (a0 * a0 + a1 * a1)
         if lam < DUAL_TOL:
             continue
-        u = [u_i - a_i * lam for u_i, a_i in zip(u_nom, a)]
-        if feasible(u):
-            return u, (j,)
-    if len(u_nom) < 2:
-        raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
+        v0, v1 = u0 - a0 * lam, u1 - a1 * lam
+        if feasible(v0, v1):
+            return (v0, v1), (j,)
     for i, j in combinations(range(len(A)), 2):
         (a, b_), (c, d) = A[i], A[j]
         sigma_max = 0.5 * (math.hypot(a + d, b_ - c) + math.hypot(a - d, b_ + c))
@@ -101,22 +109,29 @@ def _project_small(u_nom, A, b):
         w0, w1 = (d * r_i - b_ * r_j) / det, (a * r_j - c * r_i) / det
         if (d * w0 - c * w1) / det < DUAL_TOL or (a * w1 - b_ * w0) / det < DUAL_TOL:
             continue
-        u = [u_nom[0] - w0, u_nom[1] - w1]
-        if feasible(u):
-            return u, (i, j)
+        v0, v1 = u0 - w0, u1 - w1
+        if feasible(v0, v1):
+            return (v0, v1), (i, j)
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
 
 
-def _project(u_nom: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Return (u, S): the projection of u_nom onto {A u <= b} and the first
-    active subset S, in (size, lexicographic) order, at which it is a KKT
-    point. Raises InfeasibleQp when no subset gives one."""
-    if u_nom.size <= 2:
-        u, S = _project_small(u_nom.tolist(), A.tolist(), b.tolist())
-        return np.array(u), S
+def _project(u_nom: Tuple[float, ...], A: np.ndarray, b: Tuple[float, ...]):
+    """Return (u, S): the projection of u_nom onto {A u <= b}, a tuple of
+    floats, and the first active subset S, in (size, lexicographic) order,
+    at which it is a KKT point. Raises InfeasibleQp when no subset gives
+    one."""
+    if len(u_nom) == 2:
+        return _project_pair(u_nom, A.tolist(), b)
+    if len(u_nom) == 1:
+        # the same problem with a zero second column: each point keeps
+        # u[1] = 0, every pair of rows has rank one, and the sums gain only
+        # exact zero terms
+        u, S = _project_pair((u_nom[0], 0.0), [(a, 0.0) for (a,) in A.tolist()], b)
+        return u[:1], S
+    u_nom, b = np.array(u_nom), np.array(b)
     Au = A @ u_nom
     if (Au <= b + FEAS_TOL).all():
-        return u_nom.copy(), ()
+        return tuple(u_nom.tolist()), ()
     resid = Au - b
     for k in range(1, u_nom.size + 1):
         for S in combinations(range(A.shape[0]), k):
@@ -130,15 +145,19 @@ def _project(u_nom: np.ndarray, A: np.ndarray, b: np.ndarray):
                 continue
             u = u_nom - Vt.T @ y
             if (A @ u <= b + FEAS_TOL).all():
-                return u, S
+                return tuple(u.tolist()), S
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
+
+
+def _objective(u, u_nom) -> float:
+    """||u - u_nom||^2."""
+    return sum((a - b) ** 2 for a, b in zip(u, u_nom))
 
 
 def solve(problem: QpProblem) -> QpSolution:
     _check_size(problem)
     u, S = _project(problem.u_nom, problem.A, problem.b)
-    du = u - problem.u_nom
-    return QpSolution(u=u, active_set=S, objective=float(du @ du))
+    return QpSolution(u=u, active_set=S, objective=_objective(u, problem.u_nom))
 
 
 def solve_with_slack(problem: QpProblem, weight: float = 1e6):
@@ -149,14 +168,14 @@ def solve_with_slack(problem: QpProblem, weight: float = 1e6):
     for v = (u, sqrt(weight) * slack); its rows are independent, so it is
     never empty, and the active set is that lifted problem's.
 
-    Returns (QpSolution, slacks) where slacks[j] = max(0, A_j u - b_j).
+    Returns (QpSolution, slacks) where slacks is the array of
+    max(0, A_j u - b_j).
     """
     _check_size(problem)
     u_nom, A, b = problem.u_nom, problem.A, problem.b
     m = A.shape[0]
     lifted_A = np.hstack([A, -np.eye(m) / np.sqrt(weight)])
-    v, S = _project(np.concatenate([u_nom, np.zeros(m)]), lifted_A, b)
-    u = v[:u_nom.size]
-    du = u - u_nom
-    return (QpSolution(u=u, active_set=S, objective=float(du @ du)),
-            np.maximum(A @ u - b, 0.0))
+    v, S = _project(u_nom + (0.0,) * m, lifted_A, b)
+    u = v[:len(u_nom)]
+    return (QpSolution(u=u, active_set=S, objective=_objective(u, u_nom)),
+            np.maximum(A @ np.array(u) - np.array(b), 0.0))

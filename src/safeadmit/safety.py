@@ -21,6 +21,11 @@ so enforcing h_ddot + K0 * h + K1 * Lf_h >= 0 for every row is a set of
 linear rows A u <= b with A = -q and b = p + K0 * h + K1 * Lf_h. The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
+
+The step's values are float pairs: evaluate takes the state, drift and
+gain as pairs and returns RowValues of float tuples, and filter_force
+returns its forces as pairs. The only array a filter step builds is the
+QP's row matrix A.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +34,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .admittance import AdmittanceState
-from .errors import InfeasibleQp, StartOutsideSafeSet, ValidationError, _pair, _xy, require_finite
+from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, _pair, float_pair, require_finite
 from .qp import QpProblem, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
@@ -98,22 +103,22 @@ class EcbfGains:
 
 
 class RowValues(NamedTuple):
-    """Every barrier row at one reference state, in table order: h, its
-    derivative Lf_h along the drift, the affine second derivative
-    h_ddot(u) = p + q @ u, and the row's gain pair K."""
+    """Every barrier row at one reference state, in table order, each a
+    tuple with one entry per row: h, its derivative Lf_h along the drift,
+    the affine second derivative h_ddot(u) = p + q @ u with q a pair, and
+    the row's gain pair K."""
 
-    h: np.ndarray
-    lf_h: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    K: np.ndarray
+    h: Tuple[float, ...]
+    lf_h: Tuple[float, ...]
+    p: Tuple[float, ...]
+    q: Tuple[Pair, ...]
+    K: Tuple[Pair, ...]
 
 
 def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
     """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2."""
-    b = [p + k0 * h + k1 * lf for p, (k0, k1), h, lf in
-         zip(rows.p.tolist(), rows.K.tolist(), rows.h.tolist(), rows.lf_h.tolist())]
-    return QpProblem(u_nom=_pair(u_nom), A=-rows.q, b=np.array(b))
+    b = [p + k0 * h + k1 * lf for p, (k0, k1), h, lf in zip(rows.p, rows.K, rows.h, rows.lf_h)]
+    return QpProblem(u_nom=u_nom, A=np.negative(rows.q), b=b)
 
 
 @dataclass
@@ -148,7 +153,7 @@ class ConstraintSet:
         self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
         # per row: w (2 floats), c (2 floats), r, side
         self._rows = [(*w.tolist(), *c.tolist(), r, side) for _, w, c, r, _, side in rows]
-        self._K = np.array([row[4] for row in rows]).reshape(-1, 2)
+        self._K = tuple(tuple(K.tolist()) for _, _, _, _, K, _ in rows)
 
     def _h(self, x1):
         """Per row: the weighted offsets w * (x1 - c) and the barrier value h."""
@@ -161,24 +166,24 @@ class ConstraintSet:
         return out
 
     def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
-        """Every row at ``adm`` under the force-free acceleration ``drift``
-        and the per-axis input gain ``g``."""
-        vx, vy = adm.x2.tolist()
-        dx, dy = _xy(drift)
-        gx, gy = _xy(g)
+        """Every row at ``adm`` under the force-free acceleration pair
+        ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
+        for both axes)."""
+        vx, vy = adm.x2
+        dx, dy = drift
+        gx, gy = float_pair(g)
         h, lf_h, p, q = [], [], [], []
-        for (w0, w1, *_), (wd0, wd1, hj) in zip(self._rows, self._h(adm.x1.tolist())):
+        for (w0, w1, *_), (wd0, wd1, hj) in zip(self._rows, self._h(adm.x1)):
             h.append(hj)
             lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
             p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
             q.append((2.0 * wd0 * gx, 2.0 * wd1 * gy))
-        return RowValues(h=np.array(h), lf_h=np.array(lf_h), p=np.array(p),
-                         q=np.array(q).reshape(-1, 2), K=self._K)
+        return RowValues(h=tuple(h), lf_h=tuple(lf_h), p=tuple(p), q=tuple(q), K=self._K)
 
-    def barrier_values(self, x1) -> np.ndarray:
-        """Barrier values at a reference position, in row-table order
+    def barrier_values(self, x1) -> Tuple[float, ...]:
+        """Barrier values at a reference position pair, in row-table order
         (the trace's h row on a step without the filter)."""
-        return np.array([hj for _, _, hj in self._h(_xy(x1))])
+        return tuple(hj for _, _, hj in self._h(x1))
 
 
 @dataclass
@@ -200,8 +205,7 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState,
     the interior side of the shrunk boundary is intended, so the offset
     toward the wall must be at most -r. For the obstacle, h >= 0.
     """
-    for name, (*_, r, side), (wd0, wd1, h) in zip(
-            cset.names, cset._rows, cset._h(adm.x1.tolist())):
+    for name, (*_, r, side), (wd0, wd1, h) in zip(cset.names, cset._rows, cset._h(adm.x1)):
         bad = side * (wd0 + wd1) > -r + tol if side else h < -tol
         if bad:
             raise StartOutsideSafeSet(
@@ -215,25 +219,25 @@ def _unit_rows(problem: QpProblem) -> QpProblem:
     |a_j|, so that a row's slack is a force in newtons."""
     norms = np.linalg.norm(problem.A, axis=1)
     norms[norms == 0.0] = 1.0
-    return QpProblem(problem.u_nom, problem.A / norms[:, None], problem.b / norms)
+    return QpProblem(problem.u_nom, problem.A / norms[:, None], np.array(problem.b) / norms)
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """Project the human force onto the barrier polyhedron.
 
-    Returns (f_e_hat, f_e_comp, FilterDiagnostics) with
-    f_e_comp = f_e_hat - f_e. With no enabled constraints, or when every
-    row is already satisfied by f_e, the filter is the identity.
+    Returns the pairs f_e_hat and f_e_comp = f_e_hat - f_e, and the
+    FilterDiagnostics. With no enabled constraints, or when every row is
+    already satisfied by f_e, the filter is the identity.
 
     The hard projection is always tried first. Only where the rows conflict
     (InfeasibleQp) does a slack set fall back to the penalized projection,
     on rows scaled to unit norm; that step's status is then "slack".
     """
-    f_e = _pair(f_e)
+    fx, fy = f_e
     rows = cset.evaluate(adm, drift, g)
     if not cset.names:
-        return f_e.copy(), np.zeros(2), FilterDiagnostics(rows, active=(), status="ok")
-    problem = assemble_qp(rows, f_e)
+        return (fx, fy), (0.0, 0.0), FilterDiagnostics(rows, active=(), status="ok")
+    problem = assemble_qp(rows, (fx, fy))
     try:
         sol = solve(problem)
         diag = FilterDiagnostics(rows, active=sol.active_set, status="ok")
@@ -245,4 +249,5 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
         diag = FilterDiagnostics(rows, active=sol.active_set,
                                  status="slack" if slack_max > 0.0 else "ok",
                                  slack_max=slack_max)
-    return sol.u, sol.u - f_e, diag
+    ux, uy = sol.u
+    return (ux, uy), (ux - fx, uy - fy), diag

@@ -3,12 +3,15 @@
 Per step: sample the desired circle and the scripted human force, filter
 the force through the barrier QP, advance the (filtered) admittance
 reference and an unfiltered shadow copy, run the tracker, and advance the
-arm plant. Each step's arrays are appended to one flat log; after the
-loop a single concatenation stacks them into a columnar Trace, one array
-per signal, whose ``trace[k]`` is a TraceRecord view of step k.
+arm plant. The stages pass float pairs to each other, and each step's
+floats are appended to one flat float log (an ``array('d')``); after the
+loop that log is viewed as an (N, width) matrix whose columns make the
+Trace, one array per signal, whose ``trace[k]`` is a TraceRecord view of
+step k.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -16,8 +19,9 @@ import numpy as np
 
 from . import arm, smc
 from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step
-from .arm import JointState, ManipulatorParams
-from .errors import InfeasibleQp, SimulationAborted, SingularConfiguration, StartOutsideSafeSet, ValidationError, _xy, require_finite
+from .arm import JointState, ManipulatorParams, _tv
+from .errors import (InfeasibleQp, Pair, SimulationAborted, SingularConfiguration, StartOutsideSafeSet,
+                     ValidationError, float_pair, require_finite)
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
 from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
@@ -37,9 +41,10 @@ def desired_trajectory(t: float, radius: float = 0.14, rate: float = 0.5) -> Des
     )
 
 
-def human_force(t: float, a=DEFAULT_AMPLITUDES) -> np.ndarray:
-    """Scripted interaction force: cosine ramp-in over [4,5), constant 2a
-    over [5,10), cosine ramp-out over [10,11), zero elsewhere."""
+def human_force(t: float, a: Pair = DEFAULT_AMPLITUDES) -> Pair:
+    """Scripted interaction force for the amplitude pair ``a``: cosine
+    ramp-in over [4,5), constant 2a over [5,10), cosine ramp-out over
+    [10,11), zero elsewhere."""
     if 4.0 <= t < 5.0:
         scale = 1.0 - math.cos(math.pi * t)
     elif 5.0 <= t < 10.0:
@@ -47,8 +52,9 @@ def human_force(t: float, a=DEFAULT_AMPLITUDES) -> np.ndarray:
     elif 10.0 <= t < 11.0:
         scale = 1.0 + math.cos(math.pi * t)
     else:
-        return np.zeros(2)
-    return np.array([a_i * scale for a_i in _xy(a)])
+        return 0.0, 0.0
+    ax, ay = a
+    return ax * scale, ay * scale
 
 
 @dataclass
@@ -73,6 +79,7 @@ class ScenarioConfig:
     nominal_only: bool = False
 
     def __post_init__(self):
+        self.force_amplitude = float_pair(self.force_amplitude)
         require_finite(self)
         if not self.dt > 0.0:
             raise ValidationError("dt must be positive")
@@ -175,22 +182,29 @@ class Trace:
         return map(self.__getitem__, range(len(self)))
 
 
+def _record_bytes(rec: TraceRecord, h_names) -> bytes:
+    """The float64 bytes of t, the VECTORS and the h values named by h_names."""
+    floats = np.concatenate([[rec.t], *(getattr(rec, n) for n in VECTORS),
+                             [rec.h[name] for name in h_names]])
+    return floats.astype(float).tobytes()
+
+
 def records_equal(a: TraceRecord, b: TraceRecord) -> bool:
-    """Bit-exact record comparison (used by the determinism checks)."""
-    if a.t != b.t or a.h != b.h or a.qp_active != b.qp_active or a.qp_status != b.qp_status:
+    """Bit-exact record comparison (used by the determinism checks): t,
+    every vector and every h value compare by their bytes, so a zero of the
+    other sign differs and a NaN equals the same NaN."""
+    if a.h.keys() != b.h.keys() or a.qp_active != b.qp_active or a.qp_status != b.qp_status:
         return False
-    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in VECTORS)
+    return _record_bytes(a, a.h) == _record_bytes(b, a.h)
 
 
-def _stacked(signals: list, events: list, h_names: Tuple[str, ...]) -> Trace:
-    """The Trace of a run's flat logs. ``signals`` holds, step after step,
-    the VECTORS and then the row-ordered barrier values; ``events`` holds t,
-    the active set and the status of each step. One concatenation in
-    logging order stacks every signal at once."""
-    width = 2 * len(VECTORS) + len(h_names)
-    signals = np.concatenate(signals) if signals else np.zeros(0)
-    return Trace.from_matrix(np.array(events[0::3], dtype=float), signals.reshape(-1, width),
-                             h_names, events[1::3], events[2::3])
+def _trace_from_log(log: array, h_names: Tuple[str, ...], events: list) -> Trace:
+    """The Trace of a run's logs. ``log`` holds, step after step, t, the
+    x/y pairs of the VECTORS and the row-ordered barrier values; ``events``
+    holds the active set and the status of each step. The columns are views
+    of the log's memory."""
+    matrix = np.frombuffer(log, dtype=float).reshape(-1, 1 + 2 * len(VECTORS) + len(h_names))
+    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names, events[0::2], events[1::2])
 
 
 def run(config: ScenarioConfig) -> Trace:
@@ -203,9 +217,10 @@ def run(config: ScenarioConfig) -> Trace:
     params = config.robot
     adm_params = config.admittance
     cset = config.constraint_set()
-    have_rows = bool(cset.names)
-    g = adm_params.input_gain
+    filtered = bool(cset.names) and not config.filter_bypass
+    g = gx, gy = adm_params.input_gain
     dt = config.dt
+    amplitude = config.force_amplitude
 
     def desired(t: float) -> DesiredPoint:
         return desired_trajectory(t, config.circle_radius, config.circle_rate)
@@ -215,40 +230,41 @@ def run(config: ScenarioConfig) -> Trace:
     joint = JointState(config.q0, config.qdot0)
     ctrl_state = ControllerState()
     steps = round(config.duration / dt)
-    bypass_status = "bypass" if config.filter_bypass and have_rows else "ok"
-    signals: list = []  # per step: the VECTORS, then the barrier values
-    events: list = []   # per step: t, the active set, the status
+    bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
+    log = array("d")  # per step: t, the VECTORS' x/y pairs, the barrier values
+    events: list = []  # per step: the active set, the status
     k, t, stage = 0, 0.0, "start"
 
     try:
-        if have_rows and not config.filter_bypass:
+        if filtered:
             check_start_inside(cset, adm)
         for k in range(steps + 1):
             t = k * dt
             stage = "admittance"
             des = desired(t)
-            f_e = human_force(t, config.force_amplitude)
+            f_e = human_force(t, amplitude)
             drift = drift_term(adm_params, adm, des)
 
-            if config.filter_bypass or not have_rows:
-                f_hat = f_e.copy()
-                f_comp = np.zeros(2)
-                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
-            else:
+            if filtered:
                 stage = "filter"
                 f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
                 h, active, status = diag.rows.h, diag.active, diag.status
+            else:
+                f_hat, f_comp = f_e, (0.0, 0.0)
+                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
 
             stage = "control"
             terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
             cart = arm.cartesian_state(params, joint)
-            ref = DesiredPoint(adm.x1, adm.x2, drift + g * f_hat)
+            (dx, dy), (fx, fy) = drift, f_hat
+            ref = DesiredPoint(adm.x1, adm.x2, (dx + gx * fx, dy + gy * fy))
             f_c, ctrl_state = smc.control(config.controller, ctrl_state, terms,
                                           cart, ref, dt,
                                           nominal_only=config.nominal_only)
 
-            signals += (des.x_d, adm.x1, shadow.x1, cart.x, f_e, f_hat, f_comp, f_c, h)
-            events += (t, active, status)
+            log.extend((t, *des.x_d, *adm.x1, *shadow.x1, *cart.x, *f_e, *f_hat, *f_comp,
+                        *f_c, *h))
+            events += (active, status)
 
             if k < steps:
                 stage = "admittance"
@@ -257,17 +273,17 @@ def run(config: ScenarioConfig) -> Trace:
                 adm = admittance_step(adm_params, adm, points, f_hat, dt, t=t)
                 shadow = admittance_step(adm_params, shadow, points, f_e, dt, t=t)
                 stage = "plant"
-                tau_c = arm.jacobian(params, joint.q).T @ f_c
+                tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
                 joint = arm.plant_step(params, joint, tau_c, f_e, dt)
     except (SingularConfiguration, InfeasibleQp, StartOutsideSafeSet,
             ValidationError) as exc:
-        raise _aborted(config, _stacked(signals, events, cset.names), k, t, stage, exc) from exc
+        raise _aborted(config, _trace_from_log(log, cset.names, events), k, t, stage, exc) from exc
     except (ArithmeticError, ValueError) as exc:
         # a float kernel met an overflow or a non-finite argument (a bare
         # OverflowError, or ValueError from math.sin(inf)): the state diverged
         cause = ValidationError(f"the {stage} state diverged: {exc}")
-        raise _aborted(config, _stacked(signals, events, cset.names), k, t, stage, cause) from exc
-    return _stacked(signals, events, cset.names)
+        raise _aborted(config, _trace_from_log(log, cset.names, events), k, t, stage, cause) from exc
+    return _trace_from_log(log, cset.names, events)
 
 
 def _aborted(config: ScenarioConfig, trace: Trace, k: int, t: float, stage: str,

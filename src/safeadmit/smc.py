@@ -24,7 +24,7 @@ import numpy as np
 
 from .admittance import DesiredPoint
 from .arm import CartesianDynamicsTerms, CartesianState, _mv
-from .errors import ValidationError, _xy, all_finite, require_finite
+from .errors import Pair, ValidationError, all_finite, require_finite
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
@@ -81,8 +81,9 @@ class ControllerState:
     prev_integrand: Tuple[float, float] = (0.0, 0.0)
 
 
-# The kernels below work per axis on Python floats; the public functions
-# wrap them for numpy arrays.
+# The kernels below work per axis on Python floats; signed_power and
+# sliding_variable also accept numpy arrays, elementwise. The controller's
+# inputs and outputs are float pairs.
 
 def _spow(z: float, a: float) -> float:
     """The signed power [z]^a = sign(z) |z|^a."""
@@ -103,14 +104,14 @@ def _power_slope(z: float, a: float) -> float:
     return a * mag ** (a - 1.0)
 
 
-def _model(terms: CartesianDynamicsTerms):
-    """M_x and gamma = -Xi @ bias, the friction-free task-space drift."""
-    Xi, bias = terms.Xi.tolist(), terms.bias.tolist()
-    return terms.M_x.tolist(), [-(a * bias[0] + b * bias[1]) for a, b in Xi]
+def _gamma(terms: CartesianDynamicsTerms) -> Pair:
+    """gamma = -Xi @ bias, the friction-free task-space drift."""
+    gx, gy = _mv(terms.Xi, terms.bias)
+    return -gx, -gy
 
 
-def _nominal(gains: FxtismcGains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d):
-    """The backstepping nominal law M_x @ v from per-axis float lists."""
+def _nominal(gains: FxtismcGains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d) -> Pair:
+    """The backstepping nominal law M_x @ v from per-axis floats."""
     l1, l2, l3 = gains.lambda1, gains.lambda2, gains.lambda3
     a, b = gains.alpha, gains.beta
     v = []
@@ -126,11 +127,10 @@ def _nominal(gains: FxtismcGains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d):
 
 
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
-                    cart: CartesianState, ref: DesiredPoint) -> np.ndarray:
+                    cart: CartesianState, ref: DesiredPoint) -> Pair:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    M_x, gamma = _model(terms)
-    return np.array(_nominal(gains, M_x, gamma, cart.x.tolist(), cart.xdot.tolist(),
-                             ref.x_d.tolist(), ref.xdot_d.tolist(), ref.xddot_d.tolist()))
+    return _nominal(gains, terms.M_x, _gamma(terms), cart.x, cart.xdot,
+                    ref.x_d, ref.xdot_d, ref.xddot_d)
 
 
 def _sliding(gains: FxtismcGains, e: float, edot: float) -> float:
@@ -151,10 +151,16 @@ def _sigma_integrand(gains: FxtismcGains, e: float, edot: float, eddot: float) -
     return edot + gains.kappa1 ** -m / m * abs(w) ** (1.0 / m - 1.0) * wdot
 
 
-def _compensate(gains: FxtismcGains, ctrl_state: ControllerState, M_x, e, edot,
-                eddot, dt: float):
-    """Integral sliding-mode compensation from per-axis floats; returns
-    (u_s, new_state). See compensating_control."""
+def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
+                         terms: CartesianDynamicsTerms, e, edot, eddot,
+                         dt: float):
+    """Integral sliding-mode compensation from the per-axis error pairs;
+    returns (u_s, new_state).
+
+    eddot is the *model* error acceleration (nominal dynamics under u0);
+    sigma then integrates only the unmodelled part of the real dynamics.
+    The running integral uses the trapezoidal rule.
+    """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     s = tuple(map(partial(_sliding, gains), e, edot))
@@ -176,21 +182,7 @@ def _compensate(gains: FxtismcGains, ctrl_state: ControllerState, M_x, e, edot,
         v.append(-(gains.rho + gains.epsilon) * switch
                  - gains.kappa3 * _spow(sigma, gains.p_exp)
                  - gains.kappa4 * _spow(sigma, gains.q_exp))
-    return _mv(M_x, v), state
-
-
-def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
-                         terms: CartesianDynamicsTerms, e, edot, eddot,
-                         dt: float):
-    """Integral sliding-mode compensation; returns (u_s, new_state).
-
-    eddot is the *model* error acceleration (nominal dynamics under u0);
-    sigma then integrates only the unmodelled part of the real dynamics.
-    The running integral uses the trapezoidal rule.
-    """
-    u_s, state = _compensate(gains, ctrl_state, terms.M_x.tolist(), _xy(e),
-                             _xy(edot), _xy(eddot), dt)
-    return np.array(u_s), state
+    return _mv(terms.M_x, v), state
 
 
 def control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -203,20 +195,20 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     task-space dynamics under the nominal force alone. A force or a
     controller state that is not finite raises ValidationError.
     """
-    M_x, gamma = _model(terms)
-    x, xdot = cart.x.tolist(), cart.xdot.tolist()
-    x_d, xdot_d, xddot_d = ref.x_d.tolist(), ref.xdot_d.tolist(), ref.xddot_d.tolist()
-    f_c = _nominal(gains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d)
+    x, xdot = cart.x, cart.xdot
+    x_d, xdot_d, xddot_d = ref.x_d, ref.xdot_d, ref.xddot_d
+    gamma = _gamma(terms)
+    f_c = _nominal(gains, terms.M_x, gamma, x, xdot, x_d, xdot_d, xddot_d)
     state = ctrl_state
     if not nominal_only:
         e = [a - b for a, b in zip(x, x_d)]
         edot = [a - b for a, b in zip(xdot, xdot_d)]
-        model_acc = _mv(terms.Xi.tolist(), f_c)
+        model_acc = _mv(terms.Xi, f_c)
         eddot = [a + gm - r for a, gm, r in zip(model_acc, gamma, xddot_d)]
-        u_s, state = _compensate(gains, ctrl_state, M_x, e, edot, eddot, dt)
+        u_s, state = compensating_control(gains, ctrl_state, terms, e, edot, eddot, dt)
         f_c = [u0 + us for u0, us in zip(f_c, u_s)]
     limit = gains.force_limit
-    f_c = [min(max(f, -limit), limit) for f in f_c]
-    if not all_finite(*f_c, *state.s_initial, *state.sigma_integral, *state.prev_integrand):
+    fx, fy = [min(max(f, -limit), limit) for f in f_c]
+    if not all_finite(fx, fy, *state.s_initial, *state.sigma_integral, *state.prev_integrand):
         raise ValidationError("control force or controller state entries must be finite")
-    return np.array(f_c), state
+    return (fx, fy), state

@@ -18,9 +18,9 @@ def admittance_step(k_m, k_b, k_k, x1, x2, desired, force, dt):
     """One RK4 step of the per-axis MSD; ``desired`` is the three substep
     samples (d0, dh, d1), each an (x_d, xdot_d, xddot_d) triple of arrays.
     Returns (x1, x2)."""
-    k_m, k_b, k_k = (np.asarray(v, dtype=float) for v in (k_m, k_b, k_k))
+    k_m, k_b, k_k, x1, x2 = (np.asarray(v, dtype=float) for v in (k_m, k_b, k_k, x1, x2))
     gf = (1.0 / k_m) * np.asarray(force, dtype=float)
-    d0, dh, d1 = desired
+    d0, dh, d1 = ([np.asarray(v, dtype=float) for v in d] for d in desired)
 
     def accel(x1, x2, des):
         x_d, xdot_d, xddot_d = des

@@ -200,16 +200,16 @@ def test_09_joint_vs_cartesian_dynamics():
 
     def torque(t, q, qd):
         _, _, G, F = joint_dynamics_terms(params, JointState(q, qd))
-        return G + F + np.array([0.2 * math.sin(2 * t), 0.1 * math.cos(t)])
+        return np.asarray(G) + F + np.array([0.2 * math.sin(2 * t), 0.1 * math.cos(t)])
 
     joint = JointState([0.5236, 2.0944], [0.0, 0.0])
-    q_c = joint.q.copy()
+    q_c = np.asarray(joint.q).copy()
     x_c = forward_kinematics(params, q_c)
     xd_c = np.zeros(2)
 
     def rhs(tau, q, x, xd):
         # commanded torque held across the step, matching plant_step
-        J = jacobian(params, q)
+        J = np.asarray(jacobian(params, q))
         qd = np.linalg.solve(J, xd)
         terms = cartesian_dynamics_terms(params, JointState(q, qd))
         f_c = np.linalg.solve(J.T, tau)

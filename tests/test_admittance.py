@@ -50,7 +50,7 @@ class TestDrift:
             sb = AdmittanceState(b[:2], b[2:])
             sc = AdmittanceState(c1 * a[:2] + c2 * b[:2], c1 * a[2:] + c2 * b[2:])
             lhs = drift_term(PAR, sc, des)
-            rhs = c1 * drift_term(PAR, sa, des) + c2 * drift_term(PAR, sb, des)
+            rhs = c1 * np.asarray(drift_term(PAR, sa, des)) + c2 * np.asarray(drift_term(PAR, sb, des))
             assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -61,7 +61,7 @@ class TestStep:
         worst = 0.0
         for k in range(12560):
             st = admittance_step(PAR, st, desired_trajectory, np.zeros(2), dt, t=k * dt)
-            worst = max(worst, np.abs(st.x1 - desired_trajectory((k + 1) * dt).x_d).max())
+            worst = max(worst, np.abs(np.asarray(st.x1) - desired_trajectory((k + 1) * dt).x_d).max())
         assert worst <= 1e-6
 
     def test_constant_force_steady_offset(self):
@@ -70,7 +70,7 @@ class TestStep:
         F = np.array([3.0, 0.0])
         for _ in range(40000):
             st = admittance_step(PAR, st, des, F, 1e-3)
-        assert np.allclose(st.x1 - des.x_d, F / PAR.k_k, atol=1e-8)
+        assert np.allclose(np.asarray(st.x1) - des.x_d, F / PAR.k_k, atol=1e-8)
         assert np.abs(st.x2).max() < 1e-8
 
     def test_underdamped_step_overshoots(self):

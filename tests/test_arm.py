@@ -44,7 +44,7 @@ class TestJacobian:
         # det J = l1 l2 sin(q2) for any configuration
         for _ in range(200):
             q = rng.uniform(-math.pi, math.pi, 2)
-            J = jacobian(P, q)
+            J = np.asarray(jacobian(P, q))
             det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
             assert abs(det - P.l1 * P.l2 * math.sin(q[1])) < 1e-12
 
@@ -69,7 +69,7 @@ class TestJacobianDot:
         for _ in range(100):
             q = rng.uniform(-math.pi, math.pi, 2)
             qd = rng.uniform(-1.0, 1.0, 2)
-            fd = (jacobian(P, q + qd * delta) - jacobian(P, q)) / delta
+            fd = (np.asarray(jacobian(P, q + qd * delta)) - jacobian(P, q)) / delta
             assert np.abs(fd - jacobian_dot(P, JointState(q, qd))).max() <= 1e-5
 
 
@@ -93,6 +93,7 @@ class TestJointDynamics:
         for q2 in np.linspace(0.1, math.pi - 0.1, 15):
             for q1 in np.linspace(-math.pi, math.pi, 9):
                 M, _, _, _ = joint_dynamics_terms(P, JointState([q1, q2], [0, 0]))
+                M = np.asarray(M)
                 assert np.allclose(M, M.T)
                 assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -103,7 +104,7 @@ class TestCartesianDynamics:
             q = rng.uniform([-1.0, 0.5], [1.0, 2.5])
             qd = rng.uniform(-1.0, 1.0, 2)
             terms = cartesian_dynamics_terms(P, JointState(q, qd))
-            assert np.abs(terms.Xi @ terms.M_x - np.eye(2)).max() < 1e-10
+            assert np.abs(np.asarray(terms.Xi) @ terms.M_x - np.eye(2)).max() < 1e-10
 
     def test_singular_configuration_rejected(self):
         with pytest.raises(SingularConfiguration):
@@ -116,17 +117,17 @@ class TestCartesianDynamics:
 
         def torque(t, q, qd):
             _, _, G, F = joint_dynamics_terms(P, JointState(q, qd))
-            return G + F + np.array([0.2 * math.sin(2.0 * t), 0.1 * math.cos(t)])
+            return np.asarray(G) + F + np.array([0.2 * math.sin(2.0 * t), 0.1 * math.cos(t)])
 
         joint = JointState([0.5236, 2.0944], [0.0, 0.0])
-        q_c = joint.q.copy()
+        q_c = np.asarray(joint.q).copy()
         x_c = forward_kinematics(P, q_c)
         xd_c = np.zeros(2)
 
         def cart_rhs(tau, q, x, xd):
             # the commanded torque is zero-order-held across the step, as in
             # plant_step
-            J = jacobian(P, q)
+            J = np.asarray(jacobian(P, q))
             qd = np.linalg.solve(J, xd)
             terms = cartesian_dynamics_terms(P, JointState(q, qd))
             f_c = np.linalg.solve(J.T, tau)
@@ -154,8 +155,8 @@ class TestPlantStep:
     def test_equilibrium(self):
         st = JointState([0.4, 1.3], [0.0, 0.0])
         _, _, G, F = joint_dynamics_terms(P, st)
-        after = plant_step(P, st, G + F, np.zeros(2), 1e-3)
-        assert np.abs(after.q - st.q).max() < 1e-9
+        after = plant_step(P, st, np.asarray(G) + F, np.zeros(2), 1e-3)
+        assert np.abs(np.asarray(after.q) - st.q).max() < 1e-9
         assert np.abs(after.qdot).max() < 1e-9
 
     def test_energy_conservation(self):
@@ -164,7 +165,7 @@ class TestPlantStep:
 
         def kinetic(s):
             M, _, _, _ = joint_dynamics_terms(params, s, include_friction=False)
-            return 0.5 * s.qdot @ M @ s.qdot
+            return 0.5 * np.asarray(s.qdot) @ M @ s.qdot
 
         e0 = kinetic(st)
         for _ in range(1000):
@@ -180,8 +181,8 @@ class TestPlantStep:
     def test_external_force_accelerates(self):
         st = JointState([0.5236, 2.0944], [0.0, 0.0])
         _, _, G, F = joint_dynamics_terms(P, st)
-        qdd = joint_accel(P, st.q, st.qdot, G + F, np.array([1.0, 0.0]))
-        J = jacobian(P, st.q)
+        qdd = joint_accel(P, st.q, st.qdot, np.asarray(G) + F, np.array([1.0, 0.0]))
+        J = np.asarray(jacobian(P, st.q))
         # acceleration maps back to a positive x-acceleration at the tip
         assert (J @ qdd)[0] > 0.0
 
@@ -189,4 +190,4 @@ class TestPlantStep:
         st = JointState([0.5, 1.0], [0.3, -0.2])
         cs = cartesian_state(P, st)
         assert np.allclose(cs.x, forward_kinematics(P, st.q))
-        assert np.allclose(cs.xdot, jacobian(P, st.q) @ st.qdot)
+        assert np.allclose(cs.xdot, np.asarray(jacobian(P, st.q)) @ st.qdot)

@@ -40,7 +40,7 @@ def _assert_same(u_nom, A, b):
         return
     assert closed is not None
     assert closed[1] == svd[1]
-    assert np.abs(closed[0] - svd[0]).max() <= 1e-12 * max(1.0, np.abs(svd[0]).max())
+    assert np.abs(np.asarray(closed[0]) - svd[0]).max() <= 1e-12 * max(1.0, np.abs(svd[0]).max())
 
 
 class TestClosedFormProjection:

@@ -103,11 +103,11 @@ class TestSolveProperties:
                 sol = solve(prob)
             except InfeasibleQp:
                 continue
-            n = prob.u_nom.size
+            n = np.asarray(prob.u_nom).size
             samples = rng.uniform(-3, 3, (500, n))
-            feas = samples[(samples @ prob.A.T <= prob.b + FEAS_TOL).all(axis=1)]
+            feas = samples[(samples @ prob.A.T <= np.asarray(prob.b) + FEAS_TOL).all(axis=1)]
             for u_prime in feas:
-                assert (u_prime - sol.u) @ (prob.u_nom - sol.u) <= 1e-9
+                assert (u_prime - sol.u) @ (np.asarray(prob.u_nom) - sol.u) <= 1e-9
 
     def test_translation_equivariance(self, rng):
         for _ in range(30):
@@ -116,7 +116,7 @@ class TestSolveProperties:
                 sol = solve(prob)
             except InfeasibleQp:
                 continue
-            shift = rng.uniform(-1, 1, prob.u_nom.size)
+            shift = rng.uniform(-1, 1, np.asarray(prob.u_nom).size)
             shifted = QpProblem(prob.u_nom + shift, prob.A,
                                 prob.b + prob.A @ shift)
             sol2 = solve(shifted)
@@ -129,8 +129,8 @@ class TestSolveProperties:
                 sol = solve(prob)
             except InfeasibleQp:
                 continue
-            assert (prob.A @ sol.u <= prob.b + 10 * FEAS_TOL).all()
-            du = sol.u - prob.u_nom
+            assert (prob.A @ sol.u <= np.asarray(prob.b) + 10 * FEAS_TOL).all()
+            du = np.asarray(sol.u) - prob.u_nom
             assert abs(sol.objective - du @ du) < 1e-12
 
 
@@ -139,7 +139,7 @@ class TestSlack:
         prob = QpProblem(u_nom=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0])
         hard = solve(prob)
         soft, slacks = solve_with_slack(prob, weight=1e9)
-        assert np.abs(soft.u - hard.u).max() < 1e-6
+        assert np.abs(np.asarray(soft.u) - hard.u).max() < 1e-6
         assert slacks.max() < 1e-6
 
     def test_infeasible_gets_compromise(self):

@@ -77,7 +77,7 @@ class TestBarrierValues:
             assert abs(lo.h - hi.h) < 1e-12
             assert abs(lo.lf_h - hi.lf_h) < 1e-12
             assert abs(lo.p - hi.p) < 1e-12
-            assert np.abs(lo.q + hi.q).max() < 1e-12
+            assert np.abs(np.asarray(lo.q) + hi.q).max() < 1e-12
 
     def test_obstacle_on_sphere(self):
         ev = _row("obs", _state((-0.03, 0.07)), np.zeros(2))
@@ -91,14 +91,14 @@ class TestBarrierValues:
         for _ in range(20):
             st = _state(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
             rows = CSET.evaluate(st, np.zeros(2), GAIN_G)
-            assert CSET.barrier_values(st.x1).tolist() == rows.h.tolist()
+            assert np.asarray(CSET.barrier_values(st.x1)).tolist() == np.asarray(rows.h).tolist()
 
     def test_input_gain_per_axis(self):
         # each axis of q carries its own gain 1/k_m
         g = AdmittanceParams(k_m=(20.0, 5.0)).input_gain
         q = CSET.evaluate(_state((0.01, -0.02)), np.zeros(2), g).q
         q_unit = CSET.evaluate(_state((0.01, -0.02)), np.zeros(2), 1.0).q
-        assert np.array_equal(q, q_unit * g)
+        assert np.array_equal(q, np.asarray(q_unit) * g)
 
 
 class TestLieDerivatives:
@@ -159,7 +159,7 @@ class TestAssembleQp:
     def test_boundary_row_pushes_inward(self):
         # at rest exactly on the shrunk boundary the row reads u_x <= 0
         rows = ConstraintSet(workspace=WS).evaluate(_state((0.09, 0.0)), np.zeros(2), 0.05)
-        assert abs(rows.q[0, 0] - (-0.004)) < 1e-15
+        assert abs(np.asarray(rows.q)[0, 0] - (-0.004)) < 1e-15
         prob = assemble_qp(rows, (0.0, 0.0))
         # A_row = -q = (0.004, 0); b = 0 => 0.004 u_x <= 0
         assert np.allclose(prob.A[0], [0.004, 0.0])
@@ -236,7 +236,7 @@ class TestFilter:
         cset = self._cset()
         assert cset.names == ("ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs")
         _, _, diag = filter_force(cset, _state((0.0, 0.0)), np.zeros(2), GAIN_G, (0.0, 0.0))
-        assert diag.rows.h.shape == (len(cset.names),)
+        assert np.asarray(diag.rows.h).shape == (len(cset.names),)
         assert abs(diag.rows.h[cset.names.index("obs")] - 0.0082) < 1e-12
 
     def test_slack_mode_equals_hard_where_feasible(self, rng):

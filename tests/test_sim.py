@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -42,8 +43,8 @@ class TestHumanForce:
 
     def test_continuity_at_plateau_edges(self):
         eps = 1e-9
-        assert np.abs(human_force(5.0 - eps) - human_force(5.0)).max() < 1e-6
-        assert np.abs(human_force(10.0) - human_force(10.0 - eps)).max() < 1e-6
+        assert np.abs(np.asarray(human_force(5.0 - eps)) - human_force(5.0)).max() < 1e-6
+        assert np.abs(np.asarray(human_force(10.0)) - human_force(10.0 - eps)).max() < 1e-6
 
     def test_custom_amplitude(self):
         assert np.allclose(human_force(7.0, a=(0.5, 0.5)), [1.0, 1.0])
@@ -159,6 +160,32 @@ class TestRun:
         a, b = run(cfg), run(cfg)
         assert len(a) == len(b)
         assert all(records_equal(ra, rb) for ra, rb in zip(a, b))
+
+    def test_records_equal_compares_bits(self, preset_traces):
+        # before the force ramps in, f_e is (0.0, 0.0); the same record with
+        # -0.0 in its place differs in its bytes, and a NaN record is equal
+        # to itself, bit for bit
+        rec = preset_traces["combined"][10]
+        assert rec.f_e.tolist() == [0.0, 0.0]
+        assert records_equal(rec, replace(rec))
+        assert not records_equal(rec, replace(rec, f_e=-rec.f_e))
+        nan = replace(rec, x_f=np.array([math.nan, 0.0]), h={**rec.h, "obs": math.nan})
+        assert records_equal(nan, replace(nan))
+
+    def test_log_memory_per_step(self):
+        # the run keeps one flat float log, not a list of small arrays: the
+        # tracemalloc peak of a whole 2 s run, its Trace included, stays
+        # within 600 B per step
+        cfg = replace(scenario_library()["combined"], duration=2.0)
+        run(replace(cfg, duration=0.01))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            steps = len(run(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / steps <= 600, f"{peak / steps:.0f} B per step"
 
     def test_start_outside_safe_set_aborts_with_trace(self):
         cfg = replace(scenario_library()["workspace"],

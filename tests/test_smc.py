@@ -62,7 +62,7 @@ class TestNominal:
         ref = DesiredPoint(cart.x, cart.xdot, (0.3, -0.2))
         u0 = nominal_control(GAINS, terms, cart, ref)
         # with both surfaces zero the law reduces to M_x (xddot_d - gamma)
-        gamma = -terms.Xi @ terms.bias
+        gamma = -np.asarray(terms.Xi) @ terms.bias
         assert np.allclose(u0, terms.M_x @ (ref.xddot_d - gamma), atol=1e-12)
 
     def test_alpha_s_dot_finite_difference(self, rng):
@@ -100,7 +100,7 @@ class TestNominal:
             cart = Cart()
             cart.x, cart.xdot = x.copy(), xd.copy()
             u0 = nominal_control(GAINS, terms, cart, ref)
-            acc = terms.Xi @ u0 + (-terms.Xi @ terms.bias)
+            acc = np.asarray(terms.Xi) @ u0 + (-np.asarray(terms.Xi) @ terms.bias)
             xd = xd + dt * acc
             x = x + dt * xd
         assert np.linalg.norm(x) < 1e-3
@@ -159,16 +159,16 @@ class TestCompensator:
 class TestFullControl:
     def test_decomposition(self):
         terms, cart = _terms()
-        ref = DesiredPoint(cart.x + [0.01, 0.0], cart.xdot, (0.0, 0.0))
+        ref = DesiredPoint(np.asarray(cart.x) + [0.01, 0.0], cart.xdot, (0.0, 0.0))
         _, state1 = control(GAINS, ControllerState(), terms, cart, ref, 1e-3)
         f_c2, _ = control(GAINS, state1, terms, cart, ref, 1e-3)
         u0 = nominal_control(GAINS, terms, cart, ref)
-        gamma = -terms.Xi @ terms.bias
-        e = cart.x - ref.x_d
-        edot = cart.xdot - ref.xdot_d
-        eddot = terms.Xi @ u0 + gamma - ref.xddot_d
+        gamma = -np.asarray(terms.Xi) @ terms.bias
+        e = np.asarray(cart.x) - ref.x_d
+        edot = np.asarray(cart.xdot) - ref.xdot_d
+        eddot = np.asarray(terms.Xi) @ u0 + gamma - ref.xddot_d
         u_s, _ = compensating_control(GAINS, state1, terms, e, edot, eddot, 1e-3)
-        assert np.abs(f_c2 - (u0 + u_s)).max() < 1e-9
+        assert np.abs(np.asarray(f_c2) - (np.asarray(u0) + u_s)).max() < 1e-9
 
     def test_zero_error_is_bias_feedforward(self):
         terms, cart = _terms()
@@ -180,13 +180,13 @@ class TestFullControl:
     def test_force_limit_clamps(self):
         gains = FxtismcGains(force_limit=1.0)
         terms, cart = _terms()
-        ref = DesiredPoint(cart.x + [0.5, 0.5], cart.xdot, (0.0, 0.0))
+        ref = DesiredPoint(np.asarray(cart.x) + [0.5, 0.5], cart.xdot, (0.0, 0.0))
         f_c, _ = control(gains, ControllerState(), terms, cart, ref, 1e-3)
         assert np.abs(f_c).max() <= 1.0
 
     def test_nominal_only_skips_compensator_state(self):
         terms, cart = _terms()
-        ref = DesiredPoint(cart.x + [0.01, 0.0], cart.xdot, (0.0, 0.0))
+        ref = DesiredPoint(np.asarray(cart.x) + [0.01, 0.0], cart.xdot, (0.0, 0.0))
         state = ControllerState()
         f_c, new_state = control(GAINS, state, terms, cart, ref, 1e-3,
                                  nominal_only=True)
