@@ -11,6 +11,8 @@ with the force as the control input. Axes are decoupled.
 Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
+The RK4 step is straight-line float code per axis over _msd_accel, the
+one MSD acceleration that drift_term also evaluates.
 """
 
 from dataclasses import dataclass
@@ -86,20 +88,22 @@ def drift_term(params: AdmittanceParams, state: AdmittanceState,
     return ax, ay
 
 
-def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, points, i, dt):
-    """Axis i of the RK4 step under the held input acceleration gf; points
-    are the desired samples at t, t + dt/2 and t + dt. Returns the next
-    (x1, x2) of that axis."""
-    def accel(x1, x2, d):
-        return _msd_accel(k_m, k_b, k_k, x1, x2, d.x_d[i], d.xdot_d[i], d.xddot_d[i]) + gf
-
-    d0, dh, d1 = points
-    k1p, k1v = x2, accel(x1, x2, d0)
-    k2p, k2v = x2 + 0.5 * dt * k1v, accel(x1 + 0.5 * dt * k1p, x2 + 0.5 * dt * k1v, dh)
-    k3p, k3v = x2 + 0.5 * dt * k2v, accel(x1 + 0.5 * dt * k2p, x2 + 0.5 * dt * k2v, dh)
-    k4p, k4v = x2 + dt * k3v, accel(x1 + dt * k3p, x2 + dt * k3v, d1)
-    return (x1 + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-            x2 + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh,
+              xddot_dh, x_d1, xdot_d1, xddot_d1, dt):
+    """One axis of the RK4 step under the held input acceleration gf; the
+    desired samples at t, t + dt/2 and t + dt come as that axis's floats.
+    Returns the next (x1, x2) of the axis."""
+    h = 0.5 * dt
+    k1p, k1v = x2, _msd_accel(k_m, k_b, k_k, x1, x2, x_d0, xdot_d0, xddot_d0) + gf
+    k2p = x2 + h * k1v
+    k2v = _msd_accel(k_m, k_b, k_k, x1 + h * k1p, k2p, x_dh, xdot_dh, xddot_dh) + gf
+    k3p = x2 + h * k2v
+    k3v = _msd_accel(k_m, k_b, k_k, x1 + h * k2p, k3p, x_dh, xdot_dh, xddot_dh) + gf
+    k4p = x2 + dt * k3v
+    k4v = _msd_accel(k_m, k_b, k_k, x1 + dt * k3p, k4p, x_d1, xdot_d1, xddot_d1) + gf
+    k = dt / 6.0
+    return (x1 + k * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+            x2 + k * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
@@ -115,14 +119,17 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     if isinstance(desired, DesiredPoint):
-        desired = (desired,) * 3
+        d0 = dh = d1 = desired
     elif callable(desired):
-        desired = (desired(t), desired(t + 0.5 * dt), desired(t + dt))
+        d0, dh, d1 = desired(t), desired(t + 0.5 * dt), desired(t + dt)
     elif len(desired) != 3:
         raise ValidationError("desired needs its samples at t, t + dt/2 and t + dt")
-    k_m, k_b, k_k, g = params.k_m, params.k_b, params.k_k, params.input_gain
-    x1, x2 = state.x1, state.x2
-    (x1x, x2x), (x1y, x2y) = [
-        _rk4_axis(k_m[i], k_b[i], k_k[i], g[i] * f, x1[i], x2[i], desired, i, dt)
-        for i, f in enumerate(float_pair(force))]
+    else:
+        d0, dh, d1 = desired
+    fx, fy = float_pair(force)
+    gx, gy = params.input_gain
+    (x1x, x2x), (x1y, x2y) = map(
+        _rk4_axis, params.k_m, params.k_b, params.k_k, (gx * fx, gy * fy),
+        state.x1, state.x2, d0.x_d, d0.xdot_d, d0.xddot_d, dh.x_d, dh.xdot_d,
+        dh.xddot_d, d1.x_d, d1.xdot_d, d1.xddot_d, (dt, dt))
     return AdmittanceState((x1x, x1y), (x2x, x2y))

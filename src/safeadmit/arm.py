@@ -10,6 +10,10 @@ Conventions:
   pairs, so the step never builds an array.
 - One set of sines and cosines per configuration (_trig) serves every term
   evaluated there: in an RK4 stage of plant_step, M, c, G, F and J^T f_e.
+- The step's kernels (plant_step through _qddot, cartesian_dynamics_terms)
+  are straight-line float code: the 2x2 products and inverses are written
+  out, in the operation order of the per-term functions (jacobian,
+  joint_dynamics_terms, joint_accel), so they equal those bit for bit.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -132,16 +136,6 @@ def _joint_terms(params: ManipulatorParams, trig, qd1: float, qd2: float,
     return M, c_vec, G, F
 
 
-def _inv2(A, det: float):
-    (a, b), (c, d) = A
-    return ((d / det, -b / det), (-c / det, a / det))
-
-
-def _det(A) -> float:
-    (a, b), (c, d) = A
-    return a * d - b * c
-
-
 def _mv(A, v) -> Pair:
     (a, b), (c, d) = A
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
@@ -151,17 +145,6 @@ def _tv(A, v) -> Pair:
     """A^T v."""
     (a, b), (c, d) = A
     return (a * v[0] + c * v[1], b * v[0] + d * v[1])
-
-
-def _mm(A, B):
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _transpose(A):
-    (a, b), (c, d) = A
-    return (a, c), (b, d)
 
 
 def forward_kinematics(params: ManipulatorParams, q) -> Pair:
@@ -188,33 +171,51 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
 
 def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
                              include_friction: bool = True) -> CartesianDynamicsTerms:
-    qdot = state.qdot
+    """M_x = J^-T M J^-1, bias = J^-T (c_vec + G + F - M J^-1 Jdot qdot) and
+    Xi = M_x^-1, with cofactor inverses; raises SingularConfiguration where
+    |det J| is below the tolerance."""
+    qd1, qd2 = state.qdot
     trig = _trig(*state.q)
-    J = _jac(params, trig)
-    det = _det(J)
+    (j00, j01), (j10, j11) = _jac(params, trig)
+    det = j00 * j11 - j01 * j10
     if abs(det) < params.singularity_tolerance:
         raise SingularConfiguration(
             f"|det J| = {abs(det):.3e} below tolerance {params.singularity_tolerance:.3e}"
         )
-    Jinv = _inv2(J, det)
-    JinvT = _transpose(Jinv)
-    M, c_vec, G, F = _joint_terms(params, trig, *qdot, include_friction)
-    Jdot = _jac_dot(params, trig, *qdot)
-    M_x = _mm(_mm(JinvT, M), Jinv)
-    coupling = _mv(M, _mv(Jinv, _mv(Jdot, qdot)))
-    bias = _mv(JinvT, [c + g + f - m for c, g, f, m in zip(c_vec, G, F, coupling)])
-    Xi = _inv2(M_x, _det(M_x))
-    return CartesianDynamicsTerms(M_x=M_x, bias=bias, Xi=Xi)
+    i00, i01, i10, i11 = j11 / det, -j01 / det, -j10 / det, j00 / det  # J^-1
+    ((m00, m01), (m10, m11)), (c1, c2), (g1, g2), (f1, f2) = _joint_terms(
+        params, trig, qd1, qd2, include_friction)
+    (d00, d01), (d10, d11) = _jac_dot(params, trig, qd1, qd2)
+    # P = J^-T M, then M_x = P J^-1
+    p00, p01 = i00 * m00 + i10 * m10, i00 * m01 + i10 * m11
+    p10, p11 = i01 * m00 + i11 * m10, i01 * m01 + i11 * m11
+    x00, x01 = p00 * i00 + p01 * i10, p00 * i01 + p01 * i11
+    x10, x11 = p10 * i00 + p11 * i10, p10 * i01 + p11 * i11
+    # coupling = M J^-1 Jdot qdot
+    a0, a1 = d00 * qd1 + d01 * qd2, d10 * qd1 + d11 * qd2
+    u0, u1 = i00 * a0 + i01 * a1, i10 * a0 + i11 * a1
+    r0 = c1 + g1 + f1 - (m00 * u0 + m01 * u1)
+    r1 = c2 + g2 + f2 - (m10 * u0 + m11 * u1)
+    det_x = x00 * x11 - x01 * x10
+    return CartesianDynamicsTerms(
+        M_x=((x00, x01), (x10, x11)),
+        bias=(i00 * r0 + i10 * r1, i01 * r0 + i11 * r1),
+        Xi=((x11 / det_x, -x01 / det_x), (-x10 / det_x, x00 / det_x)))
 
 
 def _qddot(params: ManipulatorParams, trig, qd1: float, qd2: float, tau_c: Pair,
            f_e: Pair, include_friction: bool) -> Pair:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F) at the configuration
-    whose sines and cosines are ``trig``."""
-    M, (c1, c2), (g1, g2), (fr1, fr2) = _joint_terms(params, trig, qd1, qd2, include_friction)
-    jf1, jf2 = _tv(_jac(params, trig), f_e)
+    whose sines and cosines are ``trig``, with the cofactor inverse of M."""
+    ((m00, m01), (m10, m11)), (c1, c2), (g1, g2), (fr1, fr2) = _joint_terms(
+        params, trig, qd1, qd2, include_friction)
+    (j00, j01), (j10, j11) = _jac(params, trig)
+    fx, fy = f_e
     t1, t2 = tau_c
-    return _mv(_inv2(M, _det(M)), (t1 + jf1 - c1 - g1 - fr1, t2 + jf2 - c2 - g2 - fr2))
+    r1 = t1 + (j00 * fx + j10 * fy) - c1 - g1 - fr1
+    r2 = t2 + (j01 * fx + j11 * fy) - c2 - g2 - fr2
+    det = m00 * m11 - m01 * m10
+    return (m11 / det * r1 + -m01 / det * r2, -m10 / det * r1 + m00 / det * r2)
 
 
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
@@ -235,23 +236,22 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     tau_c, f_e = float_pair(tau_c), float_pair(f_e)
-
-    def deriv(q1, q2, qd1, qd2):
-        return (qd1, qd2, *_qddot(params, _trig(q1, q2), qd1, qd2, tau_c, f_e,
-                                  include_friction))
-
-    def stage(h, k):
-        """The derivative at the step's start state plus h times k."""
-        return deriv(q1 + h * k[0], q2 + h * k[1], qd1 + h * k[2], qd2 + h * k[3])
-
+    h = 0.5 * dt
     (q1, q2), (qd1, qd2) = state.q, state.qdot
-    k1 = deriv(q1, q2, qd1, qd2)
-    k2 = stage(0.5 * dt, k1)
-    k3 = stage(0.5 * dt, k2)
-    k4 = stage(dt, k3)
-    y1, y2, y3, y4 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in
-                      zip((q1, q2, qd1, qd2), k1, k2, k3, k4)]
-    return JointState((y1, y2), (y3, y4))
+    # each stage's derivative is (qdot, qddot) at the start state plus a
+    # multiple of the previous stage's derivative
+    a1, a2 = _qddot(params, _trig(q1, q2), qd1, qd2, tau_c, f_e, include_friction)
+    p1, p2, v1, v2 = q1 + h * qd1, q2 + h * qd2, qd1 + h * a1, qd2 + h * a2
+    b1, b2 = _qddot(params, _trig(p1, p2), v1, v2, tau_c, f_e, include_friction)
+    r1, r2, w1, w2 = q1 + h * v1, q2 + h * v2, qd1 + h * b1, qd2 + h * b2
+    c1, c2 = _qddot(params, _trig(r1, r2), w1, w2, tau_c, f_e, include_friction)
+    s1, s2, z1, z2 = q1 + dt * w1, q2 + dt * w2, qd1 + dt * c1, qd2 + dt * c2
+    d1, d2 = _qddot(params, _trig(s1, s2), z1, z2, tau_c, f_e, include_friction)
+    k = dt / 6.0
+    return JointState((q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1),
+                       q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)),
+                      (qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                       qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:

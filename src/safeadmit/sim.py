@@ -233,6 +233,7 @@ def run(config: ScenarioConfig) -> Trace:
     bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
     log = array("d")  # per step: t, the VECTORS' x/y pairs, the barrier values
     events: list = []  # per step: the active set, the status
+    active_sets: dict = {}  # each distinct active set of the run, logged as one object
     k, t, stage = 0, 0.0, "start"
 
     try:
@@ -264,7 +265,7 @@ def run(config: ScenarioConfig) -> Trace:
 
             log.extend((t, *des.x_d, *adm.x1, *shadow.x1, *cart.x, *f_e, *f_hat, *f_comp,
                         *f_c, *h))
-            events += (active, status)
+            events += (active_sets.setdefault(active, active), status)
 
             if k < steps:
                 stage = "admittance"

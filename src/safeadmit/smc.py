@@ -13,17 +13,22 @@ The signed power [z]^a = sign(z)*|z|^a is used wherever fractional
 exponents of possibly-negative errors appear. The discontinuous switching
 term is smoothed by a boundary-layer saturation by default; pure sign
 switching is available behind ``use_sign`` for fidelity runs.
+
+control is straight-line float code on per-axis helpers shared with the
+public per-term functions (the nominal law with nominal_control, the
+sliding variable and its integrand with compensating_control and
+sliding_variable), in their operation order, so control equals
+nominal_control plus compensating_control bit for bit.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Tuple
 
 import numpy as np
 
 from .admittance import DesiredPoint
-from .arm import CartesianDynamicsTerms, CartesianState, _mv
+from .arm import CartesianDynamicsTerms, CartesianState
 from .errors import Pair, ValidationError, all_finite, require_finite
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
@@ -104,51 +109,70 @@ def _power_slope(z: float, a: float) -> float:
     return a * mag ** (a - 1.0)
 
 
-def _gamma(terms: CartesianDynamicsTerms) -> Pair:
-    """gamma = -Xi @ bias, the friction-free task-space drift."""
-    gx, gy = _mv(terms.Xi, terms.bias)
-    return -gx, -gy
-
-
-def _nominal(gains: FxtismcGains, M_x, gamma, x, xdot, x_d, xdot_d, xddot_d) -> Pair:
-    """The backstepping nominal law M_x @ v from per-axis floats."""
+def _nominal_axis(gains: FxtismcGains, gm: float, x: float, xdot: float, r: float,
+                  rdot: float, rddot: float) -> float:
+    """One axis of the backstepping law's acceleration v (the nominal force
+    is M_x v), under the drift gm, tracking (r, rdot, rddot)."""
     l1, l2, l3 = gains.lambda1, gains.lambda2, gains.lambda3
     a, b = gains.alpha, gains.beta
-    v = []
-    for gm, xi, xdi, r, rdot, rddot in zip(gamma, x, xdot, x_d, xdot_d, xddot_d):
-        s1 = xi - r
-        s1dot = xdi - rdot
-        alpha_s = -(l1 * s1 + l2 * _spow(s1, a) + l3 * _spow(s1, b)) + rdot
-        alpha_s_dot = (-(l1 + l2 * _power_slope(s1, a) + l3 * _power_slope(s1, b)) * s1dot
-                       + rddot)
-        s2 = xdi - alpha_s
-        v.append(-gm + alpha_s_dot - l1 * s2 - l2 * _spow(s2, a) - l3 * _spow(s2, b))
-    return _mv(M_x, v)
+    s1 = x - r
+    s1dot = xdot - rdot
+    alpha_s = -(l1 * s1 + l2 * _spow(s1, a) + l3 * _spow(s1, b)) + rdot
+    alpha_s_dot = (-(l1 + l2 * _power_slope(s1, a) + l3 * _power_slope(s1, b)) * s1dot
+                   + rddot)
+    s2 = xdot - alpha_s
+    return -gm + alpha_s_dot - l1 * s2 - l2 * _spow(s2, a) - l3 * _spow(s2, b)
+
+
+def _nominal(gains: FxtismcGains, terms: CartesianDynamicsTerms, cart: CartesianState,
+             ref: DesiredPoint):
+    """The nominal force M_x v and the friction-free task-space drift
+    gamma = -Xi bias, both pairs."""
+    (xi00, xi01), (xi10, xi11) = terms.Xi
+    b0, b1 = terms.bias
+    gx, gy = -(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1)
+    (x, y), (xdot, ydot) = cart.x, cart.xdot
+    (rx, ry), (rdx, rdy), (rddx, rddy) = ref.x_d, ref.xdot_d, ref.xddot_d
+    vx = _nominal_axis(gains, gx, x, xdot, rx, rdx, rddx)
+    vy = _nominal_axis(gains, gy, y, ydot, ry, rdy, rddy)
+    (m00, m01), (m10, m11) = terms.M_x
+    return (m00 * vx + m01 * vy, m10 * vx + m11 * vy), (gx, gy)
 
 
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
                     cart: CartesianState, ref: DesiredPoint) -> Pair:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    return _nominal(gains, terms.M_x, _gamma(terms), cart.x, cart.xdot,
-                    ref.x_d, ref.xdot_d, ref.xddot_d)
+    return _nominal(gains, terms, cart, ref)[0]
 
 
-def _sliding(gains: FxtismcGains, e: float, edot: float) -> float:
-    w = edot + gains.kappa2 * _spow(e, gains.n_exp)
-    return e + gains.kappa1 ** -gains.m_exp * _spow(w, 1.0 / gains.m_exp)
+def _surface_axis(gains: FxtismcGains, k1m: float, minv: float, e: float, edot: float,
+                  eddot: float):
+    """One axis of the sliding variable s and of its time derivative under
+    the model error acceleration eddot (chain rule through the signed
+    powers); k1m is kappa1^-m and minv is 1/m, for m = m_exp."""
+    m, n, kappa2 = gains.m_exp, gains.n_exp, gains.kappa2
+    w = edot + kappa2 * _spow(e, n)
+    wdot = eddot + kappa2 * n * abs(e) ** (n - 1.0) * edot
+    return (e + k1m * _spow(w, minv),
+            edot + k1m / m * abs(w) ** (minv - 1.0) * wdot)
 
 
 def sliding_variable(gains: FxtismcGains, e, edot) -> np.ndarray:
-    return np.vectorize(lambda e, edot: _sliding(gains, e, edot), otypes=[float])(e, edot)
+    k1m, minv = gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
+    return np.vectorize(lambda e, edot: _surface_axis(gains, k1m, minv, e, edot, 0.0)[0],
+                        otypes=[float])(e, edot)
 
 
-def _sigma_integrand(gains: FxtismcGains, e: float, edot: float, eddot: float) -> float:
-    """Time derivative of the sliding variable under the model error
-    acceleration eddot (chain rule through the signed powers)."""
-    m, n = gains.m_exp, gains.n_exp
-    w = edot + gains.kappa2 * _spow(e, n)
-    wdot = eddot + gains.kappa2 * n * abs(e) ** (n - 1.0) * edot
-    return edot + gains.kappa1 ** -m / m * abs(w) ** (1.0 / m - 1.0) * wdot
+def _reaching_axis(gains: FxtismcGains, sigma: float) -> float:
+    """One axis of the compensating acceleration for the integral sliding
+    variable sigma."""
+    if gains.use_sign:
+        switch = math.copysign(1.0, sigma) if sigma else 0.0
+    else:
+        switch = min(max(sigma / gains.boundary_layer, -1.0), 1.0)
+    return (-(gains.rho + gains.epsilon) * switch
+            - gains.kappa3 * _spow(sigma, gains.p_exp)
+            - gains.kappa4 * _spow(sigma, gains.q_exp))
 
 
 def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -163,26 +187,22 @@ def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    s = tuple(map(partial(_sliding, gains), e, edot))
-    g = tuple(map(partial(_sigma_integrand, gains), e, edot, eddot))
+    k1m, minv = gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
+    (ex, ey), (edx, edy), (eddx, eddy) = e, edot, eddot
+    sx, gx = _surface_axis(gains, k1m, minv, ex, edx, eddx)
+    sy, gy = _surface_axis(gains, k1m, minv, ey, edy, eddy)
     if not ctrl_state.initialized:
-        state = ControllerState(True, s, (0.0, 0.0), g)
+        s0x, s0y = sx, sy
+        ix = iy = 0.0
     else:
-        integral = tuple(i + 0.5 * dt * (gp + gi) for i, gp, gi in
-                         zip(ctrl_state.sigma_integral, ctrl_state.prev_integrand, g))
-        state = ControllerState(True, ctrl_state.s_initial, integral, g)
-    bl = gains.boundary_layer
-    v = []
-    for si, s0, i in zip(s, state.s_initial, state.sigma_integral):
-        sigma = si - s0 - i
-        if gains.use_sign:
-            switch = math.copysign(1.0, sigma) if sigma else 0.0
-        else:
-            switch = min(max(sigma / bl, -1.0), 1.0)
-        v.append(-(gains.rho + gains.epsilon) * switch
-                 - gains.kappa3 * _spow(sigma, gains.p_exp)
-                 - gains.kappa4 * _spow(sigma, gains.q_exp))
-    return _mv(terms.M_x, v), state
+        (s0x, s0y), (ix, iy) = ctrl_state.s_initial, ctrl_state.sigma_integral
+        px, py = ctrl_state.prev_integrand
+        ix, iy = ix + 0.5 * dt * (px + gx), iy + 0.5 * dt * (py + gy)
+    state = ControllerState(True, (s0x, s0y), (ix, iy), (gx, gy))
+    vx = _reaching_axis(gains, sx - s0x - ix)
+    vy = _reaching_axis(gains, sy - s0y - iy)
+    (m00, m01), (m10, m11) = terms.M_x
+    return (m00 * vx + m01 * vy, m10 * vx + m11 * vy), state
 
 
 def control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -195,20 +215,19 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     task-space dynamics under the nominal force alone. A force or a
     controller state that is not finite raises ValidationError.
     """
-    x, xdot = cart.x, cart.xdot
-    x_d, xdot_d, xddot_d = ref.x_d, ref.xdot_d, ref.xddot_d
-    gamma = _gamma(terms)
-    f_c = _nominal(gains, terms.M_x, gamma, x, xdot, x_d, xdot_d, xddot_d)
+    (fx, fy), (gx, gy) = _nominal(gains, terms, cart, ref)
     state = ctrl_state
     if not nominal_only:
-        e = [a - b for a, b in zip(x, x_d)]
-        edot = [a - b for a, b in zip(xdot, xdot_d)]
-        model_acc = _mv(terms.Xi, f_c)
-        eddot = [a + gm - r for a, gm, r in zip(model_acc, gamma, xddot_d)]
-        u_s, state = compensating_control(gains, ctrl_state, terms, e, edot, eddot, dt)
-        f_c = [u0 + us for u0, us in zip(f_c, u_s)]
+        (xi00, xi01), (xi10, xi11) = terms.Xi
+        (x, y), (xdot, ydot) = cart.x, cart.xdot
+        (rx, ry), (rdx, rdy), (rddx, rddy) = ref.x_d, ref.xdot_d, ref.xddot_d
+        # the model error acceleration: Xi f_nominal + gamma - xddot_d
+        eddot = (xi00 * fx + xi01 * fy + gx - rddx, xi10 * fx + xi11 * fy + gy - rddy)
+        (ux, uy), state = compensating_control(gains, ctrl_state, terms, (x - rx, y - ry),
+                                               (xdot - rdx, ydot - rdy), eddot, dt)
+        fx, fy = fx + ux, fy + uy
     limit = gains.force_limit
-    fx, fy = [min(max(f, -limit), limit) for f in f_c]
+    fx, fy = min(max(fx, -limit), limit), min(max(fy, -limit), limit)
     if not all_finite(fx, fy, *state.s_initial, *state.sigma_integral, *state.prev_integrand):
         raise ValidationError("control force or controller state entries must be finite")
     return (fx, fy), state

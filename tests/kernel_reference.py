@@ -1,17 +1,21 @@
 """Numpy reference for the float step kernels, used as the oracle in the
 tests.
 
-These are the array formulations of the admittance RK4 step and of the
-two-link plant RK4 step: every 2-vector is a numpy array and every 2x2
-matrix is inverted with numpy's cofactor formula. The admittance step does
-the same floating-point operations in the same order as the float kernel,
-so the two agree bit for bit; the plant step groups its matrix products
-differently, so the two agree to rounding.
+These are the array formulations of the admittance RK4 step, of the
+two-link plant RK4 step and of the task-space dynamics terms: every
+2-vector is a numpy array. The plant step inverts its 2x2 mass matrix with
+the cofactor formula, the task-space terms with numpy's inverse. The
+admittance step does the same floating-point operations in the same order
+as the float kernel, so the two agree bit for bit; the plant step and the
+task-space terms group their matrix products differently, so they agree to
+rounding.
 """
 
 import math
 
 import numpy as np
+
+from safeadmit.arm import jacobian, jacobian_dot, joint_dynamics_terms
 
 
 def admittance_step(k_m, k_b, k_k, x1, x2, desired, force, dt):
@@ -72,3 +76,16 @@ def plant_step(params, q, qdot, tau_c, f_e, dt, include_friction=True):
     k4q, k4v = deriv(q + dt * k3q, qdot + dt * k3v)
     return (q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
             qdot + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
+def cartesian_dynamics_terms(params, state, include_friction=True):
+    """(M_x, bias, Xi) of the task-space dynamics as numpy arrays, from the
+    public Jacobian, joint terms and Jacobian derivative, with numpy's
+    matrix products and inverses."""
+    J = np.array(jacobian(params, state.q))
+    M, c_vec, G, F = (np.array(v) for v in joint_dynamics_terms(params, state, include_friction))
+    Jdot = np.array(jacobian_dot(params, state))
+    Jinv = np.linalg.inv(J)
+    M_x = Jinv.T @ M @ Jinv
+    bias = Jinv.T @ (c_vec + G + F - M @ Jinv @ Jdot @ np.array(state.qdot))
+    return M_x, bias, np.linalg.inv(M_x)

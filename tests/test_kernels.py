@@ -1,16 +1,21 @@
 """The float step kernels against independent formulations: the closed-form
-two-variable projection against the SVD enumeration, and the admittance and
-plant RK4 steps against the numpy reference in kernel_reference.py."""
+two-variable projection against the SVD enumeration; the admittance and
+plant RK4 steps and the task-space terms against the numpy reference in
+kernel_reference.py; and the plant step and the controller, bit for bit,
+against their composition from the public per-term functions."""
 
 import math
 
 import numpy as np
 import pytest
 
-from safeadmit import (AdmittanceParams, AdmittanceState, DesiredPoint,
-                       InfeasibleQp, JointState, ManipulatorParams, QpProblem,
-                       admittance_step, plant_step, solve)
+from safeadmit import (AdmittanceParams, AdmittanceState, ControllerState, DesiredPoint,
+                       FxtismcGains, InfeasibleQp, JointState, ManipulatorParams, QpProblem,
+                       admittance_step, compensating_control, nominal_control, plant_step,
+                       solve)
+from safeadmit.arm import cartesian_dynamics_terms, cartesian_state, joint_accel
 from safeadmit.qp import RANK_TOL
+from safeadmit.smc import control
 
 import kernel_reference as ref
 
@@ -153,3 +158,88 @@ class TestPlantKernel:
                 scale = max(np.abs(want).max(), 1.0)
                 worst = max(worst, np.abs(got - want).max() / scale)
         assert worst <= 1e-13
+
+
+def _random_joint_state(rng):
+    """A joint state away from the elbow singularities (0 < q2 < pi)."""
+    return JointState(rng.uniform([-math.pi, 0.3], [math.pi, 2.8]), rng.uniform(-2, 2, 2))
+
+
+class TestTaskSpaceKernel:
+    @pytest.mark.parametrize("include_friction", [True, False])
+    def test_matches_numpy(self, include_friction):
+        rng = np.random.default_rng(17)
+        params = ManipulatorParams()
+        worst = 0.0
+        for _ in range(1000):
+            st = _random_joint_state(rng)
+            terms = cartesian_dynamics_terms(params, st, include_friction)
+            want = ref.cartesian_dynamics_terms(params, st, include_friction)
+            for got, w in zip((terms.M_x, terms.bias, terms.Xi), want):
+                worst = max(worst, np.abs(np.asarray(got) - w).max() / np.abs(w).max())
+        assert worst <= 1e-13
+
+
+def _rk4_from_joint_accel(params, q, qdot, tau_c, f_e, dt, include_friction):
+    """One RK4 step of (q, qdot) whose derivative is (qdot, joint_accel)."""
+    def deriv(y):
+        return (y[2], y[3], *joint_accel(params, y[:2], y[2:], tau_c, f_e, include_friction))
+
+    y = (*q, *qdot)
+    k1 = deriv(y)
+    k2 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
+    k3 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
+    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)])
+    y1, y2, y3, y4 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return (y1, y2), (y3, y4)
+
+
+def _control_from_public(gains, ctrl_state, terms, cart, ref_point, dt):
+    """nominal_control plus compensating_control under the model error
+    acceleration Xi u0 + gamma - xddot_d, with gamma = -Xi bias, clamped."""
+    u0x, u0y = nominal_control(gains, terms, cart, ref_point)
+    (xi00, xi01), (xi10, xi11) = terms.Xi
+    b0, b1 = terms.bias
+    gamma = (-(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1))
+    model_acc = (xi00 * u0x + xi01 * u0y, xi10 * u0x + xi11 * u0y)
+    e = [a - b for a, b in zip(cart.x, ref_point.x_d)]
+    edot = [a - b for a, b in zip(cart.xdot, ref_point.xdot_d)]
+    eddot = [a + gm - r for a, gm, r in zip(model_acc, gamma, ref_point.xddot_d)]
+    u_s, state = compensating_control(gains, ctrl_state, terms, e, edot, eddot, dt)
+    limit = gains.force_limit
+    return tuple(min(max(a + b, -limit), limit) for a, b in zip((u0x, u0y), u_s)), state
+
+
+class TestKernelsEqualPublicComposition:
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3])
+    @pytest.mark.parametrize("include_friction", [True, False])
+    def test_plant_step_is_rk4_of_joint_accel(self, include_friction, dt):
+        rng = np.random.default_rng(19)
+        params = ManipulatorParams()
+        for _ in range(500):
+            st = _random_joint_state(rng)
+            tau, f = rng.uniform(-20, 20, 2).tolist(), rng.uniform(-10, 10, 2).tolist()
+            out = plant_step(params, st, tau, f, dt, include_friction=include_friction)
+            assert (out.q, out.qdot) == _rk4_from_joint_accel(params, st.q, st.qdot, tau, f,
+                                                              dt, include_friction)
+
+    @pytest.mark.parametrize("gains", [FxtismcGains(), FxtismcGains(force_limit=5.0),
+                                       FxtismcGains(use_sign=True)],
+                             ids=["default", "clamped", "sign"])
+    def test_control_is_nominal_plus_compensation(self, gains):
+        rng = np.random.default_rng(23)
+        params = ManipulatorParams()
+        for _ in range(500):
+            st = _random_joint_state(rng)
+            terms = cartesian_dynamics_terms(params, st, include_friction=False)
+            cart = cartesian_state(params, st)
+            ref_point = DesiredPoint(np.add(cart.x, rng.uniform(-0.05, 0.05, 2)),
+                                     np.add(cart.xdot, rng.uniform(-0.5, 0.5, 2)),
+                                     rng.uniform(-2, 2, 2))
+            initialized = ControllerState(True, *(tuple(rng.uniform(-0.1, 0.1, 2).tolist())
+                                                  for _ in range(3)))
+            for ctrl_state in (ControllerState(), initialized):
+                got = control(gains, ctrl_state, terms, cart, ref_point, 1e-3)
+                assert got == _control_from_public(gains, ctrl_state, terms, cart, ref_point,
+                                                   1e-3)

@@ -187,6 +187,12 @@ class TestRun:
             tracemalloc.stop()
         assert peak / steps <= 600, f"{peak / steps:.0f} B per step"
 
+    def test_active_sets_are_shared(self):
+        # the trace holds one tuple object per distinct active set, not one
+        # per step
+        trace = run(replace(scenario_library()["combined"], duration=2.0))
+        assert len(set(map(id, trace.qp_active))) == len(set(trace.qp_active))
+
     def test_start_outside_safe_set_aborts_with_trace(self):
         cfg = replace(scenario_library()["workspace"],
                       admittance_start=(0.2, 0.0), duration=1.0)
