@@ -12,11 +12,13 @@ Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
 The RK4 step is straight-line float code per axis over _msd_accel, the
-one MSD acceleration that drift_term also evaluates.
+one MSD acceleration that drift_term also evaluates. Its desired input is
+one DesiredPoint held over the step, or the three samples at the RK4
+substep times.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import Pair, ValidationError, all_finite, float_pair, require_finite
 
@@ -69,8 +71,7 @@ class DesiredPoint:
         self.xddot_d = float_pair(self.xddot_d)
 
 
-DesiredInput = Union[DesiredPoint, Callable[[float], DesiredPoint],
-                     Sequence[DesiredPoint]]
+DesiredInput = Union[DesiredPoint, Sequence[DesiredPoint]]
 
 
 def _msd_accel(k_m: float, k_b: float, k_k: float, x1: float, x2: float,
@@ -107,25 +108,23 @@ def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh,
 
 
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
-                    desired: DesiredInput, force, dt: float,
-                    t: float = 0.0) -> AdmittanceState:
+                    desired: DesiredInput, force, dt: float) -> AdmittanceState:
     """One RK4 step with the force pair zero-order-held across the step.
 
-    ``desired`` is a single DesiredPoint (held constant), a callable
-    t -> DesiredPoint sampled at the RK4 substep times t, t + dt/2 and
-    t + dt, or those three samples as a sequence, so that several
-    references stepped over the same interval can share one sampling.
+    ``desired`` is a single DesiredPoint (held constant), or its three
+    samples at the RK4 substep times t, t + dt/2 and t + dt as a sequence,
+    so that several references stepped over the same interval can share
+    one sampling.
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     if isinstance(desired, DesiredPoint):
         d0 = dh = d1 = desired
-    elif callable(desired):
-        d0, dh, d1 = desired(t), desired(t + 0.5 * dt), desired(t + dt)
-    elif len(desired) != 3:
-        raise ValidationError("desired needs its samples at t, t + dt/2 and t + dt")
-    else:
+    elif isinstance(desired, (tuple, list)) and len(desired) == 3:
         d0, dh, d1 = desired
+    else:
+        raise ValidationError("desired needs a DesiredPoint or its samples at "
+                              "t, t + dt/2 and t + dt")
     fx, fy = float_pair(force)
     gx, gy = params.input_gain
     (x1x, x2x), (x1y, x2y) = map(

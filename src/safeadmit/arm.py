@@ -259,8 +259,9 @@ def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianSt
     return CartesianState(_fk(params, trig), _mv(_jac(params, trig), state.qdot))
 
 
-def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> Pair:
-    """Closed-form IK of the end-effector position; raises if unreachable."""
+def inverse_kinematics(params: ManipulatorParams, x) -> Pair:
+    """Closed-form IK of the end-effector position on the elbow-up branch
+    (q2 >= 0); raises if unreachable."""
     x = np.asarray(x, dtype=float)
     l1, l2 = params.l1, params.l2
     r2 = float(x @ x)
@@ -268,7 +269,5 @@ def inverse_kinematics(params: ManipulatorParams, x, elbow_up: bool = True) -> P
     if abs(c2) > 1.0:
         raise ValidationError(f"target {x} outside the reachable workspace")
     q2 = math.acos(c2)
-    if not elbow_up:
-        q2 = -q2
     q1 = math.atan2(x[1], x[0]) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
     return q1, q2

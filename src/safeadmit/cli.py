@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import parse_config
+from .config import CONSTRAINT_SETS, parse_config
 from .errors import ConfigError, SimulationAborted, ValidationError
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
 from .sim import ScenarioConfig, run, scenario_library
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-filter", action="store_true",
                        help="bypass the safety filter")
     p_run.add_argument("--constraints",
-                       choices=["workspace", "obstacle", "both", "none"],
+                       choices=list(CONSTRAINT_SETS),
                        default=None, help="override the enabled constraints")
     p_run.add_argument("--duration", type=float, default=None)
     p_run.add_argument("--dt", type=float, default=None)
@@ -68,17 +68,12 @@ def _resolve_scenario(name: str) -> ScenarioConfig:
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if args.constraints is not None:
-        ws = config.workspace
-        obs = config.obstacle
-        if args.constraints in ("workspace", "both") and ws is None:
-            ws = WorkspaceConstraint()
-        if args.constraints in ("obstacle", "none"):
-            ws = None
-        if args.constraints in ("obstacle", "both") and obs is None:
-            obs = ObstacleConstraint()
-        if args.constraints in ("workspace", "none"):
-            obs = None
-        config = replace(config, workspace=ws, obstacle=obs)
+        # an enabled constraint keeps its configured geometry, else takes the default
+        enabled = CONSTRAINT_SETS[args.constraints]
+        config = replace(config, **{
+            name: (getattr(config, name) or cls()) if name in enabled else None
+            for name, cls in (("workspace", WorkspaceConstraint),
+                              ("obstacle", ObstacleConstraint))})
     if args.no_filter:
         config = replace(config, filter_bypass=True)
     if args.slack:

@@ -5,8 +5,8 @@ default, and an empty file yields the `combined` constraint setup):
 
   [robot]        m1 m2 l1 l2 gravity singularity_tolerance
   [admittance]   k_m k_b k_k                (scalar or "x,y" pair)
-  [ecbf]         k_max k_min k_obs          ("position,velocity" pairs;
-                                             k_max and k_min serve both axes)
+  [ecbf]         k_max k_min k_obs          ("position,velocity" pairs, one
+                                             per barrier kind)
   [controller]   lambda1..lambda3 alpha beta kappa1..kappa4
                  m_exp n_exp p_exp q_exp rho epsilon
                  boundary_layer use_sign force_limit
@@ -20,8 +20,8 @@ finite. One field table, _FIELDS, gives the known keys, the parser and
 serialize_config, so parse_config_text(serialize_config(c)) equals c field
 for field. serialize_config raises ValidationError, naming the key, for a
 config the INI cannot carry: a workspace r that differs from the obstacle
-r, a K_max or K_min whose two axes differ, a number that is not finite, or
-a name with a line break or with leading or trailing whitespace.
+r, a number that is not finite, or a name with a line break or with
+leading or trailing whitespace.
 """
 
 import configparser
@@ -44,9 +44,10 @@ _TARGETS = {"robot": ManipulatorParams, "admittance": AdmittanceParams,
             "workspace": WorkspaceConstraint, "obstacle": ObstacleConstraint,
             "scenario": ScenarioConfig}
 
-# The optional constraints each value of [constraints] set enables.
-_CONSTRAINT_SETS = {"workspace": ("workspace",), "obstacle": ("obstacle",),
-                    "both": ("workspace", "obstacle"), "none": ()}
+# The optional constraints each value of [constraints] set (and of the
+# command line's --constraints) enables.
+CONSTRAINT_SETS = {"workspace": ("workspace",), "obstacle": ("obstacle",),
+                   "both": ("workspace", "obstacle"), "none": ()}
 
 
 def _numbers(*sizes):
@@ -80,9 +81,9 @@ def _auto_or_pair(section, key, raw):
 
 
 def _constraint_set(section, key, raw) -> str:
-    if raw not in _CONSTRAINT_SETS:
+    if raw not in CONSTRAINT_SETS:
         raise ConfigError(
-            f"[{section}] {key} must be one of {tuple(_CONSTRAINT_SETS)}, got {raw!r}")
+            f"[{section}] {key} must be one of {tuple(CONSTRAINT_SETS)}, got {raw!r}")
     return raw
 
 
@@ -123,12 +124,12 @@ def _named_like(section, cls, kind):
 
 # The field table, one row per INI key: (section, key, kind, places). A
 # place is (target, field), or (target, field, index) for one entry of a
-# sequence field; r, k_max and k_min each fill two places.
+# sequence field; r fills two places.
 _FIELDS = (
     *_named_like("robot", ManipulatorParams, _NUM),
     *_named_like("admittance", AdmittanceParams, _NUM_OR_PAIR),
-    ("ecbf", "k_max", _PAIR, (("ecbf", "K_max", 0), ("ecbf", "K_max", 1))),
-    ("ecbf", "k_min", _PAIR, (("ecbf", "K_min", 0), ("ecbf", "K_min", 1))),
+    _one("ecbf", "k_max", _PAIR, "ecbf", "K_max"),
+    _one("ecbf", "k_min", _PAIR, "ecbf", "K_min"),
     _one("ecbf", "k_obs", _PAIR, "ecbf", "K_obs"),
     *_named_like("controller", FxtismcGains, _NUM),
     _one("scenario", "name", _NAME, "scenario"),
@@ -154,7 +155,7 @@ _FIELDS = (
 _ROWS = {(section, key): (kind, places) for section, key, kind, places in _FIELDS}
 _SECTIONS = {section for section, _ in _ROWS}
 # Default instances, from which a sequence field that the INI fills one
-# entry at a time (a1, a2, k_max, k_min) takes its other entries.
+# entry at a time (a1, a2) takes its other entry.
 _DEFAULTS = {target: cls() for target, cls in _TARGETS.items()}
 
 
@@ -189,7 +190,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
                 else:
                     kwargs[target][name] = value
 
-    enabled = _CONSTRAINT_SETS[parser.get("constraints", "set", fallback="both")]
+    enabled = CONSTRAINT_SETS[parser.get("constraints", "set", fallback="both")]
     parts = {target: cls(**kwargs[target])
              if target in enabled or target not in ("workspace", "obstacle") else None
              for target, cls in _TARGETS.items() if target != "scenario"}
@@ -207,7 +208,7 @@ def serialize_config(config: ScenarioConfig) -> str:
             lines += ([""] if lines else []) + [f"[{section}]"]
         if key == "set":
             enabled = tuple(t for t in ("workspace", "obstacle") if objs[t] is not None)
-            values = [next(k for k, v in _CONSTRAINT_SETS.items() if v == enabled)]
+            values = [next(k for k, v in CONSTRAINT_SETS.items() if v == enabled)]
         else:
             values = [getattr(objs[t], name)[index[0]] if index else getattr(objs[t], name)
                       for t, name, *index in places if objs[t] is not None]

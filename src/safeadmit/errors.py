@@ -59,13 +59,8 @@ def all_finite(*values: float) -> bool:
 
 
 def _pair(v) -> np.ndarray:
-    """A fresh float 2-vector from a 2-vector, or from a scalar repeated."""
-    arr = np.array(v, dtype=float)
-    if arr.shape == (2,):
-        return arr
-    if arr.ndim == 0:
-        return np.full(2, float(arr))
-    return arr.reshape(2)
+    """A fresh float 2-vector of float_pair(v)."""
+    return np.array(float_pair(v))
 
 
 def float_pair(v) -> Pair:

@@ -18,7 +18,9 @@ per-axis input gain g = 1/k_m, each barrier has relative degree two:
                          q = 2 w (x1 - c) * g
 
 so enforcing h_ddot + K0 * h + K1 * Lf_h >= 0 for every row is a set of
-linear rows A u <= b with A = -q and b = p + K0 * h + K1 * Lf_h. The filter
+linear rows A u <= b with A = -q and b = p + K0 * h + K1 * Lf_h. The gain
+pair (K0, K1) is one per barrier kind (EcbfGains): K_max for the upper box
+sides, K_min for the lower ones and K_obs for the obstacle. The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
@@ -42,6 +44,9 @@ from .qp import QpProblem, solve, solve_with_slack
 DEFAULT_BOUNDS = 0.13
 DEFAULT_OBSTACLE = (-0.07, 0.07)
 DEFAULT_SAFE_DISTANCE = 0.04
+# How far past a barrier's boundary the reference may start: the rounding
+# of a start clipped onto the shrunk workspace box.
+_START_TOL = 1e-9
 
 
 @dataclass
@@ -74,31 +79,25 @@ class ObstacleConstraint:
             raise ValidationError("safe distance r must be positive")
 
 
-def _gain_pairs(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape == (2,):
-        arr = np.stack([arr, arr])
-    return arr.reshape(2, 2).copy()
-
-
 @dataclass
 class EcbfGains:
-    """Barrier condition coefficients [position-gain, velocity-gain].
+    """Barrier condition coefficients, one (position, velocity) gain pair
+    per barrier kind: the upper and the lower box sides, and the obstacle.
+    Each pair serves every row of its kind."""
 
-    K_max / K_min carry one pair per axis (a single pair broadcasts to
-    both axes); K_obs is one pair.
-    """
-
-    K_max: np.ndarray = (500.0, 50.0)
-    K_min: np.ndarray = (500.0, 50.0)
-    K_obs: np.ndarray = (700.0, 70.0)
+    K_max: Pair = (500.0, 50.0)
+    K_min: Pair = (500.0, 50.0)
+    K_obs: Pair = (700.0, 70.0)
 
     def __post_init__(self):
-        self.K_max = _gain_pairs(self.K_max)
-        self.K_min = _gain_pairs(self.K_min)
-        self.K_obs = np.asarray(self.K_obs, dtype=float).reshape(2).copy()
+        for name in ("K_max", "K_min", "K_obs"):
+            k = np.asarray(getattr(self, name), dtype=float)
+            if k.shape != (2,):
+                raise ValidationError(f"{name} must be one (position, velocity) pair, "
+                                      f"got shape {k.shape}")
+            setattr(self, name, tuple(k.tolist()))
         require_finite(self)
-        if (self.K_max <= 0).any() or (self.K_min <= 0).any() or (self.K_obs <= 0).any():
+        if min(*self.K_max, *self.K_min, *self.K_obs) <= 0.0:
             raise ValidationError("barrier gains must be positive")
 
 
@@ -130,30 +129,28 @@ class ConstraintSet:
     wall, -1 for a lower one, 0 for the obstacle).
 
     With ``slack`` set, a step whose rows conflict takes the penalized
-    projection instead of aborting; ``slack_weight`` prices the squared
-    slack of a unit-norm row, in N^-2 (see filter_force).
+    projection instead of aborting (see filter_force).
     """
 
     workspace: Optional[WorkspaceConstraint] = None
     obstacle: Optional[ObstacleConstraint] = None
     gains: EcbfGains = field(default_factory=EcbfGains)
     slack: bool = False
-    slack_weight: float = 1e6
 
     def __post_init__(self):
         rows = []
-        ws, obs = self.workspace, self.obstacle
+        ws, obs, gains = self.workspace, self.obstacle, self.gains
         if ws is not None:
-            for axis, suffix in ((0, "x"), (1, "y")):
-                e = np.eye(2)[axis]
-                rows.append((f"ws_max_{suffix}", e, ws.x_max, ws.r, self.gains.K_max[axis], 1.0))
-                rows.append((f"ws_min_{suffix}", e, ws.x_min, ws.r, self.gains.K_min[axis], -1.0))
+            x_max, x_min = float_pair(ws.x_max), float_pair(ws.x_min)
+            for w, suffix in (((1.0, 0.0), "x"), ((0.0, 1.0), "y")):
+                rows.append((f"ws_max_{suffix}", w, x_max, ws.r, gains.K_max, 1.0))
+                rows.append((f"ws_min_{suffix}", w, x_min, ws.r, gains.K_min, -1.0))
         if obs is not None:
-            rows.append(("obs", np.ones(2), obs.x_obs, obs.r, self.gains.K_obs, 0.0))
+            rows.append(("obs", (1.0, 1.0), float_pair(obs.x_obs), obs.r, gains.K_obs, 0.0))
         self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
         # per row: w (2 floats), c (2 floats), r, side
-        self._rows = [(*w.tolist(), *c.tolist(), r, side) for _, w, c, r, _, side in rows]
-        self._K = tuple(tuple(K.tolist()) for _, _, _, _, K, _ in rows)
+        self._rows = [(*w, *c, r, side) for _, w, c, r, _, side in rows]
+        self._K = tuple(K for _, _, _, _, K, _ in rows)
 
     def _h(self, x1):
         """Per row: the weighted offsets w * (x1 - c) and the barrier value h."""
@@ -197,8 +194,7 @@ class FilterDiagnostics:
     slack_max: float = 0.0
 
 
-def check_start_inside(cset: ConstraintSet, adm: AdmittanceState,
-                       tol: float = 1e-9) -> None:
+def check_start_inside(cset: ConstraintSet, adm: AdmittanceState) -> None:
     """Verify the reference starts in the intended safe-set component.
 
     For a box side the safe set h >= 0 has two components; only the one on
@@ -206,7 +202,7 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState,
     toward the wall must be at most -r. For the obstacle, h >= 0.
     """
     for name, (*_, r, side), (wd0, wd1, h) in zip(cset.names, cset._rows, cset._h(adm.x1)):
-        bad = side * (wd0 + wd1) > -r + tol if side else h < -tol
+        bad = side * (wd0 + wd1) > -r + _START_TOL if side else h < -_START_TOL
         if bad:
             raise StartOutsideSafeSet(
                 f"reference start {adm.x1} outside the safe set of barrier row "
@@ -235,8 +231,6 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """
     fx, fy = f_e
     rows = cset.evaluate(adm, drift, g)
-    if not cset.names:
-        return (fx, fy), (0.0, 0.0), FilterDiagnostics(rows, active=(), status="ok")
     problem = assemble_qp(rows, (fx, fy))
     try:
         sol = solve(problem)
@@ -244,7 +238,7 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     except InfeasibleQp:
         if not cset.slack:
             raise
-        sol, slacks = solve_with_slack(_unit_rows(problem), cset.slack_weight)
+        sol, slacks = solve_with_slack(_unit_rows(problem))
         slack_max = float(slacks.max())
         diag = FilterDiagnostics(rows, active=sol.active_set,
                                  status="slack" if slack_max > 0.0 else "ok",

@@ -29,9 +29,12 @@ from .smc import ControllerState, FxtismcGains
 # Table-1 style defaults shared by the preset scenarios.
 DEFAULT_Q0 = (0.5236, 2.0944)
 DEFAULT_AMPLITUDES = (1.0, 2.0)
+DEFAULT_CIRCLE_RADIUS = 0.14
+DEFAULT_CIRCLE_RATE = 0.5
 
 
-def desired_trajectory(t: float, radius: float = 0.14, rate: float = 0.5) -> DesiredPoint:
+def desired_trajectory(t: float, radius: float = DEFAULT_CIRCLE_RADIUS,
+                       rate: float = DEFAULT_CIRCLE_RATE) -> DesiredPoint:
     """Circular desired trajectory with analytic derivatives."""
     c, s = math.cos(rate * t), math.sin(rate * t)
     return DesiredPoint(
@@ -62,8 +65,8 @@ class ScenarioConfig:
     name: str = "custom"
     duration: float = 16.0
     dt: float = 1e-3
-    circle_radius: float = 0.14
-    circle_rate: float = 0.5
+    circle_radius: float = DEFAULT_CIRCLE_RADIUS
+    circle_rate: float = DEFAULT_CIRCLE_RATE
     force_amplitude: Tuple[float, float] = DEFAULT_AMPLITUDES
     robot: ManipulatorParams = field(default_factory=ManipulatorParams)
     admittance: AdmittanceParams = field(default_factory=AdmittanceParams)
@@ -271,8 +274,8 @@ def run(config: ScenarioConfig) -> Trace:
                 stage = "admittance"
                 # one sampling of the substep points serves both references
                 points = (des, desired(t + 0.5 * dt), desired(t + dt))
-                adm = admittance_step(adm_params, adm, points, f_hat, dt, t=t)
-                shadow = admittance_step(adm_params, shadow, points, f_e, dt, t=t)
+                adm = admittance_step(adm_params, adm, points, f_hat, dt)
+                shadow = admittance_step(adm_params, shadow, points, f_e, dt)
                 stage = "plant"
                 tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
                 joint = arm.plant_step(params, joint, tau_c, f_e, dt)

@@ -17,13 +17,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .safety import ObstacleConstraint, WorkspaceConstraint
+from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
 from .sim import QP_STATUSES, VECTORS, Trace
 
 _PREFIXES = ("xd", "xf", "xrs", "xa", "fe", "feh", "fec", "fc")  # one per name in VECTORS
 _LEADING = ["t"] + [f"{p}_{axis}" for p in _PREFIXES for axis in "xy"]
 _TRAILING = ["qp_active", "qp_status"]
 _BLOCK = 4096  # rows converted at a time, which bounds the text held in memory
+# The report's tracking error skips the first second, while the tracker
+# converges from its start.
+_TRANSIENT_S = 1.0
+# The plot draws every tenth sample of a trajectory, which keeps the SVG small.
+_PLOT_STRIDE = 10
 
 
 def csv_header(trace: Trace) -> List[str]:
@@ -166,7 +171,8 @@ class RunReport:
         out = [f"scenario: {self.scenario}"]
         for name, h in self.min_h.items():
             out.append(f"min h[{name}]: {h:.6g}")
-        out.append(f"max tracking error (t >= 1 s): {self.max_tracking_error:.6g} m")
+        out.append(f"max tracking error (t >= {_TRANSIENT_S:g} s): "
+                   f"{self.max_tracking_error:.6g} m")
         out.append(f"max |x_f|: ({self.max_abs_xf[0]:.6g}, {self.max_abs_xf[1]:.6g}) m")
         if self.min_obstacle_distance is not None:
             out.append(f"min obstacle distance: {self.min_obstacle_distance:.6g} m")
@@ -182,15 +188,14 @@ class RunReport:
 
 
 def compute_report(trace: Trace, scenario: str = "custom",
-                   safe_distance: float = 0.04,
-                   transient: float = 1.0,
+                   safe_distance: float = DEFAULT_SAFE_DISTANCE,
                    runtime_s: Optional[float] = None) -> RunReport:
     """Derive the summary report from the trace's columns only (so a report
     rebuilt from CSV matches the one printed at run time field for field)."""
     if not len(trace):
         raise ValidationError("cannot report on an empty trace")
     min_h = dict(zip(trace.h_names, trace.h.min(axis=0).tolist()))
-    late = trace.t >= transient
+    late = trace.t >= _TRANSIENT_S
     d = trace.x_actual[late] - trace.x_f[late]
     err = float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
     max_abs_xf = tuple(np.abs(trace.x_f).max(axis=0).tolist())
@@ -209,8 +214,8 @@ def compute_report(trace: Trace, scenario: str = "custom",
     )
 
 
-def _polyline(points: np.ndarray, stroke, dash: str = "", decimate: int = 1) -> str:
-    pts = " ".join(f"{x:.5g},{y:.5g}" for x, y in points[::decimate].tolist())
+def _polyline(points: np.ndarray, stroke, dash: str = "") -> str:
+    pts = " ".join(f"{x:.5g},{y:.5g}" for x, y in points[::_PLOT_STRIDE].tolist())
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="0.002"{dash_attr}/>')
@@ -242,10 +247,10 @@ def emit_plot(trace: Trace, path,
             f'<circle cx="{obstacle.x_obs[0]:.6g}" cy="{obstacle.x_obs[1]:.6g}" '
             f'r="{obstacle.r:.6g}" fill="lightgray" stroke="black" stroke-width="0.002"/>'
         )
-    parts.append(_polyline(trace.x_d, "blue", decimate=10))
-    parts.append(_polyline(trace.x_r_shadow, "gray", dash="0.006,0.004", decimate=10))
-    parts.append(_polyline(trace.x_f, "green", decimate=10))
-    parts.append(_polyline(trace.x_actual, "orange", dash="0.003,0.003", decimate=10))
+    parts.append(_polyline(trace.x_d, "blue"))
+    parts.append(_polyline(trace.x_r_shadow, "gray", dash="0.006,0.004"))
+    parts.append(_polyline(trace.x_f, "green"))
+    parts.append(_polyline(trace.x_actual, "orange", dash="0.003,0.003"))
     parts.append("</g>")
     parts.append("</svg>")
     with open(path, "w") as fh:

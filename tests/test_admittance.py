@@ -60,7 +60,10 @@ class TestStep:
         st = AdmittanceState(desired_trajectory(0.0).x_d, desired_trajectory(0.0).xdot_d)
         worst = 0.0
         for k in range(12560):
-            st = admittance_step(PAR, st, desired_trajectory, np.zeros(2), dt, t=k * dt)
+            t = k * dt
+            points = (desired_trajectory(t), desired_trajectory(t + 0.5 * dt),
+                      desired_trajectory(t + dt))
+            st = admittance_step(PAR, st, points, np.zeros(2), dt)
             worst = max(worst, np.abs(np.asarray(st.x1) - desired_trajectory((k + 1) * dt).x_d).max())
         assert worst <= 1e-6
 
@@ -129,6 +132,11 @@ class TestStep:
         des = DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValidationError):
             admittance_step(PAR, st, (des, des), np.zeros(2), 1e-3)
+
+    def test_callable_rejected(self):
+        st = AdmittanceState((0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValidationError):
+            admittance_step(PAR, st, desired_trajectory, np.zeros(2), 1e-3)
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(ValidationError):

@@ -91,6 +91,21 @@ class TestRun:
         trace = read_csv(tmp_path / "workspace.csv")
         assert trace[0].h == {}
 
+    @pytest.mark.parametrize("scenario", ["workspace", "obstacle-only"])
+    @pytest.mark.parametrize("constraints,h_columns", [
+        ("workspace", ["h_ws_max_x", "h_ws_min_x", "h_ws_max_y", "h_ws_min_y"]),
+        ("obstacle", ["h_obs"]),
+        ("both", ["h_ws_max_x", "h_ws_min_x", "h_ws_max_y", "h_ws_min_y", "h_obs"]),
+        ("none", []),
+    ], ids=["workspace", "obstacle", "both", "none"])
+    def test_every_constraints_value(self, capsys, tmp_path, scenario, constraints, h_columns):
+        code, _, _ = run_cli(capsys, "run", "--scenario", scenario,
+                             "--constraints", constraints, "--duration", "0.01",
+                             "--out", str(tmp_path))
+        assert code == 0
+        header = (tmp_path / f"{scenario}.csv").read_text().split("\n", 1)[0].split(",")
+        assert [c for c in header if c.startswith("h_")] == h_columns
+
     def test_no_filter_override(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--scenario", "workspace",
                              "--no-filter", "--duration", "1.0",

@@ -138,7 +138,7 @@ r = 0.05
         assert cfg.obstacle.r == ObstacleConstraint().r
         assert cfg.force_amplitude == (ScenarioConfig().force_amplitude[0], 3.0)
         assert np.array_equal(cfg.ecbf.K_max, EcbfGains().K_max)
-        assert np.array_equal(cfg.ecbf.K_min, [[400.0, 40.0], [400.0, 40.0]])
+        assert cfg.ecbf.K_min == (400.0, 40.0)
 
     def test_explicit_admittance_start(self):
         cfg = parse_config_text("[scenario]\nadmittance_start = 0.01, -0.02\n")
@@ -195,8 +195,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("key,change", [
         ("r", {"obstacle": ObstacleConstraint(r=0.05)}),
-        ("k_max", {"ecbf": EcbfGains(K_max=[[500.0, 50.0], [300.0, 30.0]])}),
-        ("k_min", {"ecbf": EcbfGains(K_min=[[500.0, 50.0], [300.0, 30.0]])}),
+        ("r", {"workspace": WorkspaceConstraint(r=0.03)}),
+        ("gravity", {"robot": _robot_with_gravity(math.nan)}),
         ("gravity", {"robot": _robot_with_gravity(math.inf)}),
         *[("name", {"name": name}) for name in ("  pad", "pad ", "two\nlines", "cr\rname", "\t")],
     ])
@@ -226,7 +226,6 @@ def _configs(draw):
     lo = (-draw(_floats(0.05, 0.3)), -draw(_floats(0.05, 0.3)))
     hi = (draw(_floats(0.05, 0.3)), draw(_floats(0.05, 0.3)))
     k_m = draw(st.one_of(_floats(0.5, 100.0), st.tuples(_floats(0.5, 100.0), _floats(0.5, 100.0))))
-    per_axis = _rarely(_GAIN_PAIR, st.tuples(_GAIN_PAIR, _GAIN_PAIR))
     kind = draw(st.sampled_from(["workspace", "obstacle", "both", "none"]))
     try:
         return ScenarioConfig(
@@ -237,7 +236,7 @@ def _configs(draw):
             robot=_robot_with_gravity(draw(_rarely(
                 _floats(0.0, 20.0), st.sampled_from([math.inf, -math.inf, math.nan])))),
             admittance=AdmittanceParams(k_m=k_m),
-            ecbf=EcbfGains(K_max=draw(per_axis), K_min=draw(per_axis), K_obs=draw(_GAIN_PAIR)),
+            ecbf=EcbfGains(K_max=draw(_GAIN_PAIR), K_min=draw(_GAIN_PAIR), K_obs=draw(_GAIN_PAIR)),
             workspace=(WorkspaceConstraint(lo, hi, r_ws)
                        if kind in ("workspace", "both") else None),
             obstacle=(ObstacleConstraint((draw(_floats(-0.3, 0.3)), draw(_floats(-0.3, 0.3))), r_obs)
@@ -253,9 +252,6 @@ def _refused_keys(cfg):
     keys = set()
     if cfg.workspace is not None and cfg.obstacle is not None and cfg.workspace.r != cfg.obstacle.r:
         keys.add("r")
-    for field, key in (("K_max", "k_max"), ("K_min", "k_min")):
-        if not np.array_equal(*getattr(cfg.ecbf, field)):
-            keys.add(key)
     if not math.isfinite(cfg.robot.gravity):
         keys.add("gravity")
     if "\n" in cfg.name or "\r" in cfg.name or cfg.name != cfg.name.strip():

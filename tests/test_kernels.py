@@ -123,22 +123,6 @@ class TestAdmittanceKernel:
                 [(d.x_d, d.xdot_d, d.xddot_d) for d in points], force, dt)
             assert np.array_equal(out.x1, x1) and np.array_equal(out.x2, x2)
 
-    def test_sampled_points_equal_callable(self):
-        rng = np.random.default_rng(4)
-        params = AdmittanceParams(k_m=(20.0, 5.0))
-
-        def desired(t):
-            return DesiredPoint((math.cos(t), math.sin(t)), (t, -t), (1.0, t * t))
-
-        for _ in range(50):
-            st = AdmittanceState(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
-            t, dt = float(rng.uniform(0, 10)), 1e-3
-            force = rng.uniform(-5, 5, 2)
-            a = admittance_step(params, st, desired, force, dt, t=t)
-            b = admittance_step(params, st, (desired(t), desired(t + 0.5 * dt),
-                                             desired(t + dt)), force, dt)
-            assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
-
 
 class TestPlantKernel:
     @pytest.mark.parametrize("include_friction", [True, False])

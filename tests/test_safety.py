@@ -44,10 +44,17 @@ class TestConstraintTypes:
         with pytest.raises(ValidationError):
             ObstacleConstraint(x_obs=(0.0, 0.0), r=0.0)
 
-    def test_gain_broadcast(self):
-        g = EcbfGains(K_max=(500.0, 50.0))
-        assert g.K_max.shape == (2, 2)
-        assert np.array_equal(g.K_max[0], g.K_max[1])
+    @pytest.mark.parametrize("gain", [500.0, ((500.0, 50.0), (300.0, 30.0)), (500.0, 50.0, 5.0)],
+                             ids=["scalar", "2x2", "3-long"])
+    def test_gain_that_is_not_one_pair_rejected(self, gain):
+        for name in ("K_max", "K_min", "K_obs"):
+            with pytest.raises(ValidationError, match=name):
+                EcbfGains(**{name: gain})
+
+    def test_gain_pair_kept_as_floats(self):
+        g = EcbfGains(K_max=np.array([400, 40]), K_min=[300, 30])
+        assert (g.K_max, g.K_min, g.K_obs) == ((400.0, 40.0), (300.0, 30.0), (700.0, 70.0))
+        assert all(type(k) is float for k in (*g.K_max, *g.K_min, *g.K_obs))
 
     def test_nonpositive_gains_rejected(self):
         with pytest.raises(ValidationError):

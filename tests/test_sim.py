@@ -108,7 +108,7 @@ class TestScenarioLibrary:
         cfg = scenario_library()["workspace"]
         assert np.allclose(cfg.workspace.x_max, [0.13, 0.13])
         assert cfg.workspace.r == 0.04
-        assert np.allclose(cfg.ecbf.K_max, [[500.0, 50.0], [500.0, 50.0]])
+        assert cfg.ecbf.K_max == (500.0, 50.0)
 
     def test_combined_preset_parameters(self):
         cfg = scenario_library()["combined"]
