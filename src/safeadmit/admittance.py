@@ -11,6 +11,9 @@ with the force as the control input. Axes are decoupled.
 Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
+The constructors coerce each field with float_pair; the step builds its
+states and desired points with of_floats, which takes the pairs it has
+just computed as they are and keeps the constructor's finiteness check.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
 one DesiredPoint held over the step, or the three samples at the RK4
@@ -18,9 +21,10 @@ substep times.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence, Union
 
-from .errors import Pair, ValidationError, all_finite, float_pair, require_finite
+from .errors import Pair, ValidationError, float_pair, require_finite
 
 
 @dataclass
@@ -32,9 +36,9 @@ class AdmittanceParams:
     k_k: Pair = 100.0
 
     def __post_init__(self):
-        self.k_m = float_pair(self.k_m)
-        self.k_b = float_pair(self.k_b)
-        self.k_k = float_pair(self.k_k)
+        self.k_m = float_pair(self.k_m, "k_m")
+        self.k_b = float_pair(self.k_b, "k_b")
+        self.k_k = float_pair(self.k_k, "k_k")
         require_finite(self)
         if not min(self.k_m) > 0.0:
             raise ValidationError("k_m must be positive")
@@ -53,10 +57,23 @@ class AdmittanceState:
     x2: Pair
 
     def __post_init__(self):
-        self.x1 = float_pair(self.x1)
-        self.x2 = float_pair(self.x2)
-        if not all_finite(*self.x1, *self.x2):
+        self.x1 = float_pair(self.x1, "x1")
+        self.x2 = float_pair(self.x2, "x2")
+        self._require_finite()
+
+    def _require_finite(self):
+        (a, b), (c, d) = self.x1, self.x2
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             raise ValidationError("admittance state entries must be finite")
+
+    @classmethod
+    def of_floats(cls, x1: Pair, x2: Pair) -> "AdmittanceState":
+        """The state of two float pairs taken as they are: the constructor's
+        finiteness check without its coercion."""
+        state = object.__new__(cls)
+        state.x1, state.x2 = x1, x2
+        state._require_finite()
+        return state
 
 
 @dataclass
@@ -66,9 +83,17 @@ class DesiredPoint:
     xddot_d: Pair
 
     def __post_init__(self):
-        self.x_d = float_pair(self.x_d)
-        self.xdot_d = float_pair(self.xdot_d)
-        self.xddot_d = float_pair(self.xddot_d)
+        self.x_d = float_pair(self.x_d, "x_d")
+        self.xdot_d = float_pair(self.xdot_d, "xdot_d")
+        self.xddot_d = float_pair(self.xddot_d, "xddot_d")
+
+    @classmethod
+    def of_floats(cls, x_d: Pair, xdot_d: Pair, xddot_d: Pair) -> "DesiredPoint":
+        """The point of three float pairs taken as they are, without the
+        constructor's coercion."""
+        point = object.__new__(cls)
+        point.x_d, point.xdot_d, point.xddot_d = x_d, xdot_d, xddot_d
+        return point
 
 
 DesiredInput = Union[DesiredPoint, Sequence[DesiredPoint]]
@@ -125,10 +150,10 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
     else:
         raise ValidationError("desired needs a DesiredPoint or its samples at "
                               "t, t + dt/2 and t + dt")
-    fx, fy = float_pair(force)
+    fx, fy = float_pair(force, "force")
     gx, gy = params.input_gain
     (x1x, x2x), (x1y, x2y) = map(
         _rk4_axis, params.k_m, params.k_b, params.k_k, (gx * fx, gy * fy),
         state.x1, state.x2, d0.x_d, d0.xdot_d, d0.xddot_d, dh.x_d, dh.xdot_d,
         dh.xddot_d, d1.x_d, d1.xdot_d, d1.xddot_d, (dt, dt))
-    return AdmittanceState((x1x, x1y), (x2x, x2y))
+    return AdmittanceState.of_floats((x1x, x1y), (x2x, x2y))

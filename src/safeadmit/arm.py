@@ -7,7 +7,9 @@ transform, and a fixed-step RK4 plant integrator.
 Conventions:
 - Every 2-vector is a float pair and every 2x2 matrix a pair of row pairs:
   the state types hold Python floats, and the functions take and return
-  pairs, so the step never builds an array.
+  pairs, so the step never builds an array. The state constructors coerce
+  each field with float_pair; plant_step and cartesian_state build their
+  states with of_floats, which keeps the finiteness check only.
 - One set of sines and cosines per configuration (_trig) serves every term
   evaluated there: in an RK4 stage of plant_step, M, c, G, F and J^T f_e.
 - The step's kernels (plant_step through _qddot, cartesian_dynamics_terms)
@@ -20,13 +22,14 @@ Conventions:
 - All 2x2 inversions use the closed-form cofactor formula.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
+from math import isfinite
 from typing import Tuple
 
 import numpy as np
 
-from .errors import Pair, SingularConfiguration, ValidationError, all_finite, float_pair, require_finite
+from .errors import Pair, SingularConfiguration, ValidationError, float_pair, require_finite
 
 
 @dataclass
@@ -40,6 +43,8 @@ class ManipulatorParams:
 
     def __post_init__(self):
         require_finite(self)
+        for f in fields(self):
+            setattr(self, f.name, float(getattr(self, f.name)))
         for name in ("m1", "m2", "l1", "l2"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")
@@ -53,10 +58,23 @@ class JointState:
     qdot: Pair
 
     def __post_init__(self):
-        self.q = float_pair(self.q)
-        self.qdot = float_pair(self.qdot)
-        if not all_finite(*self.q, *self.qdot):
+        self.q = float_pair(self.q, "q")
+        self.qdot = float_pair(self.qdot, "qdot")
+        self._require_finite()
+
+    def _require_finite(self):
+        (a, b), (c, d) = self.q, self.qdot
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             raise ValidationError("joint state entries must be finite")
+
+    @classmethod
+    def of_floats(cls, q: Pair, qdot: Pair) -> "JointState":
+        """The state of two float pairs taken as they are: the constructor's
+        finiteness check without its coercion."""
+        state = object.__new__(cls)
+        state.q, state.qdot = q, qdot
+        state._require_finite()
+        return state
 
 
 @dataclass
@@ -65,10 +83,23 @@ class CartesianState:
     xdot: Pair
 
     def __post_init__(self):
-        self.x = float_pair(self.x)
-        self.xdot = float_pair(self.xdot)
-        if not all_finite(*self.x, *self.xdot):
+        self.x = float_pair(self.x, "x")
+        self.xdot = float_pair(self.xdot, "xdot")
+        self._require_finite()
+
+    def _require_finite(self):
+        (a, b), (c, d) = self.x, self.xdot
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             raise ValidationError("cartesian state entries must be finite")
+
+    @classmethod
+    def of_floats(cls, x: Pair, xdot: Pair) -> "CartesianState":
+        """The state of two float pairs taken as they are: the constructor's
+        finiteness check without its coercion."""
+        state = object.__new__(cls)
+        state.x, state.xdot = x, xdot
+        state._require_finite()
+        return state
 
 
 @dataclass
@@ -221,7 +252,7 @@ def _qddot(params: ManipulatorParams, trig, qd1: float, qd2: float, tau_c: Pair,
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
                 include_friction: bool = True) -> Pair:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F)."""
-    return _qddot(params, _trig(*q), *qdot, float_pair(tau_c), float_pair(f_e),
+    return _qddot(params, _trig(*q), *qdot, float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e"),
                   include_friction)
 
 
@@ -235,7 +266,7 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    tau_c, f_e = float_pair(tau_c), float_pair(f_e)
+    tau_c, f_e = float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e")
     h = 0.5 * dt
     (q1, q2), (qd1, qd2) = state.q, state.qdot
     # each stage's derivative is (qdot, qddot) at the start state plus a
@@ -248,15 +279,15 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     s1, s2, z1, z2 = q1 + dt * w1, q2 + dt * w2, qd1 + dt * c1, qd2 + dt * c2
     d1, d2 = _qddot(params, _trig(s1, s2), z1, z2, tau_c, f_e, include_friction)
     k = dt / 6.0
-    return JointState((q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1),
-                       q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)),
-                      (qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                       qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
+    return JointState.of_floats((q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1),
+                                 q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)),
+                                (qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                                 qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:
     trig = _trig(*state.q)
-    return CartesianState(_fk(params, trig), _mv(_jac(params, trig), state.qdot))
+    return CartesianState.of_floats(_fk(params, trig), _mv(_jac(params, trig), state.qdot))
 
 
 def inverse_kinematics(params: ManipulatorParams, x) -> Pair:

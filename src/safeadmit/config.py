@@ -16,9 +16,10 @@ default, and an empty file yields the `combined` constraint setup):
                  bypass slack               (one r serves both constraints)
 
 Unknown sections or keys are a hard error, and so is a number that is not
-finite. One field table, _FIELDS, gives the known keys, the parser and
-serialize_config, so parse_config_text(serialize_config(c)) equals c field
-for field. serialize_config raises ValidationError, naming the key, for a
+finite, and so is geometry that `set` disables: x_min and x_max without
+the workspace, x_obs without the obstacle, r without either. One field
+table, _FIELDS, gives the known keys, the parser and serialize_config, so
+parse_config_text(serialize_config(c)) equals c field for field. serialize_config raises ValidationError, naming the key, for a
 config the INI cannot carry: a workspace r that differs from the obstacle
 r, a number that is not finite, or a name with a line break or with
 leading or trailing whitespace.
@@ -190,7 +191,14 @@ def parse_config_text(text: str, source: str = "<string>") -> ScenarioConfig:
                 else:
                     kwargs[target][name] = value
 
-    enabled = CONSTRAINT_SETS[parser.get("constraints", "set", fallback="both")]
+    set_name = parser.get("constraints", "set", fallback="both")
+    enabled = CONSTRAINT_SETS[set_name]
+    if parser.has_section("constraints"):
+        for key, _ in parser.items("constraints"):
+            targets = {target for target, *_ in _ROWS["constraints", key][1]}
+            if targets and targets <= {"workspace", "obstacle"} and targets.isdisjoint(enabled):
+                raise ConfigError(f"[constraints] {key}: set = {set_name} enables no "
+                                  f"constraint that {key} configures")
     parts = {target: cls(**kwargs[target])
              if target in enabled or target not in ("workspace", "obstacle") else None
              for target, cls in _TARGETS.items() if target != "scenario"}

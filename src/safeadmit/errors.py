@@ -55,19 +55,27 @@ def require_finite(params) -> None:
 
 def all_finite(*values: float) -> bool:
     """Whether every one of the floats ``values`` is neither NaN nor infinite."""
-    return all(map(math.isfinite, values))
+    for v in values:
+        if not math.isfinite(v):
+            return False
+    return True
 
 
-def _pair(v) -> np.ndarray:
-    """A fresh float 2-vector of float_pair(v)."""
-    return np.array(float_pair(v))
+def _pair(v, name: str) -> np.ndarray:
+    """A fresh float 2-vector of float_pair(v, name)."""
+    return np.array(float_pair(v, name))
 
 
-def float_pair(v) -> Pair:
+def float_pair(v, name: str) -> Pair:
     """The two floats of a 2-vector (any sequence of two numbers), or of a
-    scalar repeated."""
+    scalar repeated. Anything else raises ValidationError naming the field
+    ``name``."""
     try:
-        x, y = v
-    except TypeError:
-        x = y = v
-    return float(x), float(y)
+        try:
+            x, y = v
+        except TypeError:
+            x = y = v
+        return float(x), float(y)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number or a pair of numbers, "
+                              f"got {v!r}") from None

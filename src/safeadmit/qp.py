@@ -16,13 +16,20 @@ square the rows' conditioning. The penalized-slack variant is the same
 projection on a lifted variable. Problems are sized for n <= 4 variables
 and m <= 8 rows; larger ones are rejected.
 
-A problem's u_nom and b are tuples of floats and its A a 2-D float array;
-a solution's u is a tuple of floats.
+A problem's u_nom and b are tuples of floats. Its A is a 2-D float array,
+and rows holds the same rows as float tuples; each form is built from the
+other when first read. The public constructor takes A and checks it;
+QpProblem.of_rows takes the float tuples a caller has just computed, runs
+only the finiteness check, and never builds the array unless it is read:
+solve reads the rows for n <= 2 and A only for n > 2. A solution's u is a
+tuple of floats.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+from math import isfinite
 from typing import Tuple
 
 import numpy as np
@@ -37,25 +44,47 @@ MAX_VARS = 4
 MAX_ROWS = 8
 
 
-@dataclass
 class QpProblem:
-    u_nom: Tuple[float, ...]
-    A: np.ndarray
-    b: Tuple[float, ...]
+    """min ||u - u_nom||^2 subject to A u <= b. The constructor coerces and
+    checks its inputs; of_rows takes float rows as they are (module
+    docstring)."""
 
-    def __post_init__(self):
-        self.u_nom = tuple(map(float, self.u_nom))
+    def __init__(self, u_nom, A, b):
+        self.u_nom = tuple(map(float, u_nom))
         n = len(self.u_nom)
         # a float array of the right shape is kept, not copied: the solver
         # never writes to it
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, n)
-        self.b = tuple(map(float, self.b))
+        self.A = np.asarray(A, dtype=float).reshape(-1, n)
+        self.b = tuple(map(float, b))
         if self.A.shape[0] != len(self.b):
             raise ValidationError("A and b row counts differ")
         if n < 1:
             raise ValidationError("need at least one decision variable")
         if not all_finite(*self.u_nom, *self.A.ravel().tolist(), *self.b):
             raise ValidationError("QP entries must be finite")
+
+    @classmethod
+    def of_rows(cls, u_nom: Tuple[float, ...], rows, b: Tuple[float, ...]) -> "QpProblem":
+        """The problem of float tuples taken as they are: u_nom, the rows of
+        A (one tuple of n floats each) and b, as many as rows. Only the
+        constructor's finiteness check runs."""
+        for row in (u_nom, b, *rows):
+            for v in row:
+                if not isfinite(v):
+                    raise ValidationError("QP entries must be finite")
+        problem = object.__new__(cls)
+        problem.u_nom, problem.rows, problem.b = u_nom, rows, b
+        return problem
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The (m, n) float array of the rows, built on first read."""
+        return np.array(self.rows, dtype=float).reshape(-1, len(self.u_nom))
+
+    @cached_property
+    def rows(self):
+        """The rows of A as sequences of floats, built on first read."""
+        return self.A.tolist()
 
 
 @dataclass
@@ -66,7 +95,7 @@ class QpSolution:
 
 
 def _check_size(problem: QpProblem) -> None:
-    n, m = len(problem.u_nom), problem.A.shape[0]
+    n, m = len(problem.u_nom), len(problem.b)
     if n > MAX_VARS or m > MAX_ROWS:
         raise ValidationError(
             f"solver sized for n<={MAX_VARS}, m<={MAX_ROWS}; got n={n}, m={m}"
@@ -115,19 +144,21 @@ def _project_pair(u_nom, A, b):
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
 
 
-def _project(u_nom: Tuple[float, ...], A: np.ndarray, b: Tuple[float, ...]):
+def _project(problem: QpProblem):
     """Return (u, S): the projection of u_nom onto {A u <= b}, a tuple of
     floats, and the first active subset S, in (size, lexicographic) order,
     at which it is a KKT point. Raises InfeasibleQp when no subset gives
     one."""
+    u_nom, b = problem.u_nom, problem.b
     if len(u_nom) == 2:
-        return _project_pair(u_nom, A.tolist(), b)
+        return _project_pair(u_nom, problem.rows, b)
     if len(u_nom) == 1:
         # the same problem with a zero second column: each point keeps
         # u[1] = 0, every pair of rows has rank one, and the sums gain only
         # exact zero terms
-        u, S = _project_pair((u_nom[0], 0.0), [(a, 0.0) for (a,) in A.tolist()], b)
+        u, S = _project_pair((u_nom[0], 0.0), [(a, 0.0) for (a,) in problem.rows], b)
         return u[:1], S
+    A = problem.A
     u_nom, b = np.array(u_nom), np.array(b)
     Au = A @ u_nom
     if (Au <= b + FEAS_TOL).all():
@@ -151,12 +182,15 @@ def _project(u_nom: Tuple[float, ...], A: np.ndarray, b: Tuple[float, ...]):
 
 def _objective(u, u_nom) -> float:
     """||u - u_nom||^2."""
-    return sum((a - b) ** 2 for a, b in zip(u, u_nom))
+    total = 0
+    for a, b in zip(u, u_nom):
+        total += (a - b) ** 2
+    return total
 
 
 def solve(problem: QpProblem) -> QpSolution:
     _check_size(problem)
-    u, S = _project(problem.u_nom, problem.A, problem.b)
+    u, S = _project(problem)
     return QpSolution(u=u, active_set=S, objective=_objective(u, problem.u_nom))
 
 
@@ -175,7 +209,7 @@ def solve_with_slack(problem: QpProblem, weight: float = 1e6):
     u_nom, A, b = problem.u_nom, problem.A, problem.b
     m = A.shape[0]
     lifted_A = np.hstack([A, -np.eye(m) / np.sqrt(weight)])
-    v, S = _project(u_nom + (0.0,) * m, lifted_A, b)
+    v, S = _project(QpProblem(u_nom + (0.0,) * m, lifted_A, b))
     u = v[:len(u_nom)]
     return (QpSolution(u=u, active_set=S, objective=_objective(u, u_nom)),
             np.maximum(A @ np.array(u) - np.array(b), 0.0))

@@ -25,9 +25,11 @@ projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
 The step's values are float pairs: evaluate takes the state, drift and
-gain as pairs and returns RowValues of float tuples, and filter_force
-returns its forces as pairs. The only array a filter step builds is the
-QP's row matrix A.
+gain as pairs and returns RowValues of float tuples, assemble_qp hands the
+negated q pairs to the QP as its rows and b as a float tuple, and
+filter_force returns its forces as pairs. A filter step builds no array:
+the QP's matrix A is built only where something reads it, as the slack
+fallback does.
 """
 
 from dataclasses import dataclass, field
@@ -56,8 +58,8 @@ class WorkspaceConstraint:
     r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
-        self.x_min = _pair(self.x_min)
-        self.x_max = _pair(self.x_max)
+        self.x_min = _pair(self.x_min, "x_min")
+        self.x_max = _pair(self.x_max, "x_max")
         self.r = float(self.r)
         require_finite(self)
         if not self.r > 0.0:
@@ -72,7 +74,7 @@ class ObstacleConstraint:
     r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
-        self.x_obs = _pair(self.x_obs)
+        self.x_obs = _pair(self.x_obs, "x_obs")
         self.r = float(self.r)
         require_finite(self)
         if not self.r > 0.0:
@@ -115,9 +117,11 @@ class RowValues(NamedTuple):
 
 
 def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
-    """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2."""
-    b = [p + k0 * h + k1 * lf for p, (k0, k1), h, lf in zip(rows.p, rows.K, rows.h, rows.lf_h)]
-    return QpProblem(u_nom=u_nom, A=np.negative(rows.q), b=b)
+    """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2
+    over the force pair u_nom."""
+    ux, uy = u_nom
+    b = tuple([p + k0 * h + k1 * lf for p, (k0, k1), h, lf in zip(rows.p, rows.K, rows.h, rows.lf_h)])
+    return QpProblem.of_rows((ux, uy), tuple([(-q0, -q1) for q0, q1 in rows.q]), b)
 
 
 @dataclass
@@ -141,19 +145,21 @@ class ConstraintSet:
         rows = []
         ws, obs, gains = self.workspace, self.obstacle, self.gains
         if ws is not None:
-            x_max, x_min = float_pair(ws.x_max), float_pair(ws.x_min)
+            x_max, x_min = float_pair(ws.x_max, "x_max"), float_pair(ws.x_min, "x_min")
             for w, suffix in (((1.0, 0.0), "x"), ((0.0, 1.0), "y")):
                 rows.append((f"ws_max_{suffix}", w, x_max, ws.r, gains.K_max, 1.0))
                 rows.append((f"ws_min_{suffix}", w, x_min, ws.r, gains.K_min, -1.0))
         if obs is not None:
-            rows.append(("obs", (1.0, 1.0), float_pair(obs.x_obs), obs.r, gains.K_obs, 0.0))
+            rows.append(("obs", (1.0, 1.0), float_pair(obs.x_obs, "x_obs"), obs.r, gains.K_obs, 0.0))
         self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
         # per row: w (2 floats), c (2 floats), r, side
         self._rows = [(*w, *c, r, side) for _, w, c, r, _, side in rows]
         self._K = tuple(K for _, _, _, _, K, _ in rows)
 
     def _h(self, x1):
-        """Per row: the weighted offsets w * (x1 - c) and the barrier value h."""
+        """Per row: the weighted offsets w * (x1 - c) and the barrier value h.
+        evaluate computes the same three in its own loop, in the same
+        operations (test_barrier_values_match_evaluate holds them equal)."""
         x, y = x1
         out = []
         for w0, w1, c0, c1, r, _ in self._rows:
@@ -166,12 +172,15 @@ class ConstraintSet:
         """Every row at ``adm`` under the force-free acceleration pair
         ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
         for both axes)."""
+        x, y = adm.x1
         vx, vy = adm.x2
         dx, dy = drift
-        gx, gy = float_pair(g)
+        gx, gy = float_pair(g, "g")
         h, lf_h, p, q = [], [], [], []
-        for (w0, w1, *_), (wd0, wd1, hj) in zip(self._rows, self._h(adm.x1)):
-            h.append(hj)
+        for w0, w1, c0, c1, r, _ in self._rows:
+            o0, o1 = x - c0, y - c1
+            wd0, wd1 = w0 * o0, w1 * o1
+            h.append(wd0 * o0 + wd1 * o1 - r * r)
             lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
             p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
             q.append((2.0 * wd0 * gx, 2.0 * wd1 * gy))
@@ -231,7 +240,7 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """
     fx, fy = f_e
     rows = cset.evaluate(adm, drift, g)
-    problem = assemble_qp(rows, (fx, fy))
+    problem = assemble_qp(rows, f_e)
     try:
         sol = solve(problem)
         diag = FilterDiagnostics(rows, active=sol.active_set, status="ok")

@@ -37,10 +37,10 @@ def desired_trajectory(t: float, radius: float = DEFAULT_CIRCLE_RADIUS,
                        rate: float = DEFAULT_CIRCLE_RATE) -> DesiredPoint:
     """Circular desired trajectory with analytic derivatives."""
     c, s = math.cos(rate * t), math.sin(rate * t)
-    return DesiredPoint(
-        x_d=(radius * c, radius * s),
-        xdot_d=(-radius * rate * s, radius * rate * c),
-        xddot_d=(-radius * rate * rate * c, -radius * rate * rate * s),
+    return DesiredPoint.of_floats(
+        (radius * c, radius * s),
+        (-radius * rate * s, radius * rate * c),
+        (-radius * rate * rate * c, -radius * rate * rate * s),
     )
 
 
@@ -82,8 +82,12 @@ class ScenarioConfig:
     nominal_only: bool = False
 
     def __post_init__(self):
-        self.force_amplitude = float_pair(self.force_amplitude)
+        self.force_amplitude = float_pair(self.force_amplitude, "force_amplitude")
         require_finite(self)
+        # the step's kernels take these as Python floats and pass on what
+        # they compute without coercing it again
+        self.duration, self.dt = float(self.duration), float(self.dt)
+        self.circle_radius, self.circle_rate = float(self.circle_radius), float(self.circle_rate)
         if not self.dt > 0.0:
             raise ValidationError("dt must be positive")
         if not self.duration >= self.dt:
@@ -261,7 +265,7 @@ def run(config: ScenarioConfig) -> Trace:
             terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
             cart = arm.cartesian_state(params, joint)
             (dx, dy), (fx, fy) = drift, f_hat
-            ref = DesiredPoint(adm.x1, adm.x2, (dx + gx * fx, dy + gy * fy))
+            ref = DesiredPoint.of_floats(adm.x1, adm.x2, (dx + gx * fx, dy + gy * fy))
             f_c, ctrl_state = smc.control(config.controller, ctrl_state, terms,
                                           cart, ref, dt,
                                           nominal_only=config.nominal_only)

@@ -88,6 +88,20 @@ r = 0.05
         cfg = parse_config_text("[constraints]\nset = none\n")
         assert cfg.workspace is None and cfg.obstacle is None
 
+    @pytest.mark.parametrize("kind,key", [
+        ("obstacle", "x_max = 0.2, 0.2"), ("obstacle", "x_min = -0.2, -0.2"),
+        ("workspace", "x_obs = 0.1, 0.1"), ("none", "r = 0.03"),
+    ])
+    def test_geometry_of_a_disabled_constraint_refused(self, kind, key):
+        name = key.split()[0]
+        with pytest.raises(ConfigError, match=rf"^\[constraints\] {name}: set = {kind} "):
+            parse_config_text(f"[constraints]\nset = {kind}\n{key}\n")
+
+    @pytest.mark.parametrize("kind", ["workspace", "obstacle"])
+    def test_r_kept_while_one_of_its_constraints_is_enabled(self, kind):
+        cfg = parse_config_text(f"[constraints]\nset = {kind}\nr = 0.03\n")
+        assert getattr(cfg, kind).r == 0.03
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[mystery]\nx = 1\n")

@@ -11,9 +11,9 @@ import pytest
 
 from safeadmit import (AdmittanceParams, AdmittanceState, ControllerState, DesiredPoint,
                        FxtismcGains, InfeasibleQp, JointState, ManipulatorParams, QpProblem,
-                       admittance_step, compensating_control, nominal_control, plant_step,
-                       solve)
-from safeadmit.arm import cartesian_dynamics_terms, cartesian_state, joint_accel
+                       ValidationError, admittance_step, compensating_control, nominal_control,
+                       plant_step, solve)
+from safeadmit.arm import CartesianState, cartesian_dynamics_terms, cartesian_state, joint_accel
 from safeadmit.qp import RANK_TOL
 from safeadmit.smc import control
 
@@ -227,3 +227,26 @@ class TestKernelsEqualPublicComposition:
                 got = control(gains, ctrl_state, terms, cart, ref_point, 1e-3)
                 assert got == _control_from_public(gains, ctrl_state, terms, cart, ref_point,
                                                    1e-3)
+
+
+@pytest.mark.parametrize("cls", [AdmittanceState, JointState, CartesianState])
+def test_state_of_floats_keeps_the_finiteness_check(cls):
+    """The step builds its states from the pairs it computed with of_floats:
+    the same state as the constructor's, and the same refusal with the same
+    message where an entry is not finite."""
+    pairs = ((0.25, -0.0), (1e300, -3.5))
+    state = cls.of_floats(*pairs)
+    assert state == cls(*pairs)
+    assert all(a is b for a, b in zip(vars(state).values(), pairs))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError) as built:
+            cls((0.0, 0.0), (1.0, bad))
+        with pytest.raises(ValidationError) as taken:
+            cls.of_floats((0.0, 0.0), (1.0, bad))
+        assert str(taken.value) == str(built.value)
+        assert str(taken.value).endswith("state entries must be finite")
+
+
+def test_desired_point_of_floats_equals_the_constructor():
+    pairs = ((0.1, -0.0), (0.2, 0.3), (-0.4, 0.5))
+    assert DesiredPoint.of_floats(*pairs) == DesiredPoint(*pairs)

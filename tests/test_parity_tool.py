@@ -15,9 +15,9 @@ import parity  # noqa: E402
 
 def test_checkout_equals_itself():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "parity.py"), str(ROOT),
-                          "--duration", "0.05"], capture_output=True, text=True, timeout=300)
+                          "--duration", "0.07"], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines()[-1] == "40 of 40 runs identical"
+    assert out.stdout.splitlines()[-1] == "52 of 52 runs identical"
 
 
 def test_a_signed_zero_differs():

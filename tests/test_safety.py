@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
                        DesiredPoint, EcbfGains, InfeasibleQp, ObstacleConstraint,
-                       StartOutsideSafeSet, ValidationError,
-                       WorkspaceConstraint, admittance_step, assemble_qp,
-                       check_start_inside, drift_term, filter_force, solve)
+                       QpProblem, RowValues, ScenarioConfig, StartOutsideSafeSet,
+                       ValidationError, WorkspaceConstraint, admittance_step,
+                       assemble_qp, check_start_inside, drift_term, filter_force, solve)
 
 from qp_oracle import project_oracle
 
@@ -55,6 +57,17 @@ class TestConstraintTypes:
         g = EcbfGains(K_max=np.array([400, 40]), K_min=[300, 30])
         assert (g.K_max, g.K_min, g.K_obs) == ((400.0, 40.0), (300.0, 30.0), (700.0, 70.0))
         assert all(type(k) is float for k in (*g.K_max, *g.K_min, *g.K_obs))
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: AdmittanceParams(k_m=(1, 2, 3)), "k_m"),
+        (lambda: WorkspaceConstraint(x_min=(0, 0, 0)), "x_min"),
+        (lambda: ObstacleConstraint(x_obs="far"), "x_obs"),
+        (lambda: ScenarioConfig(force_amplitude=[[1, 2], [3, 4]]), "force_amplitude"),
+        (lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1"),
+    ], ids=["3-long", "3-long-bound", "string", "2x2", "none"])
+    def test_malformed_pair_names_its_field(self, make, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be a number or a pair"):
+            make()
 
     def test_nonpositive_gains_rejected(self):
         with pytest.raises(ValidationError):
@@ -182,6 +195,58 @@ class TestAssembleQp:
         assert np.array_equal(sol.u, u_nom)
         oracle = project_oracle(prob.u_nom, prob.A, prob.b)
         assert np.linalg.norm(sol.u - oracle) < 1e-10
+
+
+def _random_rows(rng, m):
+    """m barrier rows of random values, about a fifth of them zeros of
+    either sign, as the Python floats evaluate returns."""
+    def values(*shape):
+        zeros = rng.choice(np.array([0.0, -0.0]), shape)
+        return np.where(rng.random(shape) < 0.2, zeros, rng.uniform(-1, 1, shape))
+    h, lf_h, p = values(m), values(m), values(m)
+    q, K = values(m, 2), rng.uniform(0.5, 2.0, (m, 2))
+    return RowValues(tuple(h.tolist()), tuple(lf_h.tolist()), tuple(p.tolist()),
+                     tuple(map(tuple, q.tolist())), tuple(map(tuple, K.tolist())))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestRowProblem:
+    """assemble_qp hands its float rows to the solver without an array; the
+    problem must solve bit for bit as the array problem of the same rows."""
+
+    def test_solves_as_the_array_problem(self, rng):
+        for _ in range(1000):
+            m = int(rng.integers(0, 6))
+            rows = _random_rows(rng, m)
+            u = tuple(np.where(rng.random(2) < 0.2, -0.0, rng.uniform(-2, 2, 2)).tolist())
+            K = np.array(rows.K, dtype=float).reshape(-1, 2)
+            A = np.negative(np.array(rows.q, dtype=float).reshape(-1, 2))
+            b = np.array(rows.p) + K[:, 0] * np.array(rows.h) + K[:, 1] * np.array(rows.lf_h)
+            problem = assemble_qp(rows, u)
+            assert _bits(problem.b) == _bits(b)
+            results = []
+            for prob in (problem, QpProblem(u, A, b)):
+                try:
+                    sol = solve(prob)
+                    results.append((_bits(sol.u), sol.active_set))
+                except InfeasibleQp:
+                    results.append(None)
+            assert results[0] == results[1]
+            assert problem.A.shape == (m, 2) and _bits(problem.A) == _bits(A)
+
+    @pytest.mark.parametrize("drift,f_e", [
+        ((math.nan, 0.0), (1.0, 0.0)), ((0.0, math.inf), (1.0, 0.0)),
+        ((0.0, 0.0), (-math.inf, 0.0)), ((0.0, 0.0), (0.0, math.nan)),
+    ], ids=["nan-drift", "inf-drift", "inf-force", "nan-force"])
+    def test_non_finite_drift_or_force_refused(self, drift, f_e):
+        # without rows the drift never reaches the QP; the force always does
+        csets = [CSET] if all(map(math.isfinite, f_e)) else [CSET, ConstraintSet()]
+        for cset in csets:
+            with pytest.raises(ValidationError, match="^QP entries must be finite$"):
+                filter_force(cset, _state((0.0, 0.0)), drift, GAIN_G, f_e)
 
 
 class TestFilter:

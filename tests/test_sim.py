@@ -161,6 +161,17 @@ class TestRun:
         assert len(a) == len(b)
         assert all(records_equal(ra, rb) for ra, rb in zip(a, b))
 
+    def test_numpy_scalar_parameters_run_as_floats(self):
+        # the step passes on the floats it computes without coercing them
+        # again, so the constructors must hand it Python floats
+        cfg = replace(scenario_library()["combined"], duration=0.2)
+        numpy_cfg = replace(cfg, dt=np.float64(cfg.dt), circle_radius=np.float64(0.14),
+                            circle_rate=np.float64(0.5), robot=ManipulatorParams(l1=np.float64(0.3)))
+        assert all(type(v) is float for v in (numpy_cfg.dt, numpy_cfg.duration, numpy_cfg.circle_radius,
+                                              numpy_cfg.circle_rate, numpy_cfg.robot.l1))
+        a, b = run(cfg), run(numpy_cfg)
+        assert all(records_equal(ra, rb) for ra, rb in zip(a, b)) and len(a) == len(b)
+
     def test_records_equal_compares_bits(self, preset_traces):
         # before the force ramps in, f_e is (0.0, 0.0); the same record with
         # -0.0 in its place differs in its bytes, and a NaN record is equal

@@ -2,9 +2,12 @@
 
     python3 tools/parity.py PARENT_CHECKOUT [--duration SECONDS]
 
-Runs the four presets and the ``sweep`` configs of seeds 1-3 (generated by
-this checkout's perfbench/sweep.py) under the ``src/`` of this checkout and
-under that of PARENT_CHECKOUT, each side in its own subprocess. For every
+Runs the four presets, each preset again at the steps DIVERGING_DTS (where
+every one of them diverges within 0.07 simulated seconds and aborts, so
+that its abort message is compared), and the ``sweep`` configs of seeds
+1-3 (generated by this checkout's perfbench/sweep.py) under the ``src/`` of
+this checkout and under that of PARENT_CHECKOUT, each side in its own
+subprocess. For every
 run it prints whether the active sets, the statuses and the abort message
 are equal, and the largest |difference| of t, of each 2-vector column and
 of the barrier values. It exits 1 if any run differs in any of them (a NaN
@@ -23,15 +26,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ("baseline-unsafe", "workspace", "obstacle-only", "combined")
+DIVERGING_DTS = (5e-3, 8e-3, 2e-2)
 SWEEP_SEEDS = (1, 2, 3)
 
 
 def _scenarios(duration):
-    """(label, INI text or None for the preset of that name) of every run."""
+    """(label, spec) of every run: a spec is an INI text, or a dict naming
+    a preset and the ScenarioConfig fields that replace its own."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import sweep
-    runs = [(name, None) for name in ("baseline-unsafe", "workspace", "obstacle-only",
-                                      "combined")]
+    runs = [(name, {"preset": name}) for name in PRESETS]
+    runs += [(f"{name}-dt{dt:g}", {"preset": name, "dt": dt})
+             for dt in DIVERGING_DTS for name in PRESETS]
     for seed in SWEEP_SEEDS:
         texts = sweep.generate(seed, duration=duration or sweep.DURATION)
         runs += [(f"sweep-seed{seed}-{i:02d}", text) for i, text in enumerate(texts)]
@@ -47,13 +54,14 @@ def dump(src: str, runs_file: str, out_dir: str, duration) -> None:
     if not Path(safeadmit.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"safeadmit was imported from {safeadmit.__file__}, not {src}")
     presets = sim.scenario_library()
-    for label, text in json.loads(Path(runs_file).read_text()):
-        if text is None:
-            cfg = presets[label]
+    for label, spec in json.loads(Path(runs_file).read_text()):
+        if isinstance(spec, str):
+            cfg = config.parse_config_text(spec)
+        else:
+            changes = dict(spec)
+            cfg = replace(presets[changes.pop("preset")], **changes)
             if duration:
                 cfg = replace(cfg, duration=duration)
-        else:
-            cfg = config.parse_config_text(text)
         abort = ""
         try:
             trace = sim.run(cfg)
