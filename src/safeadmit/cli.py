@@ -7,12 +7,22 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime abort (the
 partial trace is still written).
+
+``run --all-presets`` runs the presets in forked worker processes, one per
+CPU this process may use (at most one per preset). Each worker simulates
+its preset and writes its files; the text it would have printed comes back
+and is printed in preset order, so the output is that of the serial run.
+With one CPU, one scenario, no ``fork`` start method, or other threads
+running in this process (which a fork cannot copy safely), the presets run
+one after another in this process.
 """
 
 import argparse
+import io
 import os
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +33,9 @@ from .sim import ScenarioConfig, run, scenario_library
 from .traceio import compute_report, emit_csv, emit_plot, read_csv
 
 OUT_ENV = "SAFEGUARD_OUT"
+
+# Errors a run reports on stderr and exits 1 for.
+_USER_ERRORS = (ConfigError, ValidationError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,6 +130,52 @@ def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_captured(job) -> tuple:
+    """``_run_one`` in a worker: (exit code, stdout text, stderr text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = _run_one(*job)
+        except _USER_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_all(configs, out_dir: Path, plot: bool) -> int:
+    """Run every config and return the largest exit code, in forked
+    workers when more than one CPU and more than one config are at hand."""
+    workers = min(len(configs), _usable_cpus())
+    if workers > 1:
+        # imported here only: every other command would pay tens of ms for it
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+        # a fork copies no thread but the caller's, so forking while other
+        # threads run can leave a worker holding a lock nobody releases
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1):
+            sys.stdout.flush()  # a worker must not inherit unwritten output
+            sys.stderr.flush()
+            jobs = [(c, out_dir, plot) for c in configs]
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_run_captured, jobs))
+            for code, out, err in results:
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+                if code == 1:  # the serial loop ends at its first error
+                    return code
+            return max(code for code, _, _ in results)
+    return max([_run_one(c, out_dir, plot) for c in configs])
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -142,12 +201,12 @@ def main(argv=None) -> int:
 
         out_dir = _out_dir(args)
         if args.all_presets:
-            configs = [_apply_overrides(cfg, args)
-                       for cfg in scenario_library().values()]
-            return max([_run_one(c, out_dir, args.plot) for c in configs])
-        config = _apply_overrides(_resolve_scenario(args.scenario), args)
-        return _run_one(config, out_dir, args.plot)
-    except (ConfigError, ValidationError, OSError) as exc:
+            configs = list(scenario_library().values())
+        else:
+            configs = [_resolve_scenario(args.scenario)]
+        return _run_all([_apply_overrides(c, args) for c in configs],
+                        out_dir, args.plot)
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

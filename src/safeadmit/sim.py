@@ -279,7 +279,9 @@ def run(config: ScenarioConfig) -> Trace:
                 # one sampling of the substep points serves both references
                 points = (des, desired(t + 0.5 * dt), desired(t + dt))
                 adm = admittance_step(adm_params, adm, points, f_hat, dt)
-                shadow = admittance_step(adm_params, shadow, points, f_e, dt)
+                # unfiltered, f_hat is f_e and the shadow equals the reference
+                shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
+                          if filtered else adm)
                 stage = "plant"
                 tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
                 joint = arm.plant_step(params, joint, tau_c, f_e, dt)

@@ -22,7 +22,7 @@ nominal_control plus compensating_control bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -59,6 +59,9 @@ class FxtismcGains:
 
     def __post_init__(self):
         require_finite(self)
+        for f in fields(self):
+            if f.name != "use_sign":
+                setattr(self, f.name, float(getattr(self, f.name)))
         positive = ("lambda1", "lambda2", "lambda3", "kappa1", "kappa2",
                     "kappa3", "kappa4", "rho", "epsilon", "force_limit")
         for name in positive:

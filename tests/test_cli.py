@@ -1,6 +1,8 @@
+import threading
+
 import pytest
 
-from safeadmit import read_csv, scenario_library, serialize_config
+from safeadmit import cli, read_csv, scenario_library, serialize_config
 from safeadmit.cli import main
 
 from conftest import MALFORMED_CASES
@@ -150,6 +152,101 @@ class TestRun:
                                "--duration", "inf", "--out", str(tmp_path))
         assert code == 1
         assert err.startswith("error:") and "duration" in err
+
+
+def set_cpus(monkeypatch, n):
+    """Make the affinity lookup report ``n`` usable CPUs, and count the
+    runs that ``_run_one`` makes in this process (a forked worker counts in
+    its own copy)."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    runs = []
+    run_one = cli._run_one
+
+    def counted(config, out_dir, plot):
+        runs.append(config.name)
+        return run_one(config, out_dir, plot)
+
+    monkeypatch.setattr(cli, "_run_one", counted)
+    return runs
+
+
+def without_runtime(text, out_dir):
+    return [line.replace(str(out_dir), "OUT") for line in text.splitlines()
+            if not line.startswith("runtime:")]
+
+
+class TestAllPresetsWorkers:
+    def test_files_equal_single_runs(self, capsys, monkeypatch, tmp_path):
+        runs = set_cpus(monkeypatch, 2)
+        pool_dir = tmp_path / "pool"
+        code, out, err = run_cli(capsys, "run", "--all-presets", "--plot",
+                                 "--duration", "0.5", "--out", str(pool_dir))
+        assert code == 0 and err == "" and runs == []  # each ran in a worker
+        single_dir, single_out = tmp_path / "single", []
+        for name in scenario_library():
+            code, text, _ = run_cli(capsys, "run", "--scenario", name, "--plot",
+                                    "--duration", "0.5", "--out", str(single_dir))
+            assert code == 0
+            single_out += without_runtime(text, single_dir)
+        assert without_runtime(out, pool_dir) == single_out
+        for name in scenario_library():
+            for suffix in (".csv", ".svg"):
+                assert ((pool_dir / f"{name}{suffix}").read_bytes()
+                        == (single_dir / f"{name}{suffix}").read_bytes())
+
+    def test_every_preset_aborts_in_order(self, capsys, monkeypatch, tmp_path):
+        set_cpus(monkeypatch, 2)
+        code, out, err = run_cli(capsys, "run", "--all-presets", "--dt", "2e-2",
+                                 "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        names = list(scenario_library())
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert [line.split("'")[1] for line in errors] == names
+        for name in names:
+            assert len(read_csv(tmp_path / f"{name}.csv")) > 0
+
+    def test_one_cpu_runs_serially(self, capsys, monkeypatch, tmp_path):
+        argv = ["run", "--all-presets", "--plot", "--duration", "0.3", "--out"]
+        set_cpus(monkeypatch, 2)
+        code, pool_out, _ = run_cli(capsys, *argv, str(tmp_path / "pool"))
+        assert code == 0
+        runs = set_cpus(monkeypatch, 1)
+        code, serial_out, _ = run_cli(capsys, *argv, str(tmp_path / "serial"))
+        assert code == 0 and runs == list(scenario_library())
+        assert (without_runtime(serial_out, tmp_path / "serial")
+                == without_runtime(pool_out, tmp_path / "pool"))
+        for path in (tmp_path / "serial").iterdir():
+            assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes()
+
+    def test_other_thread_runs_serially(self, capsys, monkeypatch, tmp_path):
+        runs = set_cpus(monkeypatch, 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            code, _, _ = run_cli(capsys, "run", "--all-presets", "--duration", "0.05",
+                                 "--out", str(tmp_path))
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert code == 0 and runs == list(scenario_library())
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["workers", "serial"])
+    def test_os_error_exits_one(self, capsys, monkeypatch, tmp_path, cpus):
+        # the second preset's CSV path is a directory: its error ends the
+        # command, and only the first preset's report is printed
+        set_cpus(monkeypatch, cpus)
+        first, second = list(scenario_library())[:2]
+        (tmp_path / f"{second}.csv").mkdir()
+        code, out, err = run_cli(capsys, "run", "--all-presets", "--duration", "0.2",
+                                 "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and f"{second}.csv" in err
+        assert len(err.splitlines()) == 1
+        printed = [line for line in out.splitlines() if line.startswith("scenario: ")]
+        assert printed == [f"scenario: {first}"]
 
 
 class TestReport:

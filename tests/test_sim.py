@@ -12,6 +12,7 @@ from safeadmit import (AdmittanceParams, EcbfGains, FxtismcGains,
                        SimulationAborted, ValidationError,
                        WorkspaceConstraint, compute_report, desired_trajectory,
                        human_force, records_equal, run, scenario_library)
+from safeadmit import sim
 
 
 class TestDesiredTrajectory:
@@ -166,11 +167,37 @@ class TestRun:
         # again, so the constructors must hand it Python floats
         cfg = replace(scenario_library()["combined"], duration=0.2)
         numpy_cfg = replace(cfg, dt=np.float64(cfg.dt), circle_radius=np.float64(0.14),
-                            circle_rate=np.float64(0.5), robot=ManipulatorParams(l1=np.float64(0.3)))
+                            circle_rate=np.float64(0.5), robot=ManipulatorParams(l1=np.float64(0.3)),
+                            controller=FxtismcGains(lambda1=np.float64(3.0),
+                                                    alpha=np.float64(5 / 7)))
         assert all(type(v) is float for v in (numpy_cfg.dt, numpy_cfg.duration, numpy_cfg.circle_radius,
-                                              numpy_cfg.circle_rate, numpy_cfg.robot.l1))
+                                              numpy_cfg.circle_rate, numpy_cfg.robot.l1,
+                                              numpy_cfg.controller.lambda1,
+                                              numpy_cfg.controller.alpha))
+        assert type(numpy_cfg.controller.use_sign) is bool
         a, b = run(cfg), run(numpy_cfg)
         assert all(records_equal(ra, rb) for ra, rb in zip(a, b)) and len(a) == len(b)
+
+    @pytest.mark.parametrize("name,changes,calls_per_step", [
+        ("baseline-unsafe", {}, 1),
+        ("workspace", {"workspace": None}, 1),
+        ("combined", {}, 2),
+    ], ids=["bypass", "no-constraints", "filtered"])
+    def test_unfiltered_shadow_is_the_reference(self, monkeypatch, name, changes, calls_per_step):
+        # unfiltered, f_hat is f_e, so one admittance step serves the
+        # reference and the shadow
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        step = sim.admittance_step
+        monkeypatch.setattr(sim, "admittance_step", counted)
+        trace = run(replace(scenario_library()[name], duration=0.2, **changes))
+        assert len(calls) == calls_per_step * (len(trace) - 1)
+        if calls_per_step == 1:
+            assert trace.x_r_shadow.tobytes() == trace.x_f.tobytes()
 
     def test_records_equal_compares_bits(self, preset_traces):
         # before the force ramps in, f_e is (0.0, 0.0); the same record with
