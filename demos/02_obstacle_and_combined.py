@@ -18,13 +18,9 @@ OBSTACLE = np.array([-0.07, 0.07])
 
 def workspace_margin(trace):
     """Worst-case workspace barrier value recomputed from positions."""
-    worst = np.inf
-    for rec in trace:
-        for axis in range(2):
-            worst = min(worst,
-                        (rec.x_f[axis] - 0.13) ** 2 - 0.04 ** 2,
-                        (-0.13 - rec.x_f[axis]) ** 2 - 0.04 ** 2)
-    return worst
+    x_f = trace.x_f
+    return np.minimum((x_f - 0.13) ** 2 - 0.04 ** 2,
+                      (-0.13 - x_f) ** 2 - 0.04 ** 2).min()
 
 
 def main():
@@ -33,7 +29,7 @@ def main():
 
     for name in ("obstacle-only", "combined"):
         trace = run(presets[name])
-        dist = min(np.linalg.norm(rec.x_f - OBSTACLE) for rec in trace)
+        dist = np.linalg.norm(trace.x_f - OBSTACLE, axis=1).min()
         print(f"{name:15s} min obstacle distance = {dist:.4f} m "
               f"(clearance radius 0.04 m)")
         print(f"{'':15s} worst workspace barrier value = "

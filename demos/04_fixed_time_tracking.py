@@ -16,11 +16,8 @@ from safeadmit.sim import desired_trajectory
 
 def settle_time(trace, threshold=1e-3):
     """Last time the tracking error is above the threshold."""
-    worst = 0.0
-    for rec in trace:
-        if np.linalg.norm(rec.x_actual - rec.x_f) > threshold:
-            worst = rec.t
-    return worst
+    above = trace.t[np.linalg.norm(trace.x_actual - trace.x_f, axis=1) > threshold]
+    return above[-1] if above.size else 0.0
 
 
 def main():
@@ -35,7 +32,7 @@ def main():
                              force_amplitude=(0.0, 0.0),
                              q0=tuple(q0), qdot0=tuple(qdot0))
         trace = run(cfg)
-        final = np.linalg.norm(trace[-1].x_actual - trace[-1].x_f)
+        final = np.linalg.norm(trace.x_actual[-1] - trace.x_f[-1])
         print(f"initial error {e0:4.2f} m: below 1 mm after "
               f"{settle_time(trace):.3f} s, error at t=2 s = {final:.2e} m")
 
@@ -48,8 +45,8 @@ def main():
                            name="friction-nominal", duration=4.0,
                            force_amplitude=(0.0, 0.0), nominal_only=True))):
         trace = run(cfg)
-        worst = max(np.linalg.norm(rec.x_actual - rec.x_f)
-                    for rec in trace if rec.t >= 2.0)
+        late = trace.t >= 2.0
+        worst = np.linalg.norm(trace.x_actual[late] - trace.x_f[late], axis=1).max()
         print(f"{label:16s} worst error on [2, 4] s = {worst:.2e} m")
     print("the compensator absorbs the unmodelled joint friction.")
 

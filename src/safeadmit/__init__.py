@@ -18,8 +18,8 @@ from .qp import QpProblem, QpSolution, solve, solve_with_slack
 from .safety import (ConstraintSet, EcbfGains, ObstacleConstraint, RowValues,
                      WorkspaceConstraint, assemble_qp, check_start_inside,
                      filter_force)
-from .sim import (ScenarioConfig, Trace, TraceRecord, desired_trajectory,
-                  human_force, records_equal, run, scenario_library)
+from .sim import (ScenarioConfig, Trace, desired_trajectory, human_force,
+                  records_equal, run, scenario_library)
 from .smc import (ControllerState, FxtismcGains, compensating_control, control,
                   nominal_control, signed_power, sliding_variable)
 from .traceio import RunReport, compute_report, emit_csv, emit_plot, read_csv

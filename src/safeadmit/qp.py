@@ -91,7 +91,6 @@ class QpProblem:
 class QpSolution:
     u: Tuple[float, ...]
     active_set: Tuple[int, ...] = field(default_factory=tuple)
-    objective: float = 0.0
 
 
 def _check_size(problem: QpProblem) -> None:
@@ -180,18 +179,10 @@ def _project(problem: QpProblem):
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
 
 
-def _objective(u, u_nom) -> float:
-    """||u - u_nom||^2."""
-    total = 0
-    for a, b in zip(u, u_nom):
-        total += (a - b) ** 2
-    return total
-
-
 def solve(problem: QpProblem) -> QpSolution:
     _check_size(problem)
     u, S = _project(problem)
-    return QpSolution(u=u, active_set=S, objective=_objective(u, problem.u_nom))
+    return QpSolution(u=u, active_set=S)
 
 
 def solve_with_slack(problem: QpProblem, weight: float = 1e6):
@@ -211,5 +202,5 @@ def solve_with_slack(problem: QpProblem, weight: float = 1e6):
     lifted_A = np.hstack([A, -np.eye(m) / np.sqrt(weight)])
     v, S = _project(QpProblem(u_nom + (0.0,) * m, lifted_A, b))
     u = v[:len(u_nom)]
-    return (QpSolution(u=u, active_set=S, objective=_objective(u, u_nom)),
+    return (QpSolution(u=u, active_set=S),
             np.maximum(A @ np.array(u) - np.array(b), 0.0))

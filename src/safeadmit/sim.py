@@ -6,8 +6,9 @@ reference and an unfiltered shadow copy, run the tracker, and advance the
 arm plant. The stages pass float pairs to each other, and each step's
 floats are appended to one flat float log (an ``array('d')``); after the
 loop that log is viewed as an (N, width) matrix whose columns make the
-Trace, one array per signal, whose ``trace[k]`` is a TraceRecord view of
-step k.
+Trace, one array per signal. A step is read from the columns, or as the
+one-row Trace ``trace[k]``; ``records_equal`` compares two traces bit for
+bit.
 """
 
 import math
@@ -117,24 +118,6 @@ VECTORS = ("x_d", "x_f", "x_r_shadow", "x_actual", "f_e", "f_e_hat", "f_e_comp",
 QP_STATUSES = ("ok", "slack", "bypass")
 
 
-@dataclass
-class TraceRecord:
-    """One step of a trace; ``h`` maps each barrier row's name to its value."""
-
-    t: float
-    x_d: np.ndarray
-    x_f: np.ndarray
-    x_r_shadow: np.ndarray
-    x_actual: np.ndarray
-    f_e: np.ndarray
-    f_e_hat: np.ndarray
-    f_e_comp: np.ndarray
-    f_c: np.ndarray
-    h: Dict[str, float]
-    qp_active: Tuple[int, ...]
-    qp_status: str
-
-
 @dataclass(eq=False)
 class Trace:
     """A run's signals, one column per signal over its N steps.
@@ -144,9 +127,10 @@ class Trace:
     ``h_names`` in row-table order; ``qp_active`` holds one active set (a
     tuple of row indices) and ``qp_status`` one of QP_STATUSES per step.
 
-    ``len(trace)`` is N. ``trace[k]`` is a TraceRecord view of step k whose
-    vectors share memory with the columns; iterating yields those views in
-    order, and a slice is a Trace of the sliced columns.
+    ``len(trace)`` is N. A slice is a Trace of the sliced columns, which
+    share memory with these; ``trace[k]`` is the one-row Trace of step k
+    (negative k counts from the end, and k past the end raises IndexError,
+    so iterating yields the N one-row traces in order).
     """
 
     t: np.ndarray
@@ -181,28 +165,20 @@ class Trace:
             return Trace(self.t[k], *(getattr(self, v)[k] for v in VECTORS), h=self.h[k],
                          h_names=self.h_names, qp_active=self.qp_active[k],
                          qp_status=self.qp_status[k])
-        return TraceRecord(float(self.t[k]), *(getattr(self, v)[k] for v in VECTORS),
-                           h=dict(zip(self.h_names, self.h[k].tolist())),
-                           qp_active=self.qp_active[k], qp_status=self.qp_status[k])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        k = range(len(self))[k]
+        return self[k:k + 1]
 
 
-def _record_bytes(rec: TraceRecord, h_names) -> bytes:
-    """The float64 bytes of t, the VECTORS and the h values named by h_names."""
-    floats = np.concatenate([[rec.t], *(getattr(rec, n) for n in VECTORS),
-                             [rec.h[name] for name in h_names]])
-    return floats.astype(float).tobytes()
-
-
-def records_equal(a: TraceRecord, b: TraceRecord) -> bool:
-    """Bit-exact record comparison (used by the determinism checks): t,
-    every vector and every h value compare by their bytes, so a zero of the
-    other sign differs and a NaN equals the same NaN."""
-    if a.h.keys() != b.h.keys() or a.qp_active != b.qp_active or a.qp_status != b.qp_status:
-        return False
-    return _record_bytes(a, a.h) == _record_bytes(b, a.h)
+def records_equal(a: Trace, b: Trace) -> bool:
+    """Bit-exact trace comparison (used by the determinism checks): the row
+    names, active sets and statuses are equal, and t, every vector column
+    and h have equal shapes and bytes, so a zero of the other sign differs
+    and a NaN equals the same NaN."""
+    return (a.h_names == b.h_names and a.qp_active == b.qp_active
+            and a.qp_status == b.qp_status
+            and all(getattr(a, c).shape == getattr(b, c).shape
+                    and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+                    for c in ("t", *VECTORS, "h")))
 
 
 def _trace_from_log(log: array, h_names: Tuple[str, ...], events: list) -> Trace:

@@ -30,7 +30,7 @@ def _passed(label, detail):
 
 def test_01_unsafe_baseline_crosses_workspace(preset_traces):
     trace = preset_traces["baseline-unsafe"]
-    worst = max(np.abs(rec.x_r_shadow).max() for rec in trace)
+    worst = np.abs(trace.x_r_shadow).max()
     assert worst > 0.13
     _passed("criterion 1 (unfiltered reference escapes the workspace)",
             f"max |x_r_shadow|_inf = {worst:.6g} > 0.13")
@@ -38,8 +38,8 @@ def test_01_unsafe_baseline_crosses_workspace(preset_traces):
 
 def test_02_workspace_forward_invariance(preset_traces):
     trace = preset_traces["workspace"]
-    min_h = min(min(rec.h.values()) for rec in trace)
-    worst_xf = max(np.abs(rec.x_f).max() for rec in trace)
+    min_h = trace.h.min()
+    worst_xf = np.abs(trace.x_f).max()
     assert min_h >= -1e-3
     assert worst_xf <= 0.09 + 1e-3
     _passed("criterion 2 (workspace forward invariance)",
@@ -49,7 +49,7 @@ def test_02_workspace_forward_invariance(preset_traces):
 def test_03_obstacle_forward_invariance(preset_traces):
     for name in ("obstacle-only", "combined"):
         trace = preset_traces[name]
-        dist = min(np.linalg.norm(rec.x_f - [-0.07, 0.07]) for rec in trace)
+        dist = np.linalg.norm(trace.x_f - [-0.07, 0.07], axis=1).min()
         assert dist >= 0.04 - 1e-3
         _passed(f"criterion 3 (obstacle clearance, {name})",
                 f"min distance = {dist:.6g} >= {0.04 - 1e-3}")
@@ -59,17 +59,11 @@ def test_04_combined_relieves_workspace_pressure(preset_traces):
     # the obstacle-only preset has no workspace rows, so its workspace
     # margin is recomputed from the logged reference positions
     ws_names = ("ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y")
-    combined = min(min(rec.h[n] for n in ws_names)
-                   for rec in preset_traces["combined"])
-
-    def ws_h(x1):
-        vals = []
-        for axis in range(2):
-            vals.append((x1[axis] - 0.13) ** 2 - 0.04 ** 2)
-            vals.append((-0.13 - x1[axis]) ** 2 - 0.04 ** 2)
-        return min(vals)
-
-    obstacle_only = min(ws_h(rec.x_f) for rec in preset_traces["obstacle-only"])
+    trace = preset_traces["combined"]
+    combined = trace.h[:, [trace.h_names.index(n) for n in ws_names]].min()
+    x_f = preset_traces["obstacle-only"].x_f
+    obstacle_only = np.minimum((x_f - 0.13) ** 2 - 0.04 ** 2,
+                               (-0.13 - x_f) ** 2 - 0.04 ** 2).min()
     assert combined > obstacle_only
     _passed("criterion 4 (combined run keeps a larger workspace margin)",
             f"{combined:.6g} > {obstacle_only:.6g}")
@@ -79,10 +73,12 @@ def test_05_filter_identity_away_from_constraints(preset_traces):
     checked = 0
     worst = 0.0
     for trace in preset_traces.values():
-        for rec in trace:
-            if rec.h and min(rec.h.values()) > 0.005 and rec.qp_active == ():
-                checked += 1
-                worst = max(worst, float(np.linalg.norm(rec.f_e_hat - rec.f_e)))
+        if not trace.h_names:
+            continue
+        away = (trace.h.min(axis=1) > 0.005) & np.array([not s for s in trace.qp_active])
+        checked += int(away.sum())
+        gap = np.linalg.norm(trace.f_e_hat[away] - trace.f_e[away], axis=1)
+        worst = max(worst, float(gap.max(initial=0.0)))
     assert checked > 1000
     assert worst <= 1e-9
     _passed("criterion 5 (filter is the identity away from constraints)",
@@ -116,9 +112,9 @@ def test_06_qp_matches_bruteforce_oracle():
 def test_07_tracking_and_fixed_time(preset_traces):
     worst = 0.0
     for trace in preset_traces.values():
-        for rec in trace:
-            if rec.t >= 1.0:
-                worst = max(worst, float(np.linalg.norm(rec.x_actual - rec.x_f)))
+        late = trace.t >= 1.0
+        gap = np.linalg.norm(trace.x_actual[late] - trace.x_f[late], axis=1)
+        worst = max(worst, float(gap.max()))
     assert worst <= 5e-3
 
     # fixed-time property: initial tracking errors of 0.05 m and 0.5 m both
@@ -136,7 +132,7 @@ def test_07_tracking_and_fixed_time(preset_traces):
                              force_amplitude=(0.0, 0.0),
                              q0=tuple(q0), qdot0=tuple(qdot0))
         trace = run(cfg)
-        err_at_deadline = float(np.linalg.norm(trace[-1].x_actual - trace[-1].x_f))
+        err_at_deadline = float(np.linalg.norm(trace.x_actual[-1] - trace.x_f[-1]))
         assert err_at_deadline < 1e-3
         deadline_errors.append(err_at_deadline)
     _passed("criterion 7 (tracking and fixed-time convergence)",
@@ -244,8 +240,6 @@ def test_10_determinism_and_round_trip(preset_traces, tmp_path):
     trace = preset_traces["combined"]
     p3 = tmp_path / "c.csv"
     emit_csv(trace, p3)
-    reread = read_csv(p3)
-    assert len(reread) == len(trace)
-    assert all(records_equal(a, b) for a, b in zip(trace, reread))
+    assert records_equal(trace, read_csv(p3))
     _passed("criterion 10 (determinism and CSV round trip)",
             "repeated runs byte-identical; reread trace bit-exact")

@@ -128,14 +128,14 @@ class TestRun:
     def test_record_count(self, preset_traces):
         for trace in preset_traces.values():
             assert len(trace) == 16001
-            assert trace[0].t == 0.0
-            assert abs(trace[-1].t - 16.0) < 1e-9
+            assert trace.t[0] == 0.0
+            assert abs(trace.t[-1] - 16.0) < 1e-9
 
     def test_zero_force_unconstrained_tracks_circle(self):
         cfg = ScenarioConfig(name="quiet", duration=4.0,
                              force_amplitude=(0.0, 0.0))
         trace = run(cfg)
-        worst = max(np.abs(rec.x_f - rec.x_d).max() for rec in trace)
+        worst = np.abs(trace.x_f - trace.x_d).max()
         assert worst <= 1e-6
 
     def test_shadow_diverges_after_first_compensation(self, preset_traces):
@@ -144,23 +144,19 @@ class TestRun:
         # unfiltered shadow coincides up to the first compensated step and
         # separates right after it
         trace = preset_traces["workspace"]
-        first = next(i for i, rec in enumerate(trace)
-                     if np.abs(rec.f_e_comp).max() > 0.0)
-        for rec in trace[:first + 1]:
-            assert np.array_equal(rec.x_f, rec.x_r_shadow)
-        assert not np.array_equal(trace[first + 1].x_f, trace[first + 1].x_r_shadow)
+        first = int(np.flatnonzero(np.abs(trace.f_e_comp).max(axis=1) > 0.0)[0])
+        assert np.array_equal(trace.x_f[:first + 1], trace.x_r_shadow[:first + 1])
+        assert not np.array_equal(trace.x_f[first + 1], trace.x_r_shadow[first + 1])
 
     def test_bypass_status_and_identity(self, preset_traces):
-        for rec in preset_traces["baseline-unsafe"]:
-            assert rec.qp_status == "bypass"
-            assert np.array_equal(rec.f_e_hat, rec.f_e)
-            assert np.array_equal(rec.x_f, rec.x_r_shadow)
+        trace = preset_traces["baseline-unsafe"]
+        assert set(trace.qp_status) == {"bypass"}
+        assert np.array_equal(trace.f_e_hat, trace.f_e)
+        assert np.array_equal(trace.x_f, trace.x_r_shadow)
 
     def test_determinism(self):
         cfg = replace(scenario_library()["workspace"], duration=2.0)
-        a, b = run(cfg), run(cfg)
-        assert len(a) == len(b)
-        assert all(records_equal(ra, rb) for ra, rb in zip(a, b))
+        assert records_equal(run(cfg), run(cfg))
 
     def test_numpy_scalar_parameters_run_as_floats(self):
         # the step passes on the floats it computes without coercing them
@@ -175,8 +171,7 @@ class TestRun:
                                               numpy_cfg.controller.lambda1,
                                               numpy_cfg.controller.alpha))
         assert type(numpy_cfg.controller.use_sign) is bool
-        a, b = run(cfg), run(numpy_cfg)
-        assert all(records_equal(ra, rb) for ra, rb in zip(a, b)) and len(a) == len(b)
+        assert records_equal(run(cfg), run(numpy_cfg))
 
     @pytest.mark.parametrize("name,changes,calls_per_step", [
         ("baseline-unsafe", {}, 1),
@@ -200,15 +195,33 @@ class TestRun:
             assert trace.x_r_shadow.tobytes() == trace.x_f.tobytes()
 
     def test_records_equal_compares_bits(self, preset_traces):
-        # before the force ramps in, f_e is (0.0, 0.0); the same record with
-        # -0.0 in its place differs in its bytes, and a NaN record is equal
-        # to itself, bit for bit
-        rec = preset_traces["combined"][10]
-        assert rec.f_e.tolist() == [0.0, 0.0]
-        assert records_equal(rec, replace(rec))
-        assert not records_equal(rec, replace(rec, f_e=-rec.f_e))
-        nan = replace(rec, x_f=np.array([math.nan, 0.0]), h={**rec.h, "obs": math.nan})
-        assert records_equal(nan, replace(nan))
+        # before the force ramps in, f_e is (0.0, 0.0); the same trace with
+        # -0.0 in its place differs in its bytes, and a trace holding NaNs
+        # is equal to a copy of itself, bit for bit
+        trace = preset_traces["combined"][:20]
+        assert not trace.f_e.any()
+        assert records_equal(trace, replace(trace, f_e=trace.f_e.copy()))
+        assert not records_equal(trace, replace(trace, f_e=-trace.f_e))
+        x_f, h = trace.x_f.copy(), trace.h.copy()
+        x_f[3, 0] = h[5, -1] = math.nan
+        nan = replace(trace, x_f=x_f, h=h)
+        assert records_equal(nan, replace(nan, x_f=x_f.copy(), h=h.copy()))
+        assert not records_equal(trace, nan)
+        # the length, the row names and the active sets count too
+        assert not records_equal(trace, trace[:-1])
+        assert not records_equal(trace, replace(trace, h_names=trace.h_names[::-1]))
+        active = ((),) + trace.qp_active[1:]
+        assert active != trace.qp_active
+        assert not records_equal(trace, replace(trace, qp_active=active))
+
+    def test_an_index_is_a_one_row_trace(self, preset_traces):
+        trace = preset_traces["combined"][:20]
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+        assert records_equal(trace[-1], trace[len(trace) - 1:])
+        rows = list(trace)
+        assert len(rows) == len(trace) and all(len(row) == 1 for row in rows)
+        assert all(records_equal(row, trace[k:k + 1]) for k, row in enumerate(rows))
 
     def test_log_memory_per_step(self):
         # the run keeps one flat float log, not a list of small arrays: the
@@ -239,11 +252,11 @@ class TestRun:
         assert len(excinfo.value.trace) == 0
 
     def test_h_columns_follow_constraints(self, preset_traces):
-        assert set(preset_traces["workspace"][0].h) == {
-            "ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y"}
-        assert set(preset_traces["obstacle-only"][0].h) == {"obs"}
-        assert set(preset_traces["combined"][0].h) == {
-            "ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs"}
+        assert preset_traces["workspace"].h_names == (
+            "ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y")
+        assert preset_traces["obstacle-only"].h_names == ("obs",)
+        assert preset_traces["combined"].h_names == (
+            "ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs")
 
     def test_compensator_beats_nominal_under_friction(self):
         base = ScenarioConfig(name="paired", duration=4.0,
@@ -252,8 +265,8 @@ class TestRun:
         nominal = run(replace(base, nominal_only=True, name="paired-nominal"))
 
         def worst(trace):
-            return max(np.linalg.norm(rec.x_actual - rec.x_f)
-                       for rec in trace if 2.0 <= rec.t <= 4.0)
+            window = (2.0 <= trace.t) & (trace.t <= 4.0)
+            return np.linalg.norm(trace.x_actual[window] - trace.x_f[window], axis=1).max()
 
         assert worst(full) < worst(nominal)
 
@@ -261,9 +274,8 @@ class TestRun:
         # boundary-layer smoothing keeps the commanded force continuous at
         # the millisecond scale
         trace = preset_traces["combined"]
-        jumps = [np.abs(b.f_c - a.f_c).max()
-                 for a, b in zip(trace[2000:6000], trace[2001:6001])]
-        assert max(jumps) < 2.0 * (30.0 + 5.0) + 5.0
+        jumps = np.abs(np.diff(trace.f_c[2000:6001], axis=0)).max()
+        assert jumps < 2.0 * (30.0 + 5.0) + 5.0
 
 
 @pytest.mark.parametrize("k_m", [(20.0, 5.0), (5.0, 20.0)])
@@ -275,8 +287,9 @@ def test_anisotropic_virtual_mass_stays_in_box(name, k_m):
     cfg = replace(scenario_library()[name], duration=5.0,
                   admittance=AdmittanceParams(k_m=k_m))
     trace = run(cfg)
-    min_h = min(v for rec in trace for k, v in rec.h.items() if k.startswith("ws_"))
-    max_xf = max(np.abs(rec.x_f).max() for rec in trace)
+    ws = [i for i, name in enumerate(trace.h_names) if name.startswith("ws_")]
+    min_h = trace.h[:, ws].min()
+    max_xf = np.abs(trace.x_f).max()
     assert min_h >= -1e-6
     assert max_xf <= 0.09 + 1e-6
 
@@ -315,8 +328,7 @@ def test_slack_equals_hard_where_feasible(preset_traces):
     hard = preset_traces["workspace"]
     soft = run(replace(scenario_library()["workspace"], slack=True))
     assert len(soft) == len(hard)
-    for a, b in zip(hard, soft):
-        assert np.array_equal(a.f_e_hat, b.f_e_hat)
-        assert a.qp_active == b.qp_active
-        assert b.qp_status == "ok"
+    assert np.array_equal(hard.f_e_hat, soft.f_e_hat)
+    assert hard.qp_active == soft.qp_active
+    assert set(soft.qp_status) == {"ok"}
     assert compute_report(soft, scenario="workspace").slack_steps == 0

@@ -32,15 +32,6 @@ REFERENCE_CASES = (*scenario_library(), "no-constraint", "slack",
                    *(f"{name}-abort" for name in scenario_library()))
 
 
-def same_columns(a: Trace, b: Trace) -> bool:
-    """Bit-exact equality of every column, sign bits of zeros included."""
-    return (a.h_names == b.h_names and a.qp_active == b.qp_active
-            and a.qp_status == b.qp_status
-            and all(getattr(a, c).shape == getattr(b, c).shape
-                    and getattr(a, c).tobytes() == getattr(b, c).tobytes()
-                    for c in ("t", *VECTORS, "h")))
-
-
 @pytest.fixture(scope="module")
 def short_trace():
     cfg = replace(scenario_library()["combined"], duration=2.0)
@@ -51,9 +42,7 @@ class TestCsv:
     def test_round_trip_bit_exact(self, short_trace, tmp_path):
         path = tmp_path / "trace.csv"
         emit_csv(short_trace, path)
-        reread = read_csv(path)
-        assert len(reread) == len(short_trace)
-        assert all(records_equal(a, b) for a, b in zip(short_trace, reread))
+        assert records_equal(short_trace, read_csv(path))
 
     def test_row_count_inclusive_endpoints(self, preset_traces, tmp_path):
         path = tmp_path / "ws.csv"
@@ -128,13 +117,11 @@ class TestReferenceFormat:
         trace = reference_traces[case]
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         emit_csv(trace, new)
-        ref.emit_csv(list(trace), old)
+        ref.emit_csv(trace, old)
         assert new.read_bytes() == old.read_bytes()
         back = read_csv(new)
-        assert same_columns(trace, back)
-        old_back = ref.read_csv(new)
-        assert len(old_back) == len(back)
-        assert all(records_equal(a, b) for a, b in zip(old_back, back))
+        assert records_equal(trace, back)
+        assert records_equal(ref.read_csv(new), back)
 
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -163,9 +150,9 @@ def _columns(draw):
 def test_random_columns_round_trip_bit_exact(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("columns") / "trace.csv"
     emit_csv(trace, path)
-    assert same_columns(trace, read_csv(path))
+    assert records_equal(trace, read_csv(path))
     old = path.with_name("reference.csv")
-    ref.emit_csv(list(trace), old)
+    ref.emit_csv(trace, old)
     assert path.read_bytes() == old.read_bytes()
 
 
@@ -210,7 +197,7 @@ class TestReport:
     def test_obstacle_distance_definition(self, preset_traces):
         trace = preset_traces["obstacle-only"]
         rep = compute_report(trace, scenario="o", safe_distance=0.04)
-        direct = min(np.linalg.norm(rec.x_f - [-0.07, 0.07]) for rec in trace)
+        direct = np.linalg.norm(trace.x_f - [-0.07, 0.07], axis=1).min()
         assert abs(rep.min_obstacle_distance - direct) < 1e-9
 
 
@@ -250,9 +237,9 @@ class TestPlot:
         assert group.get("transform") == "scale(1,-1)"
         poly = group.findall("svg:polyline", ns)[0]
         first = poly.get("points").split()[0].split(",")
-        rec = short_trace[0]
-        assert float(first[0]) == pytest.approx(rec.x_d[0], abs=1e-4)
-        assert float(first[1]) == pytest.approx(rec.x_d[1], abs=1e-4)
+        x_d = short_trace.x_d[0]
+        assert float(first[0]) == pytest.approx(x_d[0], abs=1e-4)
+        assert float(first[1]) == pytest.approx(x_d[1], abs=1e-4)
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
