@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence, Union
 
-from .errors import Pair, ValidationError, float_pair, require_finite
+from .errors import Pair, ValidationError, finite_fields, float_pair
 
 
 @dataclass
@@ -36,10 +36,7 @@ class AdmittanceParams:
     k_k: Pair = 100.0
 
     def __post_init__(self):
-        self.k_m = float_pair(self.k_m, "k_m")
-        self.k_b = float_pair(self.k_b, "k_b")
-        self.k_k = float_pair(self.k_k, "k_k")
-        require_finite(self)
+        finite_fields(self, pairs=("k_m", "k_b", "k_k"))
         if not min(self.k_m) > 0.0:
             raise ValidationError("k_m must be positive")
         if min(self.k_b) < 0.0 or min(self.k_k) < 0.0:

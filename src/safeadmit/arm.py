@@ -29,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import Pair, SingularConfiguration, ValidationError, float_pair, require_finite
+from .errors import Pair, SingularConfiguration, ValidationError, finite_fields, float_pair
 
 
 @dataclass
@@ -42,9 +42,7 @@ class ManipulatorParams:
     singularity_tolerance: float = 1e-4
 
     def __post_init__(self):
-        require_finite(self)
-        for f in fields(self):
-            setattr(self, f.name, float(getattr(self, f.name)))
+        finite_fields(self, numbers=[f.name for f in fields(self)])
         for name in ("m1", "m2", "l1", "l2"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive")

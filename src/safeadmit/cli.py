@@ -193,9 +193,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "report":
+            # --r is checked as an obstacle's r is: finite and positive
+            safe_distance = ObstacleConstraint(r=args.r).r
             trace = read_csv(args.csv)
             report = compute_report(trace, scenario=args.scenario,
-                                    safe_distance=args.r)
+                                    safe_distance=safe_distance)
             print(report.format())
             return 0
 

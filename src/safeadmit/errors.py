@@ -1,11 +1,13 @@
-"""Exception types shared across the toolkit, and the checks and 2-vector
-coercions that the dataclasses run at construction."""
+"""Exception types shared across the toolkit, and the one coercion rule
+for parameter fields.
+
+Every number field of a parameter dataclass becomes a Python float and
+every 2-vector field a pair of them (finite_fields); a value that is not a
+number, or not a number or a pair, raises ValidationError naming the field,
+and so does one that is NaN or infinite."""
 
 import math
-from dataclasses import fields, is_dataclass
 from typing import Tuple
-
-import numpy as np
 
 # A 2-vector of the step (a position, a force, a gain per axis) as two
 # Python floats; a 2x2 matrix is a pair of row pairs.
@@ -41,18 +43,6 @@ class ValidationError(ValueError):
     """A parameter violates one of its invariants."""
 
 
-def require_finite(params) -> None:
-    """Raise ValidationError naming the first numeric field of the dataclass
-    ``params`` that holds NaN or infinity. Strings, None and nested
-    dataclasses (which check themselves) are skipped."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if value is None or isinstance(value, str) or is_dataclass(value):
-            continue
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValidationError(f"{f.name} must be finite")
-
-
 def all_finite(*values: float) -> bool:
     """Whether every one of the floats ``values`` is neither NaN nor infinite."""
     for v in values:
@@ -61,9 +51,7 @@ def all_finite(*values: float) -> bool:
     return True
 
 
-def _pair(v, name: str) -> np.ndarray:
-    """A fresh float 2-vector of float_pair(v, name)."""
-    return np.array(float_pair(v, name))
+_PAIR_KIND = "a number or a pair of numbers"
 
 
 def float_pair(v, name: str) -> Pair:
@@ -77,5 +65,23 @@ def float_pair(v, name: str) -> Pair:
             x = y = v
         return float(x), float(y)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number or a pair of numbers, "
-                              f"got {v!r}") from None
+        raise ValidationError(f"{name} must be {_PAIR_KIND}, got {v!r}") from None
+
+
+def finite_fields(obj, numbers=(), pairs=()) -> None:
+    """Set each field of ``obj`` named in ``numbers`` to its float and each
+    named in ``pairs`` to its float_pair, in that order. A field that is a
+    string or no such number or pair, or whose floats are not all finite,
+    raises ValidationError naming it."""
+    for name in (*numbers, *pairs):
+        v, is_number = getattr(obj, name), name in numbers
+        try:
+            if isinstance(v, str):
+                raise TypeError
+            value = (float(v),) if is_number else float_pair(v, name)
+        except (TypeError, ValueError):
+            kind = "a number" if is_number else _PAIR_KIND
+            raise ValidationError(f"{name} must be {kind}, got {v!r}") from None
+        if not all_finite(*value):
+            raise ValidationError(f"{name} must be finite")
+        setattr(obj, name, value[0] if is_number else value)

@@ -5,23 +5,22 @@ subsets in (size, lexicographic) order and returning the first KKT point.
 The objective is strictly convex, so that point is the unique optimum, and
 its active set is the lexicographically smallest one of minimal size.
 
-For n <= 2 variables every subset has at most two rows and the point has a
-closed form on Python floats: the foot of the perpendicular on one row, or
-Cramer's rule on a 2x2 system, whose rank test compares its smallest
-singular value |det| / sigma_max with RANK_TOL; n = 1 is solved as n = 2
-with a zero second column. For n > 2, one SVD per
-subset, A_S = U diag(s) V^T, tests the rows' rank and gives the point and
-its multipliers without forming the Gram matrix A_S A_S^T, which would
-square the rows' conditioning. The penalized-slack variant is the same
-projection on a lifted variable. Problems are sized for n <= 4 variables
-and m <= 8 rows; larger ones are rejected.
+For n = 2 variables (the filter's force) every subset has at most two rows
+and the point has a closed form on Python floats: the foot of the
+perpendicular on one row, or Cramer's rule on a 2x2 system, whose rank test
+compares its smallest singular value |det| / sigma_max with RANK_TOL. For
+any other n, one SVD per subset, A_S = U diag(s) V^T, tests the rows' rank
+and gives the point and its multipliers without forming the Gram matrix
+A_S A_S^T, which would square the rows' conditioning. The penalized-slack
+variant is the same projection on a lifted variable. Problems are sized
+for n <= 4 variables and m <= 8 rows; larger ones are rejected.
 
 A problem's u_nom and b are tuples of floats. Its A is a 2-D float array,
 and rows holds the same rows as float tuples; each form is built from the
 other when first read. The public constructor takes A and checks it;
 QpProblem.of_rows takes the float tuples a caller has just computed, runs
 only the finiteness check, and never builds the array unless it is read:
-solve reads the rows for n <= 2 and A only for n > 2. A solution's u is a
+solve reads the rows for n = 2 and A for any other n. A solution's u is a
 tuple of floats.
 """
 
@@ -50,16 +49,21 @@ class QpProblem:
     docstring)."""
 
     def __init__(self, u_nom, A, b):
-        self.u_nom = tuple(map(float, u_nom))
-        n = len(self.u_nom)
-        # a float array of the right shape is kept, not copied: the solver
-        # never writes to it
-        self.A = np.asarray(A, dtype=float).reshape(-1, n)
-        self.b = tuple(map(float, b))
-        if self.A.shape[0] != len(self.b):
-            raise ValidationError("A and b row counts differ")
+        try:
+            self.u_nom = tuple(map(float, u_nom))
+            self.b = tuple(map(float, b))
+            # a float array is kept, not copied: the solver never writes to it
+            self.A = np.asarray(A, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("QP entries must be numbers") from None
+        n, m = len(self.u_nom), len(self.b)
         if n < 1:
             raise ValidationError("need at least one decision variable")
+        if self.A.size == 0 and m == 0:
+            self.A = self.A.reshape(0, n)
+        if self.A.shape != (m, n):
+            raise ValidationError(f"A must be len(b) x len(u_nom) = {m} x {n}, "
+                                  f"got shape {self.A.shape}")
         if not all_finite(*self.u_nom, *self.A.ravel().tolist(), *self.b):
             raise ValidationError("QP entries must be finite")
 
@@ -151,12 +155,6 @@ def _project(problem: QpProblem):
     u_nom, b = problem.u_nom, problem.b
     if len(u_nom) == 2:
         return _project_pair(u_nom, problem.rows, b)
-    if len(u_nom) == 1:
-        # the same problem with a zero second column: each point keeps
-        # u[1] = 0, every pair of rows has rank one, and the sums gain only
-        # exact zero terms
-        u, S = _project_pair((u_nom[0], 0.0), [(a, 0.0) for (a,) in problem.rows], b)
-        return u[:1], S
     A = problem.A
     u_nom, b = np.array(u_nom), np.array(b)
     Au = A @ u_nom

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .admittance import AdmittanceState
-from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, _pair, float_pair, require_finite
+from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, finite_fields, float_pair
 from .qp import QpProblem, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
@@ -58,10 +58,8 @@ class WorkspaceConstraint:
     r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
-        self.x_min = _pair(self.x_min, "x_min")
-        self.x_max = _pair(self.x_max, "x_max")
-        self.r = float(self.r)
-        require_finite(self)
+        finite_fields(self, numbers=("r",), pairs=("x_min", "x_max"))
+        self.x_min, self.x_max = np.array(self.x_min), np.array(self.x_max)
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
         if not (self.x_min + self.r < self.x_max - self.r).all():
@@ -74,9 +72,8 @@ class ObstacleConstraint:
     r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
-        self.x_obs = _pair(self.x_obs, "x_obs")
-        self.r = float(self.r)
-        require_finite(self)
+        finite_fields(self, numbers=("r",), pairs=("x_obs",))
+        self.x_obs = np.array(self.x_obs)
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
 
@@ -92,13 +89,14 @@ class EcbfGains:
     K_obs: Pair = (700.0, 70.0)
 
     def __post_init__(self):
-        for name in ("K_max", "K_min", "K_obs"):
-            k = np.asarray(getattr(self, name), dtype=float)
-            if k.shape != (2,):
-                raise ValidationError(f"{name} must be one (position, velocity) pair, "
-                                      f"got shape {k.shape}")
-            setattr(self, name, tuple(k.tolist()))
-        require_finite(self)
+        names = ("K_max", "K_min", "K_obs")
+        for name in names:
+            k = getattr(self, name)
+            try:
+                len(k)  # a number, which float_pair would repeat, has none
+            except TypeError:
+                raise ValidationError(f"{name} must be one (position, velocity) pair, got {k!r}") from None
+        finite_fields(self, pairs=names)
         if min(*self.K_max, *self.K_min, *self.K_obs) <= 0.0:
             raise ValidationError("barrier gains must be positive")
 

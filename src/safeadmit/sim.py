@@ -22,7 +22,7 @@ from . import arm, smc
 from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step
 from .arm import JointState, ManipulatorParams, _tv
 from .errors import (InfeasibleQp, Pair, SimulationAborted, SingularConfiguration, StartOutsideSafeSet,
-                     ValidationError, float_pair, require_finite)
+                     ValidationError, finite_fields)
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
 from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
 from .smc import ControllerState, FxtismcGains
@@ -83,12 +83,11 @@ class ScenarioConfig:
     nominal_only: bool = False
 
     def __post_init__(self):
-        self.force_amplitude = float_pair(self.force_amplitude, "force_amplitude")
-        require_finite(self)
         # the step's kernels take these as Python floats and pass on what
         # they compute without coercing it again
-        self.duration, self.dt = float(self.duration), float(self.dt)
-        self.circle_radius, self.circle_rate = float(self.circle_radius), float(self.circle_rate)
+        finite_fields(self, numbers=("duration", "dt", "circle_radius", "circle_rate"),
+                      pairs=("force_amplitude", "q0", "qdot0")
+                      + (("admittance_start",) if self.admittance_start is not None else ()))
         if not self.dt > 0.0:
             raise ValidationError("dt must be positive")
         if not self.duration >= self.dt:

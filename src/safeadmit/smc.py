@@ -29,7 +29,7 @@ import numpy as np
 
 from .admittance import DesiredPoint
 from .arm import CartesianDynamicsTerms, CartesianState
-from .errors import Pair, ValidationError, all_finite, require_finite
+from .errors import Pair, ValidationError, all_finite, finite_fields
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
@@ -58,10 +58,7 @@ class FxtismcGains:
     force_limit: float = 1e5
 
     def __post_init__(self):
-        require_finite(self)
-        for f in fields(self):
-            if f.name != "use_sign":
-                setattr(self, f.name, float(getattr(self, f.name)))
+        finite_fields(self, numbers=[f.name for f in fields(self) if f.name != "use_sign"])
         positive = ("lambda1", "lambda2", "lambda3", "kappa1", "kappa2",
                     "kappa3", "kappa4", "rho", "epsilon", "force_limit")
         for name in positive:

@@ -263,6 +263,19 @@ class TestReport:
         rep_lines = out_rep.splitlines()
         assert rep_lines == run_lines
 
+    @pytest.mark.parametrize("r,message", [
+        ("nan", "r must be finite"), ("inf", "r must be finite"),
+        ("-0.04", "safe distance r must be positive"), ("0", "safe distance r must be positive"),
+    ])
+    def test_bad_safe_distance_exits_one(self, capsys, tmp_path, r, message):
+        code, _, _ = run_cli(capsys, "run", "--scenario", "combined",
+                             "--duration", "0.01", "--out", str(tmp_path))
+        assert code == 0
+        code, out, err = run_cli(capsys, "report", str(tmp_path / "combined.csv"), f"--r={r}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_csv_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope.csv"))
         assert code == 1

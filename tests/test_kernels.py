@@ -88,7 +88,7 @@ class TestClosedFormProjection:
             _assert_same(rng.uniform(-1, 1, 2), A, rng.uniform(-1, 1, 3) * 1e-8)
 
     def test_one_variable(self):
-        # n = 1 takes the closed form too; each row is a half-line
+        # n = 1 takes the SVD path; each row is a half-line
         rng = np.random.default_rng(5)
         for _ in range(300):
             m = int(rng.integers(0, 5))

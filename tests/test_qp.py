@@ -68,6 +68,33 @@ class TestSolveExamples:
         with pytest.raises(ValidationError):
             QpProblem(u_nom=[np.inf], A=[[1.0]], b=[0.0])
 
+    @pytest.mark.parametrize("u_nom,A,b", [
+        ([0.0, 0.0], [[1.0, 2.0, 3.0, 4.0]], [1.0, 1.0]),
+        ([0.0, 0.0], [[1.0, 2.0], [3.0, 4.0]], [1.0]),
+        ([0.0], [1.0, -1.0], [1.0, 1.0]),
+        ([0.0, 0.0], [[[1.0, 2.0]]], [1.0]),
+    ], ids=["one-long-row", "rows-past-b", "flat", "3-d"])
+    def test_a_not_b_rows_by_n_rejected(self, u_nom, A, b):
+        with pytest.raises(ValidationError, match="^A must be len"):
+            QpProblem(u_nom, A, b)
+
+    @pytest.mark.parametrize("u_nom,A,b", [
+        ([0.0, 0.0], [["a", 1.0]], [1.0]),
+        ([0.0, 0.0], [[1.0], [1.0, 2.0]], [1.0, 1.0]),
+        ([0.0, None], [[1.0, 1.0]], [1.0]),
+        ([0.0, 0.0], [[1.0, 1.0]], ["x"]),
+        (3.0, [[1.0]], [1.0]),
+    ], ids=["string-in-A", "ragged-A", "none-in-u_nom", "string-in-b", "scalar-u_nom"])
+    def test_non_numeric_entries_rejected(self, u_nom, A, b):
+        with pytest.raises(ValidationError, match="^QP entries must be numbers"):
+            QpProblem(u_nom, A, b)
+
+    @pytest.mark.parametrize("A", [[], np.zeros(0), np.zeros((0, 2))], ids=["list", "flat", "0x2"])
+    def test_empty_a_with_empty_b_accepted(self, A):
+        prob = QpProblem([1.0, -2.0], A, [])
+        assert prob.A.shape == (0, 2)
+        assert solve(prob).u == (1.0, -2.0)
+
 
 class TestSolveProperties:
     def test_oracle_equivalence(self, rng):

@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
 
 from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
-                       DesiredPoint, EcbfGains, InfeasibleQp, ObstacleConstraint,
-                       QpProblem, RowValues, ScenarioConfig, StartOutsideSafeSet,
+                       DesiredPoint, EcbfGains, FxtismcGains, InfeasibleQp,
+                       ManipulatorParams, ObstacleConstraint, QpProblem, RowValues,
+                       ScenarioConfig, StartOutsideSafeSet,
                        ValidationError, WorkspaceConstraint, admittance_step,
                        assemble_qp, check_start_inside, drift_term, filter_force, solve)
 
@@ -27,6 +30,38 @@ def _row(name, st, drift):
 
 def _state(x1, x2=(0.0, 0.0)):
     return AdmittanceState(x1, x2)
+
+
+# Every number field and every 2-vector field of the parameter classes.
+NUMBER_FIELDS = {
+    ManipulatorParams: [f.name for f in fields(ManipulatorParams)],
+    FxtismcGains: [f.name for f in fields(FxtismcGains) if f.name != "use_sign"],
+    WorkspaceConstraint: ["r"],
+    ObstacleConstraint: ["r"],
+    ScenarioConfig: ["duration", "dt", "circle_radius", "circle_rate"],
+}
+PAIR_FIELDS = {
+    AdmittanceParams: ["k_m", "k_b", "k_k"],
+    EcbfGains: ["K_max", "K_min", "K_obs"],
+    WorkspaceConstraint: ["x_min", "x_max"],
+    ObstacleConstraint: ["x_obs"],
+    ScenarioConfig: ["force_amplitude", "q0", "qdot0", "admittance_start"],
+}
+
+
+def _malformed_fields():
+    """(make, field, kind) with an id for each field above and each value
+    that is not a number, or not a number or a pair."""
+    cases = []
+    for table, kind, values in (
+            (NUMBER_FIELDS, "a number, got", {"string": "abc", "none": None, "list": [1, 2]}),
+            (PAIR_FIELDS, "a number or a pair", {"3-long": (1, 2, 3), "ragged": [[1], [2, 3]]})):
+        for cls, names in table.items():
+            for name in names:
+                for label, value in values.items():
+                    cases.append(pytest.param(partial(cls, **{name: value}), name, kind,
+                                              id=f"{cls.__name__}.{name}-{label}"))
+    return cases
 
 
 def _rand_interior_state(rng):
@@ -58,15 +93,19 @@ class TestConstraintTypes:
         assert (g.K_max, g.K_min, g.K_obs) == ((400.0, 40.0), (300.0, 30.0), (700.0, 70.0))
         assert all(type(k) is float for k in (*g.K_max, *g.K_min, *g.K_obs))
 
-    @pytest.mark.parametrize("make,field", [
-        (lambda: AdmittanceParams(k_m=(1, 2, 3)), "k_m"),
-        (lambda: WorkspaceConstraint(x_min=(0, 0, 0)), "x_min"),
-        (lambda: ObstacleConstraint(x_obs="far"), "x_obs"),
-        (lambda: ScenarioConfig(force_amplitude=[[1, 2], [3, 4]]), "force_amplitude"),
-        (lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1"),
-    ], ids=["3-long", "3-long-bound", "string", "2x2", "none"])
-    def test_malformed_pair_names_its_field(self, make, field):
-        with pytest.raises(ValidationError, match=f"^{field} must be a number or a pair"):
+    @pytest.mark.parametrize("make,field,kind", [
+        pytest.param(lambda: AdmittanceParams(k_m=(1, 2, 3)), "k_m", "a number or a pair", id="3-long"),
+        pytest.param(lambda: WorkspaceConstraint(x_min=(0, 0, 0)), "x_min", "a number or a pair",
+                     id="3-long-bound"),
+        pytest.param(lambda: ObstacleConstraint(x_obs="far"), "x_obs", "a number or a pair", id="string"),
+        pytest.param(lambda: ScenarioConfig(force_amplitude=[[1, 2], [3, 4]]), "force_amplitude",
+                     "a number or a pair", id="2x2"),
+        pytest.param(lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1", "a number or a pair",
+                     id="none"),
+        *_malformed_fields(),
+    ])
+    def test_malformed_pair_names_its_field(self, make, field, kind):
+        with pytest.raises(ValidationError, match=f"^{field} must be {kind}"):
             make()
 
     def test_nonpositive_gains_rejected(self):
