@@ -9,12 +9,14 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime abort (the
 partial trace is still written).
 
 ``run --all-presets`` runs the presets in forked worker processes, one per
-CPU this process may use (at most one per preset). Each worker simulates
-its preset and writes its files; the text it would have printed comes back
-and is printed in preset order, so the output is that of the serial run.
-With one CPU, one scenario, no ``fork`` start method, or other threads
-running in this process (which a fork cannot copy safely), the presets run
-one after another in this process.
+CPU that sim.fork_cpus finds (at most one per preset). Each worker
+simulates its preset in one process and writes its files; the text it
+would have printed comes back and is printed in preset order, so the
+output is that of the serial run. With one such CPU (one CPU, no
+``os.fork``, other threads running in this process, which a fork cannot
+copy safely, or this process itself a worker) or one scenario, the
+presets run one after another in this process, where ``run`` may use a
+second CPU for each.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from pathlib import Path
 from .config import CONSTRAINT_SETS, parse_config
 from .errors import ConfigError, SimulationAborted, ValidationError
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
-from .sim import ScenarioConfig, run, scenario_library
+from .sim import ScenarioConfig, fork_cpus, run, scenario_library
 from .traceio import compute_report, emit_csv, emit_plot, read_csv
 
 OUT_ENV = "SAFEGUARD_OUT"
@@ -130,13 +132,6 @@ def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _run_captured(job) -> tuple:
     """``_run_one`` in a worker: (exit code, stdout text, stderr text)."""
     out, err = io.StringIO(), io.StringIO()
@@ -152,27 +147,22 @@ def _run_captured(job) -> tuple:
 def _run_all(configs, out_dir: Path, plot: bool) -> int:
     """Run every config and return the largest exit code, in forked
     workers when more than one CPU and more than one config are at hand."""
-    workers = min(len(configs), _usable_cpus())
+    workers = min(len(configs), fork_cpus())
     if workers > 1:
         # imported here only: every other command would pay tens of ms for it
         import multiprocessing
-        import threading
         from concurrent.futures import ProcessPoolExecutor
-        # a fork copies no thread but the caller's, so forking while other
-        # threads run can leave a worker holding a lock nobody releases
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1):
-            sys.stdout.flush()  # a worker must not inherit unwritten output
-            sys.stderr.flush()
-            jobs = [(c, out_dir, plot) for c in configs]
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_run_captured, jobs))
-            for code, out, err in results:
-                sys.stdout.write(out)
-                sys.stderr.write(err)
-                if code == 1:  # the serial loop ends at its first error
-                    return code
-            return max(code for code, _, _ in results)
+        sys.stdout.flush()  # a worker must not inherit unwritten output
+        sys.stderr.flush()
+        jobs = [(c, out_dir, plot) for c in configs]
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_run_captured, jobs))
+        for code, out, err in results:
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+            if code == 1:  # the serial loop ends at its first error
+                return code
+        return max(code for code, _, _ in results)
     return max([_run_one(c, out_dir, plot) for c in configs])
 
 

@@ -52,13 +52,18 @@ def all_finite(*values: float) -> bool:
 
 
 _PAIR_KIND = "a number or a pair of numbers"
+# Text that float() or unpacking would read as numbers ("1.5", b"12"); no
+# field takes it.
+_TEXT = (str, bytes, bytearray)
 
 
 def float_pair(v, name: str) -> Pair:
     """The two floats of a 2-vector (any sequence of two numbers), or of a
-    scalar repeated. Anything else raises ValidationError naming the field
-    ``name``."""
+    scalar repeated. Anything else, a string or bytes included, raises
+    ValidationError naming the field ``name``."""
     try:
+        if isinstance(v, _TEXT):
+            raise TypeError
         try:
             x, y = v
         except TypeError:
@@ -70,13 +75,13 @@ def float_pair(v, name: str) -> Pair:
 
 def finite_fields(obj, numbers=(), pairs=()) -> None:
     """Set each field of ``obj`` named in ``numbers`` to its float and each
-    named in ``pairs`` to its float_pair, in that order. A field that is a
-    string or no such number or pair, or whose floats are not all finite,
+    named in ``pairs`` to its float_pair, in that order. A field that is
+    text or no such number or pair, or whose floats are not all finite,
     raises ValidationError naming it."""
     for name in (*numbers, *pairs):
         v, is_number = getattr(obj, name), name in numbers
         try:
-            if isinstance(v, str):
+            if isinstance(v, _TEXT):
                 raise TypeError
             value = (float(v),) if is_number else float_pair(v, name)
         except (TypeError, ValueError):

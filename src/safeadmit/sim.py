@@ -3,15 +3,25 @@
 Per step: sample the desired circle and the scripted human force, filter
 the force through the barrier QP, advance the (filtered) admittance
 reference and an unfiltered shadow copy, run the tracker, and advance the
-arm plant. The stages pass float pairs to each other, and each step's
-floats are appended to one flat float log (an ``array('d')``); after the
-loop that log is viewed as an (N, width) matrix whose columns make the
-Trace, one array per signal. A step is read from the columns, or as the
-one-row Trace ``trace[k]``; ``records_equal`` compares two traces bit for
-bit.
+arm plant. The first three make the reference chain, which never reads the
+plant; the tracker and the plant make the plant chain, which follows the
+reference chain's x1, x2, drift, f_hat and f_e. run runs the two as two
+loops, block by block, and on a second CPU in a forked child for the plant
+chain (see run). The stages pass float pairs to each other, and each
+step's floats are appended to one flat float log (an ``array('d')``);
+after the loop that log is viewed as an (N, width) matrix whose columns
+make the Trace, one array per signal. A step is read from the columns, or
+as the one-row Trace ``trace[k]``; ``records_equal`` compares two traces
+bit for bit.
 """
 
 import math
+import mmap
+import os
+import pickle
+import signal
+import sys
+import threading
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
@@ -180,13 +190,296 @@ def records_equal(a: Trace, b: Trace) -> bool:
                     for c in ("t", *VECTORS, "h")))
 
 
-def _trace_from_log(log: array, h_names: Tuple[str, ...], events: list) -> Trace:
-    """The Trace of a run's logs. ``log`` holds, step after step, t, the
-    x/y pairs of the VECTORS and the row-ordered barrier values; ``events``
-    holds the active set and the status of each step. The columns are views
-    of the log's memory."""
-    matrix = np.frombuffer(log, dtype=float).reshape(-1, 1 + 2 * len(VECTORS) + len(h_names))
-    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names, events[0::2], events[1::2])
+# The log columns of x_actual and f_c, which the plant chain fills.
+_X_ACTUAL = 1 + 2 * VECTORS.index("x_actual")
+_F_C = 1 + 2 * VECTORS.index("f_c")
+
+
+def _trace_from_logs(log: array, plant_log: array, rows: int, h_names: Tuple[str, ...],
+                     events: list) -> Trace:
+    """The Trace of a run's first ``rows`` steps. ``log`` holds, step after
+    step, t, the x/y pairs of the VECTORS (x_actual and f_c zero) and the
+    row-ordered barrier values; ``plant_log`` holds x_actual and f_c per
+    step; ``events`` holds the active set and the status of each step. The
+    plant's columns are copied into the log, cut to ``rows`` steps, and the
+    Trace's columns are views of the log's memory."""
+    width = 1 + 2 * len(VECTORS) + len(h_names)
+    del log[rows * width:]
+    matrix = np.frombuffer(log, dtype=float).reshape(-1, width)
+    plant = np.frombuffer(plant_log, dtype=float, count=4 * rows).reshape(-1, 4)
+    matrix[:, _X_ACTUAL:_X_ACTUAL + 2] = plant[:, :2]
+    matrix[:, _F_C:_F_C + 2] = plant[:, 2:]
+    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,
+                             events[0:2 * rows:2], events[1:2 * rows:2])
+
+
+# Steps per handoff from the reference chain to the plant chain; a run of
+# more steps may pipeline the two (see run).
+BLOCK = 64
+# The floats handed over per step: x1, x2, the drift, f_hat and f_e.
+_HANDOFF = 10
+# The stages of a step in their serial order, as an abort names them: the
+# reference's drift, the filter, the tracker, the admittance steps, the
+# plant step. The step's log row is written between control and admittance,
+# so a failure from index _LOGGED on leaves its row in the trace.
+_STAGES = ("admittance", "filter", "control", "admittance", "plant")
+_LOGGED = 3
+
+
+class _Failed(Exception):
+    """A chain's failure: the step ``k``, the index of its stage in _STAGES
+    and the exception raised there."""
+
+    def __init__(self, k: int, stage: int, exc: Exception):
+        super().__init__(k, stage, exc)
+        self.k, self.stage, self.exc = k, stage, exc
+
+
+def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: AdmittanceState,
+                     steps: int, log: array, events: list, handoff: array):
+    """The reference layer of steps 0..steps from the admittance state
+    ``adm``: the desired samples, the human force, the drift, the filter,
+    and the admittance steps of the reference and of its unfiltered shadow.
+    It never reads the plant. Each step appends its log row to ``log``
+    (x_actual and f_c zero), its active set and status to ``events``, and
+    the x1, x2, drift, f_hat and f_e that the plant chain reads to
+    ``handoff``. A generator: it yields after every BLOCK steps, and a
+    failure raises _Failed."""
+    adm_params = config.admittance
+    filtered = bool(cset.names) and not config.filter_bypass
+    g = adm_params.input_gain
+    dt = config.dt
+    amplitude = config.force_amplitude
+
+    def desired(t: float) -> DesiredPoint:
+        return desired_trajectory(t, config.circle_radius, config.circle_rate)
+
+    shadow = AdmittanceState(adm.x1, adm.x2)
+    bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
+    active_sets: dict = {}  # each distinct active set of the run, logged as one object
+    k = stage = 0
+    try:
+        for k in range(steps + 1):
+            t = k * dt
+            stage = 0
+            des = desired(t)
+            f_e = human_force(t, amplitude)
+            drift = drift_term(adm_params, adm, des)
+
+            if filtered:
+                stage = 1
+                f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
+                h, active, status = diag.rows.h, diag.active, diag.status
+            else:
+                f_hat, f_comp = f_e, (0.0, 0.0)
+                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
+
+            log.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
+                        0.0, 0.0, *h))
+            events += (active_sets.setdefault(active, active), status)
+            handoff.extend((*adm.x1, *adm.x2, *drift, *f_hat, *f_e))
+
+            if k < steps:
+                stage = 3
+                # one sampling of the substep points serves both references
+                points = (des, desired(t + 0.5 * dt), desired(t + dt))
+                adm = admittance_step(adm_params, adm, points, f_hat, dt)
+                # unfiltered, f_hat is f_e and the shadow equals the reference
+                shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
+                          if filtered else adm)
+            if k % BLOCK == BLOCK - 1:
+                yield
+    except Exception as exc:
+        raise _Failed(k, stage, exc) from exc
+
+
+class _PlantChain:
+    """The plant layer, which tracks the reference the reference chain
+    hands over: per step, the task-space terms, the tracker's force toward
+    the reference point (x1, x2, drift + f_hat / k_m) and the arm's RK4 step
+    under that force and f_e. ``log`` holds x_actual and f_c per step run;
+    after a failure, ``failure`` holds it and no further step runs."""
+
+    def __init__(self, config: ScenarioConfig, steps: int):
+        self.config, self.steps = config, steps
+        self.joint = JointState(config.q0, config.qdot0)
+        self.ctrl = ControllerState()
+        self.k = 0
+        self.log = array("d")
+        self.failure: Optional[_Failed] = None
+
+    def feed(self, handoff: array) -> bool:
+        """Run the steps whose inputs ``handoff`` holds, then empty it;
+        returns whether the chain still runs."""
+        if self.failure is None:
+            config, steps, log = self.config, self.steps, self.log
+            params, gains, dt = config.robot, config.controller, config.dt
+            gx, gy = config.admittance.input_gain
+            joint, ctrl, k, stage = self.joint, self.ctrl, self.k, 2
+            try:
+                for i in range(0, len(handoff), _HANDOFF):
+                    x1x, x1y, x2x, x2y, dx, dy, fx, fy, fex, fey = handoff[i:i + _HANDOFF]
+                    stage = 2
+                    terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
+                    cart = arm.cartesian_state(params, joint)
+                    ref = DesiredPoint.of_floats((x1x, x1y), (x2x, x2y),
+                                                 (dx + gx * fx, dy + gy * fy))
+                    f_c, ctrl = smc.control(gains, ctrl, terms, cart, ref, dt,
+                                            nominal_only=config.nominal_only)
+                    log.extend((*cart.x, *f_c))
+                    if k < steps:
+                        stage = 4
+                        tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
+                        joint = arm.plant_step(params, joint, tau_c, (fex, fey), dt)
+                    k += 1
+            except Exception as exc:
+                self.failure = _Failed(k, stage, exc)
+            self.joint, self.ctrl, self.k = joint, ctrl, k
+        del handoff[:]
+        return self.failure is None
+
+
+def _hand_over(ref_chain, handoff: array, hand) -> Optional[_Failed]:
+    """Run the reference chain, passing ``handoff`` to ``hand`` after every
+    block and once more at the end, a failure's end too, so the plant chain
+    gets every step the reference chain completed. ``hand`` empties the
+    handoff and returns False once the plant chain has stopped, which stops
+    the reference chain. Returns the reference chain's failure."""
+    failure = None
+    try:
+        for _ in ref_chain:
+            if not hand(handoff):
+                break
+    except _Failed as failed:
+        failure = failed
+    hand(handoff)
+    return failure
+
+
+def fork_cpus() -> int:
+    """The CPUs that processes forked from this one may use: as many as
+    this process may run on, or 1 where there is no os.fork, where another
+    thread runs (a fork copies only the calling thread, so a lock held by
+    another one would stay locked in the child), or where this process is a
+    multiprocessing worker (so that pools and pipelines do not nest)."""
+    mp = sys.modules.get("multiprocessing")  # looked up, never imported
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or (mp is not None and mp.parent_process() is not None)):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_all(fd: int, data) -> bool:
+    """Write the bytes of ``data`` to ``fd``; False if the reader has gone."""
+    view = memoryview(data).cast("B")
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _portable(failure: Optional[_Failed]) -> Optional[_Failed]:
+    """``failure``, or where its exception does not survive pickling, the
+    same failure with a RuntimeError that carries the exception's text."""
+    if failure is not None:
+        try:
+            pickle.loads(pickle.dumps(failure))
+        except Exception:
+            exc = failure.exc
+            return _Failed(failure.k, failure.stage, RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return failure
+
+
+def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int,
+                   plant_out: mmap.mmap) -> None:
+    """The forked child's whole life: run ``plant`` on the handoff blocks
+    read from ``handoff_r`` until the pipe closes or the chain stops, copy
+    its log into the shared ``plant_out``, write the pickled (log length,
+    failure) to ``result_w`` and exit, never returning into the caller's
+    code."""
+    status = 1
+    try:
+        handoff, pending, size = array("d"), b"", 8 * _HANDOFF
+        while plant.failure is None and (data := os.read(handoff_r, 1 << 16)):
+            pending += data
+            whole = len(pending) - len(pending) % size
+            handoff.frombytes(pending[:whole])
+            pending = pending[whole:]
+            plant.feed(handoff)
+        os.close(handoff_r)  # a stopped plant chain stops the reference chain
+        plant_out[:8 * len(plant.log)] = plant.log
+        _write_all(result_w, pickle.dumps((len(plant.log), _portable(plant.failure))))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
+    """Run the reference chain here and ``plant`` in a forked child behind
+    it. The handoff blocks go down a pipe, which holds the reference chain
+    back when it is full; the plant chain's log comes back in a shared
+    anonymous mmap, and its length and failure through a second pipe.
+    Returns (the reference chain's failure, the plant chain's log and
+    failure), or None if no child could be started. The child is reaped on
+    every way out, killed first if this process leaves early."""
+    fds: list = []
+    try:
+        plant_out = mmap.mmap(-1, 8 * 4 * (plant.steps + 1))
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except (OSError, OverflowError):  # no room for the mmap, no pipe or no process
+        for fd in fds:
+            os.close(fd)
+        return None
+    handoff_r, handoff_w, result_r, result_w = fds
+    if pid == 0:
+        os.close(handoff_w)
+        os.close(result_r)
+        _plant_process(plant, handoff_r, result_w, plant_out)
+    os.close(handoff_r)
+    os.close(result_w)
+
+    def send(block: array) -> bool:
+        sent = _write_all(handoff_w, block)
+        del block[:]
+        return sent
+
+    status = None
+    try:
+        failure = _hand_over(ref_chain, handoff, send)
+        os.close(handoff_w)
+        handoff_w = -1
+        result = _read_all(result_r)
+        status = os.waitpid(pid, 0)[1]
+        if not result:
+            raise RuntimeError(f"the plant chain's process ended without a result "
+                               f"(wait status {status})")
+        length, plant_failure = pickle.loads(result)
+        plant_log = array("d")
+        with memoryview(plant_out) as shared:
+            plant_log.frombytes(shared[:8 * length])
+    finally:
+        for fd in (handoff_w, result_r):
+            if fd >= 0:
+                os.close(fd)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        plant_out.close()
+    return failure, plant_log, plant_failure
 
 
 def run(config: ScenarioConfig) -> Trace:
@@ -195,89 +488,67 @@ def run(config: ScenarioConfig) -> Trace:
     SimulationAborted as ``.trace``, and the message names the step, its
     time and the stage that failed: start (the safe-set check), admittance,
     filter, control or plant. A state that is not finite, or a float kernel
-    that overflows on the way to one, aborts with ValidationError."""
-    params = config.robot
-    adm_params = config.admittance
+    that overflows on the way to one, aborts with ValidationError.
+
+    A step is two chains of stages: the reference chain (the admittance
+    references and the filter, which never read the plant) and the plant
+    chain (the tracker and the arm), which takes x1, x2, the drift, f_hat
+    and f_e from the reference chain. When fork_cpus() finds a second CPU
+    and the run is longer than one BLOCK, the plant chain runs in a forked
+    child that follows the reference chain block by block; otherwise both
+    run here, block after block, the reference chain first. The numbers are
+    the same either way, and a run that fails reports the earliest failure
+    in the serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
-    filtered = bool(cset.names) and not config.filter_bypass
-    g = gx, gy = adm_params.input_gain
-    dt = config.dt
-    amplitude = config.force_amplitude
-
-    def desired(t: float) -> DesiredPoint:
-        return desired_trajectory(t, config.circle_radius, config.circle_rate)
-
+    steps = round(config.duration / config.dt)
+    log, events, handoff = array("d"), [], array("d")
     adm = config.initial_admittance_state()
-    shadow = AdmittanceState(adm.x1, adm.x2)
-    joint = JointState(config.q0, config.qdot0)
-    ctrl_state = ControllerState()
-    steps = round(config.duration / dt)
-    bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
-    log = array("d")  # per step: t, the VECTORS' x/y pairs, the barrier values
-    events: list = []  # per step: the active set, the status
-    active_sets: dict = {}  # each distinct active set of the run, logged as one object
-    k, t, stage = 0, 0.0, "start"
-
-    try:
-        if filtered:
+    if cset.names and not config.filter_bypass:
+        try:
             check_start_inside(cset, adm)
-        for k in range(steps + 1):
-            t = k * dt
-            stage = "admittance"
-            des = desired(t)
-            f_e = human_force(t, amplitude)
-            drift = drift_term(adm_params, adm, des)
+        except Exception as exc:
+            _raise_aborted(config, _trace_from_logs(log, array("d"), 0, cset.names, events),
+                           0, "start", exc)
+    ref_chain = _reference_chain(config, cset, adm, steps, log, events, handoff)
+    plant = _PlantChain(config, steps)
+    chains = None
+    if steps >= BLOCK and fork_cpus() > 1:
+        chains = _pipelined(plant, ref_chain, handoff)
+    if chains is None:
+        chains = _hand_over(ref_chain, handoff, plant.feed), plant.log, plant.failure
+    failure, plant_log, plant_failure = chains
+    failures = [f for f in (failure, plant_failure) if f is not None]
+    if not failures:
+        return _trace_from_logs(log, plant_log, steps + 1, cset.names, events)
+    first = min(failures, key=lambda f: (f.k, f.stage))
+    trace = _trace_from_logs(log, plant_log, first.k + (first.stage >= _LOGGED),
+                             cset.names, events)
+    _raise_aborted(config, trace, first.k, _STAGES[first.stage], first.exc)
 
-            if filtered:
-                stage = "filter"
-                f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
-                h, active, status = diag.rows.h, diag.active, diag.status
-            else:
-                f_hat, f_comp = f_e, (0.0, 0.0)
-                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
 
-            stage = "control"
-            terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
-            cart = arm.cartesian_state(params, joint)
-            (dx, dy), (fx, fy) = drift, f_hat
-            ref = DesiredPoint.of_floats(adm.x1, adm.x2, (dx + gx * fx, dy + gy * fy))
-            f_c, ctrl_state = smc.control(config.controller, ctrl_state, terms,
-                                          cart, ref, dt,
-                                          nominal_only=config.nominal_only)
+# What a stage may raise that aborts the run with itself as the cause.
+_ABORTS = (SingularConfiguration, InfeasibleQp, StartOutsideSafeSet, ValidationError)
 
-            log.extend((t, *des.x_d, *adm.x1, *shadow.x1, *cart.x, *f_e, *f_hat, *f_comp,
-                        *f_c, *h))
-            events += (active_sets.setdefault(active, active), status)
 
-            if k < steps:
-                stage = "admittance"
-                # one sampling of the substep points serves both references
-                points = (des, desired(t + 0.5 * dt), desired(t + dt))
-                adm = admittance_step(adm_params, adm, points, f_hat, dt)
-                # unfiltered, f_hat is f_e and the shadow equals the reference
-                shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
-                          if filtered else adm)
-                stage = "plant"
-                tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
-                joint = arm.plant_step(params, joint, tau_c, f_e, dt)
-    except (SingularConfiguration, InfeasibleQp, StartOutsideSafeSet,
-            ValidationError) as exc:
-        raise _aborted(config, _trace_from_log(log, cset.names, events), k, t, stage, exc) from exc
-    except (ArithmeticError, ValueError) as exc:
-        # a float kernel met an overflow or a non-finite argument (a bare
-        # OverflowError, or ValueError from math.sin(inf)): the state diverged
+def _raise_aborted(config: ScenarioConfig, trace: Trace, k: int, stage: str,
+                   exc: Exception) -> None:
+    """Raise the SimulationAborted of ``exc`` at step k of ``stage``: with
+    exc as its cause if exc is one of _ABORTS, or as a divergence if a
+    float kernel met an overflow or a non-finite argument (a bare
+    OverflowError, or ValueError from math.sin(inf)); any other exception
+    is raised as it is."""
+    if isinstance(exc, _ABORTS):
+        cause = exc
+    elif isinstance(exc, (ArithmeticError, ValueError)):
         cause = ValidationError(f"the {stage} state diverged: {exc}")
-        raise _aborted(config, _trace_from_log(log, cset.names, events), k, t, stage, cause) from exc
-    return _trace_from_log(log, cset.names, events)
-
-
-def _aborted(config: ScenarioConfig, trace: Trace, k: int, t: float, stage: str,
-             cause: Exception) -> SimulationAborted:
-    return SimulationAborted(
+    else:
+        raise exc
+    t = k * config.dt
+    raise SimulationAborted(
         f"scenario '{config.name}' aborted at step {k} (t = {t:.6g} s) in the "
         f"{stage} stage: {cause}",
         cause=cause, trace=trace,
-    )
+    ) from exc
 
 
 def scenario_library() -> Dict[str, ScenarioConfig]:

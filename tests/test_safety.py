@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet,
-                       DesiredPoint, EcbfGains, FxtismcGains, InfeasibleQp,
+                       DesiredPoint, EcbfGains, FxtismcGains, InfeasibleQp, JointState,
                        ManipulatorParams, ObstacleConstraint, QpProblem, RowValues,
                        ScenarioConfig, StartOutsideSafeSet,
                        ValidationError, WorkspaceConstraint, admittance_step,
-                       assemble_qp, check_start_inside, drift_term, filter_force, solve)
+                       assemble_qp, check_start_inside, drift_term, filter_force, plant_step,
+                       solve)
 
 from qp_oracle import project_oracle
 
@@ -102,6 +103,18 @@ class TestConstraintTypes:
                      "a number or a pair", id="2x2"),
         pytest.param(lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1", "a number or a pair",
                      id="none"),
+        # a two-character string unpacks into two numbers, and bytes into two ints
+        pytest.param(lambda: AdmittanceState("12", "00"), "x1", "a number or a pair",
+                     id="state-string"),
+        pytest.param(lambda: admittance_step(ADM_PARAMS, _state((0.0, 0.0)),
+                                             DesiredPoint((0, 0), (0, 0), (0, 0)), "12", 1e-3),
+                     "force", "a number or a pair", id="step-force-string"),
+        pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
+                                        "12", "34", 1e-3),
+                     "tau_c", "a number or a pair", id="plant-torque-string"),
+        pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
+                                        (0.0, 0.0), b"34", 1e-3),
+                     "f_e", "a number or a pair", id="plant-force-bytes"),
         *_malformed_fields(),
     ])
     def test_malformed_pair_names_its_field(self, make, field, kind):

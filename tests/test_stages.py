@@ -3,8 +3,12 @@
 The benchmark's traced run times each stage by replacing it at the name its
 caller looks up (perfbench/workloads.py, trace_targets). A step kernel that
 inlined a stage would leave that layer reading zero there; here it fails.
+With one usable CPU every stage runs, and is counted, in this process; when
+run pipelines its two chains, the plant chain's stages run in a forked
+child, and only the reference chain's are counted here.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -23,6 +27,13 @@ STAGES = [
 # On a step where the hard projection is feasible, a slack set never needs
 # the penalized solver.
 MAY_READ_ZERO = {"safety.solve_with_slack"}
+# The stages of the plant chain.
+PLANT_CHAIN = {"arm.cartesian_dynamics_terms", "arm.cartesian_state", "arm.jacobian",
+               "arm.plant_step", "smc.control"}
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.fixture
@@ -46,7 +57,8 @@ def calls(monkeypatch):
     return counts, solved
 
 
-def test_every_stage_is_called(calls):
+def test_every_stage_is_called(calls, monkeypatch):
+    usable_cpus(monkeypatch, 1)
     counts, solved = calls
     presets = sim.scenario_library()
     steps = len(sim.run(replace(presets["combined"], duration=0.05)))
@@ -59,3 +71,17 @@ def test_every_stage_is_called(calls):
     for ndim, active in solved:
         assert ndim == 2
         assert isinstance(active, tuple)
+
+
+def test_pipelined_reference_stages_are_called_here(calls, monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    counts, solved = calls
+    cfg = replace(sim.scenario_library()["combined"], duration=0.5)
+    assert cfg.duration / cfg.dt > sim.BLOCK  # long enough to pipeline
+    steps = len(sim.run(cfg))
+    for label, n in counts.items():
+        if label in PLANT_CHAIN:
+            assert n == 0, f"{label} ran in this process"
+        elif label not in MAY_READ_ZERO:
+            assert n > 0, f"{label} was never called"
+    assert counts["sim.filter_force"] == len(solved) == steps
