@@ -11,9 +11,10 @@ with the force as the control input. Axes are decoupled.
 Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
-The constructors coerce each field with float_pair; the step builds its
-states and desired points with of_floats, which takes the pairs it has
-just computed as they are and keeps the constructor's finiteness check.
+The constructors coerce each field with float_pair and refuse entries
+that are not finite; the step builds its states and desired points with
+of_floats, which takes the pairs it has just computed as they are. A
+state's of_floats keeps the finiteness check, a desired point's skips it.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
 one DesiredPoint held over the step, or the three samples at the RK4
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence, Union
 
-from .errors import Pair, ValidationError, finite_fields, float_pair
+from .errors import Pair, ValidationError, all_finite, finite_fields, float_pair
 
 
 @dataclass
@@ -83,11 +84,13 @@ class DesiredPoint:
         self.x_d = float_pair(self.x_d, "x_d")
         self.xdot_d = float_pair(self.xdot_d, "xdot_d")
         self.xddot_d = float_pair(self.xddot_d, "xddot_d")
+        if not all_finite(*self.x_d, *self.xdot_d, *self.xddot_d):
+            raise ValidationError("desired point entries must be finite")
 
     @classmethod
     def of_floats(cls, x_d: Pair, xdot_d: Pair, xddot_d: Pair) -> "DesiredPoint":
         """The point of three float pairs taken as they are, without the
-        constructor's coercion."""
+        constructor's coercion and finiteness check."""
         point = object.__new__(cls)
         point.x_d, point.xdot_d, point.xddot_d = x_d, xdot_d, xddot_d
         return point

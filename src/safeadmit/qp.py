@@ -15,18 +15,16 @@ A_S A_S^T, which would square the rows' conditioning. The penalized-slack
 variant is the same projection on a lifted variable. Problems are sized
 for n <= 4 variables and m <= 8 rows; larger ones are rejected.
 
-A problem's u_nom and b are tuples of floats. Its A is a 2-D float array,
-and rows holds the same rows as float tuples; each form is built from the
-other when first read. The public constructor takes A and checks it;
-QpProblem.of_rows takes the float tuples a caller has just computed, runs
-only the finiteness check, and never builds the array unless it is read:
-solve reads the rows for n = 2 and A for any other n. A solution's u is a
-tuple of floats.
+A problem holds u_nom, b and the rows of A as tuples of floats; its A is
+the (m, n) float array of those rows, built on each read. The public
+constructor takes A, checks it and keeps its rows; QpProblem.of_rows takes
+the float tuples a caller has just computed and runs only the finiteness
+check. solve reads the rows for n = 2 and builds A once for any other n.
+A solution's u is a tuple of floats.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from math import isfinite
 from typing import Tuple
@@ -52,19 +50,19 @@ class QpProblem:
         try:
             self.u_nom = tuple(map(float, u_nom))
             self.b = tuple(map(float, b))
-            # a float array is kept, not copied: the solver never writes to it
-            self.A = np.asarray(A, dtype=float)
+            A = np.asarray(A, dtype=float)
         except (TypeError, ValueError):
             raise ValidationError("QP entries must be numbers") from None
         n, m = len(self.u_nom), len(self.b)
         if n < 1:
             raise ValidationError("need at least one decision variable")
-        if self.A.size == 0 and m == 0:
-            self.A = self.A.reshape(0, n)
-        if self.A.shape != (m, n):
+        if A.size == 0 and m == 0:
+            A = A.reshape(0, n)
+        if A.shape != (m, n):
             raise ValidationError(f"A must be len(b) x len(u_nom) = {m} x {n}, "
-                                  f"got shape {self.A.shape}")
-        if not all_finite(*self.u_nom, *self.A.ravel().tolist(), *self.b):
+                                  f"got shape {A.shape}")
+        self.rows = tuple(map(tuple, A.tolist()))
+        if not all_finite(*self.u_nom, *A.ravel().tolist(), *self.b):
             raise ValidationError("QP entries must be finite")
 
     @classmethod
@@ -80,15 +78,10 @@ class QpProblem:
         problem.u_nom, problem.rows, problem.b = u_nom, rows, b
         return problem
 
-    @cached_property
+    @property
     def A(self) -> np.ndarray:
-        """The (m, n) float array of the rows, built on first read."""
+        """The (m, n) float array of the rows, built on each read."""
         return np.array(self.rows, dtype=float).reshape(-1, len(self.u_nom))
-
-    @cached_property
-    def rows(self):
-        """The rows of A as sequences of floats, built on first read."""
-        return self.A.tolist()
 
 
 @dataclass
@@ -191,9 +184,16 @@ def solve_with_slack(problem: QpProblem, weight: float = 1e6):
     for v = (u, sqrt(weight) * slack); its rows are independent, so it is
     never empty, and the active set is that lifted problem's.
 
-    Returns (QpSolution, slacks) where slacks is the array of
-    max(0, A_j u - b_j).
+    ``weight`` must be a finite positive number; anything else raises
+    ValidationError naming it. Returns (QpSolution, slacks) where slacks is
+    the array of max(0, A_j u - b_j).
     """
+    try:
+        valid = isfinite(weight) and weight > 0.0
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
+        raise ValidationError(f"weight must be a finite positive number, got {weight!r}")
     _check_size(problem)
     u_nom, A, b = problem.u_nom, problem.A, problem.b
     m = A.shape[0]

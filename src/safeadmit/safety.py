@@ -28,8 +28,7 @@ The step's values are float pairs: evaluate takes the state, drift and
 gain as pairs and returns RowValues of float tuples, assemble_qp hands the
 negated q pairs to the QP as its rows and b as a float tuple, and
 filter_force returns its forces as pairs. A filter step builds no array:
-the QP's matrix A is built only where something reads it, as the slack
-fallback does.
+only the slack fallback reads the QP's rows as the array A.
 """
 
 from dataclasses import dataclass, field
@@ -220,9 +219,10 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState) -> None:
 def _unit_rows(problem: QpProblem) -> QpProblem:
     """The same polyhedron with every nonzero row (a_j, b_j) divided by
     |a_j|, so that a row's slack is a force in newtons."""
-    norms = np.linalg.norm(problem.A, axis=1)
+    A = problem.A
+    norms = np.linalg.norm(A, axis=1)
     norms[norms == 0.0] = 1.0
-    return QpProblem(problem.u_nom, problem.A / norms[:, None], np.array(problem.b) / norms)
+    return QpProblem(problem.u_nom, A / norms[:, None], np.array(problem.b) / norms)
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):

@@ -16,7 +16,6 @@ bit for bit.
 """
 
 import math
-import mmap
 import os
 import pickle
 import signal
@@ -383,13 +382,6 @@ def _write_all(fd: int, data) -> bool:
     return True
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _portable(failure: Optional[_Failed]) -> Optional[_Failed]:
     """``failure``, or where its exception does not survive pickling, the
     same failure with a RuntimeError that carries the exception's text."""
@@ -402,13 +394,11 @@ def _portable(failure: Optional[_Failed]) -> Optional[_Failed]:
     return failure
 
 
-def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int,
-                   plant_out: mmap.mmap) -> None:
+def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int) -> None:
     """The forked child's whole life: run ``plant`` on the handoff blocks
-    read from ``handoff_r`` until the pipe closes or the chain stops, copy
-    its log into the shared ``plant_out``, write the pickled (log length,
-    failure) to ``result_w`` and exit, never returning into the caller's
-    code."""
+    read from ``handoff_r`` until the pipe closes or the chain stops, write
+    its log and failure to ``result_w`` as one pickled message and exit,
+    never returning into the caller's code."""
     status = 1
     try:
         handoff, pending, size = array("d"), b"", 8 * _HANDOFF
@@ -419,8 +409,8 @@ def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int,
             pending = pending[whole:]
             plant.feed(handoff)
         os.close(handoff_r)  # a stopped plant chain stops the reference chain
-        plant_out[:8 * len(plant.log)] = plant.log
-        _write_all(result_w, pickle.dumps((len(plant.log), _portable(plant.failure))))
+        with open(result_w, "wb") as result:
+            pickle.dump((plant.log, _portable(plant.failure)), result)
         status = 0
     finally:
         os._exit(status)
@@ -429,18 +419,18 @@ def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int,
 def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
     """Run the reference chain here and ``plant`` in a forked child behind
     it. The handoff blocks go down a pipe, which holds the reference chain
-    back when it is full; the plant chain's log comes back in a shared
-    anonymous mmap, and its length and failure through a second pipe.
+    back when it is full; the plant chain's log and failure come back as
+    one pickled message through a second pipe, read straight from it.
     Returns (the reference chain's failure, the plant chain's log and
-    failure), or None if no child could be started. The child is reaped on
+    failure), or None if no child could be started. A child that ends
+    without a whole message raises RuntimeError. The child is reaped on
     every way out, killed first if this process leaves early."""
     fds: list = []
     try:
-        plant_out = mmap.mmap(-1, 8 * 4 * (plant.steps + 1))
         fds += os.pipe()
         fds += os.pipe()
         pid = os.fork()
-    except (OSError, OverflowError):  # no room for the mmap, no pipe or no process
+    except OSError:  # no pipe or no process
         for fd in fds:
             os.close(fd)
         return None
@@ -448,9 +438,10 @@ def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
     if pid == 0:
         os.close(handoff_w)
         os.close(result_r)
-        _plant_process(plant, handoff_r, result_w, plant_out)
+        _plant_process(plant, handoff_r, result_w)
     os.close(handoff_r)
     os.close(result_w)
+    result = open(result_r, "rb")
 
     def send(block: array) -> bool:
         sent = _write_all(handoff_w, block)
@@ -462,23 +453,21 @@ def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
         failure = _hand_over(ref_chain, handoff, send)
         os.close(handoff_w)
         handoff_w = -1
-        result = _read_all(result_r)
+        try:
+            plant_log, plant_failure = pickle.load(result)
+        except (EOFError, pickle.UnpicklingError):  # no message, or one cut short
+            plant_log = None
         status = os.waitpid(pid, 0)[1]
-        if not result:
+        if plant_log is None:
             raise RuntimeError(f"the plant chain's process ended without a result "
                                f"(wait status {status})")
-        length, plant_failure = pickle.loads(result)
-        plant_log = array("d")
-        with memoryview(plant_out) as shared:
-            plant_log.frombytes(shared[:8 * length])
     finally:
-        for fd in (handoff_w, result_r):
-            if fd >= 0:
-                os.close(fd)
+        if handoff_w >= 0:
+            os.close(handoff_w)
+        result.close()
         if status is None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        plant_out.close()
     return failure, plant_log, plant_failure
 
 

@@ -250,3 +250,17 @@ def test_state_of_floats_keeps_the_finiteness_check(cls):
 def test_desired_point_of_floats_equals_the_constructor():
     pairs = ((0.1, -0.0), (0.2, 0.3), (-0.4, 0.5))
     assert DesiredPoint.of_floats(*pairs) == DesiredPoint(*pairs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(3))
+def test_desired_point_refuses_non_finite_entries(field, bad):
+    """The constructor refuses a NaN or an infinity in any field, as the
+    states' constructors do; of_floats, which the step uses, takes the
+    pairs unchecked."""
+    pairs = [(0.0, 0.0)] * 3
+    pairs[field] = (0.0, bad)
+    with pytest.raises(ValidationError, match="^desired point entries must be finite$"):
+        DesiredPoint(*pairs)
+    point = DesiredPoint.of_floats(*pairs)
+    assert all(a is b for a, b in zip(vars(point).values(), pairs))

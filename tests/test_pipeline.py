@@ -6,15 +6,18 @@ in-process side reports one, or keeps a second thread alive, either of
 which keeps run from forking. The runs last 5 s, which takes in the human
 force's ramp-in and the filter's active steps. Every case compares the traces bit for bit,
 and an abort's type, message and cause type as well; afterwards no child
-process of this one is left.
+process of this one is left, and around a pipelined run this process
+holds the same descriptors before and after.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,6 +119,25 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    """The descriptors this process holds, or None where /proc/self/fd
+    does not list them."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+@contextmanager
+def leaves_nothing():
+    """Around a run: afterwards no child is left, and this process holds
+    the descriptors it held before."""
+    before = open_fds()
+    yield
+    assert_no_child_left()
+    assert open_fds() == before
+
+
 def assert_same(a, b):
     (trace_a, exc_a), (trace_b, exc_b) = a, b
     assert records_equal(trace_a, trace_b)
@@ -130,9 +152,8 @@ def assert_same(a, b):
                                         ("sweep-style", "other-thread")])
 def test_completed_runs_equal(name, mode, monkeypatch, in_process):
     cfg = COMPLETING[name]
-    with usable_cpus(monkeypatch, 2):
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
         piped = outcome(cfg)
-    assert_no_child_left()
     with in_process(mode):
         serial = outcome(cfg)
     assert piped[1] is None and len(piped[0]) == round(cfg.duration / cfg.dt) + 1
@@ -147,9 +168,8 @@ def test_completed_runs_equal(name, mode, monkeypatch, in_process):
 @pytest.mark.parametrize("mode", MODES)
 def test_aborts_equal(name, stage, cause, mode, monkeypatch, in_process):
     cfg = ABORTING[name]
-    with usable_cpus(monkeypatch, 2):
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
         piped = outcome(cfg)
-    assert_no_child_left()
     with in_process(mode):
         serial = outcome(cfg)
     assert_same(piped, serial)
@@ -183,11 +203,10 @@ def test_stage_exception_raised_as_is(owner, name, error, mode, monkeypatch, in_
     cfg = replace(PRESETS["combined"], duration=0.5)
     results = []
     for context in (usable_cpus(monkeypatch, 2), in_process(mode)):
-        with monkeypatch.context() as m, context:
+        with monkeypatch.context() as m, context, leaves_nothing():
             m.setattr(owner, name, failing_at(getattr(owner, name), 300, error))
             with pytest.raises(type(error)) as excinfo:
                 sim.run(cfg)
-        assert_no_child_left()
         results.append(str(excinfo.value))
     assert results[0] == results[1]
 
@@ -205,12 +224,11 @@ def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, fir
     cfg = replace(PRESETS["combined"], duration=1.0, filter_bypass=True)
     outcomes = []
     for cpus in (2, 1):
-        with monkeypatch.context() as m, usable_cpus(monkeypatch, cpus):
+        with monkeypatch.context() as m, usable_cpus(monkeypatch, cpus), leaves_nothing():
             for (owner, name), step, error in ((plant_stage, plant_step, SingularConfiguration),
                                                (ref_stage, ref_step, InfeasibleQp)):
                 m.setattr(owner, name, failing_at(getattr(owner, name), step, error(name)))
             outcomes.append(outcome(cfg))
-        assert_no_child_left()
     assert_same(*outcomes)
     assert type(outcomes[0][1].cause) is first
 
@@ -220,9 +238,31 @@ def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
         pass
     cfg = replace(PRESETS["combined"], duration=0.5)
     monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Local("lost class")))
-    with usable_cpus(monkeypatch, 2), pytest.raises(RuntimeError, match="^Local: lost class$"):
-        sim.run(cfg)
-    assert_no_child_left()
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
+        with pytest.raises(RuntimeError, match="^Local: lost class$"):
+            sim.run(cfg)
+
+
+def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
+    # _portable runs only in the child, just before the result is written
+    cfg = replace(PRESETS["combined"], duration=0.5)
+    monkeypatch.setattr(sim, "_portable", lambda failure: os._exit(3))
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
+        with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 768\)$"):
+            sim.run(cfg)
+
+
+@pytest.mark.parametrize("end", [1, 100, -1], ids=["first-byte", "100-bytes", "all-but-last"])
+def test_child_whose_result_is_cut_short_raises_its_wait_status(end, monkeypatch):
+    def dump_part(obj, file):
+        file.write(pickle.dumps(obj)[:end])
+    # the child exits normally after writing part of its message
+    cut = SimpleNamespace(**{**vars(pickle), "dump": dump_part})
+    cfg = replace(PRESETS["combined"], duration=0.5)
+    monkeypatch.setattr(sim, "pickle", cut)
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
+        with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 0\)$"):
+            sim.run(cfg)
 
 
 def test_no_fork_runs_in_process(monkeypatch):
@@ -232,7 +272,7 @@ def test_no_fork_runs_in_process(monkeypatch):
     cfg = replace(PRESETS["combined"], duration=0.5)
     with usable_cpus(monkeypatch, 1):
         serial = outcome(cfg)
-    with usable_cpus(monkeypatch, 2):
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
         monkeypatch.setattr(os, "fork", no_fork)
         assert_same(outcome(cfg), serial)
 

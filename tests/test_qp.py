@@ -95,6 +95,14 @@ class TestSolveExamples:
         assert prob.A.shape == (0, 2)
         assert solve(prob).u == (1.0, -2.0)
 
+    def test_rows_are_float_tuples_of_a(self):
+        A = np.array([[1, 2], [3, -4]])
+        prob = QpProblem((0, 0), A, (1, 1))
+        assert prob.rows == ((1.0, 2.0), (3.0, -4.0))
+        assert all(type(v) is float for row in prob.rows for v in row)
+        assert prob.A.dtype == float and np.array_equal(prob.A, A)
+        assert np.array_equal(QpProblem.of_rows((0.0, 0.0), prob.rows, (1.0, 1.0)).A, A)
+
 
 class TestSolveProperties:
     def test_oracle_equivalence(self, rng):
@@ -188,6 +196,13 @@ class TestSlack:
                 sol, slacks = solve_with_slack(prob, weight=w)
                 assert np.linalg.norm(sol.u - expected) <= 1e-6
                 assert np.array_equal(slacks, np.maximum(prob.A @ sol.u - prob.b, 0.0))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.inf, np.nan, "1e6"])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        # refused before any numpy call, so no RuntimeWarning comes first
+        prob = QpProblem(u_nom=[0.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0])
+        with pytest.raises(ValidationError, match="^weight must be a finite positive number"):
+            solve_with_slack(prob, weight=weight)
 
     def test_slack_oracle_scalar(self):
         # min (u-0)^2 + w*max(0, u-(-1))^2 with row u <= -1:
