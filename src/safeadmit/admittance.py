@@ -17,13 +17,12 @@ of_floats, which takes the pairs it has just computed as they are. A
 state's of_floats keeps the finiteness check, a desired point's skips it.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
-one DesiredPoint held over the step, or the three samples at the RK4
-substep times.
+the three samples at the RK4 substep times.
 """
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import Pair, ValidationError, all_finite, finite_fields, float_pair
 
@@ -96,9 +95,6 @@ class DesiredPoint:
         return point
 
 
-DesiredInput = Union[DesiredPoint, Sequence[DesiredPoint]]
-
-
 def _msd_accel(k_m: float, k_b: float, k_k: float, x1: float, x2: float,
                x_d: float, xdot_d: float, xddot_d: float) -> float:
     """One axis of the MSD's force-free acceleration at position x1 and
@@ -133,23 +129,22 @@ def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh,
 
 
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
-                    desired: DesiredInput, force, dt: float) -> AdmittanceState:
+                    desired: Sequence[DesiredPoint], force, dt: float) -> AdmittanceState:
     """One RK4 step with the force pair zero-order-held across the step.
 
-    ``desired`` is a single DesiredPoint (held constant), or its three
-    samples at the RK4 substep times t, t + dt/2 and t + dt as a sequence,
-    so that several references stepped over the same interval can share
-    one sampling.
+    ``desired`` is the three DesiredPoints at the RK4 substep times t,
+    t + dt/2 and t + dt, so that several references stepped over the same
+    interval can share one sampling.
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    if isinstance(desired, DesiredPoint):
-        d0 = dh = d1 = desired
-    elif isinstance(desired, (tuple, list)) and len(desired) == 3:
+    try:
         d0, dh, d1 = desired
-    else:
-        raise ValidationError("desired needs a DesiredPoint or its samples at "
-                              "t, t + dt/2 and t + dt")
+    except (TypeError, ValueError):  # not three of anything
+        d0 = dh = d1 = None
+    if not (isinstance(d0, DesiredPoint) and isinstance(dh, DesiredPoint)
+            and isinstance(d1, DesiredPoint)):
+        raise ValidationError("desired needs the DesiredPoints at t, t + dt/2 and t + dt")
     fx, fy = float_pair(force, "force")
     gx, gy = params.input_gain
     (x1x, x2x), (x1y, x2y) = map(

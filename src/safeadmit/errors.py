@@ -73,6 +73,14 @@ def float_pair(v, name: str) -> Pair:
         raise ValidationError(f"{name} must be {_PAIR_KIND}, got {v!r}") from None
 
 
+def holds_text(v) -> bool:
+    """Whether ``v`` is text, or a sequence (not a one-shot iterator) holding text."""
+    try:
+        return isinstance(v, _TEXT) or (iter(v) is not v and any(map(holds_text, v)))
+    except TypeError:  # a number
+        return False
+
+
 def finite_fields(obj, numbers=(), pairs=()) -> None:
     """Set each field of ``obj`` named in ``numbers`` to its float and each
     named in ``pairs`` to its float_pair, in that order. A field that is

@@ -17,10 +17,10 @@ for n <= 4 variables and m <= 8 rows; larger ones are rejected.
 
 A problem holds u_nom, b and the rows of A as tuples of floats; its A is
 the (m, n) float array of those rows, built on each read. The public
-constructor takes A, checks it and keeps its rows; QpProblem.of_rows takes
-the float tuples a caller has just computed and runs only the finiteness
-check. solve reads the rows for n = 2 and builds A once for any other n.
-A solution's u is a tuple of floats.
+constructor takes A, checks it, refusing text, and keeps its rows;
+QpProblem.of_rows takes the float tuples a caller has just computed and
+runs only the finiteness check. solve reads the rows for n = 2 and builds
+A once for any other n. A solution's u is a tuple of floats.
 """
 
 import math
@@ -31,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InfeasibleQp, ValidationError, all_finite
+from .errors import InfeasibleQp, ValidationError, all_finite, holds_text
 
 FEAS_TOL = 1e-9
 DUAL_TOL = -1e-10
@@ -48,6 +48,8 @@ class QpProblem:
 
     def __init__(self, u_nom, A, b):
         try:
+            if holds_text((u_nom, A, b)):
+                raise TypeError
             self.u_nom = tuple(map(float, u_nom))
             self.b = tuple(map(float, b))
             A = np.asarray(A, dtype=float)
@@ -197,8 +199,8 @@ def solve_with_slack(problem: QpProblem, weight: float = 1e6):
     _check_size(problem)
     u_nom, A, b = problem.u_nom, problem.A, problem.b
     m = A.shape[0]
-    lifted_A = np.hstack([A, -np.eye(m) / np.sqrt(weight)])
-    v, S = _project(QpProblem(u_nom + (0.0,) * m, lifted_A, b))
+    lifted_rows = tuple(map(tuple, np.hstack([A, -np.eye(m) / np.sqrt(weight)]).tolist()))
+    v, S = _project(QpProblem.of_rows(u_nom + (0.0,) * m, lifted_rows, b))
     u = v[:len(u_nom)]
     return (QpSolution(u=u, active_set=S),
             np.maximum(A @ np.array(u) - np.array(b), 0.0))

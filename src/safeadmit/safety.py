@@ -222,7 +222,8 @@ def _unit_rows(problem: QpProblem) -> QpProblem:
     A = problem.A
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0.0] = 1.0
-    return QpProblem(problem.u_nom, A / norms[:, None], np.array(problem.b) / norms)
+    return QpProblem.of_rows(problem.u_nom, tuple(map(tuple, (A / norms[:, None]).tolist())),
+                             tuple((np.array(problem.b) / norms).tolist()))
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):

@@ -6,8 +6,9 @@ reference and an unfiltered shadow copy, run the tracker, and advance the
 arm plant. The first three make the reference chain, which never reads the
 plant; the tracker and the plant make the plant chain, which follows the
 reference chain's x1, x2, drift, f_hat and f_e. run runs the two as two
-loops, block by block, and on a second CPU in a forked child for the plant
-chain (see run). The stages pass float pairs to each other, and each
+loops: the reference chain hands each block of steps to a callback, which
+feeds the plant chain here or, on a second CPU, the pipe to a forked child
+that runs it (see run). The stages pass float pairs to each other, and each
 step's floats are appended to one flat float log (an ``array('d')``);
 after the loop that log is viewed as an (N, width) matrix whose columns
 make the Trace, one array per signal. A step is read from the columns, or
@@ -23,7 +24,8 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +103,8 @@ class ScenarioConfig:
             raise ValidationError("dt must be positive")
         if not self.duration >= self.dt:
             raise ValidationError("duration must be at least one step")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValidationError("duration / dt must be a finite number of steps")
 
     def constraint_set(self) -> ConstraintSet:
         return ConstraintSet(workspace=self.workspace, obstacle=self.obstacle,
@@ -225,30 +229,31 @@ _STAGES = ("admittance", "filter", "control", "admittance", "plant")
 _LOGGED = 3
 
 
-class _Failed(Exception):
+class _Failed(NamedTuple):
     """A chain's failure: the step ``k``, the index of its stage in _STAGES
     and the exception raised there."""
 
-    def __init__(self, k: int, stage: int, exc: Exception):
-        super().__init__(k, stage, exc)
-        self.k, self.stage, self.exc = k, stage, exc
+    k: int
+    stage: int
+    exc: Exception
 
 
 def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: AdmittanceState,
-                     steps: int, log: array, events: list, handoff: array):
+                     steps: int, log: array, events: list, hand) -> Optional[_Failed]:
     """The reference layer of steps 0..steps from the admittance state
     ``adm``: the desired samples, the human force, the drift, the filter,
     and the admittance steps of the reference and of its unfiltered shadow.
     It never reads the plant. Each step appends its log row to ``log``
     (x_actual and f_c zero), its active set and status to ``events``, and
-    the x1, x2, drift, f_hat and f_e that the plant chain reads to
-    ``handoff``. A generator: it yields after every BLOCK steps, and a
-    failure raises _Failed."""
-    adm_params = config.admittance
+    the x1, x2, drift, f_hat and f_e that the plant chain reads to its own
+    handoff array. After each block of BLOCK steps, the last one and one a
+    failure cuts short included, the array goes to ``hand``, which empties
+    it and returns whether the plant chain still runs; on False the chain
+    stops. Returns the chain's failure, or None; what ``hand`` raises is no
+    failure of the chain and propagates."""
+    adm_params, dt, amplitude = config.admittance, config.dt, config.force_amplitude
     filtered = bool(cset.names) and not config.filter_bypass
     g = adm_params.input_gain
-    dt = config.dt
-    amplitude = config.force_amplitude
 
     def desired(t: float) -> DesiredPoint:
         return desired_trajectory(t, config.circle_radius, config.circle_rate)
@@ -256,40 +261,43 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     shadow = AdmittanceState(adm.x1, adm.x2)
     bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
     active_sets: dict = {}  # each distinct active set of the run, logged as one object
-    k = stage = 0
-    try:
-        for k in range(steps + 1):
-            t = k * dt
-            stage = 0
-            des = desired(t)
-            f_e = human_force(t, amplitude)
-            drift = drift_term(adm_params, adm, des)
+    handoff = array("d")
+    for first in range(0, steps + 1, BLOCK):
+        try:
+            for k in range(first, min(first + BLOCK, steps + 1)):
+                t = k * dt
+                stage = 0
+                des = desired(t)
+                f_e = human_force(t, amplitude)
+                drift = drift_term(adm_params, adm, des)
 
-            if filtered:
-                stage = 1
-                f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
-                h, active, status = diag.rows.h, diag.active, diag.status
-            else:
-                f_hat, f_comp = f_e, (0.0, 0.0)
-                h, active, status = cset.barrier_values(adm.x1), (), bypass_status
+                if filtered:
+                    stage = 1
+                    f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
+                    h, active, status = diag.rows.h, diag.active, diag.status
+                else:
+                    f_hat, f_comp = f_e, (0.0, 0.0)
+                    h, active, status = cset.barrier_values(adm.x1), (), bypass_status
 
-            log.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
-                        0.0, 0.0, *h))
-            events += (active_sets.setdefault(active, active), status)
-            handoff.extend((*adm.x1, *adm.x2, *drift, *f_hat, *f_e))
+                log.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
+                            0.0, 0.0, *h))
+                events += (active_sets.setdefault(active, active), status)
+                handoff.extend((*adm.x1, *adm.x2, *drift, *f_hat, *f_e))
 
-            if k < steps:
-                stage = 3
-                # one sampling of the substep points serves both references
-                points = (des, desired(t + 0.5 * dt), desired(t + dt))
-                adm = admittance_step(adm_params, adm, points, f_hat, dt)
-                # unfiltered, f_hat is f_e and the shadow equals the reference
-                shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
-                          if filtered else adm)
-            if k % BLOCK == BLOCK - 1:
-                yield
-    except Exception as exc:
-        raise _Failed(k, stage, exc) from exc
+                if k < steps:
+                    stage = 3
+                    # one sampling of the substep points serves both references
+                    points = (des, desired(t + 0.5 * dt), desired(t + dt))
+                    adm = admittance_step(adm_params, adm, points, f_hat, dt)
+                    # unfiltered, f_hat is f_e and the shadow equals the reference
+                    shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
+                              if filtered else adm)
+        except Exception as exc:
+            hand(handoff)
+            return _Failed(k, stage, exc)
+        if not hand(handoff):
+            break
+    return None
 
 
 class _PlantChain:
@@ -338,23 +346,6 @@ class _PlantChain:
         return self.failure is None
 
 
-def _hand_over(ref_chain, handoff: array, hand) -> Optional[_Failed]:
-    """Run the reference chain, passing ``handoff`` to ``hand`` after every
-    block and once more at the end, a failure's end too, so the plant chain
-    gets every step the reference chain completed. ``hand`` empties the
-    handoff and returns False once the plant chain has stopped, which stops
-    the reference chain. Returns the reference chain's failure."""
-    failure = None
-    try:
-        for _ in ref_chain:
-            if not hand(handoff):
-                break
-    except _Failed as failed:
-        failure = failed
-    hand(handoff)
-    return failure
-
-
 def fork_cpus() -> int:
     """The CPUs that processes forked from this one may use: as many as
     this process may run on, or 1 where there is no os.fork, where another
@@ -390,7 +381,7 @@ def _portable(failure: Optional[_Failed]) -> Optional[_Failed]:
             pickle.loads(pickle.dumps(failure))
         except Exception:
             exc = failure.exc
-            return _Failed(failure.k, failure.stage, RuntimeError(f"{type(exc).__name__}: {exc}"))
+            return failure._replace(exc=RuntimeError(f"{type(exc).__name__}: {exc}"))
     return failure
 
 
@@ -416,15 +407,17 @@ def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int) -> None:
         os._exit(status)
 
 
-def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
-    """Run the reference chain here and ``plant`` in a forked child behind
-    it. The handoff blocks go down a pipe, which holds the reference chain
-    back when it is full; the plant chain's log and failure come back as
-    one pickled message through a second pipe, read straight from it.
-    Returns (the reference chain's failure, the plant chain's log and
-    failure), or None if no child could be started. A child that ends
-    without a whole message raises RuntimeError. The child is reaped on
-    every way out, killed first if this process leaves early."""
+def _pipelined(plant: _PlantChain, reference):
+    """Run the reference chain here, as ``reference(hand)``, and ``plant``
+    in a forked child behind it. Its ``hand`` writes each handoff block down
+    a pipe, which holds the reference chain back when it is full, and
+    returns False once the child has closed the pipe; the plant chain's log
+    and failure come back as one pickled message through a second pipe,
+    read straight from it. Returns (the reference chain's failure, the
+    plant chain's log and failure), or None if no child could be started.
+    A child that ends without a whole message raises RuntimeError. The
+    child is reaped on every way out, killed first if this process leaves
+    early."""
     fds: list = []
     try:
         fds += os.pipe()
@@ -450,7 +443,7 @@ def _pipelined(plant: _PlantChain, ref_chain, handoff: array):
 
     status = None
     try:
-        failure = _hand_over(ref_chain, handoff, send)
+        failure = reference(send)
         os.close(handoff_w)
         handoff_w = -1
         try:
@@ -484,13 +477,13 @@ def run(config: ScenarioConfig) -> Trace:
     chain (the tracker and the arm), which takes x1, x2, the drift, f_hat
     and f_e from the reference chain. When fork_cpus() finds a second CPU
     and the run is longer than one BLOCK, the plant chain runs in a forked
-    child that follows the reference chain block by block; otherwise both
-    run here, block after block, the reference chain first. The numbers are
+    child that follows the reference chain block by block; otherwise the
+    reference chain hands each block to the plant chain here. The numbers are
     the same either way, and a run that fails reports the earliest failure
     in the serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
-    log, events, handoff = array("d"), [], array("d")
+    log, events = array("d"), []
     adm = config.initial_admittance_state()
     if cset.names and not config.filter_bypass:
         try:
@@ -498,13 +491,13 @@ def run(config: ScenarioConfig) -> Trace:
         except Exception as exc:
             _raise_aborted(config, _trace_from_logs(log, array("d"), 0, cset.names, events),
                            0, "start", exc)
-    ref_chain = _reference_chain(config, cset, adm, steps, log, events, handoff)
+    reference = partial(_reference_chain, config, cset, adm, steps, log, events)
     plant = _PlantChain(config, steps)
     chains = None
     if steps >= BLOCK and fork_cpus() > 1:
-        chains = _pipelined(plant, ref_chain, handoff)
+        chains = _pipelined(plant, reference)
     if chains is None:
-        chains = _hand_over(ref_chain, handoff, plant.feed), plant.log, plant.failure
+        chains = reference(plant.feed), plant.log, plant.failure
     failure, plant_log, plant_failure = chains
     failures = [f for f in (failure, plant_failure) if f is not None]
     if not failures:

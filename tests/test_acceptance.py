@@ -173,7 +173,7 @@ def test_08_lie_derivatives_match_finite_differences():
             u = rng.uniform(-3, 3, 2)
             drift = drift_term(params, st, des)
             ev = evaluate(st, drift)
-            ahead = admittance_step(params, st, des, u, delta)
+            ahead = admittance_step(params, st, (des,) * 3, u, delta)
             ev2 = evaluate(ahead, drift_term(params, ahead, des))
             # first derivative along the flow (force-independent value)
             fd1 = (ev2.h - ev.h) / delta

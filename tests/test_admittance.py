@@ -72,7 +72,7 @@ class TestStep:
         st = AdmittanceState(des.x_d, (0.0, 0.0))
         F = np.array([3.0, 0.0])
         for _ in range(40000):
-            st = admittance_step(PAR, st, des, F, 1e-3)
+            st = admittance_step(PAR, st, (des,) * 3, F, 1e-3)
         assert np.allclose(np.asarray(st.x1) - des.x_d, F / PAR.k_k, atol=1e-8)
         assert np.abs(st.x2).max() < 1e-8
 
@@ -82,7 +82,7 @@ class TestStep:
         st = AdmittanceState((0.1, 0.0), (0.0, 0.0))
         crossed = False
         for _ in range(30000):
-            st = admittance_step(PAR, st, des, np.zeros(2), 1e-3)
+            st = admittance_step(PAR, st, (des,) * 3, np.zeros(2), 1e-3)
             if st.x1[0] < -1e-6:
                 crossed = True
         assert crossed
@@ -96,9 +96,9 @@ class TestStep:
         only_y = AdmittanceState((0.0, 0.0), (0.0, st.x2[1]))
         F = np.array([1.0, -2.0])
         for _ in range(100):
-            joint = admittance_step(PAR, joint, des, F, 1e-3)
-            only_x = admittance_step(PAR, only_x, des, (F[0], 0.0), 1e-3)
-            only_y = admittance_step(PAR, only_y, des, (0.0, F[1]), 1e-3)
+            joint = admittance_step(PAR, joint, (des,) * 3, F, 1e-3)
+            only_x = admittance_step(PAR, only_x, (des,) * 3, (F[0], 0.0), 1e-3)
+            only_y = admittance_step(PAR, only_y, (des,) * 3, (0.0, F[1]), 1e-3)
         assert joint.x1[0] == only_x.x1[0]
         assert joint.x1[1] == only_y.x1[1]
 
@@ -115,7 +115,7 @@ class TestStep:
             st = AdmittanceState((0.1, 0.0), (0.0, 0.0))
             n = round(1.0 / dt)
             for _ in range(n):
-                st = admittance_step(PAR, st, des, np.zeros(2), dt)
+                st = admittance_step(PAR, st, (des,) * 3, np.zeros(2), dt)
             return abs(st.x1[0] - exact(1.0))
 
         e1, e2 = err(2e-2), err(1e-2)
@@ -125,18 +125,20 @@ class TestStep:
         st = AdmittanceState((0.0, 0.0), (0.0, 0.0))
         des = DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValidationError):
-            admittance_step(PAR, st, des, np.zeros(2), 0.0)
+            admittance_step(PAR, st, (des,) * 3, np.zeros(2), 0.0)
 
-    def test_two_samples_rejected(self):
+    @pytest.mark.parametrize("desired", [
+        DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        (DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),) * 2,
+        ((0.0, 0.0),) * 3,
+        "abc",
+        desired_trajectory,
+        None,
+    ], ids=["one-point", "two-points", "three-pairs", "text", "callable", "none"])
+    def test_anything_but_three_points_rejected(self, desired):
         st = AdmittanceState((0.0, 0.0), (0.0, 0.0))
-        des = DesiredPoint((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ValidationError):
-            admittance_step(PAR, st, (des, des), np.zeros(2), 1e-3)
-
-    def test_callable_rejected(self):
-        st = AdmittanceState((0.0, 0.0), (0.0, 0.0))
-        with pytest.raises(ValidationError):
-            admittance_step(PAR, st, desired_trajectory, np.zeros(2), 1e-3)
+        with pytest.raises(ValidationError, match="^desired needs the DesiredPoints"):
+            admittance_step(PAR, st, desired, np.zeros(2), 1e-3)
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(ValidationError):

@@ -153,6 +153,12 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and "duration" in err
 
+    def test_non_finite_step_count_exits_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--scenario", "workspace", "--duration", "1e300",
+                               "--dt", "1e-300", "--out", str(tmp_path))
+        assert code == 1
+        assert err == "error: duration / dt must be a finite number of steps\n"
+
 
 def set_cpus(monkeypatch, n):
     """Make the affinity lookup report ``n`` usable CPUs, and count the

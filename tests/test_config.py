@@ -122,6 +122,10 @@ r = 0.05
         with pytest.raises(ValidationError, match="k_m must be positive"):
             parse_config_text("[admittance]\nk_m = -1\n")
 
+    def test_non_finite_step_count_surfaces(self):
+        with pytest.raises(ValidationError, match="^duration / dt must be a finite"):
+            parse_config_text("[scenario]\nduration = 1e300\ndt = 1e-300\n")
+
     def test_malformed_ini_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("this is not ini\n")

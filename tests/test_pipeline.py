@@ -233,6 +233,49 @@ def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, fir
     assert type(outcomes[0][1].cause) is first
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
+def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch):
+    # the plant chain fails at step 100 of 16,001; the reference chain's
+    # steps are counted by its filter calls, which all run in this process
+    cfg = PRESETS["combined"]
+    filtered, filter_force = [], sim.filter_force
+
+    def counted(*args):
+        filtered.append(None)
+        return filter_force(*args)
+    monkeypatch.setattr(sim, "filter_force", counted)
+    monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
+    with usable_cpus(monkeypatch, cpus), leaves_nothing():
+        with pytest.raises(Boom):
+            sim.run(cfg)
+    if cpus == 1:
+        # it stops at the end of the block in which the plant chain failed
+        assert len(filtered) == 2 * sim.BLOCK
+    else:
+        # it runs ahead by at most what the pipe holds (about 800 steps)
+        assert 100 < len(filtered) < 4000
+
+
+@pytest.mark.parametrize("cpus, hand", [(1, "feed"), (2, "_write_all")],
+                         ids=["in-process", "pipelined"])
+def test_exception_of_the_handoff_raised_as_is(cpus, hand, monkeypatch):
+    # a ValueError from a stage would abort the run as a divergence; one
+    # from the handoff itself (only the third) is no stage's failure
+    cfg = replace(PRESETS["combined"], duration=0.5)
+    owner = sim._PlantChain if hand == "feed" else sim
+    calls, real = [], getattr(owner, hand)
+
+    def third_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("hand broke")
+        return real(*args)
+    monkeypatch.setattr(owner, hand, third_fails)
+    with usable_cpus(monkeypatch, cpus), leaves_nothing():
+        with pytest.raises(ValueError, match="^hand broke$"):
+            sim.run(cfg)
+
+
 def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
     class Local(Exception):  # a class local to a function does not pickle
         pass

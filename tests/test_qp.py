@@ -78,13 +78,26 @@ class TestSolveExamples:
         with pytest.raises(ValidationError, match="^A must be len"):
             QpProblem(u_nom, A, b)
 
+    # the text cases after the first five: float() and numpy read text as
+    # numbers, "12" as (1.0, 2.0) and b"12" as (49.0, 50.0)
     @pytest.mark.parametrize("u_nom,A,b", [
         ([0.0, 0.0], [["a", 1.0]], [1.0]),
         ([0.0, 0.0], [[1.0], [1.0, 2.0]], [1.0, 1.0]),
         ([0.0, None], [[1.0, 1.0]], [1.0]),
         ([0.0, 0.0], [[1.0, 1.0]], ["x"]),
         (3.0, [[1.0]], [1.0]),
-    ], ids=["string-in-A", "ragged-A", "none-in-u_nom", "string-in-b", "scalar-u_nom"])
+        ("12", [[1.0, 1.0]], "5"),
+        ([0.0, 0.0], [["1", "2"]], [5.0]),
+        ([0.0, 0.0], np.array([["1", "2"]]), [5.0]),
+        (["1", 0.0], [[1.0, 1.0]], [5.0]),
+        (b"12", [[1.0, 1.0]], [5.0]),
+        ([0.0, 0.0], [[1.0, 1.0]], bytearray(b"5")),
+        ([0.0, 0.0], [bytearray(b"12")], [5.0]),
+        ([0.0, 0.0], [[b"1", 2.0]], [5.0]),
+        ([0.0, 0.0], "12", [5.0]),
+    ], ids=["string-in-A", "ragged-A", "none-in-u_nom", "string-in-b", "scalar-u_nom",
+            "str-u_nom-and-b", "numeric-str-in-row", "str-array", "numeric-str-in-u_nom",
+            "bytes-u_nom", "bytearray-b", "bytearray-row", "bytes-in-row", "str-A"])
     def test_non_numeric_entries_rejected(self, u_nom, A, b):
         with pytest.raises(ValidationError, match="^QP entries must be numbers"):
             QpProblem(u_nom, A, b)
@@ -94,6 +107,11 @@ class TestSolveExamples:
         prob = QpProblem([1.0, -2.0], A, [])
         assert prob.A.shape == (0, 2)
         assert solve(prob).u == (1.0, -2.0)
+
+    def test_iterators_are_read_once(self):
+        # the text check leaves one-shot iterators for the conversion
+        prob = QpProblem(iter([1.0, 2.0]), [[1.0, 1.0]], (v for v in [1.0]))
+        assert prob.u_nom == (1.0, 2.0) and prob.b == (1.0,)
 
     def test_rows_are_float_tuples_of_a(self):
         A = np.array([[1, 2], [3, -4]])

@@ -107,7 +107,7 @@ class TestConstraintTypes:
         pytest.param(lambda: AdmittanceState("12", "00"), "x1", "a number or a pair",
                      id="state-string"),
         pytest.param(lambda: admittance_step(ADM_PARAMS, _state((0.0, 0.0)),
-                                             DesiredPoint((0, 0), (0, 0), (0, 0)), "12", 1e-3),
+                                             (DesiredPoint((0, 0), (0, 0), (0, 0)),) * 3, "12", 1e-3),
                      "force", "a number or a pair", id="step-force-string"),
         pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
                                         "12", "34", 1e-3),
@@ -199,7 +199,7 @@ class TestLieDerivatives:
                 st, des = self._flow(rng)
                 drift = drift_term(ADM_PARAMS, st, des)
                 ev = evaluate(st, drift)
-                ahead = admittance_step(ADM_PARAMS, st, des, np.zeros(2), delta)
+                ahead = admittance_step(ADM_PARAMS, st, (des,) * 3, np.zeros(2), delta)
                 ev2 = evaluate(ahead, drift_term(ADM_PARAMS, ahead, des))
                 fd = (ev2.h - ev.h) / delta
                 denom = max(abs(ev.lf_h), 1e-3)
@@ -213,7 +213,7 @@ class TestLieDerivatives:
                 u = rng.uniform(-3, 3, 2)
                 drift = drift_term(ADM_PARAMS, st, des)
                 ev = evaluate(st, drift)
-                ahead = admittance_step(ADM_PARAMS, st, des, u, delta)
+                ahead = admittance_step(ADM_PARAMS, st, (des,) * 3, u, delta)
                 ev2 = evaluate(ahead, drift_term(ADM_PARAMS, ahead, des))
                 fd = (ev2.lf_h - ev.lf_h) / delta
                 model = ev.p + ev.q @ u

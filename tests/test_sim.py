@@ -64,6 +64,11 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError, match="finite"):
             ScenarioConfig(duration=math.inf)
 
+    def test_non_finite_step_count_rejected(self):
+        # each number is finite, but their quotient is not
+        with pytest.raises(ValidationError, match="^duration / dt must be a finite"):
+            ScenarioConfig(duration=1e300, dt=1e-300)
+
     @pytest.mark.parametrize("make", [
         lambda: ManipulatorParams(gravity=math.nan),
         lambda: ManipulatorParams(m1=math.inf),
