@@ -6,7 +6,7 @@ default, and an empty file yields the `combined` constraint setup):
   [robot]        m1 m2 l1 l2 gravity singularity_tolerance
   [admittance]   k_m k_b k_k                (scalar or "x,y" pair)
   [ecbf]         k_max k_min k_obs          ("position,velocity" pairs, one
-                                             per barrier kind)
+                                             per barrier kind, with real roots)
   [controller]   lambda1..lambda3 alpha beta kappa1..kappa4
                  m_exp n_exp p_exp q_exp rho epsilon
                  boundary_layer use_sign force_limit
@@ -16,8 +16,9 @@ default, and an empty file yields the `combined` constraint setup):
                  bypass slack               (one r serves both constraints)
 
 Unknown sections or keys are a hard error, and so is a number that is not
-finite, and so is geometry that `set` disables: x_min and x_max without
-the workspace, x_obs without the obstacle, r without either. One field
+finite, an [ecbf] pair with complex roots, and geometry that `set`
+disables: x_min and x_max without the workspace, x_obs without the
+obstacle, r without either. One field
 table, _FIELDS, gives the known keys, the parser and serialize_config, so
 parse_config_text(serialize_config(c)) equals c field for field. serialize_config raises ValidationError, naming the key, for a
 config the INI cannot carry: a workspace r that differs from the obstacle
@@ -34,7 +35,7 @@ import numpy as np
 from .admittance import AdmittanceParams
 from .arm import ManipulatorParams
 from .errors import ConfigError, ValidationError
-from .safety import EcbfGains, ObstacleConstraint, WorkspaceConstraint
+from .safety import EcbfGains, ObstacleConstraint, WorkspaceConstraint, real_roots
 from .sim import ScenarioConfig
 from .smc import FxtismcGains
 
@@ -77,6 +78,14 @@ def _bool(section, key, raw) -> bool:
     raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
 
 
+def _gain_pair(section, key, raw):
+    pair = _numbers(2)(section, key, raw)
+    if not real_roots(pair):
+        raise ConfigError(f"[{section}] {key}: {raw!r} has complex roots: "
+                          "the ECBF needs K1**2 >= 4 K0")
+    return pair
+
+
 def _auto_or_pair(section, key, raw):
     return None if raw.strip().lower() == "auto" else _numbers(2)(section, key, raw)
 
@@ -107,6 +116,7 @@ def _fmt_name(section, key, v) -> str:
 _NUM = (_numbers(1), _fmt)
 _NUM_OR_PAIR = (_numbers(1, 2), _fmt)
 _PAIR = (_numbers(2), _fmt)
+_GAINS = (_gain_pair, _fmt)
 _BOOL = (_bool, lambda section, key, v: str(bool(v)).lower())
 _NAME = (lambda section, key, raw: raw, _fmt_name)
 _START = (_auto_or_pair, lambda section, key, v: "auto" if v is None else _fmt(section, key, v))
@@ -129,9 +139,9 @@ def _named_like(section, cls, kind):
 _FIELDS = (
     *_named_like("robot", ManipulatorParams, _NUM),
     *_named_like("admittance", AdmittanceParams, _NUM_OR_PAIR),
-    _one("ecbf", "k_max", _PAIR, "ecbf", "K_max"),
-    _one("ecbf", "k_min", _PAIR, "ecbf", "K_min"),
-    _one("ecbf", "k_obs", _PAIR, "ecbf", "K_obs"),
+    _one("ecbf", "k_max", _GAINS, "ecbf", "K_max"),
+    _one("ecbf", "k_min", _GAINS, "ecbf", "K_min"),
+    _one("ecbf", "k_obs", _GAINS, "ecbf", "K_obs"),
     *_named_like("controller", FxtismcGains, _NUM),
     _one("scenario", "name", _NAME, "scenario"),
     _one("scenario", "duration", _NUM, "scenario"),

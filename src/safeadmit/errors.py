@@ -4,7 +4,7 @@ for parameter fields.
 Every number field of a parameter dataclass becomes a Python float and
 every 2-vector field a pair of them (finite_fields); a value that is not a
 number, or not a number or a pair, raises ValidationError naming the field,
-and so does one that is NaN or infinite."""
+and so does one that is or holds text, and one that is NaN or infinite."""
 
 import math
 from typing import Tuple
@@ -84,12 +84,12 @@ def holds_text(v) -> bool:
 def finite_fields(obj, numbers=(), pairs=()) -> None:
     """Set each field of ``obj`` named in ``numbers`` to its float and each
     named in ``pairs`` to its float_pair, in that order. A field that is
-    text or no such number or pair, or whose floats are not all finite,
-    raises ValidationError naming it."""
+    or holds text (holds_text), or is no such number or pair, or whose
+    floats are not all finite, raises ValidationError naming it."""
     for name in (*numbers, *pairs):
         v, is_number = getattr(obj, name), name in numbers
         try:
-            if isinstance(v, _TEXT):
+            if holds_text(v):
                 raise TypeError
             value = (float(v),) if is_number else float_pair(v, name)
         except (TypeError, ValueError):

@@ -20,7 +20,9 @@ per-axis input gain g = 1/k_m, each barrier has relative degree two:
 so enforcing h_ddot + K0 * h + K1 * Lf_h >= 0 for every row is a set of
 linear rows A u <= b with A = -q and b = p + K0 * h + K1 * Lf_h. The gain
 pair (K0, K1) is one per barrier kind (EcbfGains): K_max for the upper box
-sides, K_min for the lower ones and K_obs for the obstacle. The filter
+sides, K_min for the lower ones and K_obs for the obstacle. Each pair must
+give s**2 + K1 s + K0 real roots (real_roots), the ECBF's precondition for
+forward invariance (Nguyen & Sreenath, ACC 2016). The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
@@ -77,11 +79,19 @@ class ObstacleConstraint:
             raise ValidationError("safe distance r must be positive")
 
 
+def real_roots(pair: Pair) -> bool:
+    """Whether s**2 + K1 s + K0 has real roots for the gain pair (K0, K1):
+    K1**2 >= 4 K0, a double root included."""
+    k0, k1 = pair
+    return k1 * k1 >= 4.0 * k0
+
+
 @dataclass
 class EcbfGains:
     """Barrier condition coefficients, one (position, velocity) gain pair
     per barrier kind: the upper and the lower box sides, and the obstacle.
-    Each pair serves every row of its kind."""
+    Each pair serves every row of its kind, and each must be positive with
+    real roots."""
 
     K_max: Pair = (500.0, 50.0)
     K_min: Pair = (500.0, 50.0)
@@ -98,6 +108,10 @@ class EcbfGains:
         finite_fields(self, pairs=names)
         if min(*self.K_max, *self.K_min, *self.K_obs) <= 0.0:
             raise ValidationError("barrier gains must be positive")
+        for name in names:
+            if not real_roots(getattr(self, name)):
+                raise ValidationError(f"{name} = {getattr(self, name)} has complex roots: "
+                                      "the ECBF needs K1**2 >= 4 K0")
 
 
 class RowValues(NamedTuple):

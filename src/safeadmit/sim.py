@@ -13,7 +13,9 @@ step's floats are appended to one flat float log (an ``array('d')``);
 after the loop that log is viewed as an (N, width) matrix whose columns
 make the Trace, one array per signal. A step is read from the columns, or
 as the one-row Trace ``trace[k]``; ``records_equal`` compares two traces
-bit for bit.
+bit for bit. The forked child of a pipelined run and that of
+alternate_blocks, which traceio's CSV writer and reader use, are made and
+reaped by one helper, _forked.
 """
 
 import math
@@ -23,6 +25,7 @@ import signal
 import sys
 import threading
 from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -373,94 +376,166 @@ def _write_all(fd: int, data) -> bool:
     return True
 
 
-def _portable(failure: Optional[_Failed]) -> Optional[_Failed]:
-    """``failure``, or where its exception does not survive pickling, the
-    same failure with a RuntimeError that carries the exception's text."""
-    if failure is not None:
+def _portable(exc: BaseException) -> BaseException:
+    """``exc``, or where it does not survive pickling, a RuntimeError that
+    carries its text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+class _Child:
+    """This process's side of a child forked by _forked: ``results`` reads
+    what the child writes, ``feed`` (-1 if there is none) writes what it
+    reads, and ``status`` is its wait status once it has been reaped."""
+
+    def __init__(self, pid: int, results, feed: int):
+        self.pid, self.results, self.feed = pid, results, feed
+        self.status: Optional[int] = None
+
+    def end_feed(self) -> None:
+        """Close ``feed``, so that the child reads to its end."""
+        if self.feed >= 0:
+            os.close(self.feed)
+            self.feed = -1
+
+    def wait(self) -> int:
+        self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+    def load(self):
+        """The child's next pickled message. A child that ended without a
+        whole one raises RuntimeError with its wait status."""
         try:
-            pickle.loads(pickle.dumps(failure))
-        except Exception:
-            exc = failure.exc
-            return failure._replace(exc=RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return failure
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):  # no message, or one cut short
+            raise RuntimeError(f"a forked process ended without a result "
+                               f"(wait status {self.wait()})") from None
+
+
+@contextmanager
+def _forked(body, feed: bool = False):
+    """Fork a child that runs ``body`` and leaves only through os._exit,
+    with status 0 if body returns and 1 if it raises: it never returns into
+    the caller's code, nor flushes a file buffer it inherited. body takes
+    the write end of a pipe whose read end this process holds, after, if
+    ``feed``, the read end of one whose write end this process holds.
+    Yields a _Child over this process's ends, or None where no pipe or no
+    process could be made. On the way out those ends are closed, and a
+    child not yet reaped is killed and reaped."""
+    pipes: list = []
+    try:
+        for _ in range(1 + feed):
+            pipes.append(os.pipe())
+        pid = os.fork()
+    except OSError:  # no pipe or no process
+        for fd in sum(pipes, ()):
+            os.close(fd)
+        pid = None
+    if pid is None:
+        yield None
+        return
+    (results_r, results_w), *fed = pipes
+    theirs, ours = [r for r, _ in fed] + [results_w], [results_r] + [w for _, w in fed]
+    if pid == 0:
+        status = 1
+        try:
+            for fd in ours:
+                os.close(fd)
+            body(*theirs)
+            status = 0
+        finally:
+            os._exit(status)
+    for fd in theirs:
+        os.close(fd)
+    child = _Child(pid, open(results_r, "rb"), fed[0][1] if fed else -1)
+    try:
+        yield child
+    finally:
+        child.end_feed()
+        child.results.close()
+        if child.status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def alternate_blocks(count: int, work, hand) -> None:
+    """Call ``hand(i, work(i))`` for each block i in range(count), in order.
+    Where count > 1 and fork_cpus() finds a second CPU, a forked child runs
+    work on the odd blocks and sends each result back, pickled, through a
+    pipe, while this process runs the even ones; otherwise, or where no
+    child can be started, this process runs them all. What work(i) raises
+    is raised when block i is reached, from either process (an exception
+    that does not pickle as a RuntimeError that carries its text), so the
+    first failing block wins either way; what hand raises propagates. The
+    child is reaped on every way out, killed first if this process leaves
+    early."""
+    def odd_blocks(results_w: int) -> None:
+        for i in range(1, count, 2):
+            try:
+                message = work(i), None
+            except Exception as exc:
+                message = None, _portable(exc)
+            if not _write_all(results_w, pickle.dumps(message)) or message[1] is not None:
+                return
+
+    with (_forked(odd_blocks) if count > 1 and fork_cpus() > 1 else nullcontext()) as child:
+        for i in range(count):
+            if child is None or i % 2 == 0:
+                hand(i, work(i))
+                continue
+            result, exc = child.load()
+            if exc is not None:
+                raise exc
+            hand(i, result)
+        if child is not None:
+            child.wait()
 
 
 def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int) -> None:
-    """The forked child's whole life: run ``plant`` on the handoff blocks
-    read from ``handoff_r`` until the pipe closes or the chain stops, write
-    its log and failure to ``result_w`` as one pickled message and exit,
-    never returning into the caller's code."""
-    status = 1
-    try:
-        handoff, pending, size = array("d"), b"", 8 * _HANDOFF
-        while plant.failure is None and (data := os.read(handoff_r, 1 << 16)):
-            pending += data
-            whole = len(pending) - len(pending) % size
-            handoff.frombytes(pending[:whole])
-            pending = pending[whole:]
-            plant.feed(handoff)
-        os.close(handoff_r)  # a stopped plant chain stops the reference chain
-        with open(result_w, "wb") as result:
-            pickle.dump((plant.log, _portable(plant.failure)), result)
-        status = 0
-    finally:
-        os._exit(status)
+    """The forked child's work in a pipelined run: run ``plant`` on the
+    handoff blocks read from ``handoff_r`` until the pipe closes or the
+    chain stops, then write its log and failure to ``result_w`` as one
+    pickled message."""
+    handoff, pending, size = array("d"), b"", 8 * _HANDOFF
+    while plant.failure is None and (data := os.read(handoff_r, 1 << 16)):
+        pending += data
+        whole = len(pending) - len(pending) % size
+        handoff.frombytes(pending[:whole])
+        pending = pending[whole:]
+        plant.feed(handoff)
+    os.close(handoff_r)  # a stopped plant chain stops the reference chain
+    failure = plant.failure
+    if failure is not None:
+        failure = failure._replace(exc=_portable(failure.exc))
+    with open(result_w, "wb") as result:
+        pickle.dump((plant.log, failure), result)
 
 
 def _pipelined(plant: _PlantChain, reference):
     """Run the reference chain here, as ``reference(hand)``, and ``plant``
-    in a forked child behind it. Its ``hand`` writes each handoff block down
-    a pipe, which holds the reference chain back when it is full, and
-    returns False once the child has closed the pipe; the plant chain's log
-    and failure come back as one pickled message through a second pipe,
-    read straight from it. Returns (the reference chain's failure, the
-    plant chain's log and failure), or None if no child could be started.
-    A child that ends without a whole message raises RuntimeError. The
-    child is reaped on every way out, killed first if this process leaves
-    early."""
-    fds: list = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:  # no pipe or no process
-        for fd in fds:
-            os.close(fd)
-        return None
-    handoff_r, handoff_w, result_r, result_w = fds
-    if pid == 0:
-        os.close(handoff_w)
-        os.close(result_r)
-        _plant_process(plant, handoff_r, result_w)
-    os.close(handoff_r)
-    os.close(result_w)
-    result = open(result_r, "rb")
+    in a forked child behind it (see _forked). Its ``hand`` writes each
+    handoff block down a pipe, which holds the reference chain back when it
+    is full, and returns False once the child has closed the pipe; the
+    plant chain's log and failure come back as one pickled message through
+    a second pipe. Returns (the reference chain's failure, the plant
+    chain's log and failure), or None if no child could be started. A child
+    that ends without a whole message raises RuntimeError."""
+    with _forked(partial(_plant_process, plant), feed=True) as child:
+        if child is None:
+            return None
 
-    def send(block: array) -> bool:
-        sent = _write_all(handoff_w, block)
-        del block[:]
-        return sent
+        def send(block: array) -> bool:
+            sent = _write_all(child.feed, block)
+            del block[:]
+            return sent
 
-    status = None
-    try:
         failure = reference(send)
-        os.close(handoff_w)
-        handoff_w = -1
-        try:
-            plant_log, plant_failure = pickle.load(result)
-        except (EOFError, pickle.UnpicklingError):  # no message, or one cut short
-            plant_log = None
-        status = os.waitpid(pid, 0)[1]
-        if plant_log is None:
-            raise RuntimeError(f"the plant chain's process ended without a result "
-                               f"(wait status {status})")
-    finally:
-        if handoff_w >= 0:
-            os.close(handoff_w)
-        result.close()
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        child.end_feed()
+        plant_log, plant_failure = child.load()
+        child.wait()
     return failure, plant_log, plant_failure
 
 

@@ -7,6 +7,13 @@ the in-memory one. The active-set column joins row indices with ';' and is
 '-' when empty. The h_* columns depend on which constraints were enabled
 and are taken from the header on reread. read_csv refuses a malformed file
 with a ValidationError that names the path and the 1-based line.
+
+Both convert the rows in an even number of near-equal blocks of at most
+_BLOCK rows (_bounds). Where there are two or more and a second CPU is
+free, sim.alternate_blocks hands every odd block to a forked child, which
+formats or parses it and sends it back, while this process does the even
+ones and writes or fills in row order; the bytes, the columns and the
+errors are the same either way.
 """
 
 import math
@@ -18,12 +25,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
-from .sim import QP_STATUSES, VECTORS, Trace
+from .sim import QP_STATUSES, VECTORS, Trace, alternate_blocks
 
 _PREFIXES = ("xd", "xf", "xrs", "xa", "fe", "feh", "fec", "fc")  # one per name in VECTORS
 _LEADING = ["t"] + [f"{p}_{axis}" for p in _PREFIXES for axis in "xy"]
 _TRAILING = ["qp_active", "qp_status"]
-_BLOCK = 4096  # rows converted at a time, which bounds the text held in memory
+_BLOCK = 4096  # most rows converted at a time, which bounds the text held in memory
 # The report's tracking error skips the first second, while the tracker
 # converges from its start.
 _TRANSIENT_S = 1.0
@@ -35,9 +42,20 @@ def csv_header(trace: Trace) -> List[str]:
     return _LEADING + [f"h_{name}" for name in trace.h_names] + _TRAILING
 
 
+def _bounds(rows: int) -> List[int]:
+    """The first row of each block of a trace's ``rows`` rows, then rows:
+    near-equal blocks of at most _BLOCK rows, an even number of them where
+    there are more than one."""
+    count = -(-rows // _BLOCK)
+    count += count > 1 and count % 2
+    return [rows * i // count for i in range(count + 1)]
+
+
 def emit_csv(trace: Trace, path) -> None:
     """Write the trace: each row is one '%.17g' template over a row of the
-    stacked float columns, plus the active-set and status fields."""
+    stacked float columns, plus the active-set and status fields. The rows
+    are formatted in blocks, every other one by a forked child where there
+    is a second CPU (sim.alternate_blocks), and written in order."""
     if not len(trace):
         raise ValidationError("cannot emit an empty trace")
     matrix = np.column_stack([trace.t, *(getattr(trace, v) for v in VECTORS), trace.h])
@@ -47,15 +65,19 @@ def emit_csv(trace: Trace, path) -> None:
                               "is not finite")
     template = ",".join(["%.17g"] * matrix.shape[1] + ["%s", "%s"])
     fields = {a: ";".join(map(str, a)) or "-" for a in set(trace.qp_active)}
+    bounds = _bounds(len(trace))
+
+    def text(i: int) -> str:
+        start, stop = bounds[i], bounds[i + 1]
+        rows = matrix[start:stop].tolist()
+        for row, active, status in zip(rows, trace.qp_active[start:stop],
+                                       trace.qp_status[start:stop]):
+            row += (fields[active], status)
+        return "\n".join([template % tuple(row) for row in rows]) + "\n"
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(csv_header(trace)) + "\n")
-        for start in range(0, len(trace), _BLOCK):
-            stop = start + _BLOCK
-            rows = matrix[start:stop].tolist()
-            for row, active, status in zip(rows, trace.qp_active[start:stop],
-                                           trace.qp_status[start:stop]):
-                row += (fields[active], status)
-            fh.write("\n".join([template % tuple(row) for row in rows]) + "\n")
+        alternate_blocks(len(bounds) - 1, text, lambda i, block: fh.write(block))
 
 
 def _non_finite(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -108,17 +130,21 @@ def _lines(path) -> List[str]:
         raise _bad(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
 
 
-def _floats(path, first: int, numbers: List[str], width: int) -> np.ndarray:
-    """The (len(numbers), width) floats of the numeric fields of a block of
-    rows whose first row is on line ``first``."""
+def _parse_rows(path, first: int, rows: List[str], width: int):
+    """The (len(rows), width) floats, the active-set fields and the status
+    fields of a block of rows, the first on line ``first``, each of which
+    holds width + 2 fields."""
+    fields = ",".join(rows).split(",")
+    status = fields[width + 1::width + 2]
+    del fields[width + 1::width + 2]
+    active = fields[width::width + 1]
+    del fields[width::width + 1]
     try:
-        values = np.fromiter(map(float, ",".join(numbers).split(",")), float,
-                             len(numbers) * width)
+        values = np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
-        k, field = next((k, f) for k, text in enumerate(numbers)
-                        for f in text.split(",") if not _is_float(f))
-        raise _bad(path, first + k, f"'{field}' is not a number") from None
-    return values.reshape(-1, width)
+        j = next(j for j, text in enumerate(fields) if not _is_float(text))
+        raise _bad(path, first + j // width, f"'{fields[j]}' is not a number") from None
+    return values.reshape(-1, width), active, status
 
 
 def read_csv(path) -> Trace:
@@ -126,7 +152,10 @@ def read_csv(path) -> Trace:
     misplaced column, a number that does not parse or is not finite, an
     active set that is not integer row indices, an unknown qp_status or
     bytes that are not UTF-8 raise ValidationError naming the path and the
-    1-based line."""
+    1-based line. The rows are parsed in blocks, every other one by a
+    forked child where there is a second CPU (sim.alternate_blocks); every
+    check but a number's parse runs in this process, and the first error in
+    file order wins either way."""
     lines = _lines(path)
     if not lines:
         raise ValidationError(f"{path} is empty")
@@ -139,11 +168,18 @@ def read_csv(path) -> Trace:
         raise _bad(path, k + 2, f"{body[k].count(',') + 1} fields, the header has {width + 2}")
     matrix = np.empty((len(body), width))
     active, status = [], []
-    for start in range(0, len(body), _BLOCK):
-        parts = [line.rsplit(",", 2) for line in body[start:start + _BLOCK]]
-        matrix[start:start + len(parts)] = _floats(path, start + 2, [p[0] for p in parts], width)
-        active += [p[1] for p in parts]
-        status += [p[2] for p in parts]
+    bounds = _bounds(len(body))
+
+    def parse(i: int):
+        return _parse_rows(path, bounds[i] + 2, body[bounds[i]:bounds[i + 1]], width)
+
+    def keep(i: int, block) -> None:
+        values, block_active, block_status = block
+        matrix[bounds[i]:bounds[i + 1]] = values
+        active.extend(block_active)
+        status.extend(block_status)
+
+    alternate_blocks(len(bounds) - 1, parse, keep)
     bad = _non_finite(matrix)
     if bad:
         raise _bad(path, bad[0] + 2, f"{header[bad[1]]} is not finite")

@@ -158,6 +158,12 @@ r = 0.05
         assert np.array_equal(cfg.ecbf.K_max, EcbfGains().K_max)
         assert cfg.ecbf.K_min == (400.0, 40.0)
 
+    @pytest.mark.parametrize("key", ["k_max", "k_min", "k_obs"])
+    @pytest.mark.parametrize("pair", ["2000, 50", "1e4, 10", "1e4, 2"])
+    def test_gains_with_complex_roots_name_their_key(self, key, pair):
+        with pytest.raises(ConfigError, match=rf"^\[ecbf\] {key}: .* has complex roots"):
+            parse_config_text(f"[ecbf]\n{key} = {pair}\n")
+
     def test_explicit_admittance_start(self):
         cfg = parse_config_text("[scenario]\nadmittance_start = 0.01, -0.02\n")
         assert cfg.admittance_start == (0.01, -0.02)
@@ -233,7 +239,9 @@ def _rarely(usual, rare):
     return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else usual)
 
 
-_GAIN_PAIR = st.tuples(_floats(1.0, 1e3), _floats(0.1, 1e2))
+# (K0, K1) with real roots, K1**2 >= 4 K0, which EcbfGains requires: K0 is
+# drawn up to K1**2 / 4, and that division by 4 is exact.
+_GAIN_PAIR = _floats(2.0, 1e2).flatmap(lambda k1: st.tuples(_floats(1.0, k1 * k1 / 4), st.just(k1)))
 
 
 @st.composite

@@ -287,9 +287,11 @@ def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
 
 
 def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
-    # _portable runs only in the child, just before the result is written
+    # _portable runs only in the child, on the plant chain's failure, just
+    # before the result is written
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(sim, "_portable", lambda failure: os._exit(3))
+    monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
+    monkeypatch.setattr(sim, "_portable", lambda exc: os._exit(3))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 768\)$"):
             sim.run(cfg)

@@ -56,7 +56,10 @@ def _malformed_fields():
     cases = []
     for table, kind, values in (
             (NUMBER_FIELDS, "a number, got", {"string": "abc", "none": None, "list": [1, 2]}),
-            (PAIR_FIELDS, "a number or a pair", {"3-long": (1, 2, 3), "ragged": [[1], [2, 3]]})):
+            (PAIR_FIELDS, "a number or a pair", {"3-long": (1, 2, 3), "ragged": [[1], [2, 3]],
+                                                 # float() reads each entry as a number
+                                                 "text-entries": ("20", "5"),
+                                                 "bytes-entry": (b"1", 2.0)})):
         for cls, names in table.items():
             for name in names:
                 for label, value in values.items():
@@ -90,8 +93,8 @@ class TestConstraintTypes:
                 EcbfGains(**{name: gain})
 
     def test_gain_pair_kept_as_floats(self):
-        g = EcbfGains(K_max=np.array([400, 40]), K_min=[300, 30])
-        assert (g.K_max, g.K_min, g.K_obs) == ((400.0, 40.0), (300.0, 30.0), (700.0, 70.0))
+        g = EcbfGains(K_max=np.array([400, 40]), K_min=[300, 40])
+        assert (g.K_max, g.K_min, g.K_obs) == ((400.0, 40.0), (300.0, 40.0), (700.0, 70.0))
         assert all(type(k) is float for k in (*g.K_max, *g.K_min, *g.K_obs))
 
     @pytest.mark.parametrize("make,field,kind", [
@@ -124,6 +127,19 @@ class TestConstraintTypes:
     def test_nonpositive_gains_rejected(self):
         with pytest.raises(ValidationError):
             EcbfGains(K_obs=(0.0, 70.0))
+
+    # s**2 + K1 s + K0 with K1**2 < 4 K0 has complex roots, and the ECBF
+    # guarantee needs real ones; a double root (400, 40) is real
+    @pytest.mark.parametrize("gain", [(2000.0, 50.0), (1e4, 10.0), (1e4, 2.0)])
+    @pytest.mark.parametrize("name", ["K_max", "K_min", "K_obs"])
+    def test_gains_with_complex_roots_rejected(self, name, gain):
+        with pytest.raises(ValidationError, match=f"^{name} = .* has complex roots"):
+            EcbfGains(**{name: gain})
+
+    @pytest.mark.parametrize("gain", [(500.0, 50.0), (700.0, 70.0), (400.0, 40.0)])
+    @pytest.mark.parametrize("name", ["K_max", "K_min", "K_obs"])
+    def test_gains_with_real_roots_accepted(self, name, gain):
+        assert getattr(EcbfGains(**{name: gain}), name) == gain
 
 
 class TestBarrierValues:

@@ -1,5 +1,10 @@
+import errno
+import io
+import multiprocessing
+import os
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from itertools import combinations
@@ -11,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from safeadmit import (ObstacleConstraint, ScenarioConfig, SimulationAborted,
                        ValidationError, WorkspaceConstraint, compute_report,
                        emit_csv, emit_plot, read_csv, records_equal, run,
-                       scenario_library)
+                       scenario_library, traceio)
 from safeadmit.sim import QP_STATUSES, VECTORS, Trace
 from safeadmit.traceio import csv_header
 
 import trace_reference as ref
 from conftest import MALFORMED_CASES
+from test_pipeline import COMPLETING, leaves_nothing, other_thread, usable_cpus
 
 ROW_NAMES = ("ws_max_x", "ws_min_x", "ws_max_y", "ws_min_y", "obs")
 
@@ -154,6 +160,156 @@ def test_random_columns_round_trip_bit_exact(tmp_path_factory, trace):
     old = path.with_name("reference.csv")
     ref.emit_csv(trace, old)
     assert path.read_bytes() == old.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def long_traces(preset_traces):
+    """Every preset over its 16 s (16,001 rows, four blocks) and the
+    sweep-style INI at dt 2e-3 over 16 s (8,001 rows, two blocks)."""
+    return {**preset_traces,
+            "sweep-style": run(replace(COMPLETING["sweep-style"], duration=16.0))}
+
+
+@pytest.fixture(scope="module")
+def long_lines(long_traces, tmp_path_factory):
+    """The lines of the 16 s workspace trace's CSV: its blocks of rows are
+    on lines 2-4001 and 8002-12001 (this process's) and 4002-8001 and
+    12002-16002 (the child's, with two CPUs)."""
+    path = tmp_path_factory.mktemp("long") / "workspace.csv"
+    emit_csv(long_traces["workspace"], path)
+    return path.read_text().splitlines()
+
+
+def _counted(fork, calls):
+    """``fork``, which also appends an entry to ``calls`` per call."""
+    def counted():
+        calls.append(None)
+        return fork()
+    return counted
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gets one entry per os.fork call."""
+    calls = []
+    monkeypatch.setattr(os, "fork", _counted(os.fork, calls))
+    return calls
+
+
+def _write_and_read(trace, path):
+    """Write ``trace`` to ``path`` and read it back, counting os.fork calls:
+    (the count, whether the read-back trace equals ``trace``)."""
+    calls, fork = [], os.fork
+    os.fork = _counted(fork, calls)
+    try:
+        emit_csv(trace, path)
+        back = read_csv(path)
+    finally:
+        os.fork = fork
+    return len(calls), records_equal(trace, back)
+
+
+class TestSplitIo:
+    """emit_csv and read_csv give the same bytes, trace and errors whether a
+    forked child handles every other block of rows (two usable CPUs) or
+    this process handles them all (one), and leave no child process and no
+    descriptor behind."""
+
+    @pytest.mark.parametrize("name", [*scenario_library(), "sweep-style"])
+    def test_same_bytes_and_trace(self, long_traces, name, tmp_path, monkeypatch, forks):
+        trace = long_traces[name]
+        written = {}
+        for cpus in (1, 2):
+            path = tmp_path / f"{cpus}.csv"
+            with usable_cpus(monkeypatch, cpus), leaves_nothing():
+                emit_csv(trace, path)
+                assert records_equal(trace, read_csv(path))
+            written[cpus] = path.read_bytes()
+        assert len(forks) == 2  # with two CPUs, one for the write and one for the read
+        ref.emit_csv(trace, tmp_path / "reference.csv")
+        assert written[1] == written[2] == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("defects, line", [
+        ({4009: (5, "abc")}, 4009),
+        ({4009: (17, "nan")}, 4009),  # h_ws_max_x
+        ({4009: (-1, "weird")}, 4009),
+        ({4009: (-2, "1.5")}, 4009),
+        ({16002: (1, "?")}, 16002),  # the last row
+        # a number that does not parse wins over an earlier non-finite one
+        ({12010: (5, "abc"), 3: (17, "inf")}, 12010),
+        # the first failing block wins, whichever process parsed it
+        ({4009: (5, "abc"), 8005: (3, "x")}, 4009),
+        ({8005: (3, "x"), 12010: (5, "abc")}, 8005),
+    ], ids=["non-numeric", "non-finite", "status", "active-index", "last-row",
+            "number-before-non-finite", "child-block-first", "own-block-first"])
+    def test_same_error(self, long_lines, defects, line, tmp_path, monkeypatch, forks):
+        lines = list(long_lines)
+        for k, (index, text) in defects.items():
+            fields = lines[k - 1].split(",")
+            fields[index] = text
+            lines[k - 1] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        errors = []
+        for cpus in (1, 2):
+            with usable_cpus(monkeypatch, cpus), leaves_nothing():
+                with pytest.raises(ValidationError) as excinfo:
+                    read_csv(path)
+            errors.append(str(excinfo.value))
+        assert len(forks) == 1
+        assert errors[0] == errors[1] and errors[0].startswith(f"{path}:{line}: ")
+
+    def test_failed_write_leaves_nothing(self, long_traces, tmp_path, monkeypatch, forks):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell():  # the header goes in, the first block does not
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+        monkeypatch.setattr(traceio, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        with usable_cpus(monkeypatch, 2), leaves_nothing():
+            with pytest.raises(OSError, match="No space left"):
+                emit_csv(long_traces["combined"], tmp_path / "full.csv")
+        assert len(forks) == 1
+
+    def test_interrupt_in_own_block_leaves_nothing(self, long_traces, tmp_path, monkeypatch,
+                                                   forks):
+        path = tmp_path / "combined.csv"
+        with usable_cpus(monkeypatch, 1):
+            emit_csv(long_traces["combined"], path)
+        parse, parent = traceio._parse_rows, os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse(*args)
+        monkeypatch.setattr(traceio, "_parse_rows", interrupted)
+        with usable_cpus(monkeypatch, 2), leaves_nothing():
+            with pytest.raises(KeyboardInterrupt):
+                read_csv(path)
+        assert len(forks) == 1
+
+    def test_other_thread_means_no_fork(self, long_traces, tmp_path, monkeypatch):
+        with usable_cpus(monkeypatch, 2), other_thread():
+            assert _write_and_read(long_traces["combined"], tmp_path / "c.csv") == (0, True)
+
+    def test_pool_worker_means_no_fork(self, long_traces, tmp_path, monkeypatch):
+        with usable_cpus(monkeypatch, 2):
+            with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
+                done = pool.submit(_write_and_read, long_traces["combined"], tmp_path / "c.csv")
+                assert done.result() == (0, True)
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_no_pipe_or_no_process_runs_in_process(self, long_traces, call, tmp_path,
+                                                   monkeypatch):
+        def fails(*args):
+            raise OSError(errno.EAGAIN, f"no {call}")
+        trace = long_traces["combined"]
+        ref.emit_csv(trace, tmp_path / "reference.csv")
+        with usable_cpus(monkeypatch, 2), leaves_nothing():
+            monkeypatch.setattr(os, call, fails)
+            emit_csv(trace, tmp_path / "c.csv")
+            assert records_equal(trace, read_csv(tmp_path / "c.csv"))
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", MALFORMED_CASES)

@@ -7,15 +7,19 @@ every one of them diverges within 0.07 simulated seconds and aborts, so
 that its abort message is compared), and the ``sweep`` configs of seeds
 1-3 (generated by this checkout's perfbench/sweep.py) under the ``src/`` of
 this checkout and under that of PARENT_CHECKOUT, each side in its own
-subprocess. For every
-run it prints whether the active sets, the statuses and the abort message
-are equal, and the largest |difference| of t, of each 2-vector column and
-of the barrier values. It exits 1 if any run differs in any of them (a NaN
-against a number counts as a difference), 0 otherwise. ``--duration``
-shortens every run to that many simulated seconds.
+subprocess. Each side also writes every run's trace with its own emit_csv
+and reads it back with its own read_csv. For every run it prints whether
+the active sets, the statuses, the abort message and the sha256 digests of
+the two CSV files are equal, whether each side's read_csv gave back its
+trace bit for bit, and the largest |difference| of t, of each 2-vector
+column and of the barrier values. It exits 1 if any run differs in any of
+them (a NaN against a number counts as a difference) or a CSV does not
+read back, 0 otherwise. ``--duration`` shortens every run to that many
+simulated seconds.
 """
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,10 +51,12 @@ def _scenarios(duration):
 
 def dump(src: str, runs_file: str, out_dir: str, duration) -> None:
     """Run every scenario of ``runs_file`` with the safeadmit of ``src`` and
-    write each run's columns to ``out_dir/<label>.npz``."""
+    write each run's columns to ``out_dir/<label>.npz``, with the sha256 of
+    the CSV that its emit_csv writes and whether its read_csv reads that
+    CSV back bit for bit."""
     sys.path.insert(0, src)
     import safeadmit
-    from safeadmit import config, sim
+    from safeadmit import config, sim, traceio
     if not Path(safeadmit.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"safeadmit was imported from {safeadmit.__file__}, not {src}")
     presets = sim.scenario_library()
@@ -67,10 +73,18 @@ def dump(src: str, runs_file: str, out_dir: str, duration) -> None:
             trace = sim.run(cfg)
         except safeadmit.SimulationAborted as exc:
             trace, abort = exc.trace, str(exc)
+        digest, reads_back = "", True  # an empty trace has no CSV
+        if len(trace):
+            csv_path = Path(out_dir) / f"{label}.csv"
+            traceio.emit_csv(trace, csv_path)
+            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            reads_back = sim.records_equal(trace, traceio.read_csv(csv_path))
+            csv_path.unlink()
         np.savez(Path(out_dir) / f"{label}.npz", t=trace.t, h=trace.h,
                  h_names=np.array(trace.h_names, dtype=str),
                  qp_active=np.array([";".join(map(str, a)) for a in trace.qp_active], dtype=str),
                  qp_status=np.array(trace.qp_status, dtype=str), abort=np.array(abort),
+                 csv_sha256=np.array(digest), csv_reads_back=np.array(reads_back),
                  **{name: getattr(trace, name) for name in sim.VECTORS})
 
 
@@ -91,7 +105,8 @@ def compare(a, b, vectors):
     Floats compare by their bits, so a zero of the other sign differs (its
     max |difference| is printed as 0 with a '!')."""
     same = {key: bool(np.array_equal(a[key], b[key]))
-            for key in ("qp_active", "qp_status", "abort", "h_names")}
+            for key in ("qp_active", "qp_status", "abort", "h_names", "csv_sha256")}
+    same["csv_reads_back"] = bool(a["csv_reads_back"]) and bool(b["csv_reads_back"])
     diffs = {key: _diff(a[key], b[key]) for key in ("t", *vectors, "h")}
     ok = all(same.values()) and all(equal for equal, _ in diffs.values())
     line = " ".join([*(f"{k}={'same' if v else 'DIFF'}" for k, v in same.items()),
