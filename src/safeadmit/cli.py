@@ -8,30 +8,22 @@ Subcommands:
 Exit codes: 0 success, 1 validation/config error, 2 runtime abort (the
 partial trace is still written).
 
-``run --all-presets`` runs the presets in forked worker processes, one per
-CPU that sim.fork_cpus finds (at most one per preset). Each worker
-simulates its preset in one process and writes its files; the text it
-would have printed comes back and is printed in preset order, so the
-output is that of the serial run. With one such CPU (one CPU, no
-``os.fork``, other threads running in this process, which a fork cannot
-copy safely, or this process itself a worker) or one scenario, the
-presets run one after another in this process, where ``run`` may use a
-second CPU for each.
+``run --all-presets`` runs the presets one after another and stops at the
+first error (exit 1); each ``run`` may use a second CPU for its plant chain
+and its trace I/O (see sim.fork_cpus).
 """
 
 import argparse
-import io
 import os
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 from .config import CONSTRAINT_SETS, parse_config
 from .errors import ConfigError, SimulationAborted, ValidationError
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
-from .sim import ScenarioConfig, fork_cpus, run, scenario_library
+from .sim import ScenarioConfig, run, scenario_library
 from .traceio import compute_report, emit_csv, emit_plot, read_csv
 
 OUT_ENV = "SAFEGUARD_OUT"
@@ -132,40 +124,6 @@ def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool) -> int:
     return 0
 
 
-def _run_captured(job) -> tuple:
-    """``_run_one`` in a worker: (exit code, stdout text, stderr text)."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = _run_one(*job)
-        except _USER_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 1
-    return code, out.getvalue(), err.getvalue()
-
-
-def _run_all(configs, out_dir: Path, plot: bool) -> int:
-    """Run every config and return the largest exit code, in forked
-    workers when more than one CPU and more than one config are at hand."""
-    workers = min(len(configs), fork_cpus())
-    if workers > 1:
-        # imported here only: every other command would pay tens of ms for it
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        sys.stdout.flush()  # a worker must not inherit unwritten output
-        sys.stderr.flush()
-        jobs = [(c, out_dir, plot) for c in configs]
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_run_captured, jobs))
-        for code, out, err in results:
-            sys.stdout.write(out)
-            sys.stderr.write(err)
-            if code == 1:  # the serial loop ends at its first error
-                return code
-        return max(code for code, _, _ in results)
-    return max([_run_one(c, out_dir, plot) for c in configs])
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -191,13 +149,13 @@ def main(argv=None) -> int:
             print(report.format())
             return 0
 
-        out_dir = _out_dir(args)
         if args.all_presets:
             configs = list(scenario_library().values())
         else:
             configs = [_resolve_scenario(args.scenario)]
-        return _run_all([_apply_overrides(c, args) for c in configs],
-                        out_dir, args.plot)
+        configs = [_apply_overrides(c, args) for c in configs]
+        out_dir = _out_dir(args)  # made only once every config is valid
+        return max([_run_one(c, out_dir, args.plot) for c in configs])
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,6 @@ import math
 import os
 import pickle
 import signal
-import sys
 import threading
 from array import array
 from contextlib import contextmanager, nullcontext
@@ -351,13 +350,10 @@ class _PlantChain:
 
 def fork_cpus() -> int:
     """The CPUs that processes forked from this one may use: as many as
-    this process may run on, or 1 where there is no os.fork, where another
+    this process may run on, or 1 where there is no os.fork or where another
     thread runs (a fork copies only the calling thread, so a lock held by
-    another one would stay locked in the child), or where this process is a
-    multiprocessing worker (so that pools and pipelines do not nest)."""
-    mp = sys.modules.get("multiprocessing")  # looked up, never imported
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or (mp is not None and mp.parent_process() is not None)):
+    another one would stay locked in the child)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))

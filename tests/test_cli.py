@@ -52,6 +52,14 @@ class TestRun:
         assert code == 1
         assert "no-such-thing" in err
 
+    @pytest.mark.parametrize("argv", [["--scenario", "nope"], ["--dt", "-1"]],
+                             ids=["unknown-scenario", "negative-dt"])
+    def test_refused_run_makes_no_out_dir(self, capsys, tmp_path, argv):
+        out_dir = tmp_path / "D"
+        code, _, err = run_cli(capsys, "run", *argv, "--out", str(out_dir))
+        assert code == 1 and err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_abort_exits_two_with_partial_trace(self, capsys, tmp_path):
         # a config whose reference start sits outside the shrunk workspace
         cfg_path = tmp_path / "bad.ini"
@@ -162,8 +170,7 @@ class TestRun:
 
 def set_cpus(monkeypatch, n):
     """Make the affinity lookup report ``n`` usable CPUs, and count the
-    runs that ``_run_one`` makes in this process (a forked worker counts in
-    its own copy)."""
+    runs that ``_run_one`` makes."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
     runs = []
@@ -182,23 +189,23 @@ def without_runtime(text, out_dir):
             if not line.startswith("runtime:")]
 
 
-class TestAllPresetsWorkers:
+class TestAllPresets:
     def test_files_equal_single_runs(self, capsys, monkeypatch, tmp_path):
         runs = set_cpus(monkeypatch, 2)
-        pool_dir = tmp_path / "pool"
+        all_dir = tmp_path / "all"
         code, out, err = run_cli(capsys, "run", "--all-presets", "--plot",
-                                 "--duration", "0.5", "--out", str(pool_dir))
-        assert code == 0 and err == "" and runs == []  # each ran in a worker
+                                 "--duration", "0.5", "--out", str(all_dir))
+        assert code == 0 and err == "" and runs == list(scenario_library())
         single_dir, single_out = tmp_path / "single", []
         for name in scenario_library():
             code, text, _ = run_cli(capsys, "run", "--scenario", name, "--plot",
                                     "--duration", "0.5", "--out", str(single_dir))
             assert code == 0
             single_out += without_runtime(text, single_dir)
-        assert without_runtime(out, pool_dir) == single_out
+        assert without_runtime(out, all_dir) == single_out
         for name in scenario_library():
             for suffix in (".csv", ".svg"):
-                assert ((pool_dir / f"{name}{suffix}").read_bytes()
+                assert ((all_dir / f"{name}{suffix}").read_bytes()
                         == (single_dir / f"{name}{suffix}").read_bytes())
 
     def test_every_preset_aborts_in_order(self, capsys, monkeypatch, tmp_path):
@@ -215,15 +222,15 @@ class TestAllPresetsWorkers:
     def test_one_cpu_runs_serially(self, capsys, monkeypatch, tmp_path):
         argv = ["run", "--all-presets", "--plot", "--duration", "0.3", "--out"]
         set_cpus(monkeypatch, 2)
-        code, pool_out, _ = run_cli(capsys, *argv, str(tmp_path / "pool"))
+        code, two_out, _ = run_cli(capsys, *argv, str(tmp_path / "two"))
         assert code == 0
         runs = set_cpus(monkeypatch, 1)
         code, serial_out, _ = run_cli(capsys, *argv, str(tmp_path / "serial"))
         assert code == 0 and runs == list(scenario_library())
         assert (without_runtime(serial_out, tmp_path / "serial")
-                == without_runtime(pool_out, tmp_path / "pool"))
+                == without_runtime(two_out, tmp_path / "two"))
         for path in (tmp_path / "serial").iterdir():
-            assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes()
+            assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
     def test_other_thread_runs_serially(self, capsys, monkeypatch, tmp_path):
         runs = set_cpus(monkeypatch, 2)
@@ -239,12 +246,13 @@ class TestAllPresetsWorkers:
         assert not waiter.is_alive()
         assert code == 0 and runs == list(scenario_library())
 
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["workers", "serial"])
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
     def test_os_error_exits_one(self, capsys, monkeypatch, tmp_path, cpus):
         # the second preset's CSV path is a directory: its error ends the
-        # command, and only the first preset's report is printed
+        # command, only the first preset's report is printed, and the
+        # presets after it write nothing
         set_cpus(monkeypatch, cpus)
-        first, second = list(scenario_library())[:2]
+        first, second, *later = scenario_library()
         (tmp_path / f"{second}.csv").mkdir()
         code, out, err = run_cli(capsys, "run", "--all-presets", "--duration", "0.2",
                                  "--out", str(tmp_path))
@@ -253,6 +261,7 @@ class TestAllPresetsWorkers:
         assert len(err.splitlines()) == 1
         printed = [line for line in out.splitlines() if line.startswith("scenario: ")]
         assert printed == [f"scenario: {first}"]
+        assert later and not any((tmp_path / f"{name}.csv").exists() for name in later)
 
 
 class TestReport:

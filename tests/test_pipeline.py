@@ -336,16 +336,21 @@ class TestForkCpus:
         with usable_cpus(monkeypatch, 2):
             assert sim.fork_cpus() == 1
 
-    def test_worker_process_means_one(self, monkeypatch):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with usable_cpus(monkeypatch, 2):
-            with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
-                assert pool.submit(sim.fork_cpus).result() == 1
+    @staticmethod
+    def fresh_python(code, *args):
+        """The lines that ``code`` prints in a new interpreter."""
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        return done.stdout.splitlines()
 
     def test_import_leaves_multiprocessing_out(self):
         code = "import sys, safeadmit; print('multiprocessing' in sys.modules)"
-        src = os.path.dirname(os.path.dirname(sim.__file__))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.strip() == "False"
+        assert self.fresh_python(code) == ["False"]
+
+    def test_all_presets_leaves_multiprocessing_out(self, tmp_path):
+        code = ("import sys\n"
+                "from safeadmit import cli\n"
+                "code = cli.main(['run', '--all-presets', '--duration', '0.05', '--out', sys.argv[1]])\n"
+                "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+        assert self.fresh_python(code, str(tmp_path))[-1] == "0 False False"

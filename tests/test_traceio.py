@@ -1,10 +1,8 @@
 import errno
 import io
-import multiprocessing
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from itertools import combinations
@@ -291,12 +289,6 @@ class TestSplitIo:
     def test_other_thread_means_no_fork(self, long_traces, tmp_path, monkeypatch):
         with usable_cpus(monkeypatch, 2), other_thread():
             assert _write_and_read(long_traces["combined"], tmp_path / "c.csv") == (0, True)
-
-    def test_pool_worker_means_no_fork(self, long_traces, tmp_path, monkeypatch):
-        with usable_cpus(monkeypatch, 2):
-            with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
-                done = pool.submit(_write_and_read, long_traces["combined"], tmp_path / "c.csv")
-                assert done.result() == (0, True)
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     def test_no_pipe_or_no_process_runs_in_process(self, long_traces, call, tmp_path,
