@@ -10,7 +10,7 @@ partial trace is still written).
 
 ``run --all-presets`` runs the presets one after another and stops at the
 first error (exit 1); each ``run`` may use a second CPU for its plant chain
-and its trace I/O (see sim.fork_cpus).
+and its trace I/O (see safeadmit.forks).
 """
 
 import argparse
@@ -154,6 +154,9 @@ def main(argv=None) -> int:
         else:
             configs = [_resolve_scenario(args.scenario)]
         configs = [_apply_overrides(c, args) for c in configs]
+        for c in configs:  # each name is the stem of a file in the output directory
+            if c.name in ("", ".", "..") or "/" in c.name or "\0" in c.name:
+                raise ConfigError(f"scenario name {c.name!r} cannot name a file")
         out_dir = _out_dir(args)  # made only once every config is valid
         return max([_run_one(c, out_dir, args.plot) for c in configs])
     except _USER_ERRORS as exc:

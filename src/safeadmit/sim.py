@@ -5,33 +5,24 @@ the force through the barrier QP, advance the (filtered) admittance
 reference and an unfiltered shadow copy, run the tracker, and advance the
 arm plant. The first three make the reference chain, which never reads the
 plant; the tracker and the plant make the plant chain, which follows the
-reference chain's x1, x2, drift, f_hat and f_e. run runs the two as two
-loops: the reference chain hands each block of steps to a callback, which
-feeds the plant chain here or, on a second CPU, the pipe to a forked child
-that runs it (see run). The stages pass float pairs to each other, and each
-step's floats are appended to one flat float log (an ``array('d')``);
-after the loop that log is viewed as an (N, width) matrix whose columns
-make the Trace, one array per signal. A step is read from the columns, or
-as the one-row Trace ``trace[k]``; ``records_equal`` compares two traces
-bit for bit. The forked child of a pipelined run and that of
-alternate_blocks, which traceio's CSV writer and reader use, are made and
-reaped by one helper, _forked.
+reference chain's x1, x2, drift, f_hat and f_e; run runs the two as two
+loops, on two CPUs where it can. The stages pass float pairs to each
+other, and each step's floats are appended to one flat float log (an
+``array('d')``); after the loop that log is viewed as an (N, width)
+matrix whose columns make the Trace, one array per signal. A step is read
+from the columns, or as the one-row Trace ``trace[k]``; ``records_equal``
+compares two traces bit for bit.
 """
 
 import math
-import os
-import pickle
-import signal
-import threading
 from array import array
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import arm, smc
+from . import arm, forks, smc
 from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step
 from .arm import JointState, ManipulatorParams, _tv
 from .errors import (InfeasibleQp, Pair, SimulationAborted, SingularConfiguration, StartOutsideSafeSet,
@@ -248,11 +239,11 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     It never reads the plant. Each step appends its log row to ``log``
     (x_actual and f_c zero), its active set and status to ``events``, and
     the x1, x2, drift, f_hat and f_e that the plant chain reads to its own
-    handoff array. After each block of BLOCK steps, the last one and one a
-    failure cuts short included, the array goes to ``hand``, which empties
-    it and returns whether the plant chain still runs; on False the chain
-    stops. Returns the chain's failure, or None; what ``hand`` raises is no
-    failure of the chain and propagates."""
+    handoff array, a fresh one per block. After each block of BLOCK steps,
+    the last one and one a failure cuts short included, the array goes to
+    ``hand``, which returns whether the plant chain still runs; on False
+    the chain stops. Returns the chain's failure, or None; what ``hand``
+    raises is no failure of the chain and propagates."""
     adm_params, dt, amplitude = config.admittance, config.dt, config.force_amplitude
     filtered = bool(cset.names) and not config.filter_bypass
     g = adm_params.input_gain
@@ -263,8 +254,8 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     shadow = AdmittanceState(adm.x1, adm.x2)
     bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
     active_sets: dict = {}  # each distinct active set of the run, logged as one object
-    handoff = array("d")
     for first in range(0, steps + 1, BLOCK):
+        handoff = array("d")
         try:
             for k in range(first, min(first + BLOCK, steps + 1)):
                 t = k * dt
@@ -307,7 +298,7 @@ class _PlantChain:
     hands over: per step, the task-space terms, the tracker's force toward
     the reference point (x1, x2, drift + f_hat / k_m) and the arm's RK4 step
     under that force and f_e. ``log`` holds x_actual and f_c per step run;
-    after a failure, ``failure`` holds it and no further step runs."""
+    after a failure, ``failure`` holds it, and the chain is fed no more."""
 
     def __init__(self, config: ScenarioConfig, steps: int):
         self.config, self.steps = config, steps
@@ -318,221 +309,45 @@ class _PlantChain:
         self.failure: Optional[_Failed] = None
 
     def feed(self, handoff: array) -> bool:
-        """Run the steps whose inputs ``handoff`` holds, then empty it;
-        returns whether the chain still runs."""
-        if self.failure is None:
-            config, steps, log = self.config, self.steps, self.log
-            params, gains, dt = config.robot, config.controller, config.dt
-            gx, gy = config.admittance.input_gain
-            joint, ctrl, k, stage = self.joint, self.ctrl, self.k, 2
-            try:
-                for i in range(0, len(handoff), _HANDOFF):
-                    x1x, x1y, x2x, x2y, dx, dy, fx, fy, fex, fey = handoff[i:i + _HANDOFF]
-                    stage = 2
-                    terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
-                    cart = arm.cartesian_state(params, joint)
-                    ref = DesiredPoint.of_floats((x1x, x1y), (x2x, x2y),
-                                                 (dx + gx * fx, dy + gy * fy))
-                    f_c, ctrl = smc.control(gains, ctrl, terms, cart, ref, dt,
-                                            nominal_only=config.nominal_only)
-                    log.extend((*cart.x, *f_c))
-                    if k < steps:
-                        stage = 4
-                        tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
-                        joint = arm.plant_step(params, joint, tau_c, (fex, fey), dt)
-                    k += 1
-            except Exception as exc:
-                self.failure = _Failed(k, stage, exc)
-            self.joint, self.ctrl, self.k = joint, ctrl, k
-        del handoff[:]
+        """Run the steps whose inputs ``handoff`` holds; returns whether
+        the chain still runs (False once a step has failed)."""
+        config, steps, log = self.config, self.steps, self.log
+        params, gains, dt = config.robot, config.controller, config.dt
+        gx, gy = config.admittance.input_gain
+        joint, ctrl, k, stage = self.joint, self.ctrl, self.k, 2
+        try:
+            for i in range(0, len(handoff), _HANDOFF):
+                x1x, x1y, x2x, x2y, dx, dy, fx, fy, fex, fey = handoff[i:i + _HANDOFF]
+                stage = 2
+                terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
+                cart = arm.cartesian_state(params, joint)
+                ref = DesiredPoint.of_floats((x1x, x1y), (x2x, x2y),
+                                             (dx + gx * fx, dy + gy * fy))
+                f_c, ctrl = smc.control(gains, ctrl, terms, cart, ref, dt,
+                                        nominal_only=config.nominal_only)
+                log.extend((*cart.x, *f_c))
+                if k < steps:
+                    stage = 4
+                    tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
+                    joint = arm.plant_step(params, joint, tau_c, (fex, fey), dt)
+                k += 1
+        except Exception as exc:
+            self.failure = _Failed(k, stage, exc)
+        self.joint, self.ctrl, self.k = joint, ctrl, k
         return self.failure is None
 
 
-def fork_cpus() -> int:
-    """The CPUs that processes forked from this one may use: as many as
-    this process may run on, or 1 where there is no os.fork or where another
-    thread runs (a fork copies only the calling thread, so a lock held by
-    another one would stay locked in the child)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _write_all(fd: int, data) -> bool:
-    """Write the bytes of ``data`` to ``fd``; False if the reader has gone."""
-    view = memoryview(data).cast("B")
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc``, or where it does not survive pickling, a RuntimeError that
-    carries its text."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-class _Child:
-    """This process's side of a child forked by _forked: ``results`` reads
-    what the child writes, ``feed`` (-1 if there is none) writes what it
-    reads, and ``status`` is its wait status once it has been reaped."""
-
-    def __init__(self, pid: int, results, feed: int):
-        self.pid, self.results, self.feed = pid, results, feed
-        self.status: Optional[int] = None
-
-    def end_feed(self) -> None:
-        """Close ``feed``, so that the child reads to its end."""
-        if self.feed >= 0:
-            os.close(self.feed)
-            self.feed = -1
-
-    def wait(self) -> int:
-        self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
-
-    def load(self):
-        """The child's next pickled message. A child that ended without a
-        whole one raises RuntimeError with its wait status."""
-        try:
-            return pickle.load(self.results)
-        except (EOFError, pickle.UnpicklingError):  # no message, or one cut short
-            raise RuntimeError(f"a forked process ended without a result "
-                               f"(wait status {self.wait()})") from None
-
-
-@contextmanager
-def _forked(body, feed: bool = False):
-    """Fork a child that runs ``body`` and leaves only through os._exit,
-    with status 0 if body returns and 1 if it raises: it never returns into
-    the caller's code, nor flushes a file buffer it inherited. body takes
-    the write end of a pipe whose read end this process holds, after, if
-    ``feed``, the read end of one whose write end this process holds.
-    Yields a _Child over this process's ends, or None where no pipe or no
-    process could be made. On the way out those ends are closed, and a
-    child not yet reaped is killed and reaped."""
-    pipes: list = []
-    try:
-        for _ in range(1 + feed):
-            pipes.append(os.pipe())
-        pid = os.fork()
-    except OSError:  # no pipe or no process
-        for fd in sum(pipes, ()):
-            os.close(fd)
-        pid = None
-    if pid is None:
-        yield None
-        return
-    (results_r, results_w), *fed = pipes
-    theirs, ours = [r for r, _ in fed] + [results_w], [results_r] + [w for _, w in fed]
-    if pid == 0:
-        status = 1
-        try:
-            for fd in ours:
-                os.close(fd)
-            body(*theirs)
-            status = 0
-        finally:
-            os._exit(status)
-    for fd in theirs:
-        os.close(fd)
-    child = _Child(pid, open(results_r, "rb"), fed[0][1] if fed else -1)
-    try:
-        yield child
-    finally:
-        child.end_feed()
-        child.results.close()
-        if child.status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def alternate_blocks(count: int, work, hand) -> None:
-    """Call ``hand(i, work(i))`` for each block i in range(count), in order.
-    Where count > 1 and fork_cpus() finds a second CPU, a forked child runs
-    work on the odd blocks and sends each result back, pickled, through a
-    pipe, while this process runs the even ones; otherwise, or where no
-    child can be started, this process runs them all. What work(i) raises
-    is raised when block i is reached, from either process (an exception
-    that does not pickle as a RuntimeError that carries its text), so the
-    first failing block wins either way; what hand raises propagates. The
-    child is reaped on every way out, killed first if this process leaves
-    early."""
-    def odd_blocks(results_w: int) -> None:
-        for i in range(1, count, 2):
-            try:
-                message = work(i), None
-            except Exception as exc:
-                message = None, _portable(exc)
-            if not _write_all(results_w, pickle.dumps(message)) or message[1] is not None:
-                return
-
-    with (_forked(odd_blocks) if count > 1 and fork_cpus() > 1 else nullcontext()) as child:
-        for i in range(count):
-            if child is None or i % 2 == 0:
-                hand(i, work(i))
-                continue
-            result, exc = child.load()
-            if exc is not None:
-                raise exc
-            hand(i, result)
-        if child is not None:
-            child.wait()
-
-
-def _plant_process(plant: _PlantChain, handoff_r: int, result_w: int) -> None:
-    """The forked child's work in a pipelined run: run ``plant`` on the
-    handoff blocks read from ``handoff_r`` until the pipe closes or the
-    chain stops, then write its log and failure to ``result_w`` as one
-    pickled message."""
-    handoff, pending, size = array("d"), b"", 8 * _HANDOFF
-    while plant.failure is None and (data := os.read(handoff_r, 1 << 16)):
-        pending += data
-        whole = len(pending) - len(pending) % size
-        handoff.frombytes(pending[:whole])
-        pending = pending[whole:]
-        plant.feed(handoff)
-    os.close(handoff_r)  # a stopped plant chain stops the reference chain
+def _plant_child(plant: _PlantChain, blocks) -> tuple:
+    """The forked child's work in a pipelined run: feed ``plant`` each
+    handoff block until they end or the chain stops; returns its log and
+    its failure, the exception made to survive pickling."""
+    for block in blocks:
+        if not plant.feed(block):
+            break
     failure = plant.failure
     if failure is not None:
-        failure = failure._replace(exc=_portable(failure.exc))
-    with open(result_w, "wb") as result:
-        pickle.dump((plant.log, failure), result)
-
-
-def _pipelined(plant: _PlantChain, reference):
-    """Run the reference chain here, as ``reference(hand)``, and ``plant``
-    in a forked child behind it (see _forked). Its ``hand`` writes each
-    handoff block down a pipe, which holds the reference chain back when it
-    is full, and returns False once the child has closed the pipe; the
-    plant chain's log and failure come back as one pickled message through
-    a second pipe. Returns (the reference chain's failure, the plant
-    chain's log and failure), or None if no child could be started. A child
-    that ends without a whole message raises RuntimeError."""
-    with _forked(partial(_plant_process, plant), feed=True) as child:
-        if child is None:
-            return None
-
-        def send(block: array) -> bool:
-            sent = _write_all(child.feed, block)
-            del block[:]
-            return sent
-
-        failure = reference(send)
-        child.end_feed()
-        plant_log, plant_failure = child.load()
-        child.wait()
-    return failure, plant_log, plant_failure
+        failure = failure._replace(exc=forks.portable(failure.exc))
+    return plant.log, failure
 
 
 def run(config: ScenarioConfig) -> Trace:
@@ -543,15 +358,12 @@ def run(config: ScenarioConfig) -> Trace:
     filter, control or plant. A state that is not finite, or a float kernel
     that overflows on the way to one, aborts with ValidationError.
 
-    A step is two chains of stages: the reference chain (the admittance
-    references and the filter, which never read the plant) and the plant
-    chain (the tracker and the arm), which takes x1, x2, the drift, f_hat
-    and f_e from the reference chain. When fork_cpus() finds a second CPU
-    and the run is longer than one BLOCK, the plant chain runs in a forked
-    child that follows the reference chain block by block; otherwise the
-    reference chain hands each block to the plant chain here. The numbers are
-    the same either way, and a run that fails reports the earliest failure
-    in the serial order of the stages, with the same partial trace."""
+    The reference chain runs here. When the run is longer than one BLOCK
+    and forks.fork_cpus() finds a second CPU, the plant chain runs in a
+    forked child behind it, one pickled message per block (forks.behind);
+    otherwise it runs here, block by block. The numbers are the same either
+    way, and a run that fails reports the earliest failure in the serial
+    order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
     log, events = array("d"), []
@@ -564,12 +376,10 @@ def run(config: ScenarioConfig) -> Trace:
                            0, "start", exc)
     reference = partial(_reference_chain, config, cset, adm, steps, log, events)
     plant = _PlantChain(config, steps)
-    chains = None
-    if steps >= BLOCK and fork_cpus() > 1:
-        chains = _pipelined(plant, reference)
+    chains = forks.behind(reference, partial(_plant_child, plant)) if steps >= BLOCK else None
     if chains is None:
-        chains = reference(plant.feed), plant.log, plant.failure
-    failure, plant_log, plant_failure = chains
+        chains = reference(plant.feed), (plant.log, plant.failure)
+    failure, (plant_log, plant_failure) = chains
     failures = [f for f in (failure, plant_failure) if f is not None]
     if not failures:
         return _trace_from_logs(log, plant_log, steps + 1, cset.names, events)

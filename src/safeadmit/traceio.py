@@ -9,11 +9,9 @@ and are taken from the header on reread. read_csv refuses a malformed file
 with a ValidationError that names the path and the 1-based line.
 
 Both convert the rows in an even number of near-equal blocks of at most
-_BLOCK rows (_bounds). Where there are two or more and a second CPU is
-free, sim.alternate_blocks hands every odd block to a forked child, which
-formats or parses it and sends it back, while this process does the even
-ones and writes or fills in row order; the bytes, the columns and the
-errors are the same either way.
+_BLOCK rows (_bounds), which forks.alternate_blocks shares with a forked
+child where a second CPU is free, and write or fill them in row order;
+the bytes, the columns and the errors are the same either way.
 """
 
 import math
@@ -24,8 +22,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
+from .forks import alternate_blocks
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
-from .sim import QP_STATUSES, VECTORS, Trace, alternate_blocks
+from .sim import QP_STATUSES, VECTORS, Trace
 
 _PREFIXES = ("xd", "xf", "xrs", "xa", "fe", "feh", "fec", "fc")  # one per name in VECTORS
 _LEADING = ["t"] + [f"{p}_{axis}" for p in _PREFIXES for axis in "xy"]
@@ -53,9 +52,8 @@ def _bounds(rows: int) -> List[int]:
 
 def emit_csv(trace: Trace, path) -> None:
     """Write the trace: each row is one '%.17g' template over a row of the
-    stacked float columns, plus the active-set and status fields. The rows
-    are formatted in blocks, every other one by a forked child where there
-    is a second CPU (sim.alternate_blocks), and written in order."""
+    stacked float columns, plus the active-set and status fields, formatted
+    block by block as the module docstring says, and written in order."""
     if not len(trace):
         raise ValidationError("cannot emit an empty trace")
     matrix = np.column_stack([trace.t, *(getattr(trace, v) for v in VECTORS), trace.h])
@@ -152,12 +150,12 @@ def read_csv(path) -> Trace:
     misplaced column, a number that does not parse or is not finite, an
     active set that is not integer row indices, an unknown qp_status or
     bytes that are not UTF-8 raise ValidationError naming the path and the
-    1-based line. The rows are parsed in blocks, every other one by a
-    forked child where there is a second CPU (sim.alternate_blocks); every
+    1-based line; a file with no data row raises one naming the path. The
+    rows are parsed block by block, as the module docstring says; every
     check but a number's parse runs in this process, and the first error in
     file order wins either way."""
     lines = _lines(path)
-    if not lines:
+    if len(lines) < 2:
         raise ValidationError(f"{path} is empty")
     header = lines[0].split(",")
     h_names = _h_names(path, header)

@@ -60,6 +60,18 @@ class TestRun:
         assert code == 1 and err.startswith("error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/dir", "nul\0byte"],
+                             ids=["empty", "dot", "dot-dot", "parent", "subdir", "nul"])
+    def test_name_that_is_no_file_name_exits_one(self, capsys, tmp_path, name):
+        cfg_path = tmp_path / "named.ini"
+        cfg_path.write_text(f"[scenario]\nname = {name}\nduration = 0.01\n")
+        out_dir = tmp_path / "out" / "D"
+        code, out, err = run_cli(capsys, "run", "--scenario", str(cfg_path),
+                                 "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: scenario name {name!r} cannot name a file\n"
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_abort_exits_two_with_partial_trace(self, capsys, tmp_path):
         # a config whose reference start sits outside the shrunk workspace
         cfg_path = tmp_path / "bad.ini"
@@ -295,6 +307,17 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope.csv"))
         assert code == 1
         assert "nope.csv" in err
+
+    @pytest.mark.parametrize("keep", [0, 1], ids=["zero-bytes", "header-only"])
+    def test_empty_csv_exits_one(self, capsys, tmp_path, keep):
+        code, _, _ = run_cli(capsys, "run", "--scenario", "combined",
+                             "--duration", "0.01", "--out", str(tmp_path))
+        assert code == 0
+        path = tmp_path / "combined.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path} is empty\n"
 
     @pytest.mark.parametrize("case", MALFORMED_CASES)
     def test_malformed_csv_exits_one(self, capsys, malformed_csv, case):

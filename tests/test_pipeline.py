@@ -17,13 +17,12 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
 from safeadmit import (AdmittanceParams, InfeasibleQp, SimulationAborted,
-                       SingularConfiguration, ValidationError, arm, config, records_equal,
-                       scenario_library, sim, smc)
+                       SingularConfiguration, ValidationError, arm, config, forks,
+                       records_equal, scenario_library, sim, smc)
 
 PRESETS = scenario_library()
 
@@ -256,13 +255,13 @@ def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch):
         assert 100 < len(filtered) < 4000
 
 
-@pytest.mark.parametrize("cpus, hand", [(1, "feed"), (2, "_write_all")],
+@pytest.mark.parametrize("cpus, hand", [(1, "feed"), (2, "_send")],
                          ids=["in-process", "pipelined"])
 def test_exception_of_the_handoff_raised_as_is(cpus, hand, monkeypatch):
     # a ValueError from a stage would abort the run as a divergence; one
     # from the handoff itself (only the third) is no stage's failure
     cfg = replace(PRESETS["combined"], duration=0.5)
-    owner = sim._PlantChain if hand == "feed" else sim
+    owner = sim._PlantChain if hand == "feed" else forks
     calls, real = [], getattr(owner, hand)
 
     def third_fails(*args):
@@ -287,11 +286,11 @@ def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
 
 
 def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
-    # _portable runs only in the child, on the plant chain's failure, just
+    # portable runs only in the child, on the plant chain's failure, just
     # before the result is written
     cfg = replace(PRESETS["combined"], duration=0.5)
     monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
-    monkeypatch.setattr(sim, "_portable", lambda exc: os._exit(3))
+    monkeypatch.setattr(forks, "portable", lambda exc: os._exit(3))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 768\)$"):
             sim.run(cfg)
@@ -299,12 +298,16 @@ def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
 
 @pytest.mark.parametrize("end", [1, 100, -1], ids=["first-byte", "100-bytes", "all-but-last"])
 def test_child_whose_result_is_cut_short_raises_its_wait_status(end, monkeypatch):
-    def dump_part(obj, file):
-        file.write(pickle.dumps(obj)[:end])
+    parent, send = os.getpid(), forks._send
+
+    def send_part(fd, message):
+        if os.getpid() == parent:
+            return send(fd, message)
+        os.write(fd, pickle.dumps(message)[:end])
+        return True
     # the child exits normally after writing part of its message
-    cut = SimpleNamespace(**{**vars(pickle), "dump": dump_part})
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(sim, "pickle", cut)
+    monkeypatch.setattr(forks, "_send", send_part)
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 0\)$"):
             sim.run(cfg)
@@ -325,16 +328,16 @@ def test_no_fork_runs_in_process(monkeypatch):
 class TestForkCpus:
     def test_counts_usable_cpus(self, monkeypatch):
         with usable_cpus(monkeypatch, 3):
-            assert sim.fork_cpus() == 3
+            assert forks.fork_cpus() == 3
 
     def test_other_thread_means_one(self, monkeypatch):
         with usable_cpus(monkeypatch, 2), other_thread():
-            assert sim.fork_cpus() == 1
+            assert forks.fork_cpus() == 1
 
     def test_no_fork_means_one(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         with usable_cpus(monkeypatch, 2):
-            assert sim.fork_cpus() == 1
+            assert forks.fork_cpus() == 1
 
     @staticmethod
     def fresh_python(code, *args):

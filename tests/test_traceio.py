@@ -75,6 +75,13 @@ class TestCsv:
         with pytest.raises(ValidationError):
             emit_csv([], tmp_path / "empty.csv")
 
+    @pytest.mark.parametrize("header_only", [False, True], ids=["zero-bytes", "header-only"])
+    def test_empty_file_rejected(self, short_trace, tmp_path, header_only):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(csv_header(short_trace)) + "\n" if header_only else "")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))} is empty$"):
+            read_csv(path)
+
     def test_non_finite_rejected(self, short_trace, tmp_path):
         # read_csv refuses a NaN or an infinity, so emit_csv does not write one
         x_f = short_trace.x_f.copy()
