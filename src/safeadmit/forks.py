@@ -1,9 +1,10 @@
 """The second CPU: every fork, pipe, pickle and reap of the package.
 
-_forked starts a child that speaks only pickled messages, one pipe each
-way, and reaps it on every way out. behind runs a producer here and its
-consumer in the child (sim.run); alternate_blocks splits numbered blocks
-between the two processes (traceio's CSV writer and reader).
+forked starts a child that sends pickled messages up one pipe to this
+process, which never writes to it, and reaps it on every way out. sim.run
+runs its reference chain in such a child and reads each block as it comes;
+alternate_blocks splits numbered blocks between the two processes
+(traceio's CSV writer and reader).
 """
 import os
 import pickle
@@ -48,23 +49,13 @@ def _send(fd: int, message) -> bool:
     return True
 
 
-def _messages(file):
-    """The pickled messages read from ``file``, up to its end."""
-    while True:
-        try:
-            yield pickle.load(file)
-        except EOFError:
-            return
-
-
 class _Child:
-    """This process's side of a child forked by _forked: the file ``feed``
-    writes what the child reads, to its end once closed, and ``results``
-    reads what the child writes; ``status`` is its wait status once it has
-    been reaped."""
+    """This process's side of a child forked by forked: ``results`` reads
+    what the child sends; ``status`` is its wait status once it has been
+    reaped."""
 
-    def __init__(self, pid: int, feed, results):
-        self.pid, self.feed, self.results = pid, feed, results
+    def __init__(self, pid: int, results):
+        self.pid, self.results = pid, results
         self.status: Optional[int] = None
 
     def wait(self) -> int:
@@ -82,95 +73,68 @@ class _Child:
 
 
 @contextmanager
-def _forked(body):
-    """Fork a child that runs ``body(feed_r, results_w)``, its ends of a
-    pipe this process feeds and of one this process reads, and leaves only
-    through os._exit, with status 0 if body returns and 1 if it raises: it
-    never returns into the caller's code, nor flushes a file buffer it
-    inherited. Yields a _Child over this process's ends, or None where
+def forked(body):
+    """Fork a child that runs ``body(send)`` and leaves only through
+    os._exit, with status 0 if body returns and 1 if it raises: it never
+    returns into the caller's code, nor flushes a file buffer it inherited.
+    ``send(message)`` pickles message up a pipe to this process, which holds
+    the child back when it is full, and returns False once this process has
+    stopped reading. Yields a _Child over this process's end, or None where
     fork_cpus() finds no second CPU or no pipe or process could be made. On
-    the way out those ends are closed, and a child not yet reaped is killed
+    the way out that end is closed, and a child not yet reaped is killed
     and reaped."""
-    pipes: list = []
+    fds: tuple = ()
     pid = None
     if fork_cpus() > 1:
         try:
-            for _ in range(2):
-                pipes.append(os.pipe())
+            fds = os.pipe()
             pid = os.fork()
         except OSError:  # no pipe or no process
-            for fd in sum(pipes, ()):
+            for fd in fds:
                 os.close(fd)
     if pid is None:
         yield None
         return
-    (feed_r, feed_w), (results_r, results_w) = pipes
+    results_r, results_w = fds
     if pid == 0:
         status = 1
         try:
-            os.close(feed_w)
             os.close(results_r)
-            body(feed_r, results_w)
+            body(partial(_send, results_w))
             status = 0
         finally:
             os._exit(status)
-    os.close(feed_r)
     os.close(results_w)
-    child = _Child(pid, open(feed_w, "wb", buffering=0), open(results_r, "rb"))
+    child = _Child(pid, open(results_r, "rb"))
     try:
         yield child
     finally:
-        child.feed.close()
         child.results.close()
         if child.status is None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def behind(produce, consume):
-    """Run ``produce(send)`` here and ``consume(messages)`` in a forked
-    child behind it (see _forked). ``send(message)`` pickles message down a
-    pipe, which holds this process back when it is full, and returns False
-    once consume has returned; ``messages`` yields each sent message until
-    produce returns. Returns the two results, consume's sent back pickled,
-    or None where no child was started; a child that ends without a whole
-    result raises RuntimeError."""
-    def consume_here(feed_r: int, results_w: int) -> None:
-        with open(feed_r, "rb") as feed:
-            result = consume(_messages(feed))
-        _send(results_w, result)
-
-    with _forked(consume_here) as child:
-        if child is None:
-            return None
-        produced = produce(partial(_send, child.feed.fileno()))
-        child.feed.close()
-        consumed = child.load()
-        child.wait()
-    return produced, consumed
-
-
 def alternate_blocks(count: int, work, hand) -> None:
     """Call ``hand(i, work(i))`` for each block i in range(count), in order.
     Where count > 1 and fork_cpus() finds a second CPU, a forked child runs
-    work on the odd blocks and sends each result back, pickled, through a
-    pipe, while this process runs the even ones; otherwise, or where no
-    child can be started, this process runs them all. What work(i) raises
-    is raised when block i is reached, from either process (an exception
-    that does not pickle as a RuntimeError that carries its text), so the
-    first failing block wins either way; what hand raises propagates. The
-    child is reaped on every way out, killed first if this process leaves
-    early."""
-    def odd_blocks(feed_r: int, results_w: int) -> None:
+    work on the odd blocks and sends each result up, while this process
+    runs the even ones; otherwise, or where no child can be started, this
+    process runs them all. What work(i) raises is raised when block i is
+    reached, from either process (an exception that does not pickle as a
+    RuntimeError that carries its text), so the first failing block wins
+    either way; what hand raises propagates. The child is reaped on every
+    way out, killed first if this process leaves early."""
+    def odd_blocks(send) -> None:
         for i in range(1, count, 2):
             try:
                 message = work(i), None
             except Exception as exc:
                 message = None, portable(exc)
-            if not _send(results_w, message) or message[1] is not None:
+            if not send(message) or message[1] is not None:
                 return
 
-    with (_forked(odd_blocks) if count > 1 else nullcontext()) as child:
+    with (forked(odd_blocks) if count > 1 else nullcontext()) as child:
         for i in range(count):
             if child is None or i % 2 == 0:
                 hand(i, work(i))

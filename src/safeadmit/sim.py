@@ -5,8 +5,9 @@ the force through the barrier QP, advance the (filtered) admittance
 reference and an unfiltered shadow copy, run the tracker, and advance the
 arm plant. The first three make the reference chain, which never reads the
 plant; the tracker and the plant make the plant chain, which follows the
-reference chain's x1, x2, drift, f_hat and f_e; run runs the two as two
-loops, on two CPUs where it can. The stages pass float pairs to each
+reference chain's x1, x2, drift, f_hat and f_e. run runs the plant chain
+on each block of the reference chain, whose loop runs ahead in a forked
+child where a second CPU is free. The stages pass float pairs to each
 other, and each step's floats are appended to one flat float log (an
 ``array('d')``); after the loop that log is viewed as an (N, width)
 matrix whose columns make the Trace, one array per signal. A step is read
@@ -16,6 +17,7 @@ compares two traces bit for bit.
 
 import math
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -232,18 +234,18 @@ class _Failed(NamedTuple):
 
 
 def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: AdmittanceState,
-                     steps: int, log: array, events: list, hand) -> Optional[_Failed]:
+                     steps: int, hand) -> None:
     """The reference layer of steps 0..steps from the admittance state
     ``adm``: the desired samples, the human force, the drift, the filter,
     and the admittance steps of the reference and of its unfiltered shadow.
-    It never reads the plant. Each step appends its log row to ``log``
-    (x_actual and f_c zero), its active set and status to ``events``, and
-    the x1, x2, drift, f_hat and f_e that the plant chain reads to its own
-    handoff array, a fresh one per block. After each block of BLOCK steps,
-    the last one and one a failure cuts short included, the array goes to
-    ``hand``, which returns whether the plant chain still runs; on False
-    the chain stops. Returns the chain's failure, or None; what ``hand``
-    raises is no failure of the chain and propagates."""
+    It never reads the plant. For each block of BLOCK steps, the last one
+    and one a failure cuts short included, it calls ``hand(rows, events,
+    handoff, failure)`` with fresh arrays: the block's log rows (x_actual
+    and f_c zero), its active sets and statuses, the x1, x2, drift, f_hat
+    and f_e per step that the plant chain reads, and the chain's failure in
+    the block, or None. The chain stops after a failure, or once hand
+    returns False; what hand raises is no failure of the chain and
+    propagates."""
     adm_params, dt, amplitude = config.admittance, config.dt, config.force_amplitude
     filtered = bool(cset.names) and not config.filter_bypass
     g = adm_params.input_gain
@@ -253,9 +255,9 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
 
     shadow = AdmittanceState(adm.x1, adm.x2)
     bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
-    active_sets: dict = {}  # each distinct active set of the run, logged as one object
     for first in range(0, steps + 1, BLOCK):
-        handoff = array("d")
+        rows, events, handoff = array("d"), [], array("d")
+        failure = None
         try:
             for k in range(first, min(first + BLOCK, steps + 1)):
                 t = k * dt
@@ -272,9 +274,9 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                     f_hat, f_comp = f_e, (0.0, 0.0)
                     h, active, status = cset.barrier_values(adm.x1), (), bypass_status
 
-                log.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
-                            0.0, 0.0, *h))
-                events += (active_sets.setdefault(active, active), status)
+                rows.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
+                             0.0, 0.0, *h))
+                events += (active, status)
                 handoff.extend((*adm.x1, *adm.x2, *drift, *f_hat, *f_e))
 
                 if k < steps:
@@ -286,11 +288,9 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                     shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
                               if filtered else adm)
         except Exception as exc:
-            hand(handoff)
-            return _Failed(k, stage, exc)
-        if not hand(handoff):
-            break
-    return None
+            failure = _Failed(k, stage, exc)
+        if not hand(rows, events, handoff, failure) or failure is not None:
+            return
 
 
 class _PlantChain:
@@ -337,17 +337,16 @@ class _PlantChain:
         return self.failure is None
 
 
-def _plant_child(plant: _PlantChain, blocks) -> tuple:
-    """The forked child's work in a pipelined run: feed ``plant`` each
-    handoff block until they end or the chain stops; returns its log and
-    its failure, the exception made to survive pickling."""
-    for block in blocks:
-        if not plant.feed(block):
-            break
-    failure = plant.failure
-    if failure is not None:
-        failure = failure._replace(exc=forks.portable(failure.exc))
-    return plant.log, failure
+def _reference_child(reference, send) -> None:
+    """The forked child's work in a pipelined run: run ``reference``,
+    sending up each block with its failure made to survive pickling, and
+    then None."""
+    def hand(rows, events, handoff, failure) -> bool:
+        if failure is not None:
+            failure = failure._replace(exc=forks.portable(failure.exc))
+        return send((rows, events, handoff, failure))
+    reference(hand)
+    send(None)
 
 
 def run(config: ScenarioConfig) -> Trace:
@@ -358,12 +357,13 @@ def run(config: ScenarioConfig) -> Trace:
     filter, control or plant. A state that is not finite, or a float kernel
     that overflows on the way to one, aborts with ValidationError.
 
-    The reference chain runs here. When the run is longer than one BLOCK
-    and forks.fork_cpus() finds a second CPU, the plant chain runs in a
-    forked child behind it, one pickled message per block (forks.behind);
-    otherwise it runs here, block by block. The numbers are the same either
-    way, and a run that fails reports the earliest failure in the serial
-    order of the stages, with the same partial trace."""
+    The plant chain runs here, on each block of the reference chain as it
+    comes. When the run is longer than one BLOCK and forks.fork_cpus()
+    finds a second CPU, the reference chain runs ahead in a forked child
+    that sends each block up as one pickled message (forks.forked);
+    otherwise it runs here too, block by block. The numbers are the same
+    either way, and a run that fails reports the earliest failure in the
+    serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
     log, events = array("d"), []
@@ -374,17 +374,32 @@ def run(config: ScenarioConfig) -> Trace:
         except Exception as exc:
             _raise_aborted(config, _trace_from_logs(log, array("d"), 0, cset.names, events),
                            0, "start", exc)
-    reference = partial(_reference_chain, config, cset, adm, steps, log, events)
+    reference = partial(_reference_chain, config, cset, adm, steps)
     plant = _PlantChain(config, steps)
-    chains = forks.behind(reference, partial(_plant_child, plant)) if steps >= BLOCK else None
-    if chains is None:
-        chains = reference(plant.feed), (plant.log, plant.failure)
-    failure, (plant_log, plant_failure) = chains
-    failures = [f for f in (failure, plant_failure) if f is not None]
+    failures = []  # the reference chain's, one per block
+    seen: dict = {}  # each distinct active set and status of the run, logged as one object
+
+    def take(rows, block_events, handoff, failure) -> bool:
+        log.extend(rows)
+        events.extend([seen.setdefault(e, e) for e in block_events])
+        failures.append(failure)
+        return plant.feed(handoff)
+
+    with (forks.forked(partial(_reference_child, reference)) if steps >= BLOCK
+          else nullcontext()) as child:
+        if child is None:
+            reference(take)
+        else:
+            for block in iter(child.load, None):
+                if not take(*block):
+                    break
+            else:
+                child.wait()
+    failures = [f for f in (*failures, plant.failure) if f is not None]
     if not failures:
-        return _trace_from_logs(log, plant_log, steps + 1, cset.names, events)
+        return _trace_from_logs(log, plant.log, steps + 1, cset.names, events)
     first = min(failures, key=lambda f: (f.k, f.stage))
-    trace = _trace_from_logs(log, plant_log, first.k + (first.stage >= _LOGGED),
+    trace = _trace_from_logs(log, plant.log, first.k + (first.stage >= _LOGGED),
                              cset.names, events)
     _raise_aborted(config, trace, first.k, _STAGES[first.stage], first.exc)
 

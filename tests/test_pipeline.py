@@ -1,5 +1,5 @@
-"""run's two chains give one answer whether the plant chain runs in a
-forked child (pipelined) or in this process.
+"""run's two chains give one answer whether the reference chain runs in
+a forked child (pipelined) or in this process.
 
 The pipelined side makes the affinity lookup report two usable CPUs; the
 in-process side reports one, or keeps a second thread alive, either of
@@ -195,7 +195,7 @@ def failing_at(fn, step, error):
     (smc, "control", Boom("control broke")),         # in the plant chain
     (arm, "plant_step", Boom("plant broke")),        # in the plant chain
     (sim, "filter_force", Boom("filter broke")),     # in the reference chain
-    (sim, "filter_force", KeyboardInterrupt()),      # not an Exception
+    (smc, "control", KeyboardInterrupt()),           # not an Exception, in this process
 ])
 @pytest.mark.parametrize("mode", MODES)
 def test_stage_exception_raised_as_is(owner, name, error, mode, monkeypatch, in_process):
@@ -233,43 +233,44 @@ def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, fir
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
-def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch):
+def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch, tmp_path):
     # the plant chain fails at step 100 of 16,001; the reference chain's
-    # steps are counted by its filter calls, which all run in this process
+    # steps are counted by its filter calls, each of which appends one byte
+    # to a file, from whichever process runs the chain
     cfg = PRESETS["combined"]
-    filtered, filter_force = [], sim.filter_force
+    count, filter_force = tmp_path / "filtered", sim.filter_force
 
     def counted(*args):
-        filtered.append(None)
+        with open(count, "ab") as file:
+            file.write(b".")
         return filter_force(*args)
     monkeypatch.setattr(sim, "filter_force", counted)
     monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
     with usable_cpus(monkeypatch, cpus), leaves_nothing():
         with pytest.raises(Boom):
             sim.run(cfg)
+    filtered = count.read_bytes()
     if cpus == 1:
         # it stops at the end of the block in which the plant chain failed
         assert len(filtered) == 2 * sim.BLOCK
     else:
-        # it runs ahead by at most what the pipe holds (about 800 steps)
+        # it runs ahead by at most what the pipe holds (about 250 steps)
         assert 100 < len(filtered) < 4000
 
 
-@pytest.mark.parametrize("cpus, hand", [(1, "feed"), (2, "_send")],
-                         ids=["in-process", "pipelined"])
-def test_exception_of_the_handoff_raised_as_is(cpus, hand, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
+def test_exception_of_the_handoff_raised_as_is(cpus, monkeypatch):
     # a ValueError from a stage would abort the run as a divergence; one
     # from the handoff itself (only the third) is no stage's failure
     cfg = replace(PRESETS["combined"], duration=0.5)
-    owner = sim._PlantChain if hand == "feed" else forks
-    calls, real = [], getattr(owner, hand)
+    calls, real = [], sim._PlantChain.feed
 
     def third_fails(*args):
         calls.append(None)
         if len(calls) == 3:
             raise ValueError("hand broke")
         return real(*args)
-    monkeypatch.setattr(owner, hand, third_fails)
+    monkeypatch.setattr(sim._PlantChain, "feed", third_fails)
     with usable_cpus(monkeypatch, cpus), leaves_nothing():
         with pytest.raises(ValueError, match="^hand broke$"):
             sim.run(cfg)
@@ -279,17 +280,17 @@ def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
     class Local(Exception):  # a class local to a function does not pickle
         pass
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Local("lost class")))
+    monkeypatch.setattr(sim, "filter_force", failing_at(sim.filter_force, 100, Local("lost class")))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match="^Local: lost class$"):
             sim.run(cfg)
 
 
 def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
-    # portable runs only in the child, on the plant chain's failure, just
-    # before the result is written
+    # portable runs only in the child, on the reference chain's failure,
+    # just before the block it cut short is sent
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
+    monkeypatch.setattr(sim, "filter_force", failing_at(sim.filter_force, 100, Boom("filter broke")))
     monkeypatch.setattr(forks, "portable", lambda exc: os._exit(3))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 768\)$"):
@@ -304,8 +305,8 @@ def test_child_whose_result_is_cut_short_raises_its_wait_status(end, monkeypatch
         if os.getpid() == parent:
             return send(fd, message)
         os.write(fd, pickle.dumps(message)[:end])
-        return True
-    # the child exits normally after writing part of its message
+        os._exit(0)
+    # the child exits normally after writing part of its first message
     cfg = replace(PRESETS["combined"], duration=0.5)
     monkeypatch.setattr(forks, "_send", send_part)
     with usable_cpus(monkeypatch, 2), leaves_nothing():

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -185,7 +186,9 @@ class TestRun:
     ], ids=["bypass", "no-constraints", "filtered"])
     def test_unfiltered_shadow_is_the_reference(self, monkeypatch, name, changes, calls_per_step):
         # unfiltered, f_hat is f_e, so one admittance step serves the
-        # reference and the shadow
+        # reference and the shadow; with one usable CPU the reference chain,
+        # and so every call counted here, runs in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
 
         def counted(*args):
