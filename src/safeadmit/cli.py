@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime abort (the
 partial trace is still written).
 
 ``run --all-presets`` runs the presets one after another and stops at the
-first error (exit 1); each ``run`` may use a second CPU for its plant chain
-and its trace I/O (see safeadmit.forks).
+first error (exit 1); each ``run`` may use a second CPU for its reference
+chain and its trace I/O (see safeadmit.forks).
 """
 
 import argparse
@@ -92,11 +92,16 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return config
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _name_max(path: Path) -> int:
+    """The longest file name, in bytes, that the nearest existing ancestor
+    of ``path`` (or path itself) takes; 0 or less where that is not known."""
+    path = path.absolute()
+    while not path.exists():
+        path = path.parent
+    try:
+        return os.pathconf(path, "PC_NAME_MAX")
+    except (AttributeError, OSError):  # no pathconf on this platform
+        return 0
 
 
 def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool) -> int:
@@ -154,10 +159,13 @@ def main(argv=None) -> int:
         else:
             configs = [_resolve_scenario(args.scenario)]
         configs = [_apply_overrides(c, args) for c in configs]
+        out_dir = Path(args.out or os.environ.get(OUT_ENV) or ".")
+        name_max = _name_max(out_dir)
         for c in configs:  # each name is the stem of a file in the output directory
-            if c.name in ("", ".", "..") or "/" in c.name or "\0" in c.name:
+            if (c.name in ("", ".", "..") or "/" in c.name or "\0" in c.name
+                    or 0 < name_max < len(os.fsencode(f"{c.name}.csv"))):
                 raise ConfigError(f"scenario name {c.name!r} cannot name a file")
-        out_dir = _out_dir(args)  # made only once every config is valid
+        out_dir.mkdir(parents=True, exist_ok=True)  # made only once every config is valid
         return max([_run_one(c, out_dir, args.plot) for c in configs])
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

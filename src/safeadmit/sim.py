@@ -413,12 +413,14 @@ def _raise_aborted(config: ScenarioConfig, trace: Trace, k: int, stage: str,
     """Raise the SimulationAborted of ``exc`` at step k of ``stage``: with
     exc as its cause if exc is one of _ABORTS, or as a divergence if a
     float kernel met an overflow or a non-finite argument (a bare
-    OverflowError, or ValueError from math.sin(inf)); any other exception
-    is raised as it is."""
+    OverflowError, whose text may be an errno tuple and is named in words,
+    or ValueError from math.sin(inf)); any other exception is raised as it
+    is."""
     if isinstance(exc, _ABORTS):
         cause = exc
     elif isinstance(exc, (ArithmeticError, ValueError)):
-        cause = ValidationError(f"the {stage} state diverged: {exc}")
+        what = "a float overflowed" if isinstance(exc, OverflowError) else exc
+        cause = ValidationError(f"the {stage} state diverged: {what}")
     else:
         raise exc
     t = k * config.dt

@@ -60,8 +60,10 @@ class TestRun:
         assert code == 1 and err.startswith("error: ")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/dir", "nul\0byte"],
-                             ids=["empty", "dot", "dot-dot", "parent", "subdir", "nul"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "sub/dir", "nul\0byte",
+                                      "x" * 300],
+                             ids=["empty", "dot", "dot-dot", "parent", "subdir", "nul",
+                                  "too-long"])
     def test_name_that_is_no_file_name_exits_one(self, capsys, tmp_path, name):
         cfg_path = tmp_path / "named.ini"
         cfg_path.write_text(f"[scenario]\nname = {name}\nduration = 0.01\n")

@@ -323,6 +323,17 @@ def test_divergence_is_a_typed_abort(name):
     assert stage in ("admittance", "filter", "control", "plant")
 
 
+def test_overflow_is_named_in_words():
+    # at dt = 2e-2 a float power in the tracker overflows, whose text is
+    # the errno tuple (34, 'Numerical result out of range')
+    cfg = replace(scenario_library()["combined"], dt=2e-2)
+    with pytest.raises(SimulationAborted) as excinfo:
+        run(cfg)
+    assert str(excinfo.value) == ("scenario 'combined' aborted at step 3 (t = 0.06 s) in the "
+                                  "control stage: the control state diverged: a float overflowed")
+    assert isinstance(excinfo.value.__cause__, OverflowError)
+
+
 @pytest.mark.parametrize("dt", [3e-3, 4e-3])
 def test_stable_step_sizes_complete(dt):
     for cfg in scenario_library().values():
