@@ -376,7 +376,7 @@ def run(config: ScenarioConfig) -> Trace:
                            0, "start", exc)
     reference = partial(_reference_chain, config, cset, adm, steps)
     plant = _PlantChain(config, steps)
-    failures = []  # the reference chain's, one per block
+    failures = []  # the reference chain's failure, or None, per block
     seen: dict = {}  # each distinct active set and status of the run, logged as one object
 
     def take(rows, block_events, handoff, failure) -> bool:

@@ -297,6 +297,17 @@ def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
             sim.run(cfg)
 
 
+def test_non_exception_in_the_child_raises_its_wait_status(monkeypatch):
+    # the reference chain catches only Exception, so a KeyboardInterrupt in
+    # the child ends it with status 1 before it sends the block
+    cfg = replace(PRESETS["combined"], duration=0.5)
+    monkeypatch.setattr(sim, "filter_force",
+                        failing_at(sim.filter_force, 100, KeyboardInterrupt()))
+    with usable_cpus(monkeypatch, 2), leaves_nothing():
+        with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 256\)$"):
+            sim.run(cfg)
+
+
 @pytest.mark.parametrize("end", [1, 100, -1], ids=["first-byte", "100-bytes", "all-but-last"])
 def test_child_whose_result_is_cut_short_raises_its_wait_status(end, monkeypatch):
     parent, send = os.getpid(), forks._send
