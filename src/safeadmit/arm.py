@@ -27,8 +27,6 @@ import math
 from math import isfinite
 from typing import Tuple
 
-import numpy as np
-
 from .errors import Pair, SingularConfiguration, ValidationError, finite_fields, float_pair
 
 
@@ -289,14 +287,13 @@ def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianSt
 
 
 def inverse_kinematics(params: ManipulatorParams, x) -> Pair:
-    """Closed-form IK of the end-effector position on the elbow-up branch
-    (q2 >= 0); raises if unreachable."""
-    x = np.asarray(x, dtype=float)
+    """Closed-form IK of the end-effector position ``x`` on the elbow-up
+    branch (q2 >= 0); raises ValidationError unless x is finite and reachable."""
+    x, y = float_pair(x, "x")
     l1, l2 = params.l1, params.l2
-    r2 = float(x @ x)
-    c2 = (r2 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    if abs(c2) > 1.0:
-        raise ValidationError(f"target {x} outside the reachable workspace")
+    c2 = (x * x + y * y - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    if not abs(c2) <= 1.0:  # so NaN, and an infinity, are refused too
+        raise ValidationError(f"target {(x, y)} is not a finite point of the reachable workspace")
     q2 = math.acos(c2)
-    q1 = math.atan2(x[1], x[0]) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
+    q1 = math.atan2(y, x) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
     return q1, q2

@@ -8,8 +8,9 @@ plant; the tracker and the plant make the plant chain, which follows the
 reference chain's x1, x2, drift, f_hat and f_e. run runs the plant chain
 on each block of the reference chain, whose loop runs ahead in a forked
 child where a second CPU is free. The stages pass float pairs to each
-other, and each step's floats are appended to one flat float log (an
-``array('d')``); after the loop that log is viewed as an (N, width)
+other. Each step's floats are one row of a flat float log (an
+``array('d')``), which the plant chain reads x1, f_e and f_hat from and
+writes x_actual and f_c into; the loop's log is viewed as an (N, width)
 matrix whose columns make the Trace, one array per signal. A step is read
 from the columns, or as the one-row Trace ``trace[k]``; ``records_equal``
 compares two traces bit for bit.
@@ -188,25 +189,20 @@ def records_equal(a: Trace, b: Trace) -> bool:
                     for c in ("t", *VECTORS, "h")))
 
 
-# The log columns of x_actual and f_c, which the plant chain fills.
-_X_ACTUAL = 1 + 2 * VECTORS.index("x_actual")
-_F_C = 1 + 2 * VECTORS.index("f_c")
+# The log columns the plant chain reads (x_f to f_e_hat) and writes.
+_X_F, _F_E_HAT, _X_ACTUAL, _F_C = (1 + 2 * VECTORS.index(v)
+                                   for v in ("x_f", "f_e_hat", "x_actual", "f_c"))
 
 
-def _trace_from_logs(log: array, plant_log: array, rows: int, h_names: Tuple[str, ...],
-                     events: list) -> Trace:
+def _trace_from_log(log: array, rows: int, width: int, h_names: Tuple[str, ...],
+                    events: list) -> Trace:
     """The Trace of a run's first ``rows`` steps. ``log`` holds, step after
-    step, t, the x/y pairs of the VECTORS (x_actual and f_c zero) and the
-    row-ordered barrier values; ``plant_log`` holds x_actual and f_c per
-    step; ``events`` holds the active set and the status of each step. The
-    plant's columns are copied into the log, cut to ``rows`` steps, and the
-    Trace's columns are views of the log's memory."""
-    width = 1 + 2 * len(VECTORS) + len(h_names)
+    step, a row of ``width`` floats: t, the x/y pairs of the VECTORS and
+    the row-ordered barrier values; ``events`` holds the active set and the
+    status of each step. The log is cut to ``rows`` steps, and the Trace's
+    columns are views of its memory."""
     del log[rows * width:]
     matrix = np.frombuffer(log, dtype=float).reshape(-1, width)
-    plant = np.frombuffer(plant_log, dtype=float, count=4 * rows).reshape(-1, 4)
-    matrix[:, _X_ACTUAL:_X_ACTUAL + 2] = plant[:, :2]
-    matrix[:, _F_C:_F_C + 2] = plant[:, 2:]
     return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,
                              events[0:2 * rows:2], events[1:2 * rows:2])
 
@@ -214,8 +210,8 @@ def _trace_from_logs(log: array, plant_log: array, rows: int, h_names: Tuple[str
 # Steps per handoff from the reference chain to the plant chain; a run of
 # more steps may pipeline the two (see run).
 BLOCK = 64
-# The floats handed over per step: x1, x2, the drift, f_hat and f_e.
-_HANDOFF = 10
+# The floats handed over per step beside its log row: x2 and the drift.
+_HANDOFF = 4
 # The stages of a step in their serial order, as an abort names them: the
 # reference's drift, the filter, the tracker, the admittance steps, the
 # plant step. The step's log row is written between control and admittance,
@@ -241,8 +237,8 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     It never reads the plant. For each block of BLOCK steps, the last one
     and one a failure cuts short included, it calls ``hand(rows, events,
     handoff, failure)`` with fresh arrays: the block's log rows (x_actual
-    and f_c zero), its active sets and statuses, the x1, x2, drift, f_hat
-    and f_e per step that the plant chain reads, and the chain's failure in
+    and f_c zero), its active sets and statuses, the x2 and drift per step
+    that the plant chain reads beside the rows, and the chain's failure in
     the block, or None. The chain stops after a failure, or once hand
     returns False; what hand raises is no failure of the chain and
     propagates."""
@@ -277,7 +273,7 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                 rows.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
                              0.0, 0.0, *h))
                 events += (active, status)
-                handoff.extend((*adm.x1, *adm.x2, *drift, *f_hat, *f_e))
+                handoff.extend((*adm.x2, *drift))
 
                 if k < steps:
                     stage = 3
@@ -297,27 +293,26 @@ class _PlantChain:
     """The plant layer, which tracks the reference the reference chain
     hands over: per step, the task-space terms, the tracker's force toward
     the reference point (x1, x2, drift + f_hat / k_m) and the arm's RK4 step
-    under that force and f_e. ``log`` holds x_actual and f_c per step run;
-    after a failure, ``failure`` holds it, and the chain is fed no more."""
+    under that force and f_e. It fills in x_actual and f_c of each log row
+    of ``width`` floats; after a failure, ``failure`` holds it, and the
+    chain is fed no more."""
 
-    def __init__(self, config: ScenarioConfig, steps: int):
-        self.config, self.steps = config, steps
-        self.joint = JointState(config.q0, config.qdot0)
-        self.ctrl = ControllerState()
-        self.k = 0
-        self.log = array("d")
+    def __init__(self, config: ScenarioConfig, steps: int, width: int):
+        self.config, self.steps, self.width = config, steps, width
+        self.joint, self.ctrl, self.k = JointState(config.q0, config.qdot0), ControllerState(), 0
         self.failure: Optional[_Failed] = None
 
-    def feed(self, handoff: array) -> bool:
-        """Run the steps whose inputs ``handoff`` holds; returns whether
-        the chain still runs (False once a step has failed)."""
-        config, steps, log = self.config, self.steps, self.log
+    def feed(self, rows: array, handoff: array) -> bool:
+        """Run the steps of the log ``rows`` (x1, f_e, f_hat) and ``handoff``
+        (x2, the drift); returns whether the chain still runs."""
+        config, steps, width = self.config, self.steps, self.width
         params, gains, dt = config.robot, config.controller, config.dt
         gx, gy = config.admittance.input_gain
         joint, ctrl, k, stage = self.joint, self.ctrl, self.k, 2
         try:
-            for i in range(0, len(handoff), _HANDOFF):
-                x1x, x1y, x2x, x2y, dx, dy, fx, fy, fex, fey = handoff[i:i + _HANDOFF]
+            for o, i in zip(range(0, len(rows), width), range(0, len(handoff), _HANDOFF)):
+                x1x, x1y, _, _, _, _, fex, fey, fx, fy = rows[o + _X_F:o + _F_E_HAT + 2]
+                x2x, x2y, dx, dy = handoff[i:i + _HANDOFF]
                 stage = 2
                 terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
                 cart = arm.cartesian_state(params, joint)
@@ -325,7 +320,8 @@ class _PlantChain:
                                              (dx + gx * fx, dy + gy * fy))
                 f_c, ctrl = smc.control(gains, ctrl, terms, cart, ref, dt,
                                         nominal_only=config.nominal_only)
-                log.extend((*cart.x, *f_c))
+                rows[o + _X_ACTUAL], rows[o + _X_ACTUAL + 1] = cart.x
+                rows[o + _F_C], rows[o + _F_C + 1] = f_c
                 if k < steps:
                     stage = 4
                     tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
@@ -366,24 +362,27 @@ def run(config: ScenarioConfig) -> Trace:
     serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
+    width = 1 + 2 * len(VECTORS) + len(cset.names)
     log, events = array("d"), []
     adm = config.initial_admittance_state()
     if cset.names and not config.filter_bypass:
         try:
             check_start_inside(cset, adm)
         except Exception as exc:
-            _raise_aborted(config, _trace_from_logs(log, array("d"), 0, cset.names, events),
+            _raise_aborted(config, _trace_from_log(log, 0, width, cset.names, events),
                            0, "start", exc)
     reference = partial(_reference_chain, config, cset, adm, steps)
-    plant = _PlantChain(config, steps)
-    failures = []  # the reference chain's failure, or None, per block
+    plant = _PlantChain(config, steps, width)
+    failures = []  # the chains' failures
     seen: dict = {}  # each distinct active set and status of the run, logged as one object
 
     def take(rows, block_events, handoff, failure) -> bool:
+        running = plant.feed(rows, handoff)
         log.extend(rows)
         events.extend([seen.setdefault(e, e) for e in block_events])
-        failures.append(failure)
-        return plant.feed(handoff)
+        if failure is not None:
+            failures.append(failure)
+        return running
 
     with (forks.forked(partial(_reference_child, reference)) if steps >= BLOCK
           else nullcontext()) as child:
@@ -395,12 +394,12 @@ def run(config: ScenarioConfig) -> Trace:
                     break
             else:
                 child.wait()
-    failures = [f for f in (*failures, plant.failure) if f is not None]
+    if plant.failure is not None:
+        failures.append(plant.failure)
     if not failures:
-        return _trace_from_logs(log, plant.log, steps + 1, cset.names, events)
+        return _trace_from_log(log, steps + 1, width, cset.names, events)
     first = min(failures, key=lambda f: (f.k, f.stage))
-    trace = _trace_from_logs(log, plant.log, first.k + (first.stage >= _LOGGED),
-                             cset.names, events)
+    trace = _trace_from_log(log, first.k + (first.stage >= _LOGGED), width, cset.names, events)
     _raise_aborted(config, trace, first.k, _STAGES[first.stage], first.exc)
 
 

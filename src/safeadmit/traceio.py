@@ -95,8 +95,8 @@ def _h_names(path, header: List[str]) -> List[str]:
     any h_* columns, then the trailing two."""
     expected = _LEADING + [c for c in header if c.startswith("h_")] + _TRAILING
     for column in expected:
-        if column not in header:
-            raise _bad(path, 1, f"missing column '{column}'")
+        if header.count(column) != 1:
+            raise _bad(path, 1, f"{'repeated' if column in header else 'missing'} column '{column}'")
     if header != expected:
         raise _bad(path, 1, f"columns are not in the order {','.join(expected)}")
     return [c[2:] for c in header if c.startswith("h_")]
@@ -110,13 +110,17 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _parse_active(path, line: int, text: str) -> Tuple[int, ...]:
-    if text == "-":
-        return ()
-    indices = text.split(";")
-    if not all(i.isdecimal() for i in indices):
-        raise _bad(path, line, f"active set '{text}' is not row indices joined by ';'")
-    return tuple(map(int, indices))
+def _parse_active(path, line: int, text: str, rows: int) -> Tuple[int, ...]:
+    """The active set whose field emit_csv writes as ``text``: its indices,
+    strictly increasing and below ``rows``, joined by ';', or '-' for none."""
+    try:
+        indices = tuple(map(int, text.split(";")))
+    except ValueError:
+        indices = ()
+    named = [i for i in range(rows) if i in indices]
+    if (";".join(map(str, named)) or "-") != text:
+        raise _bad(path, line, f"active set '{text}' is not increasing indices below {rows}")
+    return indices
 
 
 def _lines(path) -> List[str]:
@@ -146,9 +150,9 @@ def _parse_rows(path, first: int, rows: List[str], width: int):
 
 
 def read_csv(path) -> Trace:
-    """Read a trace written by emit_csv. A wrong field count, a missing or
-    misplaced column, a number that does not parse or is not finite, an
-    active set that is not integer row indices, an unknown qp_status or
+    """Read a trace written by emit_csv. A wrong field count, a missing,
+    misplaced or repeated column, a number that does not parse or is not
+    finite, an active set or qp_status that emit_csv does not write, or
     bytes that are not UTF-8 raise ValidationError naming the path and the
     1-based line; a file with no data row raises one naming the path. The
     rows are parsed block by block, as the module docstring says; every
@@ -184,7 +188,7 @@ def read_csv(path) -> Trace:
     for text in dict.fromkeys(status):
         if text not in QP_STATUSES:
             raise _bad(path, status.index(text) + 2, f"unknown qp_status '{text}'")
-    sets = {text: _parse_active(path, active.index(text) + 2, text)
+    sets = {text: _parse_active(path, active.index(text) + 2, text, len(h_names))
             for text in dict.fromkeys(active)}
     return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,
                              map(sets.__getitem__, active), status)

@@ -31,6 +31,16 @@ class TestForwardKinematics:
             q_rec = inverse_kinematics(P, x)
             assert np.allclose(forward_kinematics(P, q_rec), x, atol=1e-12)
 
+    @pytest.mark.parametrize("x, match", [
+        ((math.nan, 0.3), "not a finite point of the reachable workspace"),
+        ((0.1, 0.2, 0.3), "x must be a number or a pair"),  # no z folded into the reach
+        ("ab", "x must be a number or a pair"),
+        ((0.5, 0.5), "not a finite point of the reachable workspace"),
+    ], ids=["nan", "3-vector", "text", "unreachable"])
+    def test_ik_refuses_target(self, x, match):
+        with pytest.raises(ValidationError, match=match):
+            inverse_kinematics(P, x)
+
 
 class TestJacobian:
     def test_zero_configuration(self):

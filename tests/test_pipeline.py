@@ -232,6 +232,33 @@ def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, fir
     assert type(outcomes[0][1].cause) is first
 
 
+@pytest.fixture(scope="module")
+def full_combined_1s():
+    return sim.run(replace(PRESETS["combined"], duration=1.0))
+
+
+@pytest.mark.parametrize("owner, name, calls, rows", [
+    # a failure before the step's log row is written cuts the row
+    (smc, "control", 300, 300),
+    (sim, "filter_force", 300, 300),
+    # one after keeps it, with the row's x_actual and f_c filled in; the
+    # reference and its shadow take one admittance step each per step
+    (arm, "plant_step", 300, 301),
+    (sim, "admittance_step", 600, 301),
+])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
+def test_partial_trace_is_the_completed_runs_prefix(owner, name, calls, rows, cpus,
+                                                    full_combined_1s, monkeypatch):
+    cfg = replace(PRESETS["combined"], duration=1.0)
+    with usable_cpus(monkeypatch, cpus), leaves_nothing():
+        monkeypatch.setattr(owner, name, failing_at(getattr(owner, name), calls,
+                                                     SingularConfiguration(name)))
+        partial, exc = outcome(cfg)
+    assert "at step 300 " in str(exc)
+    assert len(partial) == rows
+    assert records_equal(partial, full_combined_1s[:rows])
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
 def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch, tmp_path):
     # the plant chain fails at step 100 of 16,001; the reference chain's
