@@ -11,20 +11,21 @@ with the force as the control input. Axes are decoupled.
 Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
-The constructors coerce each field with float_pair and refuse entries
-that are not finite; the step builds its states and desired points with
-of_floats, which takes the pairs it has just computed as they are. A
-state's of_floats keeps the finiteness check, a desired point's skips it.
+A parameter is a per-axis coefficient, so one number serves both axes; a
+state or desired point is an errors.PairRecord, whose constructor takes
+exactly a pair per field and refuses entries that are not finite. The
+step builds its states and desired points with of_floats, which takes the
+pairs it has just computed as they are. A state's of_floats keeps the
+finiteness check, a desired point's skips it.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
 the three samples at the RK4 substep times.
 """
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Sequence
 
-from .errors import Pair, ValidationError, all_finite, finite_fields, float_pair
+from .errors import Pair, PairRecord, ValidationError, finite_fields, float_pair
 
 
 @dataclass
@@ -36,7 +37,7 @@ class AdmittanceParams:
     k_k: Pair = 100.0
 
     def __post_init__(self):
-        finite_fields(self, pairs=("k_m", "k_b", "k_k"))
+        finite_fields(self, axes=("k_m", "k_b", "k_k"))
         if not min(self.k_m) > 0.0:
             raise ValidationError("k_m must be positive")
         if min(self.k_b) < 0.0 or min(self.k_k) < 0.0:
@@ -49,42 +50,16 @@ class AdmittanceParams:
 
 
 @dataclass
-class AdmittanceState:
+class AdmittanceState(PairRecord, noun="admittance state"):
     x1: Pair
     x2: Pair
 
-    def __post_init__(self):
-        self.x1 = float_pair(self.x1, "x1")
-        self.x2 = float_pair(self.x2, "x2")
-        self._require_finite()
-
-    def _require_finite(self):
-        (a, b), (c, d) = self.x1, self.x2
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-            raise ValidationError("admittance state entries must be finite")
-
-    @classmethod
-    def of_floats(cls, x1: Pair, x2: Pair) -> "AdmittanceState":
-        """The state of two float pairs taken as they are: the constructor's
-        finiteness check without its coercion."""
-        state = object.__new__(cls)
-        state.x1, state.x2 = x1, x2
-        state._require_finite()
-        return state
-
 
 @dataclass
-class DesiredPoint:
+class DesiredPoint(PairRecord, noun="desired point"):
     x_d: Pair
     xdot_d: Pair
     xddot_d: Pair
-
-    def __post_init__(self):
-        self.x_d = float_pair(self.x_d, "x_d")
-        self.xdot_d = float_pair(self.xdot_d, "xdot_d")
-        self.xddot_d = float_pair(self.xddot_d, "xddot_d")
-        if not all_finite(*self.x_d, *self.xdot_d, *self.xddot_d):
-            raise ValidationError("desired point entries must be finite")
 
     @classmethod
     def of_floats(cls, x_d: Pair, xdot_d: Pair, xddot_d: Pair) -> "DesiredPoint":

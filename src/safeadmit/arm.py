@@ -7,9 +7,11 @@ transform, and a fixed-step RK4 plant integrator.
 Conventions:
 - Every 2-vector is a float pair and every 2x2 matrix a pair of row pairs:
   the state types hold Python floats, and the functions take and return
-  pairs, so the step never builds an array. The state constructors coerce
-  each field with float_pair; plant_step and cartesian_state build their
-  states with of_floats, which keeps the finiteness check only.
+  pairs, so the step never builds an array. The states are
+  errors.PairRecords: the constructor takes exactly a pair per field (a
+  lone number is refused, as is a target point of inverse_kinematics), and
+  plant_step and cartesian_state build their states with of_floats, which
+  keeps the finiteness check only.
 - One set of sines and cosines per configuration (_trig) serves every term
   evaluated there: in an RK4 stage of plant_step, M, c, G, F and J^T f_e.
 - The step's kernels (plant_step through _qddot, cartesian_dynamics_terms)
@@ -24,10 +26,9 @@ Conventions:
 
 from dataclasses import dataclass, fields
 import math
-from math import isfinite
 from typing import Tuple
 
-from .errors import Pair, SingularConfiguration, ValidationError, finite_fields, float_pair
+from .errors import Pair, PairRecord, SingularConfiguration, ValidationError, finite_fields, float_pair
 
 
 @dataclass
@@ -49,53 +50,15 @@ class ManipulatorParams:
 
 
 @dataclass
-class JointState:
+class JointState(PairRecord, noun="joint state"):
     q: Pair
     qdot: Pair
 
-    def __post_init__(self):
-        self.q = float_pair(self.q, "q")
-        self.qdot = float_pair(self.qdot, "qdot")
-        self._require_finite()
-
-    def _require_finite(self):
-        (a, b), (c, d) = self.q, self.qdot
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-            raise ValidationError("joint state entries must be finite")
-
-    @classmethod
-    def of_floats(cls, q: Pair, qdot: Pair) -> "JointState":
-        """The state of two float pairs taken as they are: the constructor's
-        finiteness check without its coercion."""
-        state = object.__new__(cls)
-        state.q, state.qdot = q, qdot
-        state._require_finite()
-        return state
-
 
 @dataclass
-class CartesianState:
+class CartesianState(PairRecord, noun="cartesian state"):
     x: Pair
     xdot: Pair
-
-    def __post_init__(self):
-        self.x = float_pair(self.x, "x")
-        self.xdot = float_pair(self.xdot, "xdot")
-        self._require_finite()
-
-    def _require_finite(self):
-        (a, b), (c, d) = self.x, self.xdot
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-            raise ValidationError("cartesian state entries must be finite")
-
-    @classmethod
-    def of_floats(cls, x: Pair, xdot: Pair) -> "CartesianState":
-        """The state of two float pairs taken as they are: the constructor's
-        finiteness check without its coercion."""
-        state = object.__new__(cls)
-        state.x, state.xdot = x, xdot
-        state._require_finite()
-        return state
 
 
 @dataclass

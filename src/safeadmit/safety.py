@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .admittance import AdmittanceState
-from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, finite_fields, float_pair
+from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, axis_pair, finite_fields, float_pair
 from .qp import QpProblem, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
@@ -99,12 +99,6 @@ class EcbfGains:
 
     def __post_init__(self):
         names = ("K_max", "K_min", "K_obs")
-        for name in names:
-            k = getattr(self, name)
-            try:
-                len(k)  # a number, which float_pair would repeat, has none
-            except TypeError:
-                raise ValidationError(f"{name} must be one (position, velocity) pair, got {k!r}") from None
         finite_fields(self, pairs=names)
         if min(*self.K_max, *self.K_min, *self.K_obs) <= 0.0:
             raise ValidationError("barrier gains must be positive")
@@ -186,7 +180,7 @@ class ConstraintSet:
         x, y = adm.x1
         vx, vy = adm.x2
         dx, dy = drift
-        gx, gy = float_pair(g, "g")
+        gx, gy = axis_pair(g, "g")
         h, lf_h, p, q = [], [], [], []
         for w0, w1, c0, c1, r, _ in self._rows:
             o0, o1 = x - c0, y - c1

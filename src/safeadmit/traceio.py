@@ -5,8 +5,9 @@ CSV schema: one header row, then one data row per step. Floats are
 rendered with 17 significant digits so a reread trace is bit-identical to
 the in-memory one. The active-set column joins row indices with ';' and is
 '-' when empty. The h_* columns depend on which constraints were enabled
-and are taken from the header on reread. read_csv refuses a malformed file
-with a ValidationError that names the path and the 1-based line.
+and are taken from the header on reread. Lines end in "\n", the one line
+break read_csv splits at. read_csv refuses a malformed file with a
+ValidationError that names the path and the 1-based line.
 
 Both convert the rows in an even number of near-equal blocks of at most
 _BLOCK rows (_bounds), which forks.alternate_blocks shares with a forked
@@ -119,7 +120,7 @@ def _parse_active(path, line: int, text: str, rows: int) -> Tuple[int, ...]:
         indices = ()
     named = [i for i in range(rows) if i in indices]
     if (";".join(map(str, named)) or "-") != text:
-        raise _bad(path, line, f"active set '{text}' is not increasing indices below {rows}")
+        raise _bad(path, line, f"active set {text!r} is not increasing indices below {rows}")
     return indices
 
 
@@ -127,9 +128,10 @@ def _lines(path) -> List[str]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode().splitlines()
+        lines = data.decode().split("\n")
     except UnicodeDecodeError as exc:
         raise _bad(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+    return lines[:-1] if lines[-1] == "" else lines  # no line after the last "\n"
 
 
 def _parse_rows(path, first: int, rows: List[str], width: int):
@@ -145,7 +147,7 @@ def _parse_rows(path, first: int, rows: List[str], width: int):
         values = np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
         j = next(j for j, text in enumerate(fields) if not _is_float(text))
-        raise _bad(path, first + j // width, f"'{fields[j]}' is not a number") from None
+        raise _bad(path, first + j // width, f"{fields[j]!r} is not a number") from None
     return values.reshape(-1, width), active, status
 
 
@@ -187,7 +189,7 @@ def read_csv(path) -> Trace:
         raise _bad(path, bad[0] + 2, f"{header[bad[1]]} is not finite")
     for text in dict.fromkeys(status):
         if text not in QP_STATUSES:
-            raise _bad(path, status.index(text) + 2, f"unknown qp_status '{text}'")
+            raise _bad(path, status.index(text) + 2, f"unknown qp_status {text!r}")
     sets = {text: _parse_active(path, active.index(text) + 2, text, len(h_names))
             for text in dict.fromkeys(active)}
     return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,

@@ -24,7 +24,7 @@ def rng():
 ACTIVE_SETS = {"active-index": "1.5", "active-past-rows": "4", "active-repeated": "1;1",
                "active-unordered": "2;1", "active-non-ascii": "\u0663"}
 MALFORMED_CASES = ("field-count", "missing-column", "repeated-h-column", "non-numeric",
-                   "non-finite", *ACTIVE_SETS, "status", "encoding")
+                   "non-finite", *ACTIVE_SETS, "status", "form-feed", "encoding")
 
 
 @pytest.fixture
@@ -41,7 +41,8 @@ def malformed_csv(tmp_path):
                                   "repeated-h-column": 1, "non-numeric": 4, "non-finite": 8,
                                   "active-index": 3, "active-past-rows": 9,
                                   "active-repeated": 10, "active-unordered": 11,
-                                  "active-non-ascii": 2, "status": 6, "encoding": 7}[case]
+                                  "active-non-ascii": 2, "status": 6, "form-feed": 3,
+                                  "encoding": 7}[case]
         fields = out[line - 1].split(",")
         if case == "field-count":
             fields = fields[:3]
@@ -57,6 +58,8 @@ def malformed_csv(tmp_path):
             fields[-2] = ACTIVE_SETS[case]
         elif case == "status":
             fields[-1] = "weird"
+        elif case == "form-feed":
+            fields[-1] += "\x0c"  # a line break to str.splitlines, not to emit_csv
         else:
             fields[1] = "\xff"  # written as the lone byte 0xff, which is not UTF-8
         out[line - 1] = ",".join(fields)

@@ -33,10 +33,12 @@ class TestForwardKinematics:
 
     @pytest.mark.parametrize("x, match", [
         ((math.nan, 0.3), "not a finite point of the reachable workspace"),
-        ((0.1, 0.2, 0.3), "x must be a number or a pair"),  # no z folded into the reach
-        ("ab", "x must be a number or a pair"),
+        ((0.1, 0.2, 0.3), "x must be a pair of numbers"),  # no z folded into the reach
+        ("ab", "x must be a pair of numbers"),
         ((0.5, 0.5), "not a finite point of the reachable workspace"),
-    ], ids=["nan", "3-vector", "text", "unreachable"])
+        (0.2, "x must be a pair of numbers"),  # not the target (0.2, 0.2)
+        ({0.2, 0.1}, "x must be a pair of numbers"),  # no order of its entries
+    ], ids=["nan", "3-vector", "text", "unreachable", "scalar", "set"])
     def test_ik_refuses_target(self, x, match):
         with pytest.raises(ValidationError, match=match):
             inverse_kinematics(P, x)

@@ -1,15 +1,18 @@
-"""Smoke tests: every demo runs against the current API and prints its
-findings."""
+"""Smoke tests: every demo, and every python block of README.md, runs
+against the current API and prints its findings."""
 
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import safeadmit
 from safeadmit import run, scenario_library, serialize_config
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 
 def load(stem):
@@ -19,21 +22,27 @@ def load(stem):
     return demo
 
 
+def reusing(preset_traces, fallback):
+    """A ``run`` that gives a config equal to a preset the session's trace
+    of that preset, and hands any other config to ``fallback``."""
+    presets = {serialize_config(cfg): name for name, cfg in scenario_library().items()}
+
+    def run_or_reuse(cfg):
+        name = presets.get(serialize_config(cfg))
+        return preset_traces[name] if name else fallback(cfg)
+
+    return run_or_reuse
+
+
 @pytest.fixture
 def reuse_presets(monkeypatch, preset_traces, tmp_path):
     """``patch(demo)`` points the demo's output directory at tmp_path and
     its ``run`` at the session's preset traces for a config equal to a
     preset, so the demo neither writes into the source tree nor simulates a
     preset again."""
-    presets = {serialize_config(cfg): name for name, cfg in scenario_library().items()}
-
-    def run_or_reuse(cfg):
-        name = presets.get(serialize_config(cfg))
-        return preset_traces[name] if name else run(cfg)
-
     def patch(demo):
         monkeypatch.setattr(demo, "OUT", tmp_path)
-        monkeypatch.setattr(demo, "run", run_or_reuse)
+        monkeypatch.setattr(demo, "run", reusing(preset_traces, run))
         return demo
 
     return patch
@@ -71,3 +80,18 @@ def test_qp_projection_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "binding row 'ws_max_x'" in out
     assert "clipped" in out and "passed through" in out
+
+
+def test_readme_python_blocks_run(monkeypatch, preset_traces, capsys):
+    """Each python block of README.md runs as written, in a fresh namespace;
+    ``safeadmit.run`` gives a preset its session trace and runs any other
+    config for 1 s."""
+    monkeypatch.setattr(safeadmit, "run", reusing(
+        preset_traces, lambda cfg: run(replace(cfg, duration=1.0))))
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert "scenario: combined" in out and "barrier violation: no" in out
+    assert re.search(r"^1\.0 \[", out, re.M)  # the narrow box's last step, at 1 s

@@ -245,6 +245,11 @@ def test_state_of_floats_keeps_the_finiteness_check(cls):
             cls.of_floats((0.0, 0.0), (1.0, bad))
         assert str(taken.value) == str(built.value)
         assert str(taken.value).endswith("state entries must be finite")
+    # a point is a pair: a lone number is no state, and a set's order is lost
+    first = next(iter(vars(state)))
+    for bad in (0.5, {2.0944, 0.5236}):
+        with pytest.raises(ValidationError, match=f"^{first} must be a pair of numbers, got "):
+            cls(bad, (0.0, 0.0))
 
 
 def test_desired_point_of_floats_equals_the_constructor():

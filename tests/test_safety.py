@@ -41,8 +41,10 @@ NUMBER_FIELDS = {
     ObstacleConstraint: ["r"],
     ScenarioConfig: ["duration", "dt", "circle_radius", "circle_rate"],
 }
-PAIR_FIELDS = {
-    AdmittanceParams: ["k_m", "k_b", "k_k"],
+# A per-axis coefficient takes one number for both axes, as the INI does;
+# every other 2-vector field takes exactly a pair.
+AXIS_FIELDS = {AdmittanceParams: ["k_m", "k_b", "k_k"]}
+POINT_FIELDS = {
     EcbfGains: ["K_max", "K_min", "K_obs"],
     WorkspaceConstraint: ["x_min", "x_max"],
     ObstacleConstraint: ["x_obs"],
@@ -52,14 +54,18 @@ PAIR_FIELDS = {
 
 def _malformed_fields():
     """(make, field, kind) with an id for each field above and each value
-    that is not a number, or not a number or a pair."""
+    that is not of its kind: a number, a number or a pair, or a pair."""
+    not_pairs = {"3-long": (1, 2, 3), "ragged": [[1], [2, 3]],
+                 # float() reads each entry as a number
+                 "text-entries": ("20", "5"), "bytes-entry": (b"1", 2.0)}
     cases = []
     for table, kind, values in (
             (NUMBER_FIELDS, "a number, got", {"string": "abc", "none": None, "list": [1, 2]}),
-            (PAIR_FIELDS, "a number or a pair", {"3-long": (1, 2, 3), "ragged": [[1], [2, 3]],
-                                                 # float() reads each entry as a number
-                                                 "text-entries": ("20", "5"),
-                                                 "bytes-entry": (b"1", 2.0)})):
+            (AXIS_FIELDS, "a number or a pair of numbers, got", not_pairs),
+            # a lone number is no point, and a set or a mapping has no order
+            (POINT_FIELDS, "a pair of numbers, got", {**not_pairs, "scalar": 0.5,
+                                                      "set": {1.0, 2.0},
+                                                      "mapping": {0: 1.0, 1: 2.0}})):
         for cls, names in table.items():
             for name in names:
                 for label, value in values.items():
@@ -99,30 +105,37 @@ class TestConstraintTypes:
 
     @pytest.mark.parametrize("make,field,kind", [
         pytest.param(lambda: AdmittanceParams(k_m=(1, 2, 3)), "k_m", "a number or a pair", id="3-long"),
-        pytest.param(lambda: WorkspaceConstraint(x_min=(0, 0, 0)), "x_min", "a number or a pair",
+        pytest.param(lambda: WorkspaceConstraint(x_min=(0, 0, 0)), "x_min", "a pair of numbers",
                      id="3-long-bound"),
-        pytest.param(lambda: ObstacleConstraint(x_obs="far"), "x_obs", "a number or a pair", id="string"),
+        pytest.param(lambda: ObstacleConstraint(x_obs="far"), "x_obs", "a pair of numbers", id="string"),
         pytest.param(lambda: ScenarioConfig(force_amplitude=[[1, 2], [3, 4]]), "force_amplitude",
-                     "a number or a pair", id="2x2"),
-        pytest.param(lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1", "a number or a pair",
+                     "a pair of numbers", id="2x2"),
+        pytest.param(lambda: AdmittanceState(x1=None, x2=(0.0, 0.0)), "x1", "a pair of numbers",
                      id="none"),
         # a two-character string unpacks into two numbers, and bytes into two ints
-        pytest.param(lambda: AdmittanceState("12", "00"), "x1", "a number or a pair",
+        pytest.param(lambda: AdmittanceState("12", "00"), "x1", "a pair of numbers",
                      id="state-string"),
         pytest.param(lambda: admittance_step(ADM_PARAMS, _state((0.0, 0.0)),
                                              (DesiredPoint((0, 0), (0, 0), (0, 0)),) * 3, "12", 1e-3),
-                     "force", "a number or a pair", id="step-force-string"),
+                     "force", "a pair of numbers", id="step-force-string"),
         pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
                                         "12", "34", 1e-3),
-                     "tau_c", "a number or a pair", id="plant-torque-string"),
+                     "tau_c", "a pair of numbers", id="plant-torque-string"),
         pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
                                         (0.0, 0.0), b"34", 1e-3),
-                     "f_e", "a number or a pair", id="plant-force-bytes"),
+                     "f_e", "a pair of numbers", id="plant-force-bytes"),
         *_malformed_fields(),
     ])
     def test_malformed_pair_names_its_field(self, make, field, kind):
         with pytest.raises(ValidationError, match=f"^{field} must be {kind}"):
             make()
+
+    def test_per_axis_coefficient_takes_one_number(self):
+        # k_m, k_b, k_k and the input gain g, as the INI's "scalar or x,y"
+        params = AdmittanceParams(k_m=20, k_b=5, k_k=100)
+        assert (params.k_m, params.k_b, params.k_k) == ((20.0, 20.0), (5.0, 5.0), (100.0, 100.0))
+        st = _state((0.01, -0.02), (0.1, 0.2))
+        assert CSET.evaluate(st, (0.3, -0.4), 0.05) == CSET.evaluate(st, (0.3, -0.4), (0.05, 0.05))
 
     def test_nonpositive_gains_rejected(self):
         with pytest.raises(ValidationError):
