@@ -66,12 +66,16 @@ _NOT_PAIRS = (*_TEXT, set, frozenset, dict)
 
 def float_pair(v, name: str) -> Pair:
     """The two floats of a 2-vector: any ordered sequence of exactly two
-    numbers. Anything else, a lone number, text, a set or a mapping
-    included, raises ValidationError naming the field ``name``."""
+    numbers. Anything else, a lone number, text, a pair holding text, a set
+    or a mapping included, raises ValidationError naming the field ``name``."""
     try:
         if type(v) is not tuple and isinstance(v, _NOT_PAIRS):  # the step's pairs are tuples
             raise TypeError
         x, y = v
+        if type(x) is float and type(y) is float:  # the step's pairs, as they are
+            return x, y
+        if isinstance(x, _TEXT) or isinstance(y, _TEXT):
+            raise TypeError
         return float(x), float(y)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be {_PAIR_KIND}, got {v!r}") from None

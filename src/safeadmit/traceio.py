@@ -9,13 +9,17 @@ and are taken from the header on reread. Lines end in "\n", the one line
 break read_csv splits at. read_csv refuses a malformed file with a
 ValidationError that names the path and the 1-based line.
 
-Both convert the rows in an even number of near-equal blocks of at most
-_BLOCK rows (_bounds), which forks.alternate_blocks shares with a forked
-child where a second CPU is free, and write or fill them in row order;
-the bytes, the columns and the errors are the same either way.
+Both convert the rows in slices of at most _SLICE rows (_in_slices), in
+row order, so the text they hold is one slice's: only the trace's columns
+and read_csv's line ends (8 bytes a row) grow with its length. A trace of
+more than _SPLIT rows has its slices shared with a forked child where a
+second CPU is free; the bytes, the columns and the errors are the same.
 """
 
 import math
+import os
+import stat
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
@@ -30,7 +34,9 @@ from .sim import QP_STATUSES, VECTORS, Trace
 _PREFIXES = ("xd", "xf", "xrs", "xa", "fe", "feh", "fec", "fc")  # one per name in VECTORS
 _LEADING = ["t"] + [f"{p}_{axis}" for p in _PREFIXES for axis in "xy"]
 _TRAILING = ["qp_active", "qp_status"]
-_BLOCK = 4096  # most rows converted at a time, which bounds the text held in memory
+_SLICE = 1024  # most rows converted at a time, which bounds the text held in memory
+_SPLIT = 4096  # most rows a trace may have for its I/O to stay in one process
+_CHUNK = 1 << 20  # bytes read_csv reads at a time while it finds the line ends
 # The report's tracking error skips the first second, while the tracker
 # converges from its start.
 _TRANSIENT_S = 1.0
@@ -42,49 +48,59 @@ def csv_header(trace: Trace) -> List[str]:
     return _LEADING + [f"h_{name}" for name in trace.h_names] + _TRAILING
 
 
-def _bounds(rows: int) -> List[int]:
-    """The first row of each block of a trace's ``rows`` rows, then rows:
-    near-equal blocks of at most _BLOCK rows, an even number of them where
-    there are more than one."""
-    count = -(-rows // _BLOCK)
-    count += count > 1 and count % 2
-    return [rows * i // count for i in range(count + 1)]
+def _in_slices(rows: int, convert, take) -> None:
+    """Call ``take(start, stop, convert(start, stop))`` for each slice of
+    rows [start, stop) of ``rows`` rows in order: near-equal slices of at
+    most _SLICE rows, which alternate_blocks shares with a forked child,
+    an even number of them, where there are more than _SPLIT rows."""
+    count = -(-rows // _SLICE)
+    count += rows > _SPLIT and count % 2
+    bounds = [rows * i // count for i in range(count + 1)]
+    work, hand = lambda i: convert(*bounds[i:i + 2]), lambda i, block: take(*bounds[i:i + 2], block)
+    if rows > _SPLIT:
+        alternate_blocks(count, work, hand)
+    else:
+        for i in range(count):
+            hand(i, work(i))
+
+
+def _non_finite(columns) -> Optional[Tuple[int, int]]:
+    """(row, column) of the first NaN or infinity, in row order, of the 2-D
+    arrays ``columns`` side by side, or None. A run aborts before its state
+    stops being finite, so a trace never holds one."""
+    found, offset = [], 0
+    for c in columns:
+        found += [(row, j + offset) for row, j in np.argwhere(~np.isfinite(c))[:1].tolist()]
+        offset += c.shape[1]
+    return min(found, default=None)
 
 
 def emit_csv(trace: Trace, path) -> None:
     """Write the trace: each row is one '%.17g' template over a row of the
-    stacked float columns, plus the active-set and status fields, formatted
-    block by block as the module docstring says, and written in order."""
+    float columns, plus the active-set and status fields, formatted slice
+    by slice from the columns' slices, as the module docstring says, and
+    written in order. A NaN or an infinity is refused before the file is
+    opened."""
     if not len(trace):
         raise ValidationError("cannot emit an empty trace")
-    matrix = np.column_stack([trace.t, *(getattr(trace, v) for v in VECTORS), trace.h])
-    bad = _non_finite(matrix)
+    header = csv_header(trace)
+    columns = [trace.t[:, None], *(getattr(trace, v) for v in VECTORS), trace.h]
+    bad = _non_finite(columns)
     if bad:
-        raise ValidationError(f"cannot emit step {bad[0]}: its {csv_header(trace)[bad[1]]} "
-                              "is not finite")
-    template = ",".join(["%.17g"] * matrix.shape[1] + ["%s", "%s"])
+        raise ValidationError(f"cannot emit step {bad[0]}: its {header[bad[1]]} is not finite")
+    template = ",".join(["%.17g"] * (len(header) - 2) + ["%s", "%s"])
     fields = {a: ";".join(map(str, a)) or "-" for a in set(trace.qp_active)}
-    bounds = _bounds(len(trace))
 
-    def text(i: int) -> str:
-        start, stop = bounds[i], bounds[i + 1]
-        rows = matrix[start:stop].tolist()
+    def text(start: int, stop: int) -> str:
+        rows = np.column_stack([c[start:stop] for c in columns]).tolist()
         for row, active, status in zip(rows, trace.qp_active[start:stop],
                                        trace.qp_status[start:stop]):
             row += (fields[active], status)
         return "\n".join([template % tuple(row) for row in rows]) + "\n"
 
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(csv_header(trace)) + "\n")
-        alternate_blocks(len(bounds) - 1, text, lambda i, block: fh.write(block))
-
-
-def _non_finite(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
-    """(row, column) of the first NaN or infinity of ``matrix``, or None. A
-    run aborts before its state stops being finite, so a trace never holds
-    one."""
-    where = np.argwhere(~np.isfinite(matrix))
-    return tuple(where[0].tolist()) if len(where) else None
+        fh.write(",".join(header) + "\n")
+        _in_slices(len(trace), text, lambda start, stop, block: fh.write(block))
 
 
 def _bad(path, line: int, what: str) -> ValidationError:
@@ -124,24 +140,40 @@ def _parse_active(path, line: int, text: str, rows: int) -> Tuple[int, ...]:
     return indices
 
 
-def _lines(path) -> List[str]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _line_ends(fd: int) -> np.ndarray:
+    """The end of each line of the regular file ``fd``, read _CHUNK bytes at
+    a time: the offset of each "\n", then the size if it ends in no "\n"."""
+    ends, size, last = [np.empty(0, np.intp)], 0, b"\n"
+    while chunk := os.pread(fd, _CHUNK, size):
+        ends.append(np.flatnonzero(np.frombuffer(chunk, np.uint8) == 10) + size)
+        size, last = size + len(chunk), chunk[-1:]
+    if last != b"\n":  # a last line with no "\n" after it
+        ends.append(np.array([size]))
+    return np.concatenate(ends)
+
+
+def _text(path, first: int, data: bytes) -> str:
+    """``data``, the bytes of lines from line ``first`` on, decoded."""
     try:
-        lines = data.decode().split("\n")
+        return data.decode()
     except UnicodeDecodeError as exc:
-        raise _bad(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
-    return lines[:-1] if lines[-1] == "" else lines  # no line after the last "\n"
+        raise _bad(path, first + data.count(b"\n", 0, exc.start), "not UTF-8 text") from exc
 
 
-def _parse_rows(path, first: int, rows: List[str], width: int):
-    """The (len(rows), width) floats, the active-set fields and the status
-    fields of a block of rows, the first on line ``first``, each of which
-    holds width + 2 fields."""
-    fields = ",".join(rows).split(",")
-    status = fields[width + 1::width + 2]
+def _parse_rows(path, first: int, data: bytes, width: int):
+    """The (rows, width) floats and the interned active-set and status fields
+    of the rows whose bytes are ``data``, the first on line ``first``, each
+    of which must hold width + 2 fields."""
+    rows = _text(path, first, data).split("\n")
+    if set(map(str.count, rows, repeat(","))) - {width + 1}:
+        k = next(k for k, line in enumerate(rows) if line.count(",") != width + 1)
+        raise _bad(path, first + k, f"{rows[k].count(',') + 1} fields, the header has {width + 2}")
+    text = ",".join(rows)
+    del rows  # so the rows' text and the fields are not held at once
+    fields = text.split(",")
+    status = list(map(sys.intern, fields[width + 1::width + 2]))
     del fields[width + 1::width + 2]
-    active = fields[width::width + 1]
+    active = list(map(sys.intern, fields[width::width + 1]))
     del fields[width::width + 1]
     try:
         values = np.fromiter(map(float, fields), float, len(fields))
@@ -153,38 +185,42 @@ def _parse_rows(path, first: int, rows: List[str], width: int):
 
 def read_csv(path) -> Trace:
     """Read a trace written by emit_csv. A wrong field count, a missing,
-    misplaced or repeated column, a number that does not parse or is not
-    finite, an active set or qp_status that emit_csv does not write, or
-    bytes that are not UTF-8 raise ValidationError naming the path and the
-    1-based line; a file with no data row raises one naming the path. The
-    rows are parsed block by block, as the module docstring says; every
-    check but a number's parse runs in this process, and the first error in
-    file order wins either way."""
-    lines = _lines(path)
-    if len(lines) < 2:
-        raise ValidationError(f"{path} is empty")
-    header = lines[0].split(",")
-    h_names = _h_names(path, header)
-    body = lines[1:]
-    width = len(header) - 2  # the float fields of a row
-    if set(map(str.count, body, repeat(","))) - {width + 1}:
-        k = next(k for k, line in enumerate(body) if line.count(",") != width + 1)
-        raise _bad(path, k + 2, f"{body[k].count(',') + 1} fields, the header has {width + 2}")
-    matrix = np.empty((len(body), width))
-    active, status = [], []
-    bounds = _bounds(len(body))
+    misplaced or repeated column, a header that ends in "\r\n", a number
+    that does not parse or is not finite, an active set or qp_status that
+    emit_csv does not write, or bytes that are not UTF-8 raise
+    ValidationError naming the path and the 1-based line; a file with no
+    data row, or no regular file (a pipe), raises one naming the path. One
+    pass finds the line ends; then each slice of rows is read by offset and
+    has its UTF-8, field counts and numbers checked, so the first failing
+    slice wins. The other checks follow the last slice, in file order."""
+    with open(path, "rb", buffering=0) as fh:
+        fd = fh.fileno()
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise ValidationError(f"{path} is not a regular file")
+        ends = _line_ends(fd)
+        header = _text(path, 1, os.pread(fd, ends[0], 0)) if len(ends) else ""
+        if len(ends) < 2:
+            raise ValidationError(f"{path} is empty")
+        if header.endswith("\r"):
+            raise _bad(path, 1, 'the line ends in "\\r\\n", and emit_csv ends lines in "\\n"')
+        header = header.split(",")
+        h_names = _h_names(path, header)
+        width = len(header) - 2  # the float fields of a row
+        matrix = np.empty((len(ends) - 1, width))
+        active, status = [], []
 
-    def parse(i: int):
-        return _parse_rows(path, bounds[i] + 2, body[bounds[i]:bounds[i + 1]], width)
+        def parse(start: int, stop: int):
+            offset = ends[start] + 1
+            return _parse_rows(path, start + 2, os.pread(fd, ends[stop] - offset, offset), width)
 
-    def keep(i: int, block) -> None:
-        values, block_active, block_status = block
-        matrix[bounds[i]:bounds[i + 1]] = values
-        active.extend(block_active)
-        status.extend(block_status)
+        def keep(start: int, stop: int, block) -> None:
+            values, block_active, block_status = block
+            matrix[start:stop] = values
+            active.extend(block_active)
+            status.extend(block_status)
 
-    alternate_blocks(len(bounds) - 1, parse, keep)
-    bad = _non_finite(matrix)
+        _in_slices(len(matrix), parse, keep)
+    bad = _non_finite([matrix])
     if bad:
         raise _bad(path, bad[0] + 2, f"{header[bad[1]]} is not finite")
     for text in dict.fromkeys(status):

@@ -20,11 +20,12 @@ def rng():
 # Defects of a trace CSV that read_csv must refuse, each at a known line.
 # The active-* cases write an active set that emit_csv never writes for the
 # trace's four barrier rows ("\u0663" is an Arabic-Indic three, which int()
-# reads as 3); "repeated-h-column" names one row twice.
+# reads as 3); "repeated-h-column" names one row twice; "crlf" ends every
+# line in "\r\n".
 ACTIVE_SETS = {"active-index": "1.5", "active-past-rows": "4", "active-repeated": "1;1",
                "active-unordered": "2;1", "active-non-ascii": "\u0663"}
 MALFORMED_CASES = ("field-count", "missing-column", "repeated-h-column", "non-numeric",
-                   "non-finite", *ACTIVE_SETS, "status", "form-feed", "encoding")
+                   "non-finite", *ACTIVE_SETS, "status", "form-feed", "encoding", "crlf")
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ def malformed_csv(tmp_path):
                                   "active-index": 3, "active-past-rows": 9,
                                   "active-repeated": 10, "active-unordered": 11,
                                   "active-non-ascii": 2, "status": 6, "form-feed": 3,
-                                  "encoding": 7}[case]
+                                  "encoding": 7, "crlf": 1}[case]
         fields = out[line - 1].split(",")
         if case == "field-count":
             fields = fields[:3]
@@ -60,11 +61,12 @@ def malformed_csv(tmp_path):
             fields[-1] = "weird"
         elif case == "form-feed":
             fields[-1] += "\x0c"  # a line break to str.splitlines, not to emit_csv
-        else:
+        elif case == "encoding":
             fields[1] = "\xff"  # written as the lone byte 0xff, which is not UTF-8
         out[line - 1] = ",".join(fields)
         path = tmp_path / f"{case}.csv"
-        text = "\n".join(out) + "\n"
+        end = "\r\n" if case == "crlf" else "\n"
+        text = end.join(out) + end
         path.write_bytes(text.encode("latin-1" if case == "encoding" else "utf-8"))
         return path, line
 

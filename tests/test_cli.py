@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -320,6 +321,16 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {path} is empty\n"
+
+    def test_pipe_exits_one(self, capsys):
+        reader, writer = os.pipe()
+        os.close(writer)
+        path = f"/dev/fd/{reader}"
+        try:
+            code, out, err = run_cli(capsys, "report", path)
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (1, "", f"error: {path} is not a regular file\n")
 
     @pytest.mark.parametrize("case", MALFORMED_CASES)
     def test_malformed_csv_exits_one(self, capsys, malformed_csv, case):

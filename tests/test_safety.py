@@ -124,6 +124,21 @@ class TestConstraintTypes:
         pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
                                         (0.0, 0.0), b"34", 1e-3),
                      "f_e", "a pair of numbers", id="plant-force-bytes"),
+        # a pair whose entries are text, which float() reads as numbers
+        pytest.param(lambda: JointState(("1", "2"), (0, 0)), "q", "a pair of numbers",
+                     id="state-text-entries"),
+        pytest.param(lambda: AdmittanceState((b"1", 2.0), (0, 0)), "x1", "a pair of numbers",
+                     id="state-bytes-entry"),
+        pytest.param(lambda: admittance_step(ADM_PARAMS, _state((0.0, 0.0)),
+                                             (DesiredPoint((0, 0), (0, 0), (0, 0)),) * 3,
+                                             (0.0, bytearray(b"1")), 1e-3),
+                     "force", "a pair of numbers", id="step-force-bytearray-entry"),
+        pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
+                                        ("1", "2"), ("0", "0"), 1e-3),
+                     "tau_c", "a pair of numbers", id="plant-torque-text-entries"),
+        pytest.param(lambda: plant_step(ManipulatorParams(), JointState((0.5, 2.0), (0.0, 0.0)),
+                                        (0.0, 0.0), (0.0, "0"), 1e-3),
+                     "f_e", "a pair of numbers", id="plant-force-text-entry"),
         *_malformed_fields(),
     ])
     def test_malformed_pair_names_its_field(self, make, field, kind):

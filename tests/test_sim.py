@@ -12,8 +12,11 @@ from safeadmit import (AdmittanceParams, EcbfGains, FxtismcGains,
                        ManipulatorParams, ObstacleConstraint, ScenarioConfig,
                        SimulationAborted, ValidationError,
                        WorkspaceConstraint, compute_report, desired_trajectory,
-                       human_force, records_equal, run, scenario_library)
+                       emit_csv, human_force, read_csv, records_equal, run,
+                       scenario_library)
 from safeadmit import sim
+
+from test_pipeline import usable_cpus
 
 
 class TestDesiredTrajectory:
@@ -245,6 +248,31 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak / steps <= 600, f"{peak / steps:.0f} B per step"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_csv_memory_is_bounded(self, preset_traces, tmp_path, monkeypatch, cpus):
+        # emit_csv and read_csv hold the text of one slice of rows at a time,
+        # not the whole file: on the 16 s combined trace (6.3 MB of CSV) their
+        # tracemalloc peaks stay within 4 MB, read_csv's above the matrix its
+        # Trace's columns view
+        trace, path = preset_traces["combined"], tmp_path / "combined.csv"
+        with usable_cpus(monkeypatch, cpus):
+            emit_csv(trace, path)
+            read_csv(path)
+            tracemalloc.start()
+            try:
+                emit_csv(trace, path)
+                emit_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                back = read_csv(path)
+                read_peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert records_equal(trace, back)
+        assert emit_peak <= 4e6, f"emit_csv: {emit_peak / 1e6:.2f} MB"
+        above = read_peak - back.t.base.nbytes
+        assert above <= 4e6, f"read_csv: {above / 1e6:.2f} MB above its matrix"
 
     def test_active_sets_are_shared(self):
         # the trace holds one tuple object per distinct active set, not one

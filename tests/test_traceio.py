@@ -90,6 +90,30 @@ class TestCsv:
             emit_csv(replace(short_trace, x_f=x_f), tmp_path / "inf.csv")
         assert not (tmp_path / "inf.csv").exists()
 
+    def test_missing_final_line_break_reads_the_same(self, short_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        emit_csv(short_trace, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        assert records_equal(short_trace, read_csv(path))
+
+    def test_crlf_refused_naming_the_line_end(self, malformed_csv):
+        path, _ = malformed_csv("crlf")
+        message = f'{path}:1: the line ends in "\\r\\n"'
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read_csv(path)
+
+    def test_pipe_refused(self):
+        # read_csv reads a trace by offset, which a pipe, as from a shell's
+        # <(...), cannot do
+        reader, writer = os.pipe()
+        os.close(writer)
+        path = f"/dev/fd/{reader}"
+        try:
+            with pytest.raises(ValidationError, match=f"^{path} is not a regular file$"):
+                read_csv(path)
+        finally:
+            os.close(reader)
+
     def test_repeated_emit_identical_bytes(self, short_trace, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(short_trace, p1)
@@ -177,9 +201,9 @@ def long_traces(preset_traces):
 
 @pytest.fixture(scope="module")
 def long_lines(long_traces, tmp_path_factory):
-    """The lines of the 16 s workspace trace's CSV: its blocks of rows are
-    on lines 2-4001 and 8002-12001 (this process's) and 4002-8001 and
-    12002-16002 (the child's, with two CPUs)."""
+    """The lines of the 16 s workspace trace's CSV: its 16 slices of rows
+    are lines 2-1001, 1002-2001, ..., 15002-16002, and with two CPUs the
+    child parses the 2nd, 4th, ... (lines 1002-2001, 3002-4001, ...)."""
     path = tmp_path_factory.mktemp("long") / "workspace.csv"
     emit_csv(long_traces["workspace"], path)
     return path.read_text().splitlines()
@@ -245,8 +269,12 @@ class TestSplitIo:
         # the first failing block wins, whichever process parsed it
         ({4009: (5, "abc"), 8005: (3, "x")}, 4009),
         ({8005: (3, "x"), 12010: (5, "abc")}, 8005),
+        # a number that does not parse wins over a later wrong field count,
+        # both in the child's slices
+        ({5009: (5, "abc"), 13010: (3, "1,2")}, 5009),
     ], ids=["non-numeric", "non-finite", "status", "active-index", "last-row",
-            "number-before-non-finite", "child-block-first", "own-block-first"])
+            "number-before-non-finite", "child-block-first", "own-block-first",
+            "number-before-field-count"])
     def test_same_error(self, long_lines, defects, line, tmp_path, monkeypatch, forks):
         lines = list(long_lines)
         for k, (index, text) in defects.items():
