@@ -10,10 +10,11 @@ on each block of the reference chain, whose loop runs ahead in a forked
 child where a second CPU is free. The stages pass float pairs to each
 other. Each step's floats are one row of a flat float log (an
 ``array('d')``), which the plant chain reads x1, f_e and f_hat from and
-writes x_actual and f_c into; the loop's log is viewed as an (N, width)
-matrix whose columns make the Trace, one array per signal. A step is read
-from the columns, or as the one-row Trace ``trace[k]``; ``records_equal``
-compares two traces bit for bit.
+writes x_actual and f_c into. The loop's log is viewed as the (N, width)
+step matrix that the Trace holds, laid out as COLUMNS says, and each signal
+is a view of its columns. A step is read from the columns, or as the
+one-row Trace ``trace[k]``; ``records_equal`` compares two traces bit for
+bit.
 """
 
 import math
@@ -119,8 +120,15 @@ class ScenarioConfig:
         return AdmittanceState(x1, des.xdot_d)
 
 
-# The 2-vector signals of a trace, in column order.
-VECTORS = ("x_d", "x_f", "x_r_shadow", "x_actual", "f_e", "f_e_hat", "f_e_comp", "f_c")
+# The 2-vector groups of a step row, in row order: each group's field name
+# and CSV prefix. A row is t, the x/y pair of each group, then the barrier
+# values.
+COLUMNS = (("x_d", "xd"), ("x_f", "xf"), ("x_r_shadow", "xrs"), ("x_actual", "xa"),
+           ("f_e", "fe"), ("f_e_hat", "feh"), ("f_e_comp", "fec"), ("f_c", "fc"))
+VECTORS = tuple(name for name, _ in COLUMNS)
+# The row column of each group's x, and of the first barrier value.
+_AT = {name: 1 + 2 * i for i, name in enumerate(VECTORS)}
+_H = 1 + 2 * len(VECTORS)
 # Every value of the qp_status column: the filter's own answer ("ok"), its
 # penalized fallback where the rows conflict ("slack"), and a bypassed filter.
 QP_STATUSES = ("ok", "slack", "bypass")
@@ -128,83 +136,64 @@ QP_STATUSES = ("ok", "slack", "bypass")
 
 @dataclass(eq=False)
 class Trace:
-    """A run's signals, one column per signal over its N steps.
+    """A run's N steps: ``matrix`` is the (N, 1 + 16 + rows) float matrix of
+    the step rows, laid out as COLUMNS says; the tuple ``h_names`` names the
+    barrier rows in row-table order, and the tuples ``qp_active`` and
+    ``qp_status`` hold each step's active set (row indices) and one of
+    QP_STATUSES. The signals are read-only views of the matrix: ``t`` is
+    (N,), each name in VECTORS is (N, 2), and ``h`` is (N, rows).
 
-    ``t`` is (N,); each name in VECTORS is an (N, 2) float array; ``h`` is
-    the (N, rows) matrix of barrier values, its columns named by
-    ``h_names`` in row-table order; ``qp_active`` holds one active set (a
-    tuple of row indices) and ``qp_status`` one of QP_STATUSES per step.
-
-    ``len(trace)`` is N. A slice is a Trace of the sliced columns, which
-    share memory with these; ``trace[k]`` is the one-row Trace of step k
-    (negative k counts from the end, and k past the end raises IndexError,
-    so iterating yields the N one-row traces in order).
+    ``len(trace)`` is N. A slice is the Trace of the sliced matrix, a view
+    of this one; ``trace[k]`` is the one-row Trace of step k (negative k
+    counts from the end, and k past the end raises IndexError, so iterating
+    yields the N one-row traces in order).
     """
 
-    t: np.ndarray
-    x_d: np.ndarray
-    x_f: np.ndarray
-    x_r_shadow: np.ndarray
-    x_actual: np.ndarray
-    f_e: np.ndarray
-    f_e_hat: np.ndarray
-    f_e_comp: np.ndarray
-    f_c: np.ndarray
-    h: np.ndarray
+    matrix: np.ndarray
     h_names: Tuple[str, ...]
     qp_active: Tuple[Tuple[int, ...], ...]
     qp_status: Tuple[str, ...]
 
-    @classmethod
-    def from_matrix(cls, t, signals: np.ndarray, h_names, qp_active, qp_status) -> "Trace":
-        """A Trace whose columns are views of ``signals``, an (N, 16 + rows)
-        matrix holding the x/y pairs of the VECTORS in order, then the
-        barrier values."""
-        width = 2 * len(VECTORS)
-        return cls(t, *(signals[:, i:i + 2] for i in range(0, width, 2)),
-                   h=signals[:, width:], h_names=tuple(h_names),
-                   qp_active=tuple(qp_active), qp_status=tuple(qp_status))
+    t = property(lambda self: self.matrix[:, 0])
+    h = property(lambda self: self.matrix[:, _H:])
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.matrix)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return Trace(self.t[k], *(getattr(self, v)[k] for v in VECTORS), h=self.h[k],
-                         h_names=self.h_names, qp_active=self.qp_active[k],
-                         qp_status=self.qp_status[k])
+            return Trace(self.matrix[k], self.h_names, self.qp_active[k], self.qp_status[k])
         k = range(len(self))[k]
         return self[k:k + 1]
 
 
+for _name, _at in _AT.items():
+    setattr(Trace, _name, property(lambda self, at=_at: self.matrix[:, at:at + 2]))
+
+
 def records_equal(a: Trace, b: Trace) -> bool:
     """Bit-exact trace comparison (used by the determinism checks): the row
-    names, active sets and statuses are equal, and t, every vector column
-    and h have equal shapes and bytes, so a zero of the other sign differs
-    and a NaN equals the same NaN."""
+    names, active sets and statuses are equal, and the matrices have equal
+    shapes and bytes, so a zero of the other sign differs and a NaN equals
+    the same NaN."""
     return (a.h_names == b.h_names and a.qp_active == b.qp_active
-            and a.qp_status == b.qp_status
-            and all(getattr(a, c).shape == getattr(b, c).shape
-                    and getattr(a, c).tobytes() == getattr(b, c).tobytes()
-                    for c in ("t", *VECTORS, "h")))
+            and a.qp_status == b.qp_status and a.matrix.shape == b.matrix.shape
+            and a.matrix.tobytes() == b.matrix.tobytes())
 
 
 # The log columns the plant chain reads (x_f to f_e_hat) and writes.
-_X_F, _F_E_HAT, _X_ACTUAL, _F_C = (1 + 2 * VECTORS.index(v)
-                                   for v in ("x_f", "f_e_hat", "x_actual", "f_c"))
+_X_F, _F_E_HAT, _X_ACTUAL, _F_C = (_AT[v] for v in ("x_f", "f_e_hat", "x_actual", "f_c"))
 
 
 def _trace_from_log(log: array, rows: int, width: int, h_names: Tuple[str, ...],
                     events: list) -> Trace:
     """The Trace of a run's first ``rows`` steps. ``log`` holds, step after
-    step, a row of ``width`` floats: t, the x/y pairs of the VECTORS and
-    the row-ordered barrier values; ``events`` holds the active set and the
-    status of each step. The log is cut to ``rows`` steps, and the Trace's
-    columns are views of its memory."""
+    step, a row of ``width`` floats laid out as COLUMNS says; ``events``
+    holds the active set and the status of each step. The log is cut to
+    ``rows`` steps, and the Trace's matrix is a view of its memory."""
     del log[rows * width:]
-    matrix = np.frombuffer(log, dtype=float).reshape(-1, width)
-    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,
-                             events[0:2 * rows:2], events[1:2 * rows:2])
+    return Trace(np.frombuffer(log, dtype=float).reshape(-1, width), h_names,
+                 tuple(events[0:2 * rows:2]), tuple(events[1:2 * rows:2]))
 
 
 # Steps per handoff from the reference chain to the plant chain; a run of
@@ -270,6 +259,7 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                     f_hat, f_comp = f_e, (0.0, 0.0)
                     h, active, status = cset.barrier_values(adm.x1), (), bypass_status
 
+                # the step's row in COLUMNS order; the plant chain fills x_actual and f_c
                 rows.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
                              0.0, 0.0, *h))
                 events += (active, status)
@@ -362,7 +352,7 @@ def run(config: ScenarioConfig) -> Trace:
     serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
-    width = 1 + 2 * len(VECTORS) + len(cset.names)
+    width = _H + len(cset.names)
     log, events = array("d"), []
     adm = config.initial_admittance_state()
     if cset.names and not config.filter_bypass:

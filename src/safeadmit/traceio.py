@@ -1,13 +1,15 @@
 """Trace serialization (CSV), run reports, and SVG trajectory plots, each
 over whole columns of a Trace.
 
-CSV schema: one header row, then one data row per step. Floats are
-rendered with 17 significant digits so a reread trace is bit-identical to
-the in-memory one. The active-set column joins row indices with ';' and is
-'-' when empty. The h_* columns depend on which constraints were enabled
-and are taken from the header on reread. Lines end in "\n", the one line
-break read_csv splits at. read_csv refuses a malformed file with a
-ValidationError that names the path and the 1-based line.
+CSV schema: one header row, then per step its row of the Trace's matrix (t,
+``<prefix>_x`` and ``<prefix>_y`` per group of sim.COLUMNS, h_* per barrier
+row), qp_active and qp_status. Floats are rendered with 17 significant
+digits so a reread trace is bit-identical to the in-memory one. The
+active-set column joins row indices with ';' and is '-' when empty. The h_*
+columns depend on which constraints were enabled and are taken from the
+header on reread. Lines end in "\n", the one line break read_csv splits at.
+read_csv refuses a malformed file with a ValidationError that names the
+path and the 1-based line.
 
 Both convert the rows in slices of at most _SLICE rows (_in_slices), in
 row order, so the text they hold is one slice's: only the trace's columns
@@ -29,10 +31,9 @@ import numpy as np
 from .errors import ValidationError
 from .forks import alternate_blocks
 from .safety import DEFAULT_SAFE_DISTANCE, ObstacleConstraint, WorkspaceConstraint
-from .sim import QP_STATUSES, VECTORS, Trace
+from .sim import COLUMNS, QP_STATUSES, Trace
 
-_PREFIXES = ("xd", "xf", "xrs", "xa", "fe", "feh", "fec", "fc")  # one per name in VECTORS
-_LEADING = ["t"] + [f"{p}_{axis}" for p in _PREFIXES for axis in "xy"]
+_LEADING = ["t"] + [f"{prefix}_{axis}" for _, prefix in COLUMNS for axis in "xy"]
 _TRAILING = ["qp_active", "qp_status"]
 _SLICE = 1024  # most rows converted at a time, which bounds the text held in memory
 _SPLIT = 4096  # most rows a trace may have for its I/O to stay in one process
@@ -64,35 +65,29 @@ def _in_slices(rows: int, convert, take) -> None:
             hand(i, work(i))
 
 
-def _non_finite(columns) -> Optional[Tuple[int, int]]:
-    """(row, column) of the first NaN or infinity, in row order, of the 2-D
-    arrays ``columns`` side by side, or None. A run aborts before its state
-    stops being finite, so a trace never holds one."""
-    found, offset = [], 0
-    for c in columns:
-        found += [(row, j + offset) for row, j in np.argwhere(~np.isfinite(c))[:1].tolist()]
-        offset += c.shape[1]
-    return min(found, default=None)
+def _non_finite(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(row, column) of the first NaN or infinity of ``matrix`` in row
+    order, or None. A run aborts before its state stops being finite, so a
+    trace never holds one."""
+    return next(map(tuple, np.argwhere(~np.isfinite(matrix)).tolist()), None)
 
 
 def emit_csv(trace: Trace, path) -> None:
-    """Write the trace: each row is one '%.17g' template over a row of the
-    float columns, plus the active-set and status fields, formatted slice
-    by slice from the columns' slices, as the module docstring says, and
-    written in order. A NaN or an infinity is refused before the file is
-    opened."""
+    """Write the trace: each row is one '%.17g' template over a row of its
+    matrix, plus the active-set and status fields, formatted slice by slice,
+    as the module docstring says, and written in order. A NaN or an
+    infinity is refused before the file is opened."""
     if not len(trace):
         raise ValidationError("cannot emit an empty trace")
     header = csv_header(trace)
-    columns = [trace.t[:, None], *(getattr(trace, v) for v in VECTORS), trace.h]
-    bad = _non_finite(columns)
+    bad = _non_finite(trace.matrix)
     if bad:
         raise ValidationError(f"cannot emit step {bad[0]}: its {header[bad[1]]} is not finite")
     template = ",".join(["%.17g"] * (len(header) - 2) + ["%s", "%s"])
     fields = {a: ";".join(map(str, a)) or "-" for a in set(trace.qp_active)}
 
     def text(start: int, stop: int) -> str:
-        rows = np.column_stack([c[start:stop] for c in columns]).tolist()
+        rows = trace.matrix[start:stop].tolist()
         for row, active, status in zip(rows, trace.qp_active[start:stop],
                                        trace.qp_status[start:stop]):
             row += (fields[active], status)
@@ -220,7 +215,7 @@ def read_csv(path) -> Trace:
             status.extend(block_status)
 
         _in_slices(len(matrix), parse, keep)
-    bad = _non_finite([matrix])
+    bad = _non_finite(matrix)
     if bad:
         raise _bad(path, bad[0] + 2, f"{header[bad[1]]} is not finite")
     for text in dict.fromkeys(status):
@@ -228,8 +223,7 @@ def read_csv(path) -> Trace:
             raise _bad(path, status.index(text) + 2, f"unknown qp_status {text!r}")
     sets = {text: _parse_active(path, active.index(text) + 2, text, len(h_names))
             for text in dict.fromkeys(active)}
-    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], h_names,
-                             map(sets.__getitem__, active), status)
+    return Trace(matrix, tuple(h_names), tuple(map(sets.__getitem__, active)), tuple(status))
 
 
 @dataclass

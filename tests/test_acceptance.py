@@ -36,23 +36,58 @@ def test_01_unsafe_baseline_crosses_workspace(preset_traces):
             f"max |x_r_shadow|_inf = {worst:.6g} > 0.13")
 
 
-def test_02_workspace_forward_invariance(preset_traces):
-    trace = preset_traces["workspace"]
+def _workspace_invariance(trace):
+    """Criterion 2 on ``trace``: min h and max |x_f|, each with whether it
+    meets its bound."""
     min_h = trace.h.min()
     worst_xf = np.abs(trace.x_f).max()
-    assert min_h >= -1e-3
-    assert worst_xf <= 0.09 + 1e-3
+    return (min_h, min_h >= -1e-3), (worst_xf, worst_xf <= 0.09 + 1e-3)
+
+
+def test_02_workspace_forward_invariance(preset_traces):
+    (min_h, low), (worst_xf, inside) = _workspace_invariance(preset_traces["workspace"])
+    assert low
+    assert inside
     _passed("criterion 2 (workspace forward invariance)",
             f"min h = {min_h:.3g} >= -1e-3, max |x_f| = {worst_xf:.6g} <= 0.091")
 
 
+def test_02_fails_with_the_filter_bypassed(preset_traces):
+    # the workspace preset with its filter bypassed is the baseline-unsafe
+    # preset, on which both bounds break (min h -1.6e-3, max |x_f| 0.1405)
+    presets = scenario_library()
+    bypassed = replace(presets["workspace"], name="baseline-unsafe", filter_bypass=True)
+    assert bypassed == presets["baseline-unsafe"]
+    (_, low), (_, inside) = _workspace_invariance(preset_traces["baseline-unsafe"])
+    assert not low
+    assert not inside
+
+
+def _obstacle_clearance(trace):
+    """Criterion 3 on ``trace``: the reference's least distance to the
+    obstacle centre, and whether it meets the bound."""
+    dist = np.linalg.norm(trace.x_f - [-0.07, 0.07], axis=1).min()
+    return dist, dist >= 0.04 - 1e-3
+
+
 def test_03_obstacle_forward_invariance(preset_traces):
     for name in ("obstacle-only", "combined"):
-        trace = preset_traces[name]
-        dist = np.linalg.norm(trace.x_f - [-0.07, 0.07], axis=1).min()
-        assert dist >= 0.04 - 1e-3
+        dist, clear = _obstacle_clearance(preset_traces[name])
+        assert clear
         _passed(f"criterion 3 (obstacle clearance, {name})",
                 f"min distance = {dist:.6g} >= {0.04 - 1e-3}")
+
+
+def test_03_fails_without_the_obstacle_row(preset_traces):
+    # the combined preset with its obstacle row dropped is the workspace
+    # preset, whose box rows drive the reference to 0.02 m from the centre.
+    # Bypassing the filter does not fail criterion 3 (0.0417 m on combined),
+    # and obstacle-only never makes its row active.
+    presets = scenario_library()
+    dropped = replace(presets["combined"], name="workspace", obstacle=None)
+    assert dropped == presets["workspace"]
+    _, clear = _obstacle_clearance(preset_traces["workspace"])
+    assert not clear
 
 
 def test_04_combined_relieves_workspace_pressure(preset_traces):

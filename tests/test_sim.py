@@ -211,12 +211,13 @@ class TestRun:
         # is equal to a copy of itself, bit for bit
         trace = preset_traces["combined"][:20]
         assert not trace.f_e.any()
-        assert records_equal(trace, replace(trace, f_e=trace.f_e.copy()))
-        assert not records_equal(trace, replace(trace, f_e=-trace.f_e))
-        x_f, h = trace.x_f.copy(), trace.h.copy()
-        x_f[3, 0] = h[5, -1] = math.nan
-        nan = replace(trace, x_f=x_f, h=h)
-        assert records_equal(nan, replace(nan, x_f=x_f.copy(), h=h.copy()))
+        negated = replace(trace, matrix=trace.matrix.copy())
+        assert records_equal(trace, negated)
+        negated.f_e[:] = -trace.f_e
+        assert not records_equal(trace, negated)
+        nan = replace(trace, matrix=trace.matrix.copy())
+        nan.x_f[3, 0] = nan.h[5, -1] = math.nan
+        assert records_equal(nan, replace(nan, matrix=nan.matrix.copy()))
         assert not records_equal(trace, nan)
         # the length, the row names and the active sets count too
         assert not records_equal(trace, trace[:-1])
@@ -224,6 +225,18 @@ class TestRun:
         active = ((),) + trace.qp_active[1:]
         assert active != trace.qp_active
         assert not records_equal(trace, replace(trace, qp_active=active))
+
+    def test_signals_are_views_of_the_matrix(self, preset_traces):
+        trace = preset_traces["combined"]
+        for name in ("t", *sim.VECTORS, "h"):
+            assert np.shares_memory(getattr(trace, name), trace.matrix), name
+        for i, (name, _) in enumerate(sim.COLUMNS):
+            assert getattr(trace, name).tobytes() == trace.matrix[:, 1 + 2 * i:3 + 2 * i].tobytes()
+        with pytest.raises(AttributeError):
+            trace.x_f = trace.x_f.copy()
+        part = trace[100:200]
+        assert np.shares_memory(part.matrix, trace.matrix)
+        assert part.matrix.tobytes() == trace.matrix[100:200].tobytes()
 
     def test_an_index_is_a_one_row_trace(self, preset_traces):
         trace = preset_traces["combined"][:20]

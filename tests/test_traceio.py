@@ -15,7 +15,7 @@ from safeadmit import (ObstacleConstraint, ScenarioConfig, SimulationAborted,
                        ValidationError, WorkspaceConstraint, compute_report,
                        emit_csv, emit_plot, read_csv, records_equal, run,
                        scenario_library, traceio)
-from safeadmit.sim import QP_STATUSES, VECTORS, Trace
+from safeadmit.sim import COLUMNS, QP_STATUSES, VECTORS, Trace
 from safeadmit.traceio import csv_header
 
 import trace_reference as ref
@@ -64,6 +64,14 @@ class TestCsv:
         assert [c for c in header if c.startswith("h_")] == [
             "h_ws_max_x", "h_ws_min_x", "h_ws_max_y", "h_ws_min_y", "h_obs"]
 
+    def test_header_follows_the_column_table(self, short_trace):
+        # the float columns are the matrix's: t, the x and y of each group of
+        # the table, then the barrier rows
+        floats = ["t", *(f"{prefix}_{axis}" for _, prefix in COLUMNS for axis in "xy"),
+                  *(f"h_{name}" for name in short_trace.h_names)]
+        assert csv_header(short_trace) == floats + ["qp_active", "qp_status"]
+        assert len(floats) == short_trace.matrix.shape[1]
+
     def test_column_count_constant(self, short_trace, tmp_path):
         path = tmp_path / "trace.csv"
         emit_csv(short_trace, path)
@@ -84,10 +92,10 @@ class TestCsv:
 
     def test_non_finite_rejected(self, short_trace, tmp_path):
         # read_csv refuses a NaN or an infinity, so emit_csv does not write one
-        x_f = short_trace.x_f.copy()
-        x_f[2, 1] = np.inf
+        bad = replace(short_trace, matrix=short_trace.matrix.copy())
+        bad.x_f[2, 1] = np.inf
         with pytest.raises(ValidationError, match="step 2: its xf_y is not finite"):
-            emit_csv(replace(short_trace, x_f=x_f), tmp_path / "inf.csv")
+            emit_csv(bad, tmp_path / "inf.csv")
         assert not (tmp_path / "inf.csv").exists()
 
     def test_missing_final_line_break_reads_the_same(self, short_trace, tmp_path):
@@ -177,7 +185,7 @@ def _columns(draw):
     subsets = [s for k in range(rows + 1) for s in combinations(range(rows), k)]
     active = draw(st.lists(st.sampled_from(subsets), min_size=n, max_size=n))
     status = draw(st.lists(st.sampled_from(QP_STATUSES), min_size=n, max_size=n))
-    return Trace.from_matrix(matrix[:, 0], matrix[:, 1:], ROW_NAMES[:rows], active, status)
+    return Trace(matrix, ROW_NAMES[:rows], tuple(active), tuple(status))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -199,11 +207,17 @@ def long_traces(preset_traces):
             "sweep-style": run(replace(COMPLETING["sweep-style"], duration=16.0))}
 
 
+def _line(i: int, k: int) -> int:
+    """The CSV line of row k of slice i of a 16 s trace: _in_slices cuts its
+    16,001 rows into 16 slices at 16001 * i // 16, and with two CPUs the
+    child converts the odd ones (TestSplitIo.test_slices_of_a_long_trace)."""
+    return 16001 * i // 16 + k + 2
+
+
 @pytest.fixture(scope="module")
 def long_lines(long_traces, tmp_path_factory):
     """The lines of the 16 s workspace trace's CSV: its 16 slices of rows
-    are lines 2-1001, 1002-2001, ..., 15002-16002, and with two CPUs the
-    child parses the 2nd, 4th, ... (lines 1002-2001, 3002-4001, ...)."""
+    are lines 2-1001, 1002-2001, ..., 15002-16002 (see _line)."""
     path = tmp_path_factory.mktemp("long") / "workspace.csv"
     emit_csv(long_traces["workspace"], path)
     return path.read_text().splitlines()
@@ -258,20 +272,28 @@ class TestSplitIo:
         ref.emit_csv(trace, tmp_path / "reference.csv")
         assert written[1] == written[2] == (tmp_path / "reference.csv").read_bytes()
 
+    def test_slices_of_a_long_trace(self, monkeypatch):
+        # the slices that _line places test_same_error's defects in
+        taken, parent = [], os.getpid()
+        with usable_cpus(monkeypatch, 2), leaves_nothing():
+            traceio._in_slices(16001, lambda start, stop: os.getpid() != parent,
+                               lambda start, stop, child: taken.append((start + 2, child)))
+        assert taken == [(_line(i, 0), i % 2 == 1) for i in range(16)]
+
     @pytest.mark.parametrize("defects, line", [
-        ({4009: (5, "abc")}, 4009),
-        ({4009: (17, "nan")}, 4009),  # h_ws_max_x
-        ({4009: (-1, "weird")}, 4009),
-        ({4009: (-2, "1.5")}, 4009),
+        ({_line(4, 7): (5, "abc")}, _line(4, 7)),
+        ({_line(4, 7): (17, "nan")}, _line(4, 7)),  # h_ws_max_x
+        ({_line(4, 7): (-1, "weird")}, _line(4, 7)),
+        ({_line(4, 7): (-2, "1.5")}, _line(4, 7)),
         ({16002: (1, "?")}, 16002),  # the last row
         # a number that does not parse wins over an earlier non-finite one
-        ({12010: (5, "abc"), 3: (17, "inf")}, 12010),
-        # the first failing block wins, whichever process parsed it
-        ({4009: (5, "abc"), 8005: (3, "x")}, 4009),
-        ({8005: (3, "x"), 12010: (5, "abc")}, 8005),
+        ({_line(12, 8): (5, "abc"), 3: (17, "inf")}, _line(12, 8)),
+        # the first failing slice wins, whichever process parsed it
+        ({_line(5, 7): (5, "abc"), _line(8, 3): (3, "x")}, _line(5, 7)),
+        ({_line(8, 3): (3, "x"), _line(9, 8): (5, "abc")}, _line(8, 3)),
         # a number that does not parse wins over a later wrong field count,
         # both in the child's slices
-        ({5009: (5, "abc"), 13010: (3, "1,2")}, 5009),
+        ({_line(5, 7): (5, "abc"), _line(13, 8): (3, "1,2")}, _line(5, 7)),
     ], ids=["non-numeric", "non-finite", "status", "active-index", "last-row",
             "number-before-non-finite", "child-block-first", "own-block-first",
             "number-before-field-count"])

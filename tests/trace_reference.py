@@ -50,14 +50,14 @@ def read_csv(path) -> Trace:
         lines = fh.read().splitlines()
     header = lines[0].split(",")
     h_names = [c[2:] for c in header if c.startswith("h_")]
-    t, signals, active_sets, statuses = [], [], [], []
+    rows, active_sets, statuses = [], [], []
     for line in lines[1:]:
         rec = dict(zip(header, line.split(",")))
-        t.append(float(rec["t"]))
-        signals.append([float(rec[f"{p}_{axis}"]) for _, p in _VEC_COLUMNS for axis in "xy"]
-                       + [float(rec[f"h_{name}"]) for name in h_names])
+        rows.append([float(rec["t"])]
+                    + [float(rec[f"{p}_{axis}"]) for _, p in _VEC_COLUMNS for axis in "xy"]
+                    + [float(rec[f"h_{name}"]) for name in h_names])
         active = rec["qp_active"]
         active_sets.append(() if active == "-" else tuple(int(i) for i in active.split(";")))
         statuses.append(rec["qp_status"])
-    matrix = np.array(signals, dtype=float).reshape(len(t), 2 * len(_VEC_COLUMNS) + len(h_names))
-    return Trace.from_matrix(np.array(t, dtype=float), matrix, h_names, active_sets, statuses)
+    matrix = np.array(rows, dtype=float).reshape(len(rows), 1 + 2 * len(_VEC_COLUMNS) + len(h_names))
+    return Trace(matrix, tuple(h_names), tuple(active_sets), tuple(statuses))
