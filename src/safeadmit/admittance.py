@@ -19,10 +19,12 @@ pairs it has just computed as they are. A state's of_floats keeps the
 finiteness check, a desired point's skips it.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
-the three samples at the RK4 substep times.
+the three samples at the RK4 substep times. admittance_step is the
+validating wrapper of the step's kernel on bare floats, _admittance_floats.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 from .errors import Pair, PairRecord, ValidationError, finite_fields, float_pair
@@ -48,6 +50,11 @@ class AdmittanceParams:
         k_mx, k_my = self.k_m
         return 1.0 / k_mx, 1.0 / k_my
 
+    @property
+    def axes(self):
+        """Per axis, x then y, the kernel's (k_m, k_b, k_k, 1/k_m)."""
+        return tuple(zip(self.k_m, self.k_b, self.k_k, self.input_gain))
+
 
 @dataclass
 class AdmittanceState(PairRecord, noun="admittance state"):
@@ -68,6 +75,11 @@ class DesiredPoint(PairRecord, noun="desired point"):
         point = object.__new__(cls)
         point.x_d, point.xdot_d, point.xddot_d = x_d, xdot_d, xddot_d
         return point
+
+    @property
+    def sample(self):
+        """The kernels' six floats (x, y, xdot, ydot, xddot, yddot)."""
+        return (*self.x_d, *self.xdot_d, *self.xddot_d)
 
 
 def _msd_accel(k_m: float, k_b: float, k_k: float, x1: float, x2: float,
@@ -103,6 +115,20 @@ def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh,
             x2 + k * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
+def _admittance_floats(axes, x1x, x1y, x2x, x2y, d0, dh, d1, fx, fy, dt):
+    """admittance_step on floats: ``axes`` is AdmittanceParams.axes and d0,
+    dh, d1 the DesiredPoint.sample of each point; returns the next four
+    floats, refused as an AdmittanceState's where not finite."""
+    (k_mx, k_bx, k_kx, gx), (k_my, k_by, k_ky, gy) = axes
+    x1x, x2x = _rk4_axis(k_mx, k_bx, k_kx, gx * fx, x1x, x2x, d0[0], d0[2], d0[4],
+                         dh[0], dh[2], dh[4], d1[0], d1[2], d1[4], dt)
+    x1y, x2y = _rk4_axis(k_my, k_by, k_ky, gy * fy, x1y, x2y, d0[1], d0[3], d0[5],
+                         dh[1], dh[3], dh[5], d1[1], d1[3], d1[5], dt)
+    if not (isfinite(x1x) and isfinite(x1y) and isfinite(x2x) and isfinite(x2y)):
+        raise ValidationError(AdmittanceState._refusal)
+    return x1x, x1y, x2x, x2y
+
+
 def admittance_step(params: AdmittanceParams, state: AdmittanceState,
                     desired: Sequence[DesiredPoint], force, dt: float) -> AdmittanceState:
     """One RK4 step with the force pair zero-order-held across the step.
@@ -121,9 +147,6 @@ def admittance_step(params: AdmittanceParams, state: AdmittanceState,
             and isinstance(d1, DesiredPoint)):
         raise ValidationError("desired needs the DesiredPoints at t, t + dt/2 and t + dt")
     fx, fy = float_pair(force, "force")
-    gx, gy = params.input_gain
-    (x1x, x2x), (x1y, x2y) = map(
-        _rk4_axis, params.k_m, params.k_b, params.k_k, (gx * fx, gy * fy),
-        state.x1, state.x2, d0.x_d, d0.xdot_d, d0.xddot_d, dh.x_d, dh.xdot_d,
-        dh.xddot_d, d1.x_d, d1.xdot_d, d1.xddot_d, (dt, dt))
+    x1x, x1y, x2x, x2y = _admittance_floats(params.axes, *state.x1, *state.x2, d0.sample,
+                                            dh.sample, d1.sample, fx, fy, dt)
     return AdmittanceState.of_floats((x1x, x1y), (x2x, x2y))

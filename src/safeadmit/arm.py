@@ -13,11 +13,13 @@ Conventions:
   plant_step and cartesian_state build their states with of_floats, which
   keeps the finiteness check only.
 - One set of sines and cosines per configuration (_trig) serves every term
-  evaluated there: in an RK4 stage of plant_step, M, c, G, F and J^T f_e.
-- The step's kernels (plant_step through _qddot, cartesian_dynamics_terms)
-  are straight-line float code: the 2x2 products and inverses are written
-  out, in the operation order of the per-term functions (jacobian,
-  joint_dynamics_terms, joint_accel), so they equal those bit for bit.
+  evaluated there: in an RK4 stage, M, c, G, F and J^T f_e; at a step's
+  start, also the task-space terms, the Cartesian state and J.
+- The step's kernels (_task_floats, _plant_floats through _qddot) are
+  straight-line float code on bare floats, in the operation order of the
+  per-term functions (jacobian, joint_dynamics_terms, joint_accel), so they
+  equal those bit for bit; cartesian_dynamics_terms and plant_step are
+  their validating wrappers.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -159,14 +161,13 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     return _joint_terms(params, _trig(*state.q), *state.qdot, include_friction)
 
 
-def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
-                             include_friction: bool = True) -> CartesianDynamicsTerms:
-    """M_x = J^-T M J^-1, bias = J^-T (c_vec + G + F - M J^-1 Jdot qdot) and
-    Xi = M_x^-1, with cofactor inverses; raises SingularConfiguration where
-    |det J| is below the tolerance."""
-    qd1, qd2 = state.qdot
-    trig = _trig(*state.q)
-    (j00, j01), (j10, j11) = _jac(params, trig)
+def _task_floats(params: ManipulatorParams, q1, q2, qd1, qd2, include_friction):
+    """The task-space terms (M_x, bias, Xi) at the joint state (q1, q2, qd1,
+    qd2), as cartesian_dynamics_terms defines them, with the Cartesian state
+    x and xdot, J and _trig at the same configuration: (terms, x, xdot, J,
+    trig)."""
+    trig = _trig(q1, q2)
+    J = (j00, j01), (j10, j11) = _jac(params, trig)
     det = j00 * j11 - j01 * j10
     if abs(det) < params.singularity_tolerance:
         raise SingularConfiguration(
@@ -187,10 +188,17 @@ def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
     r0 = c1 + g1 + f1 - (m00 * u0 + m01 * u1)
     r1 = c2 + g2 + f2 - (m10 * u0 + m11 * u1)
     det_x = x00 * x11 - x01 * x10
-    return CartesianDynamicsTerms(
-        M_x=((x00, x01), (x10, x11)),
-        bias=(i00 * r0 + i10 * r1, i01 * r0 + i11 * r1),
-        Xi=((x11 / det_x, -x01 / det_x), (-x10 / det_x, x00 / det_x)))
+    terms = (((x00, x01), (x10, x11)), (i00 * r0 + i10 * r1, i01 * r0 + i11 * r1),
+             ((x11 / det_x, -x01 / det_x), (-x10 / det_x, x00 / det_x)))
+    return terms, _fk(params, trig), _mv(J, (qd1, qd2)), J, trig
+
+
+def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
+                             include_friction: bool = True) -> CartesianDynamicsTerms:
+    """M_x = J^-T M J^-1, bias = J^-T (c_vec + G + F - M J^-1 Jdot qdot) and
+    Xi = M_x^-1, with cofactor inverses; raises SingularConfiguration where
+    |det J| is below the tolerance."""
+    return CartesianDynamicsTerms(*_task_floats(params, *state.q, *state.qdot, include_friction)[0])
 
 
 def _qddot(params: ManipulatorParams, trig, qd1: float, qd2: float, tau_c: Pair,
@@ -215,6 +223,28 @@ def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
                   include_friction)
 
 
+def _plant_floats(params: ManipulatorParams, trig, q1, q2, qd1, qd2, tau_c, f_e, dt,
+                  include_friction):
+    """plant_step on floats, ``trig`` being _trig(q1, q2); returns the next
+    four floats, refused as a JointState's where not finite."""
+    h = 0.5 * dt
+    # each stage's derivative is (qdot, qddot) at the start state plus a
+    # multiple of the previous stage's derivative
+    a1, a2 = _qddot(params, trig, qd1, qd2, tau_c, f_e, include_friction)
+    p1, p2, v1, v2 = q1 + h * qd1, q2 + h * qd2, qd1 + h * a1, qd2 + h * a2
+    b1, b2 = _qddot(params, _trig(p1, p2), v1, v2, tau_c, f_e, include_friction)
+    r1, r2, w1, w2 = q1 + h * v1, q2 + h * v2, qd1 + h * b1, qd2 + h * b2
+    c1, c2 = _qddot(params, _trig(r1, r2), w1, w2, tau_c, f_e, include_friction)
+    s1, s2, z1, z2 = q1 + dt * w1, q2 + dt * w2, qd1 + dt * c1, qd2 + dt * c2
+    d1, d2 = _qddot(params, _trig(s1, s2), z1, z2, tau_c, f_e, include_friction)
+    k = dt / 6.0
+    q1, q2 = q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1), q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)
+    qd1, qd2 = qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1), qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+    if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1) and math.isfinite(qd2)):
+        raise ValidationError(JointState._refusal)
+    return q1, q2, qd1, qd2
+
+
 def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
                dt: float, include_friction: bool = True) -> JointState:
     """Advance the joint dynamics one RK4 step with zero-order-held inputs.
@@ -226,22 +256,9 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     tau_c, f_e = float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e")
-    h = 0.5 * dt
-    (q1, q2), (qd1, qd2) = state.q, state.qdot
-    # each stage's derivative is (qdot, qddot) at the start state plus a
-    # multiple of the previous stage's derivative
-    a1, a2 = _qddot(params, _trig(q1, q2), qd1, qd2, tau_c, f_e, include_friction)
-    p1, p2, v1, v2 = q1 + h * qd1, q2 + h * qd2, qd1 + h * a1, qd2 + h * a2
-    b1, b2 = _qddot(params, _trig(p1, p2), v1, v2, tau_c, f_e, include_friction)
-    r1, r2, w1, w2 = q1 + h * v1, q2 + h * v2, qd1 + h * b1, qd2 + h * b2
-    c1, c2 = _qddot(params, _trig(r1, r2), w1, w2, tau_c, f_e, include_friction)
-    s1, s2, z1, z2 = q1 + dt * w1, q2 + dt * w2, qd1 + dt * c1, qd2 + dt * c2
-    d1, d2 = _qddot(params, _trig(s1, s2), z1, z2, tau_c, f_e, include_friction)
-    k = dt / 6.0
-    return JointState.of_floats((q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1),
-                                 q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)),
-                                (qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                                 qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)))
+    q1, q2, qd1, qd2 = _plant_floats(params, _trig(*state.q), *state.q, *state.qdot, tau_c, f_e,
+                                     dt, include_friction)
+    return JointState.of_floats((q1, q2), (qd1, qd2))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:

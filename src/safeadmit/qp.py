@@ -41,6 +41,14 @@ MAX_VARS = 4
 MAX_ROWS = 8
 
 
+def _check_finite(u_nom, rows, b) -> None:
+    """Refuse a float of u_nom, b or the rows that is not finite."""
+    for row in (u_nom, b, *rows):
+        for v in row:
+            if not isfinite(v):
+                raise ValidationError("QP entries must be finite")
+
+
 class QpProblem:
     """min ||u - u_nom||^2 subject to A u <= b. The constructor coerces and
     checks its inputs; of_rows takes float rows as they are (module
@@ -72,10 +80,7 @@ class QpProblem:
         """The problem of float tuples taken as they are: u_nom, the rows of
         A (one tuple of n floats each) and b, as many as rows. Only the
         constructor's finiteness check runs."""
-        for row in (u_nom, b, *rows):
-            for v in row:
-                if not isfinite(v):
-                    raise ValidationError("QP entries must be finite")
+        _check_finite(u_nom, rows, b)
         problem = object.__new__(cls)
         problem.u_nom, problem.rows, problem.b = u_nom, rows, b
         return problem

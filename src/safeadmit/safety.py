@@ -26,11 +26,10 @@ forward invariance (Nguyen & Sreenath, ACC 2016). The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
-The step's values are float pairs: evaluate takes the state, drift and
-gain as pairs and returns RowValues of float tuples, assemble_qp hands the
-negated q pairs to the QP as its rows and b as a float tuple, and
-filter_force returns its forces as pairs. A filter step builds no array:
-only the slack fallback reads the QP's rows as the array A.
+One loop evaluates every row (ConstraintSet._values). The filter step's
+kernel, _filter_floats, takes and returns bare floats, hands the rows to the
+closed-form projection (qp._project_pair) and builds a QpProblem, and an
+array, only in the slack fallback; filter_force is its validating wrapper.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +39,8 @@ import numpy as np
 
 from .admittance import AdmittanceState
 from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, axis_pair, finite_fields, float_pair
-from .qp import QpProblem, solve, solve_with_slack
+# solve is re-exported: callers look it up as safety.solve.
+from .qp import QpProblem, _check_finite, _project_pair, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
 # the safe distance r.
@@ -121,12 +121,17 @@ class RowValues(NamedTuple):
     K: Tuple[Pair, ...]
 
 
+def _bounds(h, lf_h, p, K) -> list:
+    """The QP's bounds b = p + K0 h + K1 Lf_h of the rows' values."""
+    return [pj + k0 * hj + k1 * lf for pj, (k0, k1), hj, lf in zip(p, K, h, lf_h)]
+
+
 def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
     """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2
     over the force pair u_nom."""
     ux, uy = u_nom
-    b = tuple([p + k0 * h + k1 * lf for p, (k0, k1), h, lf in zip(rows.p, rows.K, rows.h, rows.lf_h)])
-    return QpProblem.of_rows((ux, uy), tuple([(-q0, -q1) for q0, q1 in rows.q]), b)
+    return QpProblem.of_rows((ux, uy), tuple([(-q0, -q1) for q0, q1 in rows.q]),
+                             tuple(_bounds(rows.h, rows.lf_h, rows.p, rows.K)))
 
 
 @dataclass
@@ -161,40 +166,35 @@ class ConstraintSet:
         self._rows = [(*w, *c, r, side) for _, w, c, r, _, side in rows]
         self._K = tuple(K for _, _, _, _, K, _ in rows)
 
-    def _h(self, x1):
-        """Per row: the weighted offsets w * (x1 - c) and the barrier value h.
-        evaluate computes the same three in its own loop, in the same
-        operations (test_barrier_values_match_evaluate holds them equal)."""
-        x, y = x1
-        out = []
-        for w0, w1, c0, c1, r, _ in self._rows:
-            o0, o1 = x - c0, y - c1
-            wd0, wd1 = w0 * o0, w1 * o1
-            out.append((wd0, wd1, wd0 * o0 + wd1 * o1 - r * r))
-        return out
-
-    def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
-        """Every row at ``adm`` under the force-free acceleration pair
-        ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
-        for both axes)."""
-        x, y = adm.x1
-        vx, vy = adm.x2
-        dx, dy = drift
-        gx, gy = axis_pair(g, "g")
-        h, lf_h, p, q = [], [], [], []
+    def _values(self, x, y, vx, vy, dx, dy, gx, gy):
+        """Every row's h, Lf_h, p and QP row A = -q (a pair), four lists in
+        table order, at the state (x, y, vx, vy), drift (dx, dy) and gain (gx, gy)."""
+        h, lf_h, p, A = [], [], [], []
         for w0, w1, c0, c1, r, _ in self._rows:
             o0, o1 = x - c0, y - c1
             wd0, wd1 = w0 * o0, w1 * o1
             h.append(wd0 * o0 + wd1 * o1 - r * r)
             lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
             p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
-            q.append((2.0 * wd0 * gx, 2.0 * wd1 * gy))
-        return RowValues(h=tuple(h), lf_h=tuple(lf_h), p=tuple(p), q=tuple(q), K=self._K)
+            A.append((-(2.0 * wd0 * gx), -(2.0 * wd1 * gy)))
+        return h, lf_h, p, A
+
+    def _row_values(self, values) -> RowValues:
+        h, lf_h, p, A = values
+        return RowValues(tuple(h), tuple(lf_h), tuple(p), tuple([(-a, -b) for a, b in A]), self._K)
+
+    def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
+        """Every row at ``adm`` under the force-free acceleration pair
+        ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
+        for both axes)."""
+        (x, y), (vx, vy) = adm.x1, adm.x2
+        dx, dy = drift
+        return self._row_values(self._values(x, y, vx, vy, dx, dy, *axis_pair(g, "g")))
 
     def barrier_values(self, x1) -> Tuple[float, ...]:
-        """Barrier values at a reference position pair, in row-table order
-        (the trace's h row on a step without the filter)."""
-        return tuple(hj for _, _, hj in self._h(x1))
+        """Barrier values at a reference position pair, in row-table order."""
+        x, y = x1
+        return tuple(self._values(x, y, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0])
 
 
 @dataclass
@@ -215,8 +215,9 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState) -> None:
     the interior side of the shrunk boundary is intended, so the offset
     toward the wall must be at most -r. For the obstacle, h >= 0.
     """
-    for name, (*_, r, side), (wd0, wd1, h) in zip(cset.names, cset._rows, cset._h(adm.x1)):
-        bad = side * (wd0 + wd1) > -r + _START_TOL if side else h < -_START_TOL
+    x, y = adm.x1
+    for name, (w0, w1, c0, c1, r, side), h in zip(cset.names, cset._rows, cset.barrier_values(adm.x1)):
+        bad = side * (w0 * (x - c0) + w1 * (y - c1)) > -r + _START_TOL if side else h < -_START_TOL
         if bad:
             raise StartOutsideSafeSet(
                 f"reference start {adm.x1} outside the safe set of barrier row "
@@ -234,6 +235,32 @@ def _unit_rows(problem: QpProblem) -> QpProblem:
                              tuple((np.array(problem.b) / norms).tolist()))
 
 
+def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx, dy, gx, gy,
+                   fx, fy):
+    """filter_force on floats, at the state (x, y, vx, vy), drift (dx, dy),
+    input gain (gx, gy) and force (fx, fy): returns f_e_hat and f_e_comp as
+    four floats, the rows' _values, the active set, the status and the
+    largest slack. ``bypass`` is None to filter, or the status of a step
+    that passes f_e on unfiltered (f_e_comp zero, no active row)."""
+    values = h, lf_h, p, A = cset._values(x, y, vx, vy, dx, dy, gx, gy)
+    if bypass is not None:
+        return fx, fy, 0.0, 0.0, values, (), bypass, 0.0
+    b = _bounds(h, lf_h, p, cset._K)
+    u_nom = (fx, fy)
+    _check_finite(u_nom, A, b)
+    try:
+        (ux, uy), active = _project_pair(u_nom, A, b)
+        status, slack_max = "ok", 0.0
+    except InfeasibleQp:
+        if not cset.slack:
+            raise
+        sol, slacks = solve_with_slack(_unit_rows(QpProblem.of_rows(u_nom, tuple(A), tuple(b))))
+        (ux, uy), active = sol.u, sol.active_set
+        slack_max = float(slacks.max())
+        status = "slack" if slack_max > 0.0 else "ok"
+    return ux, uy, ux - fx, uy - fy, values, active, status, slack_max
+
+
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """Project the human force onto the barrier polyhedron.
 
@@ -245,19 +272,8 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     (InfeasibleQp) does a slack set fall back to the penalized projection,
     on rows scaled to unit norm; that step's status is then "slack".
     """
-    fx, fy = f_e
-    rows = cset.evaluate(adm, drift, g)
-    problem = assemble_qp(rows, f_e)
-    try:
-        sol = solve(problem)
-        diag = FilterDiagnostics(rows, active=sol.active_set, status="ok")
-    except InfeasibleQp:
-        if not cset.slack:
-            raise
-        sol, slacks = solve_with_slack(_unit_rows(problem))
-        slack_max = float(slacks.max())
-        diag = FilterDiagnostics(rows, active=sol.active_set,
-                                 status="slack" if slack_max > 0.0 else "ok",
-                                 slack_max=slack_max)
-    ux, uy = sol.u
-    return (ux, uy), (ux - fx, uy - fy), diag
+    (x, y), (vx, vy) = adm.x1, adm.x2
+    (dx, dy), (fx, fy) = drift, f_e
+    ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(
+        cset, None, x, y, vx, vy, dx, dy, *axis_pair(g, "g"), fx, fy)
+    return (ux, uy), (cx, cy), FilterDiagnostics(cset._row_values(values), active, status, slack_max)

@@ -7,33 +7,41 @@ arm plant. The first three make the reference chain, which never reads the
 plant; the tracker and the plant make the plant chain, which follows the
 reference chain's x1, x2, drift, f_hat and f_e. run runs the plant chain
 on each block of the reference chain, whose loop runs ahead in a forked
-child where a second CPU is free. The stages pass float pairs to each
-other. Each step's floats are one row of a flat float log (an
-``array('d')``), which the plant chain reads x1, f_e and f_hat from and
-writes x_actual and f_c into. The loop's log is viewed as the (N, width)
-step matrix that the Trace holds, laid out as COLUMNS says, and each signal
-is a view of its columns. A step is read from the columns, or as the
-one-row Trace ``trace[k]``; ``records_equal`` compares two traces bit for
-bit.
+child where a second CPU is free.
+
+A chain's step is one call per stage (CLOCK_STAGES) to a float kernel,
+looked up as a global here, with bare floats between them; the public
+per-term functions are validating wrappers over the same kernels, and
+run's stage clock times each stage. Each step's floats are one row of a
+flat float log (an ``array('d')``), which the plant chain reads x1, f_e
+and f_hat from and writes x_actual and f_c into. The loop's log is viewed
+as the (N, width) step matrix that the Trace holds, laid out as COLUMNS
+says, and each signal is a view of its columns. A step is read from the
+columns, or as the one-row Trace ``trace[k]``; ``records_equal`` compares
+two traces bit for bit.
 """
 
 import math
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
+from time import perf_counter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import arm, forks, smc
-from .admittance import AdmittanceParams, AdmittanceState, DesiredPoint, drift_term, admittance_step
-from .arm import JointState, ManipulatorParams, _tv
+from . import forks
+# drift_term, admittance_step and filter_force are re-exported: callers look them up here.
+from .admittance import (AdmittanceParams, AdmittanceState, DesiredPoint, _admittance_floats,
+                         _msd_accel, admittance_step, drift_term)
+from .arm import ManipulatorParams, _plant_floats, _task_floats, _tv
 from .errors import (InfeasibleQp, Pair, SimulationAborted, SingularConfiguration, StartOutsideSafeSet,
                      ValidationError, finite_fields)
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
-from .safety import DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint, WorkspaceConstraint, check_start_inside, filter_force
-from .smc import ControllerState, FxtismcGains
+from .safety import (DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint,
+                     WorkspaceConstraint, _filter_floats, check_start_inside, filter_force)
+from .smc import ControllerState, FxtismcGains, _control_floats, _exponents
 
 # Table-1 style defaults shared by the preset scenarios.
 DEFAULT_Q0 = (0.5236, 2.0944)
@@ -42,15 +50,18 @@ DEFAULT_CIRCLE_RADIUS = 0.14
 DEFAULT_CIRCLE_RATE = 0.5
 
 
+def _circle(t: float, radius: float, rate: float):
+    """The desired circle's sample at t: (x, y, xdot, ydot, xddot, yddot)."""
+    c, s = math.cos(rate * t), math.sin(rate * t)
+    return (radius * c, radius * s, -radius * rate * s, radius * rate * c,
+            -radius * rate * rate * c, -radius * rate * rate * s)
+
+
 def desired_trajectory(t: float, radius: float = DEFAULT_CIRCLE_RADIUS,
                        rate: float = DEFAULT_CIRCLE_RATE) -> DesiredPoint:
     """Circular desired trajectory with analytic derivatives."""
-    c, s = math.cos(rate * t), math.sin(rate * t)
-    return DesiredPoint.of_floats(
-        (radius * c, radius * s),
-        (-radius * rate * s, radius * rate * c),
-        (-radius * rate * rate * c, -radius * rate * rate * s),
-    )
+    x, y, vx, vy, ax, ay = _circle(t, radius, rate)
+    return DesiredPoint.of_floats((x, y), (vx, vy), (ax, ay))
 
 
 def human_force(t: float, a: Pair = DEFAULT_AMPLITUDES) -> Pair:
@@ -67,6 +78,17 @@ def human_force(t: float, a: Pair = DEFAULT_AMPLITUDES) -> Pair:
         return 0.0, 0.0
     ax, ay = a
     return ax * scale, ay * scale
+
+
+def _sample(t, dt, radius, rate, amplitude: Pair, axes, x1x, x1y, x2x, x2y):
+    """The step at t's desired samples at t, t + dt/2 and t + dt, human force
+    and drift at the reference state: (d0, dh, d1, fx, fy, dx, dy)."""
+    d0 = _circle(t, radius, rate)
+    fx, fy = human_force(t, amplitude)
+    (k_mx, k_bx, k_kx, _), (k_my, k_by, k_ky, _) = axes
+    return (d0, _circle(t + 0.5 * dt, radius, rate), _circle(t + dt, radius, rate), fx, fy,
+            _msd_accel(k_mx, k_bx, k_kx, x1x, x2x, d0[0], d0[2], d0[4]),
+            _msd_accel(k_my, k_by, k_ky, x1y, x2y, d0[1], d0[3], d0[5]))
 
 
 @dataclass
@@ -139,9 +161,10 @@ class Trace:
     """A run's N steps: ``matrix`` is the (N, 1 + 16 + rows) float matrix of
     the step rows, laid out as COLUMNS says; the tuple ``h_names`` names the
     barrier rows in row-table order, and the tuples ``qp_active`` and
-    ``qp_status`` hold each step's active set (row indices) and one of
-    QP_STATUSES. The signals are read-only views of the matrix: ``t`` is
-    (N,), each name in VECTORS is (N, 2), and ``h`` is (N, rows).
+    ``qp_status`` hold each step's active set (a tuple of row indices) and
+    one of QP_STATUSES; the constructor makes tuples of them. The signals
+    are read-only views of the matrix: ``t`` is (N,), each name in VECTORS
+    is (N, 2), and ``h`` is (N, rows).
 
     ``len(trace)`` is N. A slice is the Trace of the sliced matrix, a view
     of this one; ``trace[k]`` is the one-row Trace of step k (negative k
@@ -156,6 +179,10 @@ class Trace:
 
     t = property(lambda self: self.matrix[:, 0])
     h = property(lambda self: self.matrix[:, _H:])
+
+    def __post_init__(self):
+        self.h_names, self.qp_status = tuple(self.h_names), tuple(self.qp_status)
+        self.qp_active = tuple(map(tuple, self.qp_active))
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -193,7 +220,7 @@ def _trace_from_log(log: array, rows: int, width: int, h_names: Tuple[str, ...],
     ``rows`` steps, and the Trace's matrix is a view of its memory."""
     del log[rows * width:]
     return Trace(np.frombuffer(log, dtype=float).reshape(-1, width), h_names,
-                 tuple(events[0:2 * rows:2]), tuple(events[1:2 * rows:2]))
+                 events[0:2 * rows:2], events[1:2 * rows:2])
 
 
 # Steps per handoff from the reference chain to the plant chain; a run of
@@ -207,6 +234,17 @@ _HANDOFF = 4
 # so a failure from index _LOGGED on leaves its row in the trace.
 _STAGES = ("admittance", "filter", "control", "admittance", "plant")
 _LOGGED = 3
+# Each chain's stages as the stage clock names them, in the order they run.
+CLOCK_STAGES = {"reference": ("sample", "filter", "record", "admittance"),
+                "plant": ("terms", "control", "record", "plant")}
+
+
+def _tick(clock: list, i: int, since: float) -> float:
+    """Charge the time since ``since`` and a call to stage i; returns now."""
+    now = perf_counter()
+    clock[2 * i] += now - since
+    clock[2 * i + 1] += 1
+    return now
 
 
 class _Failed(NamedTuple):
@@ -219,63 +257,63 @@ class _Failed(NamedTuple):
 
 
 def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: AdmittanceState,
-                     steps: int, hand) -> None:
+                     steps: int, clock: Optional[list], hand) -> None:
     """The reference layer of steps 0..steps from the admittance state
     ``adm``: the desired samples, the human force, the drift, the filter,
     and the admittance steps of the reference and of its unfiltered shadow.
     It never reads the plant. For each block of BLOCK steps, the last one
     and one a failure cuts short included, it calls ``hand(rows, events,
-    handoff, failure)`` with fresh arrays: the block's log rows (x_actual
-    and f_c zero), its active sets and statuses, the x2 and drift per step
-    that the plant chain reads beside the rows, and the chain's failure in
-    the block, or None. The chain stops after a failure, or once hand
-    returns False; what hand raises is no failure of the chain and
-    propagates."""
-    adm_params, dt, amplitude = config.admittance, config.dt, config.force_amplitude
-    filtered = bool(cset.names) and not config.filter_bypass
-    g = adm_params.input_gain
-
-    def desired(t: float) -> DesiredPoint:
-        return desired_trajectory(t, config.circle_radius, config.circle_rate)
-
-    shadow = AdmittanceState(adm.x1, adm.x2)
-    bypass_status = "bypass" if config.filter_bypass and cset.names else "ok"
+    handoff, failure, clock)`` with fresh arrays: the block's log rows
+    (x_actual and f_c zero), its active sets and statuses, the x2 and drift
+    per step that the plant chain reads beside the rows, the chain's
+    failure in the block, or None, and its stage clock (None, or _tick's
+    list). The chain stops after a failure, or once hand returns False;
+    what hand raises is no failure of the chain and propagates."""
+    dt, radius, rate = config.dt, config.circle_radius, config.circle_rate
+    amplitude, axes = config.force_amplitude, config.admittance.axes
+    (_, _, _, gx), (_, _, _, gy) = axes
+    # None to filter; else the status of an unfiltered step
+    bypass = None if cset.names and not config.filter_bypass else ("bypass" if cset.names else "ok")
+    (x1x, x1y), (x2x, x2y) = adm.x1, adm.x2
+    sx, sy, svx, svy = x1x, x1y, x2x, x2y  # the shadow
     for first in range(0, steps + 1, BLOCK):
         rows, events, handoff = array("d"), [], array("d")
         failure = None
+        last = perf_counter() if clock else 0.0
         try:
             for k in range(first, min(first + BLOCK, steps + 1)):
                 t = k * dt
                 stage = 0
-                des = desired(t)
-                f_e = human_force(t, amplitude)
-                drift = drift_term(adm_params, adm, des)
-
-                if filtered:
-                    stage = 1
-                    f_hat, f_comp, diag = filter_force(cset, adm, drift, g, f_e)
-                    h, active, status = diag.rows.h, diag.active, diag.status
-                else:
-                    f_hat, f_comp = f_e, (0.0, 0.0)
-                    h, active, status = cset.barrier_values(adm.x1), (), bypass_status
-
+                d0, dh, d1, fex, fey, dx, dy = _sample(t, dt, radius, rate, amplitude, axes,
+                                                       x1x, x1y, x2x, x2y)
+                if clock:
+                    last = _tick(clock, 0, last)
+                stage = 1
+                fx, fy, cx, cy, values, active, status, _ = _filter_floats(
+                    cset, bypass, x1x, x1y, x2x, x2y, dx, dy, gx, gy, fex, fey)
+                if clock:
+                    last = _tick(clock, 1, last)
                 # the step's row in COLUMNS order; the plant chain fills x_actual and f_c
-                rows.extend((t, *des.x_d, *adm.x1, *shadow.x1, 0.0, 0.0, *f_e, *f_hat, *f_comp,
-                             0.0, 0.0, *h))
+                rows.extend((t, d0[0], d0[1], x1x, x1y, sx, sy, 0.0, 0.0, fex, fey, fx, fy,
+                             cx, cy, 0.0, 0.0))
+                rows.extend(values[0])  # h
                 events += (active, status)
-                handoff.extend((*adm.x2, *drift))
-
+                handoff.extend((x2x, x2y, dx, dy))
+                if clock:
+                    last = _tick(clock, 2, last)
                 if k < steps:
                     stage = 3
                     # one sampling of the substep points serves both references
-                    points = (des, desired(t + 0.5 * dt), desired(t + dt))
-                    adm = admittance_step(adm_params, adm, points, f_hat, dt)
+                    x1x, x1y, x2x, x2y = _admittance_floats(axes, x1x, x1y, x2x, x2y, d0, dh, d1,
+                                                            fx, fy, dt)
                     # unfiltered, f_hat is f_e and the shadow equals the reference
-                    shadow = (admittance_step(adm_params, shadow, points, f_e, dt)
-                              if filtered else adm)
+                    sx, sy, svx, svy = (x1x, x1y, x2x, x2y) if bypass is not None else (
+                        _admittance_floats(axes, sx, sy, svx, svy, d0, dh, d1, fex, fey, dt))
+                    if clock:
+                        last = _tick(clock, 3, last)
         except Exception as exc:
             failure = _Failed(k, stage, exc)
-        if not hand(rows, events, handoff, failure) or failure is not None:
+        if not hand(rows, events, handoff, failure, clock) or failure is not None:
             return
 
 
@@ -284,42 +322,49 @@ class _PlantChain:
     hands over: per step, the task-space terms, the tracker's force toward
     the reference point (x1, x2, drift + f_hat / k_m) and the arm's RK4 step
     under that force and f_e. It fills in x_actual and f_c of each log row
-    of ``width`` floats; after a failure, ``failure`` holds it, and the
-    chain is fed no more."""
+    of ``width`` floats, timing its stages on ``clock`` (None, or _tick's
+    list); after a failure, ``failure`` holds it, and it is fed no more."""
 
-    def __init__(self, config: ScenarioConfig, steps: int, width: int):
-        self.config, self.steps, self.width = config, steps, width
-        self.joint, self.ctrl, self.k = JointState(config.q0, config.qdot0), ControllerState(), 0
+    def __init__(self, config: ScenarioConfig, steps: int, width: int, clock: Optional[list]):
+        self.config, self.steps, self.width, self.clock = config, steps, width, clock
+        self.joint, self.ctrl, self.k = (*config.q0, *config.qdot0), astuple(ControllerState()), 0
         self.failure: Optional[_Failed] = None
 
     def feed(self, rows: array, handoff: array) -> bool:
         """Run the steps of the log ``rows`` (x1, f_e, f_hat) and ``handoff``
         (x2, the drift); returns whether the chain still runs."""
-        config, steps, width = self.config, self.steps, self.width
-        params, gains, dt = config.robot, config.controller, config.dt
-        gx, gy = config.admittance.input_gain
-        joint, ctrl, k, stage = self.joint, self.ctrl, self.k, 2
+        config, steps, width, clock = self.config, self.steps, self.width, self.clock
+        params, gains, dt, nominal_only = config.robot, config.controller, config.dt, config.nominal_only
+        (k1m, minv), (gx, gy) = _exponents(gains), config.admittance.input_gain
+        (q1, q2, qd1, qd2), ctrl, k, stage = self.joint, self.ctrl, self.k, 2
+        last = perf_counter() if clock else 0.0
         try:
             for o, i in zip(range(0, len(rows), width), range(0, len(handoff), _HANDOFF)):
                 x1x, x1y, _, _, _, _, fex, fey, fx, fy = rows[o + _X_F:o + _F_E_HAT + 2]
                 x2x, x2y, dx, dy = handoff[i:i + _HANDOFF]
                 stage = 2
-                terms = arm.cartesian_dynamics_terms(params, joint, include_friction=False)
-                cart = arm.cartesian_state(params, joint)
-                ref = DesiredPoint.of_floats((x1x, x1y), (x2x, x2y),
-                                             (dx + gx * fx, dy + gy * fy))
-                f_c, ctrl = smc.control(gains, ctrl, terms, cart, ref, dt,
-                                        nominal_only=config.nominal_only)
-                rows[o + _X_ACTUAL], rows[o + _X_ACTUAL + 1] = cart.x
-                rows[o + _F_C], rows[o + _F_C + 1] = f_c
+                terms, (x, y), (xdot, ydot), J, trig = _task_floats(params, q1, q2, qd1, qd2, False)
+                if clock:
+                    last = _tick(clock, 0, last)
+                fcx, fcy, ctrl = _control_floats(
+                    gains, k1m, minv, ctrl, terms, x, y, xdot, ydot,
+                    (x1x, x1y, x2x, x2y, dx + gx * fx, dy + gy * fy), dt, nominal_only)
+                if clock:
+                    last = _tick(clock, 1, last)
+                rows[o + _X_ACTUAL], rows[o + _X_ACTUAL + 1] = x, y
+                rows[o + _F_C], rows[o + _F_C + 1] = fcx, fcy
+                if clock:
+                    last = _tick(clock, 2, last)
                 if k < steps:
                     stage = 4
-                    tau_c = _tv(arm.jacobian(params, joint.q), f_c)  # J^T f_c
-                    joint = arm.plant_step(params, joint, tau_c, (fex, fey), dt)
+                    q1, q2, qd1, qd2 = _plant_floats(params, trig, q1, q2, qd1, qd2,
+                                                     _tv(J, (fcx, fcy)), (fex, fey), dt, True)
+                    if clock:
+                        last = _tick(clock, 3, last)
                 k += 1
         except Exception as exc:
             self.failure = _Failed(k, stage, exc)
-        self.joint, self.ctrl, self.k = joint, ctrl, k
+        self.joint, self.ctrl, self.k = (q1, q2, qd1, qd2), ctrl, k
         return self.failure is None
 
 
@@ -327,15 +372,15 @@ def _reference_child(reference, send) -> None:
     """The forked child's work in a pipelined run: run ``reference``,
     sending up each block with its failure made to survive pickling, and
     then None."""
-    def hand(rows, events, handoff, failure) -> bool:
+    def hand(rows, events, handoff, failure, clock) -> bool:
         if failure is not None:
             failure = failure._replace(exc=forks.portable(failure.exc))
-        return send((rows, events, handoff, failure))
+        return send((rows, events, handoff, failure, clock))
     reference(hand)
     send(None)
 
 
-def run(config: ScenarioConfig) -> Trace:
+def run(config: ScenarioConfig, profile: Optional[dict] = None) -> Trace:
     """Execute one scenario; returns its Trace, one row per step, endpoints
     inclusive. On abort the partial trace is attached to the raised
     SimulationAborted as ``.trace``, and the message names the step, its
@@ -349,7 +394,11 @@ def run(config: ScenarioConfig) -> Trace:
     that sends each block up as one pickled message (forks.forked);
     otherwise it runs here too, block by block. The numbers are the same
     either way, and a run that fails reports the earliest failure in the
-    serial order of the stages, with the same partial trace."""
+    serial order of the stages, with the same partial trace.
+
+    A dict ``profile`` turns the stage clock on: after the chains, it maps
+    each chain of CLOCK_STAGES to each stage's (seconds, calls), timed in
+    the chain's process, up to the last block this process took."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
     width = _H + len(cset.names)
@@ -361,17 +410,20 @@ def run(config: ScenarioConfig) -> Trace:
         except Exception as exc:
             _raise_aborted(config, _trace_from_log(log, 0, width, cset.names, events),
                            0, "start", exc)
-    reference = partial(_reference_chain, config, cset, adm, steps)
-    plant = _PlantChain(config, steps, width)
+    clocks = {chain: [0.0, 0] * len(stages) if profile is not None else None
+              for chain, stages in CLOCK_STAGES.items()}
+    reference = partial(_reference_chain, config, cset, adm, steps, clocks["reference"])
+    plant = _PlantChain(config, steps, width, clocks["plant"])
     failures = []  # the chains' failures
     seen: dict = {}  # each distinct active set and status of the run, logged as one object
 
-    def take(rows, block_events, handoff, failure) -> bool:
+    def take(rows, block_events, handoff, failure, clock) -> bool:
         running = plant.feed(rows, handoff)
         log.extend(rows)
         events.extend([seen.setdefault(e, e) for e in block_events])
         if failure is not None:
             failures.append(failure)
+        clocks["reference"] = clock
         return running
 
     with (forks.forked(partial(_reference_child, reference)) if steps >= BLOCK
@@ -384,6 +436,9 @@ def run(config: ScenarioConfig) -> Trace:
                     break
             else:
                 child.wait()
+    if profile is not None:
+        profile.update({chain: dict(zip(stages, zip(clocks[chain][::2], clocks[chain][1::2])))
+                        for chain, stages in CLOCK_STAGES.items()})
     if plant.failure is not None:
         failures.append(plant.failure)
     if not failures:

@@ -14,15 +14,15 @@ exponents of possibly-negative errors appear. The discontinuous switching
 term is smoothed by a boundary-layer saturation by default; pure sign
 switching is available behind ``use_sign`` for fidelity runs.
 
-control is straight-line float code on per-axis helpers shared with the
-public per-term functions (the nominal law with nominal_control, the
-sliding variable and its integrand with compensating_control and
-sliding_variable), in their operation order, so control equals
+The step's kernel, _control_floats, composes the float kernels of the
+nominal law and of the compensation on floats and on the astuple of the
+terms and of the controller state; control, nominal_control and
+compensating_control are their validating wrappers, so control equals
 nominal_control plus compensating_control bit for bit.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -124,25 +124,22 @@ def _nominal_axis(gains: FxtismcGains, gm: float, x: float, xdot: float, r: floa
     return -gm + alpha_s_dot - l1 * s2 - l2 * _spow(s2, a) - l3 * _spow(s2, b)
 
 
-def _nominal(gains: FxtismcGains, terms: CartesianDynamicsTerms, cart: CartesianState,
-             ref: DesiredPoint):
+def _nominal_floats(gains: FxtismcGains, terms, x, y, xdot, ydot, ref):
     """The nominal force M_x v and the friction-free task-space drift
-    gamma = -Xi bias, both pairs."""
-    (xi00, xi01), (xi10, xi11) = terms.Xi
-    b0, b1 = terms.bias
+    gamma = -Xi bias, as four floats."""
+    ((m00, m01), (m10, m11)), (b0, b1), ((xi00, xi01), (xi10, xi11)) = terms
     gx, gy = -(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1)
-    (x, y), (xdot, ydot) = cart.x, cart.xdot
-    (rx, ry), (rdx, rdy), (rddx, rddy) = ref.x_d, ref.xdot_d, ref.xddot_d
+    rx, ry, rdx, rdy, rddx, rddy = ref
     vx = _nominal_axis(gains, gx, x, xdot, rx, rdx, rddx)
     vy = _nominal_axis(gains, gy, y, ydot, ry, rdy, rddy)
-    (m00, m01), (m10, m11) = terms.M_x
-    return (m00 * vx + m01 * vy, m10 * vx + m11 * vy), (gx, gy)
+    return m00 * vx + m01 * vy, m10 * vx + m11 * vy, gx, gy
 
 
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
                     cart: CartesianState, ref: DesiredPoint) -> Pair:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    return _nominal(gains, terms, cart, ref)[0]
+    fx, fy, _, _ = _nominal_floats(gains, astuple(terms), *cart.x, *cart.xdot, ref.sample)
+    return fx, fy
 
 
 def _surface_axis(gains: FxtismcGains, k1m: float, minv: float, e: float, edot: float,
@@ -175,6 +172,29 @@ def _reaching_axis(gains: FxtismcGains, sigma: float) -> float:
             - gains.kappa4 * _spow(sigma, gains.q_exp))
 
 
+def _exponents(gains: FxtismcGains):
+    """(kappa1^-m, 1/m) for m = m_exp, as the surface kernels take them."""
+    return gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
+
+
+def _compensating_floats(gains: FxtismcGains, k1m, minv, state, M_x, ex, ey, edx, edy, eddx,
+                         eddy, dt):
+    """compensating_control on floats: returns (ux, uy, state), ``state``
+    being the astuple of a ControllerState."""
+    sx, gx = _surface_axis(gains, k1m, minv, ex, edx, eddx)
+    sy, gy = _surface_axis(gains, k1m, minv, ey, edy, eddy)
+    initialized, (s0x, s0y), (ix, iy), (px, py) = state
+    if not initialized:
+        s0x, s0y = sx, sy
+        ix = iy = 0.0
+    else:
+        ix, iy = ix + 0.5 * dt * (px + gx), iy + 0.5 * dt * (py + gy)
+    vx = _reaching_axis(gains, sx - s0x - ix)
+    vy = _reaching_axis(gains, sy - s0y - iy)
+    (m00, m01), (m10, m11) = M_x
+    return m00 * vx + m01 * vy, m10 * vx + m11 * vy, (True, (s0x, s0y), (ix, iy), (gx, gy))
+
+
 def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
                          terms: CartesianDynamicsTerms, e, edot, eddot,
                          dt: float):
@@ -187,22 +207,31 @@ def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
     """
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
-    k1m, minv = gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
     (ex, ey), (edx, edy), (eddx, eddy) = e, edot, eddot
-    sx, gx = _surface_axis(gains, k1m, minv, ex, edx, eddx)
-    sy, gy = _surface_axis(gains, k1m, minv, ey, edy, eddy)
-    if not ctrl_state.initialized:
-        s0x, s0y = sx, sy
-        ix = iy = 0.0
-    else:
-        (s0x, s0y), (ix, iy) = ctrl_state.s_initial, ctrl_state.sigma_integral
-        px, py = ctrl_state.prev_integrand
-        ix, iy = ix + 0.5 * dt * (px + gx), iy + 0.5 * dt * (py + gy)
-    state = ControllerState(True, (s0x, s0y), (ix, iy), (gx, gy))
-    vx = _reaching_axis(gains, sx - s0x - ix)
-    vy = _reaching_axis(gains, sy - s0y - iy)
-    (m00, m01), (m10, m11) = terms.M_x
-    return (m00 * vx + m01 * vy, m10 * vx + m11 * vy), state
+    ux, uy, state = _compensating_floats(gains, *_exponents(gains), astuple(ctrl_state),
+                                         terms.M_x, ex, ey, edx, edy, eddx, eddy, dt)
+    return (ux, uy), ControllerState(*state)
+
+
+def _control_floats(gains: FxtismcGains, k1m, minv, state, terms, x, y, xdot, ydot, ref, dt,
+                    nominal_only):
+    """control on floats and on the astuple of the terms and of the
+    controller state; ref is DesiredPoint.sample. Returns (fx, fy, state)."""
+    fx, fy, gx, gy = _nominal_floats(gains, terms, x, y, xdot, ydot, ref)
+    if not nominal_only:
+        (xi00, xi01), (xi10, xi11) = terms[2]
+        rx, ry, rdx, rdy, rddx, rddy = ref
+        # the model error acceleration: Xi f_nominal + gamma - xddot_d
+        ux, uy, state = _compensating_floats(
+            gains, k1m, minv, state, terms[0], x - rx, y - ry, xdot - rdx, ydot - rdy,
+            xi00 * fx + xi01 * fy + gx - rddx, xi10 * fx + xi11 * fy + gy - rddy, dt)
+        fx, fy = fx + ux, fy + uy
+    limit = gains.force_limit
+    fx, fy = min(max(fx, -limit), limit), min(max(fy, -limit), limit)
+    _, (s0x, s0y), (ix, iy), (px, py) = state
+    if not all_finite(fx, fy, s0x, s0y, ix, iy, px, py):
+        raise ValidationError("control force or controller state entries must be finite")
+    return fx, fy, state
 
 
 def control(gains: FxtismcGains, ctrl_state: ControllerState,
@@ -215,19 +244,9 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     task-space dynamics under the nominal force alone. A force or a
     controller state that is not finite raises ValidationError.
     """
-    (fx, fy), (gx, gy) = _nominal(gains, terms, cart, ref)
-    state = ctrl_state
-    if not nominal_only:
-        (xi00, xi01), (xi10, xi11) = terms.Xi
-        (x, y), (xdot, ydot) = cart.x, cart.xdot
-        (rx, ry), (rdx, rdy), (rddx, rddy) = ref.x_d, ref.xdot_d, ref.xddot_d
-        # the model error acceleration: Xi f_nominal + gamma - xddot_d
-        eddot = (xi00 * fx + xi01 * fy + gx - rddx, xi10 * fx + xi11 * fy + gy - rddy)
-        (ux, uy), state = compensating_control(gains, ctrl_state, terms, (x - rx, y - ry),
-                                               (xdot - rdx, ydot - rdy), eddot, dt)
-        fx, fy = fx + ux, fy + uy
-    limit = gains.force_limit
-    fx, fy = min(max(fx, -limit), limit), min(max(fy, -limit), limit)
-    if not all_finite(fx, fy, *state.s_initial, *state.sigma_integral, *state.prev_integrand):
-        raise ValidationError("control force or controller state entries must be finite")
-    return (fx, fy), state
+    if not (nominal_only or dt > 0.0):
+        raise ValidationError("dt must be positive")
+    fx, fy, state = _control_floats(gains, *_exponents(gains), astuple(ctrl_state),
+                                    astuple(terms), *cart.x, *cart.xdot, ref.sample, dt,
+                                    nominal_only)
+    return (fx, fy), ctrl_state if nominal_only else ControllerState(*state)

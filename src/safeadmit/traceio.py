@@ -22,6 +22,7 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
@@ -223,7 +224,7 @@ def read_csv(path) -> Trace:
             raise _bad(path, status.index(text) + 2, f"unknown qp_status {text!r}")
     sets = {text: _parse_active(path, active.index(text) + 2, text, len(h_names))
             for text in dict.fromkeys(active)}
-    return Trace(matrix, tuple(h_names), tuple(map(sets.__getitem__, active)), tuple(status))
+    return Trace(matrix, h_names, map(sets.__getitem__, active), status)
 
 
 @dataclass
@@ -235,12 +236,15 @@ class RunReport:
     min_obstacle_distance: Optional[float]
     max_active_rows: int
     slack_steps: int
+    active_steps: Dict[str, int]
     runtime_s: Optional[float] = None
 
     def format(self) -> str:
         out = [f"scenario: {self.scenario}"]
         for name, h in self.min_h.items():
             out.append(f"min h[{name}]: {h:.6g}")
+        for name, steps in self.active_steps.items():
+            out.append(f"active steps[{name}]: {steps}")
         out.append(f"max tracking error (t >= {_TRANSIENT_S:g} s): "
                    f"{self.max_tracking_error:.6g} m")
         out.append(f"max |x_f|: ({self.max_abs_xf[0]:.6g}, {self.max_abs_xf[1]:.6g}) m")
@@ -261,7 +265,8 @@ def compute_report(trace: Trace, scenario: str = "custom",
                    safe_distance: float = DEFAULT_SAFE_DISTANCE,
                    runtime_s: Optional[float] = None) -> RunReport:
     """Derive the summary report from the trace's columns only (so a report
-    rebuilt from CSV matches the one printed at run time field for field)."""
+    rebuilt from CSV matches the one printed at run time field for field).
+    A barrier row's active steps are the steps whose active set holds it."""
     if not len(trace):
         raise ValidationError("cannot report on an empty trace")
     min_h = dict(zip(trace.h_names, trace.h.min(axis=0).tolist()))
@@ -272,6 +277,7 @@ def compute_report(trace: Trace, scenario: str = "custom",
     min_obs = None
     if "obs" in min_h:
         min_obs = math.sqrt(max(min_h["obs"] + safe_distance ** 2, 0.0))
+    sets = Counter(trace.qp_active)
     return RunReport(
         scenario=scenario,
         min_h=min_h,
@@ -280,6 +286,8 @@ def compute_report(trace: Trace, scenario: str = "custom",
         min_obstacle_distance=min_obs,
         max_active_rows=max(map(len, trace.qp_active)),
         slack_steps=trace.qp_status.count("slack"),
+        active_steps={name: sum(n for rows, n in sets.items() if j in rows)
+                      for j, name in enumerate(trace.h_names)},
         runtime_s=runtime_s,
     )
 

@@ -1,21 +1,28 @@
 """The float step kernels against independent formulations: the closed-form
 two-variable projection against the SVD enumeration; the admittance and
 plant RK4 steps and the task-space terms against the numpy reference in
-kernel_reference.py; and the plant step and the controller, bit for bit,
-against their composition from the public per-term functions."""
+kernel_reference.py; and each stage kernel of the two chains, bit for bit,
+against its composition from the public per-term functions."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from safeadmit import (AdmittanceParams, AdmittanceState, ControllerState, DesiredPoint,
-                       FxtismcGains, InfeasibleQp, JointState, ManipulatorParams, QpProblem,
-                       ValidationError, admittance_step, compensating_control, nominal_control,
-                       plant_step, solve)
-from safeadmit.arm import CartesianState, cartesian_dynamics_terms, cartesian_state, joint_accel
+from safeadmit import (AdmittanceParams, AdmittanceState, ControllerState,
+                       DesiredPoint, FxtismcGains, InfeasibleQp, JointState, ManipulatorParams,
+                       QpProblem, SimulationAborted, ValidationError, admittance_step, assemble_qp,
+                       compensating_control, desired_trajectory, drift_term, human_force,
+                       nominal_control, plant_step, scenario_library, sim, solve,
+                       solve_with_slack)
+from safeadmit.admittance import _admittance_floats
+from safeadmit.arm import (CartesianState, _plant_floats, _task_floats, _trig,
+                           cartesian_dynamics_terms, cartesian_state, jacobian, jacobian_dot,
+                           joint_accel, joint_dynamics_terms)
 from safeadmit.qp import RANK_TOL
-from safeadmit.smc import control
+from safeadmit.safety import _filter_floats, _unit_rows
+from safeadmit.smc import _control_floats, _exponents
 
 import kernel_reference as ref
 
@@ -164,19 +171,72 @@ class TestTaskSpaceKernel:
         assert worst <= 1e-13
 
 
+def _bits(*values):
+    """The bytes of the floats ``values``: equal bits, a zero's sign and a
+    NaN's payload included."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def _rk4(deriv, y, samples, dt):
+    """One RK4 step of the float tuple y whose derivative at the state z and
+    the stage's sample d is deriv(z, d); samples are the stages' d."""
+    d0, dh, d1 = samples
+    k1 = deriv(y, d0)
+    k2 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)], dh)
+    k3 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)], dh)
+    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)], d1)
+    return [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
 def _rk4_from_joint_accel(params, q, qdot, tau_c, f_e, dt, include_friction):
     """One RK4 step of (q, qdot) whose derivative is (qdot, joint_accel)."""
-    def deriv(y):
+    def deriv(y, _):
         return (y[2], y[3], *joint_accel(params, y[:2], y[2:], tau_c, f_e, include_friction))
 
-    y = (*q, *qdot)
-    k1 = deriv(y)
-    k2 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
-    k3 = deriv([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
-    k4 = deriv([yi + dt * ki for yi, ki in zip(y, k3)])
-    y1, y2, y3, y4 = [yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                      for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    return (y1, y2), (y3, y4)
+    y1, y2, y3, y4 = _rk4(deriv, (*q, *qdot), (None,) * 3, dt)
+    return y1, y2, y3, y4
+
+
+def _admittance_from_drift_term(params, state, points, force, dt):
+    """One RK4 step of (x1, x2) whose derivative is (x2, drift_term + f / k_m)."""
+    (gx, gy), (fx, fy) = params.input_gain, force
+
+    def deriv(y, point):
+        ax, ay = drift_term(params, AdmittanceState(y[:2], y[2:]), point)
+        return y[2], y[3], ax + gx * fx, ay + gy * fy
+
+    return _rk4(deriv, (*state.x1, *state.x2), points, dt)
+
+
+def _mm(A, B):
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
+def _mv(A, v):
+    (a, b), (c, d) = A
+    return a * v[0] + b * v[1], c * v[0] + d * v[1]
+
+
+def _inv(A):
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return (d / det, -b / det), (-c / det, a / det)
+
+
+def _terms_from_public(params, st, include_friction):
+    """The task-space terms from jacobian, joint_dynamics_terms and
+    jacobian_dot: M_x = J^-T M J^-1, bias = J^-T (c + G + F - M J^-1 Jdot
+    qdot) and Xi = M_x^-1, as ten floats."""
+    Jinv = _inv(jacobian(params, st.q))
+    JinvT = tuple(zip(*Jinv))
+    M, c, G, F = joint_dynamics_terms(params, st, include_friction)
+    M_x = _mm(_mm(JinvT, M), Jinv)
+    mu = _mv(M, _mv(Jinv, _mv(jacobian_dot(params, st), st.qdot)))
+    bias = _mv(JinvT, [ci + gi + fi - m for ci, gi, fi, m in zip(c, G, F, mu)])
+    return (*M_x[0], *M_x[1], *bias, *(v for row in _inv(M_x) for v in row))
 
 
 def _control_from_public(gains, ctrl_state, terms, cart, ref_point, dt):
@@ -195,23 +255,133 @@ def _control_from_public(gains, ctrl_state, terms, cart, ref_point, dt):
     return tuple(min(max(a + b, -limit), limit) for a, b in zip((u0x, u0y), u_s)), state
 
 
-class TestKernelsEqualPublicComposition:
+def _filter_from_public(cset, x, y, vx, vy, dx, dy, gx, gy, fx, fy):
+    """The filter step from evaluate, assemble_qp and solve, and where the
+    rows conflict in a slack set, solve_with_slack on the unit rows:
+    (f_e_hat, f_e_comp, h, active set, status, largest slack)."""
+    rows = cset.evaluate(AdmittanceState((x, y), (vx, vy)), (dx, dy), (gx, gy))
+    problem = assemble_qp(rows, (fx, fy))
+    try:
+        sol, status, slack_max = solve(problem), "ok", 0.0
+    except InfeasibleQp:
+        if not cset.slack:
+            raise
+        sol, slacks = solve_with_slack(_unit_rows(problem))
+        slack_max = float(slacks.max())
+        status = "slack" if slack_max > 0.0 else "ok"
+    (ux, uy) = sol.u
+    return (ux, uy), (ux - fx, uy - fy), rows.h, sol.active_set, status, slack_max
+
+
+def _random_filter_inputs(rng, n):
+    """n filter inputs (x, y, vx, vy, dx, dy, gx, gy, fx, fy) near the
+    presets' barriers, so that no row, one or two rows are active."""
+    for _ in range(n):
+        yield (*rng.uniform(-0.1, 0.1, 2), *rng.uniform(-0.3, 0.3, 2), *rng.uniform(-3, 3, 2),
+               *rng.choice([0.05, 0.2], 2), *rng.uniform(-8, 8, 2))
+
+
+class TestStageKernelsEqualPublicComposition:
     @pytest.mark.parametrize("dt", [1e-3, 2e-3])
+    def test_sample(self, dt):
+        rng = np.random.default_rng(29)
+        params = AdmittanceParams(k_m=(20.0, 5.0), k_b=(20.0, 12.0), k_k=(100.0, 80.0))
+        for _ in range(500):
+            t, radius, rate = rng.uniform(0, 16), rng.uniform(0.05, 0.2), rng.uniform(-1, 1)
+            amplitude = tuple(rng.uniform(-3, 3, 2).tolist())
+            state = AdmittanceState(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
+            d0, dh, d1, fx, fy, dx, dy = sim._sample(t, dt, radius, rate, amplitude, params.axes,
+                                                     *state.x1, *state.x2)
+            points = [desired_trajectory(s, radius, rate) for s in (t, t + 0.5 * dt, t + dt)]
+            assert _bits(*d0, *dh, *d1) == _bits(*(v for p in points for v in p.sample))
+            assert _bits(fx, fy) == _bits(*human_force(t, amplitude))
+            assert _bits(dx, dy) == _bits(*drift_term(params, state, points[0]))
+
+    @pytest.mark.parametrize("preset", ["combined", "workspace", "obstacle-only"])
+    def test_filter(self, preset):
+        rng = np.random.default_rng(31)
+        cset = scenario_library()[preset].constraint_set()
+        seen = set()
+        for inputs in _random_filter_inputs(rng, 1000):
+            try:
+                ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(
+                    cset, None, *inputs)
+            except InfeasibleQp:  # the rows conflict, and the set has no slack
+                with pytest.raises(InfeasibleQp):
+                    _filter_from_public(cset, *inputs)
+                seen.add("infeasible")
+                continue
+            f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
+            assert _bits(ux, uy, cx, cy, *values[0]) == _bits(*f_hat, *f_comp, *h)
+            assert (active, status, slack_max) == (want_active, want_status, want_slack)
+            seen.add(len(active))
+        assert seen >= {0, 1} and (preset == "obstacle-only" or 2 in seen)
+
+    @pytest.mark.parametrize("status", ["bypass", "ok"])
+    def test_filter_bypass(self, status):
+        # a bypassed step passes f_e on with the rows' h, and no active row
+        rng = np.random.default_rng(37)
+        cset = scenario_library()["combined"].constraint_set()
+        for inputs in _random_filter_inputs(rng, 200):
+            ux, uy, cx, cy, values, active, got, slack_max = _filter_floats(cset, status, *inputs)
+            assert _bits(ux, uy, cx, cy, *values[0]) == _bits(
+                *inputs[8:], 0.0, 0.0, *cset.barrier_values(inputs[:2]))
+            assert (active, got, slack_max) == ((), status, 0.0)
+
+    def test_filter_slack_fallback(self, monkeypatch):
+        # every filter step of the slack run, whose rows conflict on a few
+        # steps, as the reference chain calls the kernel
+        from test_traceio import SLACK_RUN
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _filter_floats(*args)
+        monkeypatch.setattr(sim, "_filter_floats", recorded)
+        monkeypatch.setattr(sim.forks, "fork_cpus", lambda: 1)
+        sim.run(SLACK_RUN)
+        statuses = set()
+        for cset, bypass, *inputs in calls:
+            ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(cset, bypass, *inputs)
+            f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
+            assert _bits(ux, uy, cx, cy, *values[0], slack_max) == _bits(*f_hat, *f_comp, *h,
+                                                                          want_slack)
+            assert (active, status) == (want_active, want_status)
+            statuses.add(status)
+        assert statuses == {"ok", "slack"}
+
+    @pytest.mark.parametrize("k_m", [20.0, (20.0, 5.0)])
+    def test_admittance(self, k_m):
+        rng = np.random.default_rng(41)
+        params = AdmittanceParams(k_m=k_m, k_b=(20.0, 12.0), k_k=(100.0, 80.0))
+        for _ in range(500):
+            state = AdmittanceState(rng.uniform(-0.2, 0.2, 2), rng.uniform(-1, 1, 2))
+            points = [_random_desired(rng) for _ in range(3)]
+            force = tuple(rng.uniform(-5, 5, 2).tolist())
+            dt = float(rng.choice([1e-3, 2e-3, 5e-3]))
+            got = _admittance_floats(params.axes, *state.x1, *state.x2,
+                                     *(p.sample for p in points), *force, dt)
+            assert _bits(*got) == _bits(*_admittance_from_drift_term(params, state, points,
+                                                                     force, dt))
+
     @pytest.mark.parametrize("include_friction", [True, False])
-    def test_plant_step_is_rk4_of_joint_accel(self, include_friction, dt):
-        rng = np.random.default_rng(19)
+    def test_terms(self, include_friction):
+        rng = np.random.default_rng(43)
         params = ManipulatorParams()
         for _ in range(500):
             st = _random_joint_state(rng)
-            tau, f = rng.uniform(-20, 20, 2).tolist(), rng.uniform(-10, 10, 2).tolist()
-            out = plant_step(params, st, tau, f, dt, include_friction=include_friction)
-            assert (out.q, out.qdot) == _rk4_from_joint_accel(params, st.q, st.qdot, tau, f,
-                                                              dt, include_friction)
+            terms, x, xdot, J, trig = _task_floats(params, *st.q, *st.qdot, include_friction)
+            cart = cartesian_state(params, st)
+            assert _bits(*terms[0][0], *terms[0][1], *terms[1], *terms[2][0], *terms[2][1]) == _bits(
+                *_terms_from_public(params, st, include_friction))
+            assert _bits(*x, *xdot) == _bits(*cart.x, *cart.xdot)
+            assert J == jacobian(params, st.q) and trig == _trig(*st.q)
 
     @pytest.mark.parametrize("gains", [FxtismcGains(), FxtismcGains(force_limit=5.0),
                                        FxtismcGains(use_sign=True)],
                              ids=["default", "clamped", "sign"])
-    def test_control_is_nominal_plus_compensation(self, gains):
+    @pytest.mark.parametrize("nominal_only", [False, True])
+    def test_control(self, gains, nominal_only):
         rng = np.random.default_rng(23)
         params = ManipulatorParams()
         for _ in range(500):
@@ -224,9 +394,54 @@ class TestKernelsEqualPublicComposition:
             initialized = ControllerState(True, *(tuple(rng.uniform(-0.1, 0.1, 2).tolist())
                                                   for _ in range(3)))
             for ctrl_state in (ControllerState(), initialized):
-                got = control(gains, ctrl_state, terms, cart, ref_point, 1e-3)
-                assert got == _control_from_public(gains, ctrl_state, terms, cart, ref_point,
-                                                   1e-3)
+                state = astuple(ctrl_state)
+                fx, fy, new = _control_floats(
+                    gains, *_exponents(gains), state, _task_floats(params, *st.q, *st.qdot, False)[0],
+                    *cart.x, *cart.xdot, ref_point.sample, 1e-3, nominal_only)
+                if nominal_only:
+                    assert new is state
+                    want = nominal_control(gains, terms, cart, ref_point)
+                    limit = gains.force_limit
+                    assert _bits(fx, fy) == _bits(*(min(max(f, -limit), limit) for f in want))
+                    continue
+                (wx, wy), want_state = _control_from_public(gains, ctrl_state, terms, cart,
+                                                            ref_point, 1e-3)
+                assert new[0] is True
+                assert _bits(fx, fy, *new[1], *new[2], *new[3]) == _bits(
+                    wx, wy, *want_state.s_initial, *want_state.sigma_integral,
+                    *want_state.prev_integrand)
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3])
+    @pytest.mark.parametrize("include_friction", [True, False])
+    def test_plant(self, include_friction, dt):
+        rng = np.random.default_rng(19)
+        params = ManipulatorParams()
+        for _ in range(500):
+            st = _random_joint_state(rng)
+            tau, f = tuple(rng.uniform(-20, 20, 2).tolist()), tuple(rng.uniform(-10, 10, 2).tolist())
+            got = _plant_floats(params, _trig(*st.q), *st.q, *st.qdot, tau, f, dt, include_friction)
+            assert _bits(*got) == _bits(*_rk4_from_joint_accel(params, st.q, st.qdot, tau, f,
+                                                               dt, include_friction))
+
+    def test_admittance_refuses_a_non_finite_state(self):
+        args = (AdmittanceParams().axes, 0.0, 0.0, 0.0, 0.0, (math.inf,) + (0.0,) * 5,
+                (0.0,) * 6, (0.0,) * 6, 0.0, 0.0, 1e-3)
+        with pytest.raises(ValidationError, match="^admittance state entries must be finite$"):
+            _admittance_floats(*args)
+
+    def test_plant_refuses_a_non_finite_state(self, monkeypatch):
+        # at dt = 5e-3 the workspace preset aborts in the plant stage; the
+        # kernel's last call, made again, raises the refusal
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _plant_floats(*args)
+        monkeypatch.setattr(sim, "_plant_floats", recorded)
+        with pytest.raises(SimulationAborted, match="in the plant stage: joint state entries"):
+            sim.run(replace(scenario_library()["workspace"], dt=5e-3))
+        with pytest.raises(ValidationError, match="^joint state entries must be finite$"):
+            _plant_floats(*calls[-1])
 
 
 @pytest.mark.parametrize("cls", [AdmittanceState, JointState, CartesianState])

@@ -21,8 +21,8 @@ from dataclasses import replace
 import pytest
 
 from safeadmit import (AdmittanceParams, InfeasibleQp, SimulationAborted,
-                       SingularConfiguration, ValidationError, arm, config, forks,
-                       records_equal, scenario_library, sim, smc)
+                       SingularConfiguration, ValidationError, config, forks,
+                       records_equal, scenario_library, sim)
 
 PRESETS = scenario_library()
 
@@ -191,19 +191,21 @@ def failing_at(fn, step, error):
     return stage
 
 
-@pytest.mark.parametrize("owner, name, error", [
-    (smc, "control", Boom("control broke")),         # in the plant chain
-    (arm, "plant_step", Boom("plant broke")),        # in the plant chain
-    (sim, "filter_force", Boom("filter broke")),     # in the reference chain
-    (smc, "control", KeyboardInterrupt()),           # not an Exception, in this process
+# Each chain looks its stage kernels up as globals of sim, where a test
+# replaces one with a failing_at wrapper.
+@pytest.mark.parametrize("name, error", [
+    ("_control_floats", Boom("control broke")),      # in the plant chain
+    ("_plant_floats", Boom("plant broke")),          # in the plant chain
+    ("_filter_floats", Boom("filter broke")),        # in the reference chain
+    ("_control_floats", KeyboardInterrupt()),        # not an Exception, in this process
 ])
 @pytest.mark.parametrize("mode", MODES)
-def test_stage_exception_raised_as_is(owner, name, error, mode, monkeypatch, in_process):
+def test_stage_exception_raised_as_is(name, error, mode, monkeypatch, in_process):
     cfg = replace(PRESETS["combined"], duration=0.5)
     results = []
     for context in (usable_cpus(monkeypatch, 2), in_process(mode)):
         with monkeypatch.context() as m, context, leaves_nothing():
-            m.setattr(owner, name, failing_at(getattr(owner, name), 300, error))
+            m.setattr(sim, name, failing_at(getattr(sim, name), 300, error))
             with pytest.raises(type(error)) as excinfo:
                 sim.run(cfg)
         results.append(str(excinfo.value))
@@ -212,10 +214,10 @@ def test_stage_exception_raised_as_is(owner, name, error, mode, monkeypatch, in_
 
 @pytest.mark.parametrize("plant_stage, plant_step, ref_stage, ref_step, first", [
     # the reference chain is past step 70 before the plant chain fails at 50
-    ((smc, "control"), 50, (sim, "filter_force"), 70, SingularConfiguration),
+    ("_control_floats", 50, "_filter_floats", 70, SingularConfiguration),
     # within one step: control, then the admittance step, then the plant step
-    ((smc, "control"), 100, (sim, "admittance_step"), 100, SingularConfiguration),
-    ((arm, "plant_step"), 100, (sim, "admittance_step"), 100, InfeasibleQp),
+    ("_control_floats", 100, "_admittance_floats", 100, SingularConfiguration),
+    ("_plant_floats", 100, "_admittance_floats", 100, InfeasibleQp),
 ])
 def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, first,
                                monkeypatch):
@@ -224,9 +226,9 @@ def test_earliest_failure_wins(plant_stage, plant_step, ref_stage, ref_step, fir
     outcomes = []
     for cpus in (2, 1):
         with monkeypatch.context() as m, usable_cpus(monkeypatch, cpus), leaves_nothing():
-            for (owner, name), step, error in ((plant_stage, plant_step, SingularConfiguration),
-                                               (ref_stage, ref_step, InfeasibleQp)):
-                m.setattr(owner, name, failing_at(getattr(owner, name), step, error(name)))
+            for name, step, error in ((plant_stage, plant_step, SingularConfiguration),
+                                      (ref_stage, ref_step, InfeasibleQp)):
+                m.setattr(sim, name, failing_at(getattr(sim, name), step, error(name)))
             outcomes.append(outcome(cfg))
     assert_same(*outcomes)
     assert type(outcomes[0][1].cause) is first
@@ -237,22 +239,22 @@ def full_combined_1s():
     return sim.run(replace(PRESETS["combined"], duration=1.0))
 
 
-@pytest.mark.parametrize("owner, name, calls, rows", [
+@pytest.mark.parametrize("name, calls, rows", [
     # a failure before the step's log row is written cuts the row
-    (smc, "control", 300, 300),
-    (sim, "filter_force", 300, 300),
+    ("_control_floats", 300, 300),
+    ("_filter_floats", 300, 300),
     # one after keeps it, with the row's x_actual and f_c filled in; the
     # reference and its shadow take one admittance step each per step
-    (arm, "plant_step", 300, 301),
-    (sim, "admittance_step", 600, 301),
+    ("_plant_floats", 300, 301),
+    ("_admittance_floats", 600, 301),
 ])
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
-def test_partial_trace_is_the_completed_runs_prefix(owner, name, calls, rows, cpus,
+def test_partial_trace_is_the_completed_runs_prefix(name, calls, rows, cpus,
                                                     full_combined_1s, monkeypatch):
     cfg = replace(PRESETS["combined"], duration=1.0)
     with usable_cpus(monkeypatch, cpus), leaves_nothing():
-        monkeypatch.setattr(owner, name, failing_at(getattr(owner, name), calls,
-                                                     SingularConfiguration(name)))
+        monkeypatch.setattr(sim, name, failing_at(getattr(sim, name), calls,
+                                                   SingularConfiguration(name)))
         partial, exc = outcome(cfg)
     assert "at step 300 " in str(exc)
     assert len(partial) == rows
@@ -265,14 +267,15 @@ def test_stopped_plant_chain_stops_the_reference_chain(cpus, monkeypatch, tmp_pa
     # steps are counted by its filter calls, each of which appends one byte
     # to a file, from whichever process runs the chain
     cfg = PRESETS["combined"]
-    count, filter_force = tmp_path / "filtered", sim.filter_force
+    count, filter_floats = tmp_path / "filtered", sim._filter_floats
 
     def counted(*args):
         with open(count, "ab") as file:
             file.write(b".")
-        return filter_force(*args)
-    monkeypatch.setattr(sim, "filter_force", counted)
-    monkeypatch.setattr(smc, "control", failing_at(smc.control, 100, Boom("control broke")))
+        return filter_floats(*args)
+    monkeypatch.setattr(sim, "_filter_floats", counted)
+    monkeypatch.setattr(sim, "_control_floats",
+                        failing_at(sim._control_floats, 100, Boom("control broke")))
     with usable_cpus(monkeypatch, cpus), leaves_nothing():
         with pytest.raises(Boom):
             sim.run(cfg)
@@ -307,7 +310,8 @@ def test_unpicklable_exception_comes_back_as_its_text(monkeypatch):
     class Local(Exception):  # a class local to a function does not pickle
         pass
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(sim, "filter_force", failing_at(sim.filter_force, 100, Local("lost class")))
+    monkeypatch.setattr(sim, "_filter_floats",
+                        failing_at(sim._filter_floats, 100, Local("lost class")))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match="^Local: lost class$"):
             sim.run(cfg)
@@ -317,7 +321,8 @@ def test_child_that_writes_nothing_raises_its_wait_status(monkeypatch):
     # portable runs only in the child, on the reference chain's failure,
     # just before the block it cut short is sent
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(sim, "filter_force", failing_at(sim.filter_force, 100, Boom("filter broke")))
+    monkeypatch.setattr(sim, "_filter_floats",
+                        failing_at(sim._filter_floats, 100, Boom("filter broke")))
     monkeypatch.setattr(forks, "portable", lambda exc: os._exit(3))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 768\)$"):
@@ -328,8 +333,8 @@ def test_non_exception_in_the_child_raises_its_wait_status(monkeypatch):
     # the reference chain catches only Exception, so a KeyboardInterrupt in
     # the child ends it with status 1 before it sends the block
     cfg = replace(PRESETS["combined"], duration=0.5)
-    monkeypatch.setattr(sim, "filter_force",
-                        failing_at(sim.filter_force, 100, KeyboardInterrupt()))
+    monkeypatch.setattr(sim, "_filter_floats",
+                        failing_at(sim._filter_floats, 100, KeyboardInterrupt()))
     with usable_cpus(monkeypatch, 2), leaves_nothing():
         with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 256\)$"):
             sim.run(cfg)

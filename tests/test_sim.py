@@ -190,7 +190,8 @@ class TestRun:
     def test_unfiltered_shadow_is_the_reference(self, monkeypatch, name, changes, calls_per_step):
         # unfiltered, f_hat is f_e, so one admittance step serves the
         # reference and the shadow; with one usable CPU the reference chain,
-        # and so every call counted here, runs in this process
+        # and so every call of its admittance kernel counted here, runs in
+        # this process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
 
@@ -198,8 +199,8 @@ class TestRun:
             calls.append(args)
             return step(*args)
 
-        step = sim.admittance_step
-        monkeypatch.setattr(sim, "admittance_step", counted)
+        step = sim._admittance_floats
+        monkeypatch.setattr(sim, "_admittance_floats", counted)
         trace = run(replace(scenario_library()[name], duration=0.2, **changes))
         assert len(calls) == calls_per_step * (len(trace) - 1)
         if calls_per_step == 1:
@@ -225,6 +226,18 @@ class TestRun:
         active = ((),) + trace.qp_active[1:]
         assert active != trace.qp_active
         assert not records_equal(trace, replace(trace, qp_active=active))
+
+    def test_fields_built_from_lists_are_tuples(self, preset_traces):
+        # a Trace built from lists holds tuples, so it equals the same trace
+        # built from tuples, as run and read_csv build it
+        trace = preset_traces["combined"][:50]
+        listed = sim.Trace(trace.matrix, list(trace.h_names), list(map(list, trace.qp_active)),
+                           list(trace.qp_status))
+        assert records_equal(listed, trace)
+        assert type(listed.h_names) is type(listed.qp_active) is type(listed.qp_status) is tuple
+        assert all(type(active) is tuple for active in listed.qp_active)
+        # a slice takes the fields as they are, and an index slices one row
+        assert trace[7].qp_active[0] is trace.qp_active[7]
 
     def test_signals_are_views_of_the_matrix(self, preset_traces):
         trace = preset_traces["combined"]

@@ -1,11 +1,11 @@
-"""The per-stage names that sim.run looks up stay in use.
+"""The stage clock counts every stage of both chains once per step.
 
-The benchmark's traced run times each stage by replacing it at the name its
-caller looks up (perfbench/workloads.py, trace_targets). A step kernel that
-inlined a stage would leave that layer reading zero there; here it fails.
-With one usable CPU every stage runs, and is counted, in this process; when
-run pipelines its two chains, the reference chain's stages run in a forked
-child, and only the plant chain's are counted here.
+``run(config, profile=clock)`` fills the dict ``clock`` with each chain's
+stages (sim.CLOCK_STAGES) and, per stage, its seconds and calls, timed in
+the process that runs the chain. With one usable CPU both chains run in
+this process; when run pipelines them, the reference chain runs in a forked
+child, and its clock's totals come up the pipe with each block. Either way
+the same stages report the same calls.
 """
 
 import os
@@ -13,77 +13,76 @@ from dataclasses import replace
 
 import pytest
 
-from safeadmit import arm, safety, sim, smc
+from safeadmit import records_equal, sim
 
-STAGES = [
-    (sim, "desired_trajectory"), (sim, "human_force"), (sim, "drift_term"),
-    (sim, "admittance_step"), (sim, "filter_force"),
-    (safety.ConstraintSet, "evaluate"), (safety, "assemble_qp"),
-    (safety, "solve"), (safety, "solve_with_slack"),
-    (arm, "cartesian_dynamics_terms"), (arm, "cartesian_state"),
-    (arm, "jacobian"), (arm, "plant_step"), (smc, "control"),
-]
-
-# On a step where the hard projection is feasible, a slack set never needs
-# the penalized solver.
-MAY_READ_ZERO = {"safety.solve_with_slack"}
-# The stages of the plant chain.
-PLANT_CHAIN = {"arm.cartesian_dynamics_terms", "arm.cartesian_state", "arm.jacobian",
-               "arm.plant_step", "smc.control"}
+PRESETS = sim.scenario_library()
+CASES = {
+    "combined": replace(PRESETS["combined"], duration=0.5),
+    # every step passes the filter by, and one admittance step serves both references
+    "bypass": replace(PRESETS["baseline-unsafe"], duration=0.5),
+    "no-constraints": replace(PRESETS["workspace"], duration=0.5, workspace=None),
+    "slack": replace(PRESETS["workspace"], duration=0.5, slack=True),
+    "nominal-only": replace(PRESETS["combined"], duration=0.5, nominal_only=True),
+}
+# The stages that step the state: they run on every step but the last.
+STEPPING = {("reference", "admittance"), ("plant", "plant")}
 
 
 def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    counts = {}
-    solved = []
-
-    def wrap(label, fn):
-        def counted(*args, **kwargs):
-            counts[label] += 1
-            result = fn(*args, **kwargs)
-            if label == "safety.solve":
-                solved.append((args[0].A.ndim, result.active_set))
-            return result
-        return counted
-
-    for owner, name in STAGES:
-        label = f"{getattr(owner, '__name__', '').rsplit('.', 1)[-1]}.{name}"
-        counts[label] = 0
-        monkeypatch.setattr(owner, name, wrap(label, owner.__dict__[name]))
-    return counts, solved
+def clocked(cfg):
+    clock = {}
+    try:
+        trace = sim.run(cfg, profile=clock)
+    except sim.SimulationAborted as exc:
+        trace = exc.trace
+    return trace, clock
 
 
-def test_every_stage_is_called(calls, monkeypatch):
-    usable_cpus(monkeypatch, 1)
-    counts, solved = calls
-    presets = sim.scenario_library()
-    steps = len(sim.run(replace(presets["combined"], duration=0.05)))
-    steps += len(sim.run(replace(presets["workspace"], duration=0.05, slack=True)))
-    for label, n in counts.items():
-        if label not in MAY_READ_ZERO:
-            assert n > 0, f"{label} was never called"
-    assert counts["sim.filter_force"] == steps
-    assert len(solved) == steps
-    for ndim, active in solved:
-        assert ndim == 2
-        assert isinstance(active, tuple)
+def calls(clock):
+    return {chain: {stage: n for stage, (_, n) in stages.items()}
+            for chain, stages in clock.items()}
 
 
-def test_pipelined_plant_stages_are_called_here(calls, monkeypatch):
-    usable_cpus(monkeypatch, 2)
-    counts, solved = calls
-    cfg = replace(sim.scenario_library()["combined"], duration=0.5)
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
+@pytest.mark.parametrize("name", CASES)
+def test_every_stage_is_counted_once_per_step(name, cpus, monkeypatch):
+    usable_cpus(monkeypatch, cpus)
+    cfg = CASES[name]
     assert cfg.duration / cfg.dt > sim.BLOCK  # long enough to pipeline
-    steps = len(sim.run(cfg))
-    for label, n in counts.items():
-        if label in PLANT_CHAIN:
-            assert n > 0, f"{label} was never called"
-        elif label == "sim.desired_trajectory":
-            assert n == 1, "the start's one sample is not all that ran here"
-        else:
-            assert n == 0, f"{label} ran in this process"
-    assert counts["smc.control"] == steps and not solved
+    trace, clock = clocked(cfg)
+    assert {chain: tuple(stages) for chain, stages in clock.items()} == sim.CLOCK_STAGES
+    steps = len(trace)
+    for chain, stages in clock.items():
+        for stage, (seconds, n) in stages.items():
+            assert n == steps - ((chain, stage) in STEPPING), (chain, stage)
+            assert isinstance(seconds, float) and seconds >= 0.0
+
+
+def test_both_ways_count_the_same(monkeypatch):
+    counted = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        counted.append(calls(clocked(CASES["combined"])[1]))
+    assert counted[0] == counted[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
+def test_aborted_run_counts_the_blocks_taken(cpus, monkeypatch):
+    # at dt = 2e-2 the plant chain fails in its control stage at step 3,
+    # and the plant chain takes the reference chain's first block only
+    usable_cpus(monkeypatch, cpus)
+    trace, clock = clocked(replace(PRESETS["combined"], dt=2e-2))
+    assert len(trace) == 3
+    assert calls(clock) == {
+        "reference": {"sample": sim.BLOCK, "filter": sim.BLOCK, "record": sim.BLOCK,
+                      "admittance": sim.BLOCK},
+        "plant": {"terms": 4, "control": 3, "record": 3, "plant": 3}}
+
+
+def test_clock_leaves_the_trace_as_it_is(monkeypatch):
+    usable_cpus(monkeypatch, 1)
+    cfg = CASES["combined"]
+    assert records_equal(sim.run(cfg, profile={}), sim.run(cfg))

@@ -399,6 +399,17 @@ class TestReport:
         assert "barrier violation: no" in ok.format()
         assert ok.min_obstacle_distance >= 0.04 - 1e-3
 
+    def test_active_steps(self, preset_traces):
+        # obstacle-only never makes its row active; combined does, and each
+        # row's count is the steps whose active set holds it
+        assert compute_report(preset_traces["obstacle-only"]).active_steps == {"obs": 0}
+        trace = preset_traces["combined"]
+        rep = compute_report(trace)
+        assert rep.active_steps["obs"] > 0
+        assert rep.active_steps == {name: sum(j in active for active in trace.qp_active)
+                                    for j, name in enumerate(trace.h_names)}
+        assert f"active steps[obs]: {rep.active_steps['obs']}\n" in rep.format()
+
     def test_obstacle_distance_definition(self, preset_traces):
         trace = preset_traces["obstacle-only"]
         rep = compute_report(trace, scenario="o", safe_distance=0.04)
