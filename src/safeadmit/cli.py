@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "penalized slack instead of aborting")
     p_run.add_argument("--all-presets", action="store_true",
                        help="run every preset")
-    p_run.add_argument("--profile", action="store_true",
-                       help="after each report, print each stage's us/step")
 
     p_rep = sub.add_parser("report", help="recompute the report from a CSV trace")
     p_rep.add_argument("csv", help="trace file written by 'run'")
@@ -106,14 +104,13 @@ def _name_max(path: Path) -> int:
         return 0
 
 
-def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool, profile: bool = False) -> int:
+def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool) -> int:
     started = time.perf_counter()
     safe_distance = (config.obstacle.r if config.obstacle is not None
                      else DEFAULT_SAFE_DISTANCE)
     csv_path = out_dir / f"{config.name}.csv"
-    clock = {} if profile else None
     try:
-        trace = run(config, profile=clock)
+        trace = run(config)
     except SimulationAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trace:
@@ -128,10 +125,6 @@ def _run_one(config: ScenarioConfig, out_dir: Path, plot: bool, profile: bool = 
     report = compute_report(trace, scenario=config.name,
                             safe_distance=safe_distance, runtime_s=runtime)
     print(report.format())
-    for chain, stages in (clock or {}).items():  # each stage's us/step, and their sum
-        us = {stage: 1e6 * seconds / len(trace) for stage, (seconds, _) in stages.items()}
-        parts = ", ".join(f"{stage} {value:.2f}" for stage, value in us.items())
-        print(f"stage clock[{chain}] (us/step): {parts}; total {sum(us.values()):.2f}")
     print(f"trace written to {csv_path}")
     return 0
 
@@ -173,7 +166,7 @@ def main(argv=None) -> int:
                     or 0 < name_max < len(os.fsencode(f"{c.name}.csv"))):
                 raise ConfigError(f"scenario name {c.name!r} cannot name a file")
         out_dir.mkdir(parents=True, exist_ok=True)  # made only once every config is valid
-        return max([_run_one(c, out_dir, args.plot, args.profile) for c in configs])
+        return max([_run_one(c, out_dir, args.plot) for c in configs])
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,16 +9,15 @@ reference chain's x1, x2, drift, f_hat and f_e. run runs the plant chain
 on each block of the reference chain, whose loop runs ahead in a forked
 child where a second CPU is free.
 
-A chain's step is one call per stage (CLOCK_STAGES) to a float kernel,
-looked up as a global here, with bare floats between them; the public
-per-term functions are validating wrappers over the same kernels, and
-run's stage clock times each stage. Each step's floats are one row of a
-flat float log (an ``array('d')``), which the plant chain reads x1, f_e
-and f_hat from and writes x_actual and f_c into. The loop's log is viewed
-as the (N, width) step matrix that the Trace holds, laid out as COLUMNS
-says, and each signal is a view of its columns. A step is read from the
-columns, or as the one-row Trace ``trace[k]``; ``records_equal`` compares
-two traces bit for bit.
+A chain's step is one call per stage to a float kernel, looked up as a
+global here, with bare floats between them; the public per-term functions
+are validating wrappers over the same kernels. Each step's floats are one
+row of a flat float log (an ``array('d')``), which the plant chain reads
+x1, f_e and f_hat from and writes x_actual and f_c into. The loop's log is
+viewed as the (N, width) step matrix that the Trace holds, laid out as
+COLUMNS says, and each signal is a view of its columns. A step is read
+from the columns, or as the one-row Trace ``trace[k]``; ``records_equal``
+compares two traces bit for bit.
 """
 
 import math
@@ -26,7 +25,6 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
-from time import perf_counter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -234,17 +232,6 @@ _HANDOFF = 4
 # so a failure from index _LOGGED on leaves its row in the trace.
 _STAGES = ("admittance", "filter", "control", "admittance", "plant")
 _LOGGED = 3
-# Each chain's stages as the stage clock names them, in the order they run.
-CLOCK_STAGES = {"reference": ("sample", "filter", "record", "admittance"),
-                "plant": ("terms", "control", "record", "plant")}
-
-
-def _tick(clock: list, i: int, since: float) -> float:
-    """Charge the time since ``since`` and a call to stage i; returns now."""
-    now = perf_counter()
-    clock[2 * i] += now - since
-    clock[2 * i + 1] += 1
-    return now
 
 
 class _Failed(NamedTuple):
@@ -257,18 +244,18 @@ class _Failed(NamedTuple):
 
 
 def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: AdmittanceState,
-                     steps: int, clock: Optional[list], hand) -> None:
+                     steps: int, hand) -> None:
     """The reference layer of steps 0..steps from the admittance state
     ``adm``: the desired samples, the human force, the drift, the filter,
     and the admittance steps of the reference and of its unfiltered shadow.
     It never reads the plant. For each block of BLOCK steps, the last one
     and one a failure cuts short included, it calls ``hand(rows, events,
-    handoff, failure, clock)`` with fresh arrays: the block's log rows
-    (x_actual and f_c zero), its active sets and statuses, the x2 and drift
-    per step that the plant chain reads beside the rows, the chain's
-    failure in the block, or None, and its stage clock (None, or _tick's
-    list). The chain stops after a failure, or once hand returns False;
-    what hand raises is no failure of the chain and propagates."""
+    handoff, failure)`` with fresh arrays: the block's log rows (x_actual
+    and f_c zero), its active sets and statuses, the x2 and drift per step
+    that the plant chain reads beside the rows, and the chain's failure in
+    the block, or None. The chain stops after a failure, or once hand
+    returns False; what hand raises is no failure of the chain and
+    propagates."""
     dt, radius, rate = config.dt, config.circle_radius, config.circle_rate
     amplitude, axes = config.force_amplitude, config.admittance.axes
     (_, _, _, gx), (_, _, _, gy) = axes
@@ -279,28 +266,21 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     for first in range(0, steps + 1, BLOCK):
         rows, events, handoff = array("d"), [], array("d")
         failure = None
-        last = perf_counter() if clock else 0.0
         try:
             for k in range(first, min(first + BLOCK, steps + 1)):
                 t = k * dt
                 stage = 0
                 d0, dh, d1, fex, fey, dx, dy = _sample(t, dt, radius, rate, amplitude, axes,
                                                        x1x, x1y, x2x, x2y)
-                if clock:
-                    last = _tick(clock, 0, last)
                 stage = 1
                 fx, fy, cx, cy, values, active, status, _ = _filter_floats(
                     cset, bypass, x1x, x1y, x2x, x2y, dx, dy, gx, gy, fex, fey)
-                if clock:
-                    last = _tick(clock, 1, last)
                 # the step's row in COLUMNS order; the plant chain fills x_actual and f_c
                 rows.extend((t, d0[0], d0[1], x1x, x1y, sx, sy, 0.0, 0.0, fex, fey, fx, fy,
                              cx, cy, 0.0, 0.0))
                 rows.extend(values[0])  # h
                 events += (active, status)
                 handoff.extend((x2x, x2y, dx, dy))
-                if clock:
-                    last = _tick(clock, 2, last)
                 if k < steps:
                     stage = 3
                     # one sampling of the substep points serves both references
@@ -309,11 +289,9 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                     # unfiltered, f_hat is f_e and the shadow equals the reference
                     sx, sy, svx, svy = (x1x, x1y, x2x, x2y) if bypass is not None else (
                         _admittance_floats(axes, sx, sy, svx, svy, d0, dh, d1, fex, fey, dt))
-                    if clock:
-                        last = _tick(clock, 3, last)
         except Exception as exc:
             failure = _Failed(k, stage, exc)
-        if not hand(rows, events, handoff, failure, clock) or failure is not None:
+        if not hand(rows, events, handoff, failure) or failure is not None:
             return
 
 
@@ -322,45 +300,36 @@ class _PlantChain:
     hands over: per step, the task-space terms, the tracker's force toward
     the reference point (x1, x2, drift + f_hat / k_m) and the arm's RK4 step
     under that force and f_e. It fills in x_actual and f_c of each log row
-    of ``width`` floats, timing its stages on ``clock`` (None, or _tick's
-    list); after a failure, ``failure`` holds it, and it is fed no more."""
+    of ``width`` floats; after a failure, ``failure`` holds it, and the
+    chain is fed no more."""
 
-    def __init__(self, config: ScenarioConfig, steps: int, width: int, clock: Optional[list]):
-        self.config, self.steps, self.width, self.clock = config, steps, width, clock
+    def __init__(self, config: ScenarioConfig, steps: int, width: int):
+        self.config, self.steps, self.width = config, steps, width
         self.joint, self.ctrl, self.k = (*config.q0, *config.qdot0), astuple(ControllerState()), 0
         self.failure: Optional[_Failed] = None
 
     def feed(self, rows: array, handoff: array) -> bool:
         """Run the steps of the log ``rows`` (x1, f_e, f_hat) and ``handoff``
         (x2, the drift); returns whether the chain still runs."""
-        config, steps, width, clock = self.config, self.steps, self.width, self.clock
+        config, steps, width = self.config, self.steps, self.width
         params, gains, dt, nominal_only = config.robot, config.controller, config.dt, config.nominal_only
         (k1m, minv), (gx, gy) = _exponents(gains), config.admittance.input_gain
         (q1, q2, qd1, qd2), ctrl, k, stage = self.joint, self.ctrl, self.k, 2
-        last = perf_counter() if clock else 0.0
         try:
             for o, i in zip(range(0, len(rows), width), range(0, len(handoff), _HANDOFF)):
                 x1x, x1y, _, _, _, _, fex, fey, fx, fy = rows[o + _X_F:o + _F_E_HAT + 2]
                 x2x, x2y, dx, dy = handoff[i:i + _HANDOFF]
                 stage = 2
                 terms, (x, y), (xdot, ydot), J, trig = _task_floats(params, q1, q2, qd1, qd2, False)
-                if clock:
-                    last = _tick(clock, 0, last)
                 fcx, fcy, ctrl = _control_floats(
                     gains, k1m, minv, ctrl, terms, x, y, xdot, ydot,
                     (x1x, x1y, x2x, x2y, dx + gx * fx, dy + gy * fy), dt, nominal_only)
-                if clock:
-                    last = _tick(clock, 1, last)
                 rows[o + _X_ACTUAL], rows[o + _X_ACTUAL + 1] = x, y
                 rows[o + _F_C], rows[o + _F_C + 1] = fcx, fcy
-                if clock:
-                    last = _tick(clock, 2, last)
                 if k < steps:
                     stage = 4
                     q1, q2, qd1, qd2 = _plant_floats(params, trig, q1, q2, qd1, qd2,
                                                      _tv(J, (fcx, fcy)), (fex, fey), dt, True)
-                    if clock:
-                        last = _tick(clock, 3, last)
                 k += 1
         except Exception as exc:
             self.failure = _Failed(k, stage, exc)
@@ -372,15 +341,15 @@ def _reference_child(reference, send) -> None:
     """The forked child's work in a pipelined run: run ``reference``,
     sending up each block with its failure made to survive pickling, and
     then None."""
-    def hand(rows, events, handoff, failure, clock) -> bool:
+    def hand(rows, events, handoff, failure) -> bool:
         if failure is not None:
             failure = failure._replace(exc=forks.portable(failure.exc))
-        return send((rows, events, handoff, failure, clock))
+        return send((rows, events, handoff, failure))
     reference(hand)
     send(None)
 
 
-def run(config: ScenarioConfig, profile: Optional[dict] = None) -> Trace:
+def run(config: ScenarioConfig) -> Trace:
     """Execute one scenario; returns its Trace, one row per step, endpoints
     inclusive. On abort the partial trace is attached to the raised
     SimulationAborted as ``.trace``, and the message names the step, its
@@ -394,11 +363,7 @@ def run(config: ScenarioConfig, profile: Optional[dict] = None) -> Trace:
     that sends each block up as one pickled message (forks.forked);
     otherwise it runs here too, block by block. The numbers are the same
     either way, and a run that fails reports the earliest failure in the
-    serial order of the stages, with the same partial trace.
-
-    A dict ``profile`` turns the stage clock on: after the chains, it maps
-    each chain of CLOCK_STAGES to each stage's (seconds, calls), timed in
-    the chain's process, up to the last block this process took."""
+    serial order of the stages, with the same partial trace."""
     cset = config.constraint_set()
     steps = round(config.duration / config.dt)
     width = _H + len(cset.names)
@@ -410,20 +375,17 @@ def run(config: ScenarioConfig, profile: Optional[dict] = None) -> Trace:
         except Exception as exc:
             _raise_aborted(config, _trace_from_log(log, 0, width, cset.names, events),
                            0, "start", exc)
-    clocks = {chain: [0.0, 0] * len(stages) if profile is not None else None
-              for chain, stages in CLOCK_STAGES.items()}
-    reference = partial(_reference_chain, config, cset, adm, steps, clocks["reference"])
-    plant = _PlantChain(config, steps, width, clocks["plant"])
+    reference = partial(_reference_chain, config, cset, adm, steps)
+    plant = _PlantChain(config, steps, width)
     failures = []  # the chains' failures
     seen: dict = {}  # each distinct active set and status of the run, logged as one object
 
-    def take(rows, block_events, handoff, failure, clock) -> bool:
+    def take(rows, block_events, handoff, failure) -> bool:
         running = plant.feed(rows, handoff)
         log.extend(rows)
         events.extend([seen.setdefault(e, e) for e in block_events])
         if failure is not None:
             failures.append(failure)
-        clocks["reference"] = clock
         return running
 
     with (forks.forked(partial(_reference_child, reference)) if steps >= BLOCK
@@ -436,9 +398,6 @@ def run(config: ScenarioConfig, profile: Optional[dict] = None) -> Trace:
                     break
             else:
                 child.wait()
-    if profile is not None:
-        profile.update({chain: dict(zip(stages, zip(clocks[chain][::2], clocks[chain][1::2])))
-                        for chain, stages in CLOCK_STAGES.items()})
     if plant.failure is not None:
         failures.append(plant.failure)
     if not failures:

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from safeadmit import cli, read_csv, scenario_library, serialize_config, sim
+from safeadmit import cli, read_csv, scenario_library, serialize_config
 from safeadmit.cli import main
 
 from conftest import MALFORMED_CASES
@@ -156,27 +156,6 @@ class TestRun:
                    if line.startswith("scenario: ")]
         assert printed == list(scenario_library())
 
-    def test_profile_prints_the_stage_clock(self, capsys, tmp_path):
-        # with --profile, one line per chain follows the report; without
-        # it, the output is the same but for those lines
-        argv = ("run", "--scenario", "combined", "--duration", "0.5", "--out", str(tmp_path))
-        code, plain, _ = run_cli(capsys, *argv)
-        assert code == 0
-        code, profiled, _ = run_cli(capsys, *argv, "--profile")
-        assert code == 0
-        lines = profiled.splitlines()
-        clock = [line for line in lines if line.startswith("stage clock[")]
-        rest = "\n".join(line for line in lines if line not in clock)
-        assert without_runtime(rest, tmp_path) == without_runtime(plain, tmp_path)
-        assert "stage clock" not in plain
-        assert lines[lines.index(clock[0]) - 1].startswith("runtime: ")
-        for line, (chain, stages) in zip(clock, sim.CLOCK_STAGES.items(), strict=True):
-            head, _, rest = line.partition(" (us/step): ")
-            parts, _, total = rest.partition("; total ")
-            us = dict(part.split(" ") for part in parts.split(", "))
-            assert head == f"stage clock[{chain}]" and tuple(us) == stages
-            assert abs(sum(map(float, us.values())) - float(total)) <= 0.01 * len(us)
-
     @pytest.mark.parametrize("section,line", [
         ("robot", "m1 = inf"), ("admittance", "k_m = inf"),
         ("admittance", "k_b = nan"), ("controller", "rho = inf"),
@@ -212,9 +191,9 @@ def set_cpus(monkeypatch, n):
     runs = []
     run_one = cli._run_one
 
-    def counted(config, *args):
+    def counted(config, out_dir, plot):
         runs.append(config.name)
-        return run_one(config, *args)
+        return run_one(config, out_dir, plot)
 
     monkeypatch.setattr(cli, "_run_one", counted)
     return runs

@@ -1,8 +1,9 @@
 """The float step kernels against independent formulations: the closed-form
 two-variable projection against the SVD enumeration; the admittance and
 plant RK4 steps and the task-space terms against the numpy reference in
-kernel_reference.py; and each stage kernel of the two chains, bit for bit,
-against its composition from the public per-term functions."""
+kernel_reference.py; and the public plant step and controller and each
+stage kernel of the two chains, bit for bit, against their composition
+from the public per-term functions."""
 
 import math
 from dataclasses import astuple, replace
@@ -22,7 +23,7 @@ from safeadmit.arm import (CartesianState, _plant_floats, _task_floats, _trig,
                            joint_accel, joint_dynamics_terms)
 from safeadmit.qp import RANK_TOL
 from safeadmit.safety import _filter_floats, _unit_rows
-from safeadmit.smc import _control_floats, _exponents
+from safeadmit.smc import _control_floats, _exponents, control
 
 import kernel_reference as ref
 
@@ -281,7 +282,43 @@ def _random_filter_inputs(rng, n):
                *rng.choice([0.05, 0.2], 2), *rng.uniform(-8, 8, 2))
 
 
-class TestStageKernelsEqualPublicComposition:
+class TestKernelsEqualPublicComposition:
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3])
+    @pytest.mark.parametrize("include_friction", [True, False])
+    def test_plant_step_is_rk4_of_joint_accel(self, include_friction, dt):
+        rng = np.random.default_rng(19)
+        params = ManipulatorParams()
+        for _ in range(500):
+            st = _random_joint_state(rng)
+            tau, f = rng.uniform(-20, 20, 2).tolist(), rng.uniform(-10, 10, 2).tolist()
+            out = plant_step(params, st, tau, f, dt, include_friction=include_friction)
+            assert _bits(*out.q, *out.qdot) == _bits(*_rk4_from_joint_accel(
+                params, st.q, st.qdot, tau, f, dt, include_friction))
+
+    @pytest.mark.parametrize("gains", [FxtismcGains(), FxtismcGains(force_limit=5.0),
+                                       FxtismcGains(use_sign=True)],
+                             ids=["default", "clamped", "sign"])
+    def test_control_is_nominal_plus_compensation(self, gains):
+        rng = np.random.default_rng(23)
+        params = ManipulatorParams()
+        for _ in range(500):
+            st = _random_joint_state(rng)
+            terms = cartesian_dynamics_terms(params, st, include_friction=False)
+            cart = cartesian_state(params, st)
+            ref_point = DesiredPoint(np.add(cart.x, rng.uniform(-0.05, 0.05, 2)),
+                                     np.add(cart.xdot, rng.uniform(-0.5, 0.5, 2)),
+                                     rng.uniform(-2, 2, 2))
+            initialized = ControllerState(True, *(tuple(rng.uniform(-0.1, 0.1, 2).tolist())
+                                                  for _ in range(3)))
+            for ctrl_state in (ControllerState(), initialized):
+                (fx, fy), state = control(gains, ctrl_state, terms, cart, ref_point, 1e-3)
+                (wx, wy), want = _control_from_public(gains, ctrl_state, terms, cart, ref_point,
+                                                      1e-3)
+                assert isinstance(state, ControllerState) and state.initialized
+                assert _bits(fx, fy, *state.s_initial, *state.sigma_integral,
+                             *state.prev_integrand) == _bits(wx, wy, *want.s_initial,
+                                                             *want.sigma_integral,
+                                                             *want.prev_integrand)
     @pytest.mark.parametrize("dt", [1e-3, 2e-3])
     def test_sample(self, dt):
         rng = np.random.default_rng(29)

@@ -1,19 +1,19 @@
-"""The stage clock counts every stage of both chains once per step.
+"""Every stage kernel of both chains runs once per step.
 
-``run(config, profile=clock)`` fills the dict ``clock`` with each chain's
-stages (sim.CLOCK_STAGES) and, per stage, its seconds and calls, timed in
-the process that runs the chain. With one usable CPU both chains run in
-this process; when run pipelines them, the reference chain runs in a forked
-child, and its clock's totals come up the pipe with each block. Either way
-the same stages report the same calls.
+A chain's step is one call per stage to a float kernel that sim.run looks
+up as a global of sim; a filtered step's admittance stage steps both the
+reference and its unfiltered shadow. Here each kernel is replaced by one
+that counts its calls in shared memory, so that the calls of a pipelined
+run's reference chain, which runs in a forked child, are counted too.
 """
 
 import os
 from dataclasses import replace
+from multiprocessing.sharedctypes import RawArray
 
 import pytest
 
-from safeadmit import records_equal, sim
+from safeadmit import sim
 
 PRESETS = sim.scenario_library()
 CASES = {
@@ -24,65 +24,62 @@ CASES = {
     "slack": replace(PRESETS["workspace"], duration=0.5, slack=True),
     "nominal-only": replace(PRESETS["combined"], duration=0.5, nominal_only=True),
 }
-# The stages that step the state: they run on every step but the last.
-STEPPING = {("reference", "admittance"), ("plant", "plant")}
+# Each chain's stage kernels, in the order a step calls them.
+REFERENCE = ("_sample", "_filter_floats", "_admittance_floats")
+PLANT = ("_task_floats", "_control_floats", "_plant_floats")
 
 
 def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def clocked(cfg):
-    clock = {}
-    try:
-        trace = sim.run(cfg, profile=clock)
-    except sim.SimulationAborted as exc:
-        trace = exc.trace
-    return trace, clock
+@pytest.fixture
+def calls(monkeypatch):
+    """A function that returns each kernel's calls so far."""
+    counts = RawArray("q", len(REFERENCE + PLANT))
+
+    def wrap(i, fn):
+        def counted(*args):
+            counts[i] += 1
+            return fn(*args)
+        return counted
+
+    for i, name in enumerate(REFERENCE + PLANT):
+        monkeypatch.setattr(sim, name, wrap(i, getattr(sim, name)))
+    return lambda: dict(zip(REFERENCE + PLANT, counts))
 
 
-def calls(clock):
-    return {chain: {stage: n for stage, (_, n) in stages.items()}
-            for chain, stages in clock.items()}
+def per_step(n, shadow):
+    """Each kernel's calls in a complete run of n steps: a state-stepping
+    kernel runs on every step but the last, the admittance kernel once
+    more for the shadow of a filtered run."""
+    return {"_sample": n, "_filter_floats": n, "_admittance_floats": (n - 1) * (1 + shadow),
+            "_task_floats": n, "_control_floats": n, "_plant_floats": n - 1}
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
 @pytest.mark.parametrize("name", CASES)
-def test_every_stage_is_counted_once_per_step(name, cpus, monkeypatch):
+def test_every_kernel_runs_once_per_step(name, cpus, calls, monkeypatch):
     usable_cpus(monkeypatch, cpus)
     cfg = CASES[name]
     assert cfg.duration / cfg.dt > sim.BLOCK  # long enough to pipeline
-    trace, clock = clocked(cfg)
-    assert {chain: tuple(stages) for chain, stages in clock.items()} == sim.CLOCK_STAGES
-    steps = len(trace)
-    for chain, stages in clock.items():
-        for stage, (seconds, n) in stages.items():
-            assert n == steps - ((chain, stage) in STEPPING), (chain, stage)
-            assert isinstance(seconds, float) and seconds >= 0.0
-
-
-def test_both_ways_count_the_same(monkeypatch):
-    counted = []
-    for cpus in (1, 2):
-        usable_cpus(monkeypatch, cpus)
-        counted.append(calls(clocked(CASES["combined"])[1]))
-    assert counted[0] == counted[1]
+    steps = len(sim.run(cfg))
+    filtered = bool(cfg.constraint_set().names) and not cfg.filter_bypass
+    assert calls() == per_step(steps, filtered)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pipelined"])
-def test_aborted_run_counts_the_blocks_taken(cpus, monkeypatch):
-    # at dt = 2e-2 the plant chain fails in its control stage at step 3,
-    # and the plant chain takes the reference chain's first block only
+def test_aborted_run_stops_the_kernels(cpus, calls, monkeypatch):
+    # at dt = 2e-2 the plant chain fails in its control stage at step 3, on
+    # the reference chain's first block, and the chain stops
     usable_cpus(monkeypatch, cpus)
-    trace, clock = clocked(replace(PRESETS["combined"], dt=2e-2))
-    assert len(trace) == 3
-    assert calls(clock) == {
-        "reference": {"sample": sim.BLOCK, "filter": sim.BLOCK, "record": sim.BLOCK,
-                      "admittance": sim.BLOCK},
-        "plant": {"terms": 4, "control": 3, "record": 3, "plant": 3}}
-
-
-def test_clock_leaves_the_trace_as_it_is(monkeypatch):
-    usable_cpus(monkeypatch, 1)
-    cfg = CASES["combined"]
-    assert records_equal(sim.run(cfg, profile={}), sim.run(cfg))
+    with pytest.raises(sim.SimulationAborted, match="at step 3 .* in the control stage"):
+        sim.run(replace(PRESETS["combined"], dt=2e-2))
+    counted = calls()
+    assert {k: counted[k] for k in PLANT} == {"_task_floats": 4, "_control_floats": 4,
+                                              "_plant_floats": 3}
+    if cpus == 1:  # the reference chain ran the one block the plant chain took
+        assert {k: counted[k] for k in REFERENCE} == {
+            "_sample": sim.BLOCK, "_filter_floats": sim.BLOCK, "_admittance_floats": 2 * sim.BLOCK}
+    else:  # the child runs ahead until it is stopped
+        assert counted["_sample"] >= sim.BLOCK
