@@ -17,10 +17,11 @@ exactly a pair per field and refuses entries that are not finite. The
 step builds its states and desired points with of_floats, which takes the
 pairs it has just computed as they are. A state's of_floats keeps the
 finiteness check, a desired point's skips it.
-The RK4 step is straight-line float code per axis over _msd_accel, the
-one MSD acceleration that drift_term also evaluates. Its desired input is
-the three samples at the RK4 substep times. admittance_step is the
-validating wrapper of the step's kernel on bare floats, _admittance_floats.
+The RK4 step is straight-line float code per axis, each stage's
+acceleration being _msd_accel's (the one drift_term evaluates) written
+out. Its desired input is the three samples at the RK4 substep times.
+admittance_step is the validating wrapper of the step's kernel on bare
+floats, _admittance_floats.
 """
 
 from dataclasses import dataclass
@@ -97,19 +98,22 @@ def drift_term(params: AdmittanceParams, state: AdmittanceState,
     return ax, ay
 
 
-def _rk4_axis(k_m, k_b, k_k, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh,
-              xddot_dh, x_d1, xdot_d1, xddot_d1, dt):
-    """One axis of the RK4 step under the held input acceleration gf; the
-    desired samples at t, t + dt/2 and t + dt come as that axis's floats.
-    Returns the next (x1, x2) of the axis."""
+def _rk4_axis(axis, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh, xddot_dh, x_d1,
+              xdot_d1, xddot_d1, dt):
+    """One axis of the RK4 step under the held input acceleration gf, with
+    ``axis`` that axis's entry of AdmittanceParams.axes; the desired samples
+    at t, t + dt/2 and t + dt come as that axis's floats, and each stage's
+    acceleration is _msd_accel's, written out. Returns the next (x1, x2) of
+    the axis."""
+    k_m, k_b, k_k, _ = axis
     h = 0.5 * dt
-    k1p, k1v = x2, _msd_accel(k_m, k_b, k_k, x1, x2, x_d0, xdot_d0, xddot_d0) + gf
+    k1p, k1v = x2, -(k_b * (x2 - xdot_d0) + k_k * (x1 - x_d0) - k_m * xddot_d0) / k_m + gf
     k2p = x2 + h * k1v
-    k2v = _msd_accel(k_m, k_b, k_k, x1 + h * k1p, k2p, x_dh, xdot_dh, xddot_dh) + gf
+    k2v = -(k_b * (k2p - xdot_dh) + k_k * (x1 + h * k1p - x_dh) - k_m * xddot_dh) / k_m + gf
     k3p = x2 + h * k2v
-    k3v = _msd_accel(k_m, k_b, k_k, x1 + h * k2p, k3p, x_dh, xdot_dh, xddot_dh) + gf
+    k3v = -(k_b * (k3p - xdot_dh) + k_k * (x1 + h * k2p - x_dh) - k_m * xddot_dh) / k_m + gf
     k4p = x2 + dt * k3v
-    k4v = _msd_accel(k_m, k_b, k_k, x1 + dt * k3p, k4p, x_d1, xdot_d1, xddot_d1) + gf
+    k4v = -(k_b * (k4p - xdot_d1) + k_k * (x1 + dt * k3p - x_d1) - k_m * xddot_d1) / k_m + gf
     k = dt / 6.0
     return (x1 + k * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
             x2 + k * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
@@ -119,11 +123,12 @@ def _admittance_floats(axes, x1x, x1y, x2x, x2y, d0, dh, d1, fx, fy, dt):
     """admittance_step on floats: ``axes`` is AdmittanceParams.axes and d0,
     dh, d1 the DesiredPoint.sample of each point; returns the next four
     floats, refused as an AdmittanceState's where not finite."""
-    (k_mx, k_bx, k_kx, gx), (k_my, k_by, k_ky, gy) = axes
-    x1x, x2x = _rk4_axis(k_mx, k_bx, k_kx, gx * fx, x1x, x2x, d0[0], d0[2], d0[4],
-                         dh[0], dh[2], dh[4], d1[0], d1[2], d1[4], dt)
-    x1y, x2y = _rk4_axis(k_my, k_by, k_ky, gy * fy, x1y, x2y, d0[1], d0[3], d0[5],
-                         dh[1], dh[3], dh[5], d1[1], d1[3], d1[5], dt)
+    kx, ky = axes
+    x0, y0, vx0, vy0, ax0, ay0 = d0
+    xh, yh, vxh, vyh, axh, ayh = dh
+    x1, y1, vx1, vy1, ax1, ay1 = d1
+    x1x, x2x = _rk4_axis(kx, kx[3] * fx, x1x, x2x, x0, vx0, ax0, xh, vxh, axh, x1, vx1, ax1, dt)
+    x1y, x2y = _rk4_axis(ky, ky[3] * fy, x1y, x2y, y0, vy0, ay0, yh, vyh, ayh, y1, vy1, ay1, dt)
     if not (isfinite(x1x) and isfinite(x1y) and isfinite(x2x) and isfinite(x2y)):
         raise ValidationError(AdmittanceState._refusal)
     return x1x, x1y, x2x, x2y

@@ -15,11 +15,16 @@ Conventions:
 - One set of sines and cosines per configuration (_trig) serves every term
   evaluated there: in an RK4 stage, M, c, G, F and J^T f_e; at a step's
   start, also the task-space terms, the Cartesian state and J.
-- The step's kernels (_task_floats, _plant_floats through _qddot) are
-  straight-line float code on bare floats, in the operation order of the
-  per-term functions (jacobian, joint_dynamics_terms, joint_accel), so they
-  equal those bit for bit; cartesian_dynamics_terms and plant_step are
-  their validating wrappers.
+- The parameters' constants (_constants: the link lengths, the products
+  of masses, lengths and gravity that M and G use, and the singularity
+  tolerance) are one flat tuple, which a run builds once and every kernel
+  takes. The step's kernels (_task_floats, _plant_floats through _qddot)
+  are straight-line float code on bare floats that calls no per-term
+  helper, in the operation order of the per-term functions (jacobian,
+  joint_dynamics_terms, joint_accel), so they equal those bit for bit;
+  cartesian_dynamics_terms, joint_accel and plant_step are their
+  validating wrappers, which build the constants on every call, since the
+  parameters are mutable.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -85,6 +90,19 @@ def _trig(q1: float, q2: float):
             math.sin(q12), math.cos(q12))
 
 
+def _constants(params: ManipulatorParams):
+    """The kernels' constants of ``params``, which a run builds once and a
+    kernel's wrapper on every call: (l1, l2, a, b, -b, 2b, e, g1, g2, tol),
+    with a = m2 l2^2 and b = m2 l1 l2 the mass matrix's, e = (m1 + m2) l1^2,
+    g1 = (m1 + m2) l1 g and g2 = m2 l2 g the gravity products and tol the
+    singularity tolerance. Each product is grouped left to right, as the
+    per-term formulas group it."""
+    m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
+    b = m2 * l1 * l2
+    return (l1, l2, m2 * l2 * l2, b, -b, 2.0 * b, (m1 + m2) * l1 * l1, (m1 + m2) * l1 * g,
+            m2 * l2 * g, params.singularity_tolerance)
+
+
 def _fk(params: ManipulatorParams, trig) -> Pair:
     s1, c1, _, _, s12, c12 = trig
     l1, l2 = params.l1, params.l2
@@ -133,12 +151,6 @@ def _mv(A, v) -> Pair:
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _tv(A, v) -> Pair:
-    """A^T v."""
-    (a, b), (c, d) = A
-    return (a * v[0] + c * v[1], b * v[0] + d * v[1])
-
-
 def forward_kinematics(params: ManipulatorParams, q) -> Pair:
     return _fk(params, _trig(*q))
 
@@ -161,36 +173,44 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     return _joint_terms(params, _trig(*state.q), *state.qdot, include_friction)
 
 
-def _task_floats(params: ManipulatorParams, q1, q2, qd1, qd2, include_friction):
+def _task_floats(k, q1, q2, qd1, qd2, include_friction):
     """The task-space terms (M_x, bias, Xi) at the joint state (q1, q2, qd1,
-    qd2), as cartesian_dynamics_terms defines them, with the Cartesian state
-    x and xdot, J and _trig at the same configuration: (terms, x, xdot, J,
-    trig)."""
+    qd2) under the constants ``k``, as cartesian_dynamics_terms defines
+    them, with the Cartesian state x, y, xdot, ydot, the entries of J and
+    _trig at the same configuration: (terms, x, y, xdot, ydot, j00, j01,
+    j10, j11, trig)."""
     trig = _trig(q1, q2)
-    J = (j00, j01), (j10, j11) = _jac(params, trig)
+    l1, l2, a, b, nb, b2, e, g1, g2, tol = k
+    s1, c1, s2, c2, s12, c12 = trig
+    j00, j01, j10, j11 = -l1 * s1 - l2 * s12, -l2 * s12, l1 * c1 + l2 * c12, l2 * c12
     det = j00 * j11 - j01 * j10
-    if abs(det) < params.singularity_tolerance:
-        raise SingularConfiguration(
-            f"|det J| = {abs(det):.3e} below tolerance {params.singularity_tolerance:.3e}"
-        )
+    if abs(det) < tol:
+        raise SingularConfiguration(f"|det J| = {abs(det):.3e} below tolerance {tol:.3e}")
     i00, i01, i10, i11 = j11 / det, -j01 / det, -j10 / det, j00 / det  # J^-1
-    ((m00, m01), (m10, m11)), (c1, c2), (g1, g2), (f1, f2) = _joint_terms(
-        params, trig, qd1, qd2, include_friction)
-    (d00, d01), (d10, d11) = _jac_dot(params, trig, qd1, qd2)
+    m00, m01, m11 = a + b2 * c2 + e, a + b * c2, a  # M, symmetric
+    if include_friction:
+        f1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
+        f2 = -f1
+    else:
+        f1 = f2 = 0.0
+    w = qd1 + qd2
     # P = J^-T M, then M_x = P J^-1
-    p00, p01 = i00 * m00 + i10 * m10, i00 * m01 + i10 * m11
-    p10, p11 = i01 * m00 + i11 * m10, i01 * m01 + i11 * m11
+    p00, p01 = i00 * m00 + i10 * m01, i00 * m01 + i10 * m11
+    p10, p11 = i01 * m00 + i11 * m01, i01 * m01 + i11 * m11
     x00, x01 = p00 * i00 + p01 * i10, p00 * i01 + p01 * i11
     x10, x11 = p10 * i00 + p11 * i10, p10 * i01 + p11 * i11
     # coupling = M J^-1 Jdot qdot
-    a0, a1 = d00 * qd1 + d01 * qd2, d10 * qd1 + d11 * qd2
+    a0 = (-l1 * c1 * qd1 - l2 * c12 * w) * qd1 + -l2 * c12 * w * qd2
+    a1 = (-l1 * s1 * qd1 - l2 * s12 * w) * qd1 + -l2 * s12 * w * qd2
     u0, u1 = i00 * a0 + i01 * a1, i10 * a0 + i11 * a1
-    r0 = c1 + g1 + f1 - (m00 * u0 + m01 * u1)
-    r1 = c2 + g2 + f2 - (m10 * u0 + m11 * u1)
+    r0 = (nb * s2 * qd2 * qd2 - b2 * s2 * qd1 * qd2 + (g2 * c12 + g1 * c1) + f1
+          - (m00 * u0 + m01 * u1))
+    r1 = b * s2 * qd1 * qd1 + g2 * c12 + f2 - (m01 * u0 + m11 * u1)
     det_x = x00 * x11 - x01 * x10
     terms = (((x00, x01), (x10, x11)), (i00 * r0 + i10 * r1, i01 * r0 + i11 * r1),
              ((x11 / det_x, -x01 / det_x), (-x10 / det_x, x00 / det_x)))
-    return terms, _fk(params, trig), _mv(J, (qd1, qd2)), J, trig
+    return (terms, j10, l1 * s1 + l2 * s12, j00 * qd1 + j01 * qd2, j10 * qd1 + j11 * qd2,
+            j00, j01, j10, j11, trig)
 
 
 def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
@@ -198,48 +218,58 @@ def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
     """M_x = J^-T M J^-1, bias = J^-T (c_vec + G + F - M J^-1 Jdot qdot) and
     Xi = M_x^-1, with cofactor inverses; raises SingularConfiguration where
     |det J| is below the tolerance."""
-    return CartesianDynamicsTerms(*_task_floats(params, *state.q, *state.qdot, include_friction)[0])
+    return CartesianDynamicsTerms(*_task_floats(_constants(params), *state.q, *state.qdot,
+                                                include_friction)[0])
 
 
-def _qddot(params: ManipulatorParams, trig, qd1: float, qd2: float, tau_c: Pair,
-           f_e: Pair, include_friction: bool) -> Pair:
-    """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F) at the configuration
-    whose sines and cosines are ``trig``, with the cofactor inverse of M."""
-    ((m00, m01), (m10, m11)), (c1, c2), (g1, g2), (fr1, fr2) = _joint_terms(
-        params, trig, qd1, qd2, include_friction)
-    (j00, j01), (j10, j11) = _jac(params, trig)
-    fx, fy = f_e
-    t1, t2 = tau_c
-    r1 = t1 + (j00 * fx + j10 * fy) - c1 - g1 - fr1
-    r2 = t2 + (j01 * fx + j11 * fy) - c2 - g2 - fr2
-    det = m00 * m11 - m01 * m10
-    return (m11 / det * r1 + -m01 / det * r2, -m10 / det * r1 + m00 / det * r2)
+def _qddot(k, trig, qd1: float, qd2: float, t1: float, t2: float, fx: float, fy: float,
+           include_friction: bool) -> Pair:
+    """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F) under the constants
+    ``k`` at the configuration whose sines and cosines are ``trig``, with
+    the cofactor inverse of M; tau_c is (t1, t2) and f_e is (fx, fy)."""
+    l1, l2, a, b, nb, b2, e, g1, g2, _ = k
+    s1, c1, s2, c2, s12, c12 = trig
+    if include_friction:
+        fr1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
+        fr2 = -fr1
+    else:
+        fr1 = fr2 = 0.0
+    g12 = g2 * c12
+    r1 = (t1 + ((-l1 * s1 - l2 * s12) * fx + (l1 * c1 + l2 * c12) * fy)
+          - (nb * s2 * qd2 * qd2 - b2 * s2 * qd1 * qd2) - (g12 + g1 * c1) - fr1)
+    r2 = t2 + (-l2 * s12 * fx + l2 * c12 * fy) - b * s2 * qd1 * qd1 - g12 - fr2
+    m00, m01 = a + b2 * c2 + e, a + b * c2
+    det = m00 * a - m01 * m01
+    n01 = -m01 / det
+    return (a / det * r1 + n01 * r2, n01 * r1 + m00 / det * r2)
 
 
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
                 include_friction: bool = True) -> Pair:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F)."""
-    return _qddot(params, _trig(*q), *qdot, float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e"),
-                  include_friction)
+    return _qddot(_constants(params), _trig(*q), *qdot, *float_pair(tau_c, "tau_c"),
+                  *float_pair(f_e, "f_e"), include_friction)
 
 
-def _plant_floats(params: ManipulatorParams, trig, q1, q2, qd1, qd2, tau_c, f_e, dt,
-                  include_friction):
-    """plant_step on floats, ``trig`` being _trig(q1, q2); returns the next
-    four floats, refused as a JointState's where not finite."""
+def _plant_floats(k, trig, q1, q2, qd1, qd2, t1, t2, fx, fy, dt, include_friction):
+    """plant_step on floats under the constants ``k``, ``trig`` being
+    _trig(q1, q2), tau_c (t1, t2) and f_e (fx, fy); returns the next four
+    floats, refused as a JointState's where not finite."""
     h = 0.5 * dt
     # each stage's derivative is (qdot, qddot) at the start state plus a
     # multiple of the previous stage's derivative
-    a1, a2 = _qddot(params, trig, qd1, qd2, tau_c, f_e, include_friction)
+    a1, a2 = _qddot(k, trig, qd1, qd2, t1, t2, fx, fy, include_friction)
     p1, p2, v1, v2 = q1 + h * qd1, q2 + h * qd2, qd1 + h * a1, qd2 + h * a2
-    b1, b2 = _qddot(params, _trig(p1, p2), v1, v2, tau_c, f_e, include_friction)
+    b1, b2 = _qddot(k, _trig(p1, p2), v1, v2, t1, t2, fx, fy, include_friction)
     r1, r2, w1, w2 = q1 + h * v1, q2 + h * v2, qd1 + h * b1, qd2 + h * b2
-    c1, c2 = _qddot(params, _trig(r1, r2), w1, w2, tau_c, f_e, include_friction)
+    c1, c2 = _qddot(k, _trig(r1, r2), w1, w2, t1, t2, fx, fy, include_friction)
     s1, s2, z1, z2 = q1 + dt * w1, q2 + dt * w2, qd1 + dt * c1, qd2 + dt * c2
-    d1, d2 = _qddot(params, _trig(s1, s2), z1, z2, tau_c, f_e, include_friction)
-    k = dt / 6.0
-    q1, q2 = q1 + k * (qd1 + 2.0 * v1 + 2.0 * w1 + z1), q2 + k * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)
-    qd1, qd2 = qd1 + k * (a1 + 2.0 * b1 + 2.0 * c1 + d1), qd2 + k * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+    d1, d2 = _qddot(k, _trig(s1, s2), z1, z2, t1, t2, fx, fy, include_friction)
+    sixth = dt / 6.0
+    q1 = q1 + sixth * (qd1 + 2.0 * v1 + 2.0 * w1 + z1)
+    q2 = q2 + sixth * (qd2 + 2.0 * v2 + 2.0 * w2 + z2)
+    qd1 = qd1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+    qd2 = qd2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
     if not (math.isfinite(q1) and math.isfinite(q2) and math.isfinite(qd1) and math.isfinite(qd2)):
         raise ValidationError(JointState._refusal)
     return q1, q2, qd1, qd2
@@ -256,8 +286,8 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     tau_c, f_e = float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e")
-    q1, q2, qd1, qd2 = _plant_floats(params, _trig(*state.q), *state.q, *state.qdot, tau_c, f_e,
-                                     dt, include_friction)
+    q1, q2, qd1, qd2 = _plant_floats(_constants(params), _trig(*state.q), *state.q, *state.qdot,
+                                     *tau_c, *f_e, dt, include_friction)
     return JointState.of_floats((q1, q2), (qd1, qd2))
 
 

@@ -105,20 +105,18 @@ def _check_size(problem: QpProblem) -> None:
         )
 
 
+def _within(A, b, u0: float, u1: float) -> bool:
+    """Whether the pair (u0, u1) satisfies every row of A u <= b to FEAS_TOL."""
+    for (a0, a1), b_j in zip(A, b):
+        if a0 * u0 + a1 * u1 > b_j + FEAS_TOL:
+            return False
+    return True
+
+
 def _project_pair(u_nom, A, b):
-    """_project for n = 2 on floats: u_nom a pair, A a list of row pairs;
-    returns (u, S) with u a pair."""
-    bound = [b_j + FEAS_TOL for b_j in b]
-
-    def feasible(u0, u1):
-        for (a0, a1), c in zip(A, bound):
-            if a0 * u0 + a1 * u1 > c:
-                return False
-        return True
-
+    """_project for n = 2 on floats, where u_nom, a pair, is not _within the
+    rows: A is a list of row pairs; returns (u, S) with u a pair."""
     u0, u1 = u_nom
-    if feasible(u0, u1):
-        return u_nom, ()
     resid = [a0 * u0 + a1 * u1 - b_j for (a0, a1), b_j in zip(A, b)]
     for j, (a0, a1) in enumerate(A):
         if math.hypot(a0, a1) <= RANK_TOL:
@@ -127,7 +125,7 @@ def _project_pair(u_nom, A, b):
         if lam < DUAL_TOL:
             continue
         v0, v1 = u0 - a0 * lam, u1 - a1 * lam
-        if feasible(v0, v1):
+        if _within(A, b, v0, v1):
             return (v0, v1), (j,)
     for i, j in combinations(range(len(A)), 2):
         (a, b_), (c, d) = A[i], A[j]
@@ -142,7 +140,7 @@ def _project_pair(u_nom, A, b):
         if (d * w0 - c * w1) / det < DUAL_TOL or (a * w1 - b_ * w0) / det < DUAL_TOL:
             continue
         v0, v1 = u0 - w0, u1 - w1
-        if feasible(v0, v1):
+        if _within(A, b, v0, v1):
             return (v0, v1), (i, j)
     raise InfeasibleQp("no KKT point over any active subset; polyhedron is empty")
 
@@ -154,6 +152,8 @@ def _project(problem: QpProblem):
     one."""
     u_nom, b = problem.u_nom, problem.b
     if len(u_nom) == 2:
+        if _within(problem.rows, b, *u_nom):
+            return u_nom, ()
         return _project_pair(u_nom, problem.rows, b)
     A = problem.A
     u_nom, b = np.array(u_nom), np.array(b)

@@ -26,13 +26,19 @@ forward invariance (Nguyen & Sreenath, ACC 2016). The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
-One loop evaluates every row (ConstraintSet._values). The filter step's
-kernel, _filter_floats, takes and returns bare floats, hands the rows to the
-closed-form projection (qp._project_pair) and builds a QpProblem, and an
-array, only in the slack fallback; filter_force is its validating wrapper.
+The row table holds each row's floats, r**2 and its gain pair included,
+and is built once per set. One loop evaluates every row
+(ConstraintSet._values) for evaluate and barrier_values. The filter step's
+kernel, _filter_floats, takes and returns bare floats: one pass over the
+table gives each row's h, QP row and bound, refuses a non-finite entry
+and tests the human force against the row, and only where the force lies
+outside a row does the closed-form projection (qp._project_pair) run. It
+builds a QpProblem, and an array, only in the slack fallback;
+filter_force is its validating wrapper.
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -40,7 +46,7 @@ import numpy as np
 from .admittance import AdmittanceState
 from .errors import InfeasibleQp, Pair, StartOutsideSafeSet, ValidationError, axis_pair, finite_fields, float_pair
 # solve is re-exported: callers look it up as safety.solve.
-from .qp import QpProblem, _check_finite, _project_pair, solve, solve_with_slack
+from .qp import FEAS_TOL, QpProblem, _project_pair, solve, solve_with_slack
 
 # Table-1 geometry: the workspace box half-width, the obstacle centre and
 # the safe distance r.
@@ -121,25 +127,22 @@ class RowValues(NamedTuple):
     K: Tuple[Pair, ...]
 
 
-def _bounds(h, lf_h, p, K) -> list:
-    """The QP's bounds b = p + K0 h + K1 Lf_h of the rows' values."""
-    return [pj + k0 * hj + k1 * lf for pj, (k0, k1), hj, lf in zip(p, K, h, lf_h)]
-
-
 def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
     """Stack barrier rows into the minimal-deviation QP min ||u - u_nom||^2
-    over the force pair u_nom."""
+    over the force pair u_nom, with the bounds b = p + K0 h + K1 Lf_h."""
     ux, uy = u_nom
     return QpProblem.of_rows((ux, uy), tuple([(-q0, -q1) for q0, q1 in rows.q]),
-                             tuple(_bounds(rows.h, rows.lf_h, rows.p, rows.K)))
+                             tuple([pj + k0 * hj + k1 * lf for pj, (k0, k1), hj, lf
+                                    in zip(rows.p, rows.K, rows.h, rows.lf_h)]))
 
 
 @dataclass
 class ConstraintSet:
     """Enabled constraints plus their barrier gains and the slack policy.
 
-    The row table is built once, here: per row a name, the diagonal weight
-    w, the centre c, r, the gain pair K, and the side (+1 for an upper box
+    The row table is built once, here: per row a name (in ``names``) and
+    the floats the kernels read (in ``_rows``): the diagonal weight w, the
+    centre c, r and r**2, the gain pair K, and the side (+1 for an upper box
     wall, -1 for a lower one, 0 for the obstacle).
 
     With ``slack`` set, a step whose rows conflict takes the penalized
@@ -162,18 +165,17 @@ class ConstraintSet:
         if obs is not None:
             rows.append(("obs", (1.0, 1.0), float_pair(obs.x_obs, "x_obs"), obs.r, gains.K_obs, 0.0))
         self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
-        # per row: w (2 floats), c (2 floats), r, side
-        self._rows = [(*w, *c, r, side) for _, w, c, r, _, side in rows]
-        self._K = tuple(K for _, _, _, _, K, _ in rows)
+        # per row: w (2 floats), c (2 floats), r, r**2, K (2 floats), side
+        self._rows = [(*w, *c, r, r * r, *K, side) for _, w, c, r, K, side in rows]
 
     def _values(self, x, y, vx, vy, dx, dy, gx, gy):
         """Every row's h, Lf_h, p and QP row A = -q (a pair), four lists in
         table order, at the state (x, y, vx, vy), drift (dx, dy) and gain (gx, gy)."""
         h, lf_h, p, A = [], [], [], []
-        for w0, w1, c0, c1, r, _ in self._rows:
+        for w0, w1, c0, c1, _, rr, _, _, _ in self._rows:
             o0, o1 = x - c0, y - c1
             wd0, wd1 = w0 * o0, w1 * o1
-            h.append(wd0 * o0 + wd1 * o1 - r * r)
+            h.append(wd0 * o0 + wd1 * o1 - rr)
             lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
             p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
             A.append((-(2.0 * wd0 * gx), -(2.0 * wd1 * gy)))
@@ -181,7 +183,8 @@ class ConstraintSet:
 
     def _row_values(self, values) -> RowValues:
         h, lf_h, p, A = values
-        return RowValues(tuple(h), tuple(lf_h), tuple(p), tuple([(-a, -b) for a, b in A]), self._K)
+        return RowValues(tuple(h), tuple(lf_h), tuple(p), tuple([(-a, -b) for a, b in A]),
+                         tuple([(k0, k1) for *_, k0, k1, _ in self._rows]))
 
     def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
         """Every row at ``adm`` under the force-free acceleration pair
@@ -216,7 +219,8 @@ def check_start_inside(cset: ConstraintSet, adm: AdmittanceState) -> None:
     toward the wall must be at most -r. For the obstacle, h >= 0.
     """
     x, y = adm.x1
-    for name, (w0, w1, c0, c1, r, side), h in zip(cset.names, cset._rows, cset.barrier_values(adm.x1)):
+    for name, (w0, w1, c0, c1, r, _, _, _, side), h in zip(cset.names, cset._rows,
+                                                           cset.barrier_values(adm.x1)):
         bad = side * (w0 * (x - c0) + w1 * (y - c1)) > -r + _START_TOL if side else h < -_START_TOL
         if bad:
             raise StartOutsideSafeSet(
@@ -239,26 +243,46 @@ def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx,
                    fx, fy):
     """filter_force on floats, at the state (x, y, vx, vy), drift (dx, dy),
     input gain (gx, gy) and force (fx, fy): returns f_e_hat and f_e_comp as
-    four floats, the rows' _values, the active set, the status and the
-    largest slack. ``bypass`` is None to filter, or the status of a step
-    that passes f_e on unfiltered (f_e_comp zero, no active row)."""
-    values = h, lf_h, p, A = cset._values(x, y, vx, vy, dx, dy, gx, gy)
+    four floats, the rows' h (a list in table order), the active set, the
+    status and the largest slack. ``bypass`` is None to filter, or the
+    status of a step that passes f_e on unfiltered (f_e_comp zero, no
+    active row).
+
+    One pass over the row table gives each row's h, QP row A_j = -q_j and
+    bound b_j, refuses a non-finite entry, and tests f_e against the row;
+    the projection runs only where f_e lies outside a row."""
     if bypass is not None:
-        return fx, fy, 0.0, 0.0, values, (), bypass, 0.0
-    b = _bounds(h, lf_h, p, cset._K)
-    u_nom = (fx, fy)
-    _check_finite(u_nom, A, b)
+        return fx, fy, 0.0, 0.0, cset._values(x, y, vx, vy, dx, dy, gx, gy)[0], (), bypass, 0.0
+    if not (isfinite(fx) and isfinite(fy)):
+        raise ValidationError("QP entries must be finite")
+    h, A, b, inside = [], [], [], True
+    vxx, vyy = vx * vx, vy * vy
+    for w0, w1, c0, c1, _, rr, k0, k1, _ in cset._rows:
+        o0, o1 = x - c0, y - c1
+        wd0, wd1 = w0 * o0, w1 * o1
+        hj = wd0 * o0 + wd1 * o1 - rr
+        e0, e1 = 2.0 * wd0, 2.0 * wd1
+        a0, a1 = -(e0 * gx), -(e1 * gy)
+        bj = (2.0 * ((wd0 * dx + wd1 * dy) + (w0 * vxx + w1 * vyy)) + k0 * hj
+              + k1 * (e0 * vx + e1 * vy))
+        if not (isfinite(bj) and isfinite(a0) and isfinite(a1)):
+            raise ValidationError("QP entries must be finite")
+        if a0 * fx + a1 * fy > bj + FEAS_TOL:
+            inside = False
+        h.append(hj)
+        A.append((a0, a1))
+        b.append(bj)
     try:
-        (ux, uy), active = _project_pair(u_nom, A, b)
+        (ux, uy), active = ((fx, fy), ()) if inside else _project_pair((fx, fy), A, b)
         status, slack_max = "ok", 0.0
     except InfeasibleQp:
         if not cset.slack:
             raise
-        sol, slacks = solve_with_slack(_unit_rows(QpProblem.of_rows(u_nom, tuple(A), tuple(b))))
+        sol, slacks = solve_with_slack(_unit_rows(QpProblem.of_rows((fx, fy), tuple(A), tuple(b))))
         (ux, uy), active = sol.u, sol.active_set
         slack_max = float(slacks.max())
         status = "slack" if slack_max > 0.0 else "ok"
-    return ux, uy, ux - fx, uy - fy, values, active, status, slack_max
+    return ux, uy, ux - fx, uy - fy, h, active, status, slack_max
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
@@ -274,6 +298,8 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     """
     (x, y), (vx, vy) = adm.x1, adm.x2
     (dx, dy), (fx, fy) = drift, f_e
-    ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(
-        cset, None, x, y, vx, vy, dx, dy, *axis_pair(g, "g"), fx, fy)
-    return (ux, uy), (cx, cy), FilterDiagnostics(cset._row_values(values), active, status, slack_max)
+    gx, gy = axis_pair(g, "g")
+    ux, uy, cx, cy, _, active, status, slack_max = _filter_floats(
+        cset, None, x, y, vx, vy, dx, dy, gx, gy, fx, fy)
+    rows = cset._row_values(cset._values(x, y, vx, vy, dx, dy, gx, gy))
+    return (ux, uy), (cx, cy), FilterDiagnostics(rows, active, status, slack_max)

@@ -11,13 +11,18 @@ child where a second CPU is free.
 
 A chain's step is one call per stage to a float kernel, looked up as a
 global here, with bare floats between them; the public per-term functions
-are validating wrappers over the same kernels. Each step's floats are one
-row of a flat float log (an ``array('d')``), which the plant chain reads
-x1, f_e and f_hat from and writes x_actual and f_c into. The loop's log is
-viewed as the (N, width) step matrix that the Trace holds, laid out as
-COLUMNS says, and each signal is a view of its columns. A step is read
-from the columns, or as the one-row Trace ``trace[k]``; ``records_equal``
-compares two traces bit for bit.
+are validating wrappers over the same kernels. A chain binds its run's
+constants once: the plant chain builds the arm's and the tracker's
+constant tuples (arm._constants, smc._constants) when it is made, and the
+reference chain reads the row table that the ConstraintSet built and the
+admittance axes once per run. Each step's floats are one row of a flat
+float log (an ``array('d')``), which the reference chain writes, h
+included, with one extend per step and hands on a block at a time, and
+which the plant chain reads x1, f_e and f_hat from and writes x_actual
+and f_c into. The loop's log is viewed as the (N, width) step matrix that
+the Trace holds, laid out as COLUMNS says, and each signal is a view of
+its columns. A step is read from the columns, or as the one-row Trace
+``trace[k]``; ``records_equal`` compares two traces bit for bit.
 """
 
 import math
@@ -29,17 +34,17 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import forks
+from . import arm, forks, smc
 # drift_term, admittance_step and filter_force are re-exported: callers look them up here.
 from .admittance import (AdmittanceParams, AdmittanceState, DesiredPoint, _admittance_floats,
                          _msd_accel, admittance_step, drift_term)
-from .arm import ManipulatorParams, _plant_floats, _task_floats, _tv
+from .arm import ManipulatorParams, _plant_floats, _task_floats
 from .errors import (InfeasibleQp, Pair, SimulationAborted, SingularConfiguration, StartOutsideSafeSet,
                      ValidationError, finite_fields)
 # DEFAULT_SAFE_DISTANCE is re-exported: callers read it as sim.DEFAULT_SAFE_DISTANCE.
 from .safety import (DEFAULT_SAFE_DISTANCE, ConstraintSet, EcbfGains, ObstacleConstraint,
                      WorkspaceConstraint, _filter_floats, check_start_inside, filter_force)
-from .smc import ControllerState, FxtismcGains, _control_floats, _exponents
+from .smc import ControllerState, FxtismcGains, _control_floats
 
 # Table-1 style defaults shared by the preset scenarios.
 DEFAULT_Q0 = (0.5236, 2.0944)
@@ -81,12 +86,12 @@ def human_force(t: float, a: Pair = DEFAULT_AMPLITUDES) -> Pair:
 def _sample(t, dt, radius, rate, amplitude: Pair, axes, x1x, x1y, x2x, x2y):
     """The step at t's desired samples at t, t + dt/2 and t + dt, human force
     and drift at the reference state: (d0, dh, d1, fx, fy, dx, dy)."""
-    d0 = _circle(t, radius, rate)
+    d0 = x, y, vx, vy, ax, ay = _circle(t, radius, rate)
     fx, fy = human_force(t, amplitude)
     (k_mx, k_bx, k_kx, _), (k_my, k_by, k_ky, _) = axes
     return (d0, _circle(t + 0.5 * dt, radius, rate), _circle(t + dt, radius, rate), fx, fy,
-            _msd_accel(k_mx, k_bx, k_kx, x1x, x2x, d0[0], d0[2], d0[4]),
-            _msd_accel(k_my, k_by, k_ky, x1y, x2y, d0[1], d0[3], d0[5]))
+            _msd_accel(k_mx, k_bx, k_kx, x1x, x2x, x, vx, ax),
+            _msd_accel(k_my, k_by, k_ky, x1y, x2y, y, vy, ay))
 
 
 @dataclass
@@ -264,7 +269,7 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
     (x1x, x1y), (x2x, x2y) = adm.x1, adm.x2
     sx, sy, svx, svy = x1x, x1y, x2x, x2y  # the shadow
     for first in range(0, steps + 1, BLOCK):
-        rows, events, handoff = array("d"), [], array("d")
+        rows, events, handoff = [], [], []  # sent on as arrays of the block's floats
         failure = None
         try:
             for k in range(first, min(first + BLOCK, steps + 1)):
@@ -273,14 +278,13 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                 d0, dh, d1, fex, fey, dx, dy = _sample(t, dt, radius, rate, amplitude, axes,
                                                        x1x, x1y, x2x, x2y)
                 stage = 1
-                fx, fy, cx, cy, values, active, status, _ = _filter_floats(
+                fx, fy, cx, cy, h, active, status, _ = _filter_floats(
                     cset, bypass, x1x, x1y, x2x, x2y, dx, dy, gx, gy, fex, fey)
                 # the step's row in COLUMNS order; the plant chain fills x_actual and f_c
-                rows.extend((t, d0[0], d0[1], x1x, x1y, sx, sy, 0.0, 0.0, fex, fey, fx, fy,
-                             cx, cy, 0.0, 0.0))
-                rows.extend(values[0])  # h
+                rows += [t, d0[0], d0[1], x1x, x1y, sx, sy, 0.0, 0.0, fex, fey, fx, fy, cx, cy,
+                         0.0, 0.0, *h]
                 events += (active, status)
-                handoff.extend((x2x, x2y, dx, dy))
+                handoff += (x2x, x2y, dx, dy)
                 if k < steps:
                     stage = 3
                     # one sampling of the substep points serves both references
@@ -291,7 +295,7 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                         _admittance_floats(axes, sx, sy, svx, svy, d0, dh, d1, fex, fey, dt))
         except Exception as exc:
             failure = _Failed(k, stage, exc)
-        if not hand(rows, events, handoff, failure) or failure is not None:
+        if not hand(array("d", rows), events, array("d", handoff), failure) or failure is not None:
             return
 
 
@@ -306,30 +310,34 @@ class _PlantChain:
     def __init__(self, config: ScenarioConfig, steps: int, width: int):
         self.config, self.steps, self.width = config, steps, width
         self.joint, self.ctrl, self.k = (*config.q0, *config.qdot0), astuple(ControllerState()), 0
+        self.constants = arm._constants(config.robot), smc._constants(config.controller)
         self.failure: Optional[_Failed] = None
 
     def feed(self, rows: array, handoff: array) -> bool:
         """Run the steps of the log ``rows`` (x1, f_e, f_hat) and ``handoff``
         (x2, the drift); returns whether the chain still runs."""
         config, steps, width = self.config, self.steps, self.width
-        params, gains, dt, nominal_only = config.robot, config.controller, config.dt, config.nominal_only
-        (k1m, minv), (gx, gy) = _exponents(gains), config.admittance.input_gain
+        dt, nominal_only, (gx, gy) = config.dt, config.nominal_only, config.admittance.input_gain
+        arm_k, smc_k = self.constants
         (q1, q2, qd1, qd2), ctrl, k, stage = self.joint, self.ctrl, self.k, 2
         try:
             for o, i in zip(range(0, len(rows), width), range(0, len(handoff), _HANDOFF)):
                 x1x, x1y, _, _, _, _, fex, fey, fx, fy = rows[o + _X_F:o + _F_E_HAT + 2]
                 x2x, x2y, dx, dy = handoff[i:i + _HANDOFF]
                 stage = 2
-                terms, (x, y), (xdot, ydot), J, trig = _task_floats(params, q1, q2, qd1, qd2, False)
+                terms, x, y, xdot, ydot, j00, j01, j10, j11, trig = _task_floats(
+                    arm_k, q1, q2, qd1, qd2, False)
                 fcx, fcy, ctrl = _control_floats(
-                    gains, k1m, minv, ctrl, terms, x, y, xdot, ydot,
+                    smc_k, ctrl, terms, x, y, xdot, ydot,
                     (x1x, x1y, x2x, x2y, dx + gx * fx, dy + gy * fy), dt, nominal_only)
                 rows[o + _X_ACTUAL], rows[o + _X_ACTUAL + 1] = x, y
                 rows[o + _F_C], rows[o + _F_C + 1] = fcx, fcy
                 if k < steps:
                     stage = 4
-                    q1, q2, qd1, qd2 = _plant_floats(params, trig, q1, q2, qd1, qd2,
-                                                     _tv(J, (fcx, fcy)), (fex, fey), dt, True)
+                    # tau_c = J^T f_c
+                    q1, q2, qd1, qd2 = _plant_floats(arm_k, trig, q1, q2, qd1, qd2,
+                                                     j00 * fcx + j10 * fcy, j01 * fcx + j11 * fcy,
+                                                     fex, fey, dt, True)
                 k += 1
         except Exception as exc:
             self.failure = _Failed(k, stage, exc)

@@ -14,15 +14,20 @@ exponents of possibly-negative errors appear. The discontinuous switching
 term is smoothed by a boundary-layer saturation by default; pure sign
 switching is available behind ``use_sign`` for fidelity runs.
 
-The step's kernel, _control_floats, composes the float kernels of the
-nominal law and of the compensation on floats and on the astuple of the
-terms and of the controller state; control, nominal_control and
-compensating_control are their validating wrappers, so control equals
-nominal_control plus compensating_control bit for bit.
+The gains' constants (_constants: the gains, the exponents less one, and
+their products that the laws use) are one tuple of flat tuples, one per
+law, which a run builds once. The step's kernel, _control_floats,
+composes the float kernels of the nominal law and of the compensation,
+whose per-axis helpers write each signed power out, on floats, on those
+constants and on the astuple of the terms and of the controller state;
+control, nominal_control and compensating_control are their validating
+wrappers, which build the constants on every call (the gains are
+mutable), so control equals nominal_control plus compensating_control bit
+for bit.
 """
 
-import math
 from dataclasses import astuple, dataclass, fields
+from math import copysign
 from typing import Tuple
 
 import numpy as np
@@ -86,13 +91,13 @@ class ControllerState:
     prev_integrand: Tuple[float, float] = (0.0, 0.0)
 
 
-# The kernels below work per axis on Python floats; signed_power and
-# sliding_variable also accept numpy arrays, elementwise. The controller's
-# inputs and outputs are float pairs.
+# The kernels below work per axis on Python floats, under the constants
+# record of _constants; signed_power and sliding_variable also accept numpy
+# arrays, elementwise. The controller's inputs and outputs are float pairs.
 
 def _spow(z: float, a: float) -> float:
     """The signed power [z]^a = sign(z) |z|^a."""
-    return math.copysign(abs(z) ** a, z)
+    return copysign(abs(z) ** a, z)
 
 
 def signed_power(z, a: float) -> np.ndarray:
@@ -101,96 +106,105 @@ def signed_power(z, a: float) -> np.ndarray:
     return np.vectorize(_spow, otypes=[float])(z, a)
 
 
-def _power_slope(z: float, a: float) -> float:
-    """d/dz sign(z)|z|^a = a |z|^(a-1), floored near zero for a < 1."""
-    mag = abs(z)
-    if a < 1.0:
-        mag = max(mag, POWER_SLOPE_FLOOR)
-    return a * mag ** (a - 1.0)
+def _constants(gains: FxtismcGains):
+    """The kernels' constants of ``gains``, which a run builds once and a
+    kernel's wrapper on every call: the nominal law's (lambda1, lambda2,
+    lambda3, alpha, beta, alpha - 1, beta - 1), the surface's (kappa1^-m,
+    1/m, kappa1^-m / m, 1/m - 1, kappa2, n, kappa2 n, n - 1) for m = m_exp
+    and n = n_exp, the reaching law's (-(rho + epsilon), kappa3, p_exp,
+    kappa4, q_exp, boundary_layer, use_sign), and force_limit."""
+    g = gains
+    k1m, minv = g.kappa1 ** -g.m_exp, 1.0 / g.m_exp
+    return ((g.lambda1, g.lambda2, g.lambda3, g.alpha, g.beta, g.alpha - 1.0, g.beta - 1.0),
+            (k1m, minv, k1m / g.m_exp, minv - 1.0, g.kappa2, g.n_exp, g.kappa2 * g.n_exp,
+             g.n_exp - 1.0),
+            (-(g.rho + g.epsilon), g.kappa3, g.p_exp, g.kappa4, g.q_exp, g.boundary_layer,
+             g.use_sign),
+            g.force_limit)
 
 
-def _nominal_axis(gains: FxtismcGains, gm: float, x: float, xdot: float, r: float,
-                  rdot: float, rddot: float) -> float:
+def _nominal_axis(kn, gm: float, x: float, xdot: float, r: float, rdot: float,
+                  rddot: float) -> float:
     """One axis of the backstepping law's acceleration v (the nominal force
-    is M_x v), under the drift gm, tracking (r, rdot, rddot)."""
-    l1, l2, l3 = gains.lambda1, gains.lambda2, gains.lambda3
-    a, b = gains.alpha, gains.beta
+    is M_x v), under the drift gm, tracking (r, rdot, rddot). The slope of
+    the signed power of s1 to alpha is floored at |s1| = POWER_SLOPE_FLOOR,
+    and that to beta is not: the gains fix alpha < 1 < beta."""
+    l1, l2, l3, a, b, am1, bm1 = kn
     s1 = x - r
     s1dot = xdot - rdot
-    alpha_s = -(l1 * s1 + l2 * _spow(s1, a) + l3 * _spow(s1, b)) + rdot
-    alpha_s_dot = (-(l1 + l2 * _power_slope(s1, a) + l3 * _power_slope(s1, b)) * s1dot
-                   + rddot)
+    m = abs(s1)
+    alpha_s = -(l1 * s1 + l2 * copysign(m ** a, s1) + l3 * copysign(m ** b, s1)) + rdot
+    floored = POWER_SLOPE_FLOOR if POWER_SLOPE_FLOOR > m else m
+    alpha_s_dot = -(l1 + l2 * (a * floored ** am1) + l3 * (b * m ** bm1)) * s1dot + rddot
     s2 = xdot - alpha_s
-    return -gm + alpha_s_dot - l1 * s2 - l2 * _spow(s2, a) - l3 * _spow(s2, b)
+    m = abs(s2)
+    return -gm + alpha_s_dot - l1 * s2 - l2 * copysign(m ** a, s2) - l3 * copysign(m ** b, s2)
 
 
-def _nominal_floats(gains: FxtismcGains, terms, x, y, xdot, ydot, ref):
+def _nominal_floats(kn, terms, x, y, xdot, ydot, ref):
     """The nominal force M_x v and the friction-free task-space drift
     gamma = -Xi bias, as four floats."""
     ((m00, m01), (m10, m11)), (b0, b1), ((xi00, xi01), (xi10, xi11)) = terms
     gx, gy = -(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1)
     rx, ry, rdx, rdy, rddx, rddy = ref
-    vx = _nominal_axis(gains, gx, x, xdot, rx, rdx, rddx)
-    vy = _nominal_axis(gains, gy, y, ydot, ry, rdy, rddy)
+    vx = _nominal_axis(kn, gx, x, xdot, rx, rdx, rddx)
+    vy = _nominal_axis(kn, gy, y, ydot, ry, rdy, rddy)
     return m00 * vx + m01 * vy, m10 * vx + m11 * vy, gx, gy
 
 
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
                     cart: CartesianState, ref: DesiredPoint) -> Pair:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    fx, fy, _, _ = _nominal_floats(gains, astuple(terms), *cart.x, *cart.xdot, ref.sample)
+    fx, fy, _, _ = _nominal_floats(_constants(gains)[0], astuple(terms), *cart.x, *cart.xdot,
+                                   ref.sample)
     return fx, fy
 
 
-def _surface_axis(gains: FxtismcGains, k1m: float, minv: float, e: float, edot: float,
-                  eddot: float):
+def _surface_axis(ks, e: float, edot: float, eddot: float):
     """One axis of the sliding variable s and of its time derivative under
     the model error acceleration eddot (chain rule through the signed
-    powers); k1m is kappa1^-m and minv is 1/m, for m = m_exp."""
-    m, n, kappa2 = gains.m_exp, gains.n_exp, gains.kappa2
-    w = edot + kappa2 * _spow(e, n)
-    wdot = eddot + kappa2 * n * abs(e) ** (n - 1.0) * edot
-    return (e + k1m * _spow(w, minv),
-            edot + k1m / m * abs(w) ** (minv - 1.0) * wdot)
+    powers)."""
+    k1m, minv, k1m_m, minvm1, kappa2, n, kappa2n, nm1 = ks
+    m = abs(e)
+    w = edot + kappa2 * copysign(m ** n, e)
+    wdot = eddot + kappa2n * m ** nm1 * edot
+    m = abs(w)
+    return e + k1m * copysign(m ** minv, w), edot + k1m_m * m ** minvm1 * wdot
 
 
 def sliding_variable(gains: FxtismcGains, e, edot) -> np.ndarray:
-    k1m, minv = gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
-    return np.vectorize(lambda e, edot: _surface_axis(gains, k1m, minv, e, edot, 0.0)[0],
+    ks = _constants(gains)[1]
+    return np.vectorize(lambda e, edot: _surface_axis(ks, e, edot, 0.0)[0],
                         otypes=[float])(e, edot)
 
 
-def _reaching_axis(gains: FxtismcGains, sigma: float) -> float:
+def _reaching_axis(kr, sigma: float) -> float:
     """One axis of the compensating acceleration for the integral sliding
     variable sigma."""
-    if gains.use_sign:
-        switch = math.copysign(1.0, sigma) if sigma else 0.0
-    else:
-        switch = min(max(sigma / gains.boundary_layer, -1.0), 1.0)
-    return (-(gains.rho + gains.epsilon) * switch
-            - gains.kappa3 * _spow(sigma, gains.p_exp)
-            - gains.kappa4 * _spow(sigma, gains.q_exp))
+    nrho, kappa3, p, kappa4, q, layer, use_sign = kr
+    if use_sign:
+        switch = copysign(1.0, sigma) if sigma else 0.0
+    else:  # sigma / layer clamped to [-1, 1]
+        switch = sigma / layer
+        switch = -1.0 if switch < -1.0 else 1.0 if switch > 1.0 else switch
+    m = abs(sigma)
+    return nrho * switch - kappa3 * copysign(m ** p, sigma) - kappa4 * copysign(m ** q, sigma)
 
 
-def _exponents(gains: FxtismcGains):
-    """(kappa1^-m, 1/m) for m = m_exp, as the surface kernels take them."""
-    return gains.kappa1 ** -gains.m_exp, 1.0 / gains.m_exp
-
-
-def _compensating_floats(gains: FxtismcGains, k1m, minv, state, M_x, ex, ey, edx, edy, eddx,
-                         eddy, dt):
-    """compensating_control on floats: returns (ux, uy, state), ``state``
-    being the astuple of a ControllerState."""
-    sx, gx = _surface_axis(gains, k1m, minv, ex, edx, eddx)
-    sy, gy = _surface_axis(gains, k1m, minv, ey, edy, eddy)
+def _compensating_floats(k, state, M_x, ex, ey, edx, edy, eddx, eddy, dt):
+    """compensating_control on floats under the constants ``k``: returns
+    (ux, uy, state), ``state`` being the astuple of a ControllerState."""
+    _, ks, kr, _ = k
+    sx, gx = _surface_axis(ks, ex, edx, eddx)
+    sy, gy = _surface_axis(ks, ey, edy, eddy)
     initialized, (s0x, s0y), (ix, iy), (px, py) = state
     if not initialized:
         s0x, s0y = sx, sy
         ix = iy = 0.0
     else:
         ix, iy = ix + 0.5 * dt * (px + gx), iy + 0.5 * dt * (py + gy)
-    vx = _reaching_axis(gains, sx - s0x - ix)
-    vy = _reaching_axis(gains, sy - s0y - iy)
+    vx = _reaching_axis(kr, sx - s0x - ix)
+    vy = _reaching_axis(kr, sy - s0y - iy)
     (m00, m01), (m10, m11) = M_x
     return m00 * vx + m01 * vy, m10 * vx + m11 * vy, (True, (s0x, s0y), (ix, iy), (gx, gy))
 
@@ -208,26 +222,27 @@ def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     (ex, ey), (edx, edy), (eddx, eddy) = e, edot, eddot
-    ux, uy, state = _compensating_floats(gains, *_exponents(gains), astuple(ctrl_state),
-                                         terms.M_x, ex, ey, edx, edy, eddx, eddy, dt)
+    ux, uy, state = _compensating_floats(_constants(gains), astuple(ctrl_state), terms.M_x,
+                                         ex, ey, edx, edy, eddx, eddy, dt)
     return (ux, uy), ControllerState(*state)
 
 
-def _control_floats(gains: FxtismcGains, k1m, minv, state, terms, x, y, xdot, ydot, ref, dt,
-                    nominal_only):
-    """control on floats and on the astuple of the terms and of the
-    controller state; ref is DesiredPoint.sample. Returns (fx, fy, state)."""
-    fx, fy, gx, gy = _nominal_floats(gains, terms, x, y, xdot, ydot, ref)
+def _control_floats(k, state, terms, x, y, xdot, ydot, ref, dt, nominal_only):
+    """control on floats under the constants ``k`` and on the astuple of the
+    terms and of the controller state; ref is DesiredPoint.sample. Returns
+    (fx, fy, state)."""
+    fx, fy, gx, gy = _nominal_floats(k[0], terms, x, y, xdot, ydot, ref)
     if not nominal_only:
         (xi00, xi01), (xi10, xi11) = terms[2]
         rx, ry, rdx, rdy, rddx, rddy = ref
         # the model error acceleration: Xi f_nominal + gamma - xddot_d
         ux, uy, state = _compensating_floats(
-            gains, k1m, minv, state, terms[0], x - rx, y - ry, xdot - rdx, ydot - rdy,
+            k, state, terms[0], x - rx, y - ry, xdot - rdx, ydot - rdy,
             xi00 * fx + xi01 * fy + gx - rddx, xi10 * fx + xi11 * fy + gy - rddy, dt)
         fx, fy = fx + ux, fy + uy
-    limit = gains.force_limit
-    fx, fy = min(max(fx, -limit), limit), min(max(fy, -limit), limit)
+    limit = k[3]  # each axis clamped to [-limit, limit]
+    fx = -limit if fx < -limit else limit if fx > limit else fx
+    fy = -limit if fy < -limit else limit if fy > limit else fy
     _, (s0x, s0y), (ix, iy), (px, py) = state
     if not all_finite(fx, fy, s0x, s0y, ix, iy, px, py):
         raise ValidationError("control force or controller state entries must be finite")
@@ -246,7 +261,6 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     """
     if not (nominal_only or dt > 0.0):
         raise ValidationError("dt must be positive")
-    fx, fy, state = _control_floats(gains, *_exponents(gains), astuple(ctrl_state),
-                                    astuple(terms), *cart.x, *cart.xdot, ref.sample, dt,
-                                    nominal_only)
+    fx, fy, state = _control_floats(_constants(gains), astuple(ctrl_state), astuple(terms),
+                                    *cart.x, *cart.xdot, ref.sample, dt, nominal_only)
     return (fx, fy), ctrl_state if nominal_only else ControllerState(*state)

@@ -2,8 +2,10 @@
 tests.
 
 These are the array formulations of the admittance RK4 step, of the
-two-link plant RK4 step and of the task-space dynamics terms: every
-2-vector is a numpy array. The plant step inverts its 2x2 mass matrix with
+two-link plant RK4 step and of the task-space dynamics terms, in which
+every 2-vector is a numpy array, and the tracker's per-axis laws on floats.
+The plant step and the tracker's laws read each parameter from its field
+on every call. The plant step inverts its 2x2 mass matrix with
 the cofactor formula, the task-space terms with numpy's inverse. The
 admittance step does the same floating-point operations in the same order
 as the float kernel, so the two agree bit for bit; the plant step and the
@@ -89,3 +91,48 @@ def cartesian_dynamics_terms(params, state, include_friction=True):
     M_x = Jinv.T @ M @ Jinv
     bias = Jinv.T @ (c_vec + G + F - M @ Jinv @ Jdot @ np.array(state.qdot))
     return M_x, bias, np.linalg.inv(M_x)
+
+
+# The tracker's per-axis laws on Python floats, each gain read from its
+# FxtismcGains field on every call, in the kernels' operation order, so
+# they agree with smc's kernels bit for bit.
+
+def _spow(z, a):
+    return math.copysign(abs(z) ** a, z)
+
+
+def _slope(z, a):
+    """d/dz sign(z)|z|^a = a |z|^(a-1), with |z| floored at 1e-6 for a < 1."""
+    mag = max(abs(z), 1e-6) if a < 1.0 else abs(z)
+    return a * mag ** (a - 1.0)
+
+
+def nominal_accel(g, gm, x, xdot, r, rdot, rddot):
+    """One axis of the backstepping law's acceleration v under the gains g."""
+    s1, s1dot = x - r, xdot - rdot
+    alpha_s = (-(g.lambda1 * s1 + g.lambda2 * _spow(s1, g.alpha) + g.lambda3 * _spow(s1, g.beta))
+               + rdot)
+    alpha_s_dot = (-(g.lambda1 + g.lambda2 * _slope(s1, g.alpha) + g.lambda3 * _slope(s1, g.beta))
+                   * s1dot + rddot)
+    s2 = xdot - alpha_s
+    return (-gm + alpha_s_dot - g.lambda1 * s2 - g.lambda2 * _spow(s2, g.alpha)
+            - g.lambda3 * _spow(s2, g.beta))
+
+
+def surface(g, e, edot, eddot):
+    """One axis of the sliding variable s and of its time derivative."""
+    k1m, minv = g.kappa1 ** -g.m_exp, 1.0 / g.m_exp
+    w = edot + g.kappa2 * _spow(e, g.n_exp)
+    wdot = eddot + g.kappa2 * g.n_exp * abs(e) ** (g.n_exp - 1.0) * edot
+    return e + k1m * _spow(w, minv), edot + k1m / g.m_exp * abs(w) ** (minv - 1.0) * wdot
+
+
+def reaching_accel(g, sigma):
+    """One axis of the compensating acceleration at the integral sliding
+    variable sigma."""
+    if g.use_sign:
+        switch = math.copysign(1.0, sigma) if sigma else 0.0
+    else:
+        switch = min(max(sigma / g.boundary_layer, -1.0), 1.0)
+    return (-(g.rho + g.epsilon) * switch - g.kappa3 * _spow(sigma, g.p_exp)
+            - g.kappa4 * _spow(sigma, g.q_exp))

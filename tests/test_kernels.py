@@ -3,29 +3,51 @@ two-variable projection against the SVD enumeration; the admittance and
 plant RK4 steps and the task-space terms against the numpy reference in
 kernel_reference.py; and the public plant step and controller and each
 stage kernel of the two chains, bit for bit, against their composition
-from the public per-term functions."""
+from the public per-term functions. The kernels take constants that a run
+builds once, so they also run under non-default parameters, against
+references that read each parameter from its field."""
 
 import math
 from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
 
-from safeadmit import (AdmittanceParams, AdmittanceState, ControllerState,
-                       DesiredPoint, FxtismcGains, InfeasibleQp, JointState, ManipulatorParams,
-                       QpProblem, SimulationAborted, ValidationError, admittance_step, assemble_qp,
-                       compensating_control, desired_trajectory, drift_term, human_force,
-                       nominal_control, plant_step, scenario_library, sim, solve,
-                       solve_with_slack)
+from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet, ControllerState,
+                       DesiredPoint, EcbfGains, FxtismcGains, InfeasibleQp, JointState,
+                       ManipulatorParams, ObstacleConstraint, QpProblem, SimulationAborted,
+                       SingularConfiguration, ValidationError, WorkspaceConstraint,
+                       admittance_step, assemble_qp, compensating_control, desired_trajectory,
+                       drift_term, human_force, nominal_control, plant_step, scenario_library,
+                       sim, sliding_variable, solve, solve_with_slack)
 from safeadmit.admittance import _admittance_floats
 from safeadmit.arm import (CartesianState, _plant_floats, _task_floats, _trig,
                            cartesian_dynamics_terms, cartesian_state, jacobian, jacobian_dot,
                            joint_accel, joint_dynamics_terms)
+from safeadmit.arm import _constants as arm_constants
 from safeadmit.qp import RANK_TOL
 from safeadmit.safety import _filter_floats, _unit_rows
-from safeadmit.smc import _control_floats, _exponents, control
+from safeadmit.smc import _constants as smc_constants, _control_floats, control
 
 import kernel_reference as ref
+
+# Every field at a value other than its default, so that a kernel whose
+# constants record bound a default, or read the wrong field, differs.
+CUSTOM_ROBOT = ManipulatorParams(m1=2.1, m2=0.7, l1=0.35, l2=0.25, gravity=9.7,
+                                 singularity_tolerance=2e-4)
+ROBOTS = (ManipulatorParams(), CUSTOM_ROBOT)
+CUSTOM_GAINS = FxtismcGains(lambda1=2.5, lambda2=15.0, lambda3=40.0, alpha=0.6, beta=1.4,
+                            kappa1=15.0, kappa2=40.0, kappa3=25.0, kappa4=60.0, m_exp=0.65,
+                            n_exp=1.5, p_exp=0.55, q_exp=1.8, rho=25.0, epsilon=4.0,
+                            boundary_layer=2e-3, use_sign=True, force_limit=800.0)
+GAINS = pytest.mark.parametrize(
+    "gains", [FxtismcGains(), FxtismcGains(force_limit=5.0), FxtismcGains(use_sign=True),
+              CUSTOM_GAINS, replace(CUSTOM_GAINS, use_sign=False)],
+    ids=["default", "clamped", "sign", "custom-sign", "custom"])
+CUSTOM_CSET = ConstraintSet(
+    workspace=WorkspaceConstraint(r=0.03), obstacle=ObstacleConstraint((-0.05, 0.06), r=0.05),
+    gains=EcbfGains(K_max=(400.0, 45.0), K_min=(600.0, 55.0), K_obs=(900.0, 80.0)))
 
 
 def _solve_both(u_nom, A, b):
@@ -136,9 +158,8 @@ class TestPlantKernel:
     @pytest.mark.parametrize("include_friction", [True, False])
     def test_matches_numpy(self, include_friction):
         rng = np.random.default_rng(9)
-        params = ManipulatorParams()
         worst = 0.0
-        for _ in range(500):
+        for params, _ in product(ROBOTS, range(500)):
             q = rng.uniform([-math.pi, 0.3], [math.pi, 2.8])
             qd = rng.uniform(-2, 2, 2)
             tau, f = rng.uniform(-20, 20, 2), rng.uniform(-10, 10, 2)
@@ -161,9 +182,8 @@ class TestTaskSpaceKernel:
     @pytest.mark.parametrize("include_friction", [True, False])
     def test_matches_numpy(self, include_friction):
         rng = np.random.default_rng(17)
-        params = ManipulatorParams()
         worst = 0.0
-        for _ in range(1000):
+        for params, _ in product(ROBOTS, range(1000)):
             st = _random_joint_state(rng)
             terms = cartesian_dynamics_terms(params, st, include_friction)
             want = ref.cartesian_dynamics_terms(params, st, include_friction)
@@ -334,14 +354,14 @@ class TestKernelsEqualPublicComposition:
             assert _bits(fx, fy) == _bits(*human_force(t, amplitude))
             assert _bits(dx, dy) == _bits(*drift_term(params, state, points[0]))
 
-    @pytest.mark.parametrize("preset", ["combined", "workspace", "obstacle-only"])
+    @pytest.mark.parametrize("preset", ["combined", "workspace", "obstacle-only", "custom"])
     def test_filter(self, preset):
         rng = np.random.default_rng(31)
-        cset = scenario_library()[preset].constraint_set()
+        cset = CUSTOM_CSET if preset == "custom" else scenario_library()[preset].constraint_set()
         seen = set()
         for inputs in _random_filter_inputs(rng, 1000):
             try:
-                ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(
+                ux, uy, cx, cy, h_got, active, status, slack_max = _filter_floats(
                     cset, None, *inputs)
             except InfeasibleQp:  # the rows conflict, and the set has no slack
                 with pytest.raises(InfeasibleQp):
@@ -349,10 +369,24 @@ class TestKernelsEqualPublicComposition:
                 seen.add("infeasible")
                 continue
             f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
-            assert _bits(ux, uy, cx, cy, *values[0]) == _bits(*f_hat, *f_comp, *h)
+            assert _bits(ux, uy, cx, cy, *h_got) == _bits(*f_hat, *f_comp, *h)
             assert (active, status, slack_max) == (want_active, want_status, want_slack)
             seen.add(len(active))
         assert seen >= {0, 1} and (preset == "obstacle-only" or 2 in seen)
+
+    def test_row_table_reads_every_constraint_field(self):
+        # the table holds each row's r**2 and gain pair, which the filter
+        # kernel and evaluate both read: h = w.(x1 - c)**2 - r**2, and K
+        ws, obs, gains = CUSTOM_CSET.workspace, CUSTOM_CSET.obstacle, CUSTOM_CSET.gains
+        rng = np.random.default_rng(53)
+        for x, y, vx, vy, dx, dy, gx, gy, _, _ in _random_filter_inputs(rng, 100):
+            rows = CUSTOM_CSET.evaluate(AdmittanceState((x, y), (vx, vy)), (dx, dy), (gx, gy))
+            want = [(x - ws.x_max[0]) ** 2, (x - ws.x_min[0]) ** 2, (y - ws.x_max[1]) ** 2,
+                    (y - ws.x_min[1]) ** 2]
+            want = [v - ws.r ** 2 for v in want] + [
+                (x - obs.x_obs[0]) ** 2 + (y - obs.x_obs[1]) ** 2 - obs.r ** 2]
+            assert np.abs(np.subtract(rows.h, want)).max() <= 1e-15
+            assert rows.K == (gains.K_max, gains.K_min, gains.K_max, gains.K_min, gains.K_obs)
 
     @pytest.mark.parametrize("status", ["bypass", "ok"])
     def test_filter_bypass(self, status):
@@ -360,8 +394,8 @@ class TestKernelsEqualPublicComposition:
         rng = np.random.default_rng(37)
         cset = scenario_library()["combined"].constraint_set()
         for inputs in _random_filter_inputs(rng, 200):
-            ux, uy, cx, cy, values, active, got, slack_max = _filter_floats(cset, status, *inputs)
-            assert _bits(ux, uy, cx, cy, *values[0]) == _bits(
+            ux, uy, cx, cy, h_got, active, got, slack_max = _filter_floats(cset, status, *inputs)
+            assert _bits(ux, uy, cx, cy, *h_got) == _bits(
                 *inputs[8:], 0.0, 0.0, *cset.barrier_values(inputs[:2]))
             assert (active, got, slack_max) == ((), status, 0.0)
 
@@ -379,9 +413,9 @@ class TestKernelsEqualPublicComposition:
         sim.run(SLACK_RUN)
         statuses = set()
         for cset, bypass, *inputs in calls:
-            ux, uy, cx, cy, values, active, status, slack_max = _filter_floats(cset, bypass, *inputs)
+            ux, uy, cx, cy, h_got, active, status, slack_max = _filter_floats(cset, bypass, *inputs)
             f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
-            assert _bits(ux, uy, cx, cy, *values[0], slack_max) == _bits(*f_hat, *f_comp, *h,
+            assert _bits(ux, uy, cx, cy, *h_got, slack_max) == _bits(*f_hat, *f_comp, *h,
                                                                           want_slack)
             assert (active, status) == (want_active, want_status)
             statuses.add(status)
@@ -404,19 +438,18 @@ class TestKernelsEqualPublicComposition:
     @pytest.mark.parametrize("include_friction", [True, False])
     def test_terms(self, include_friction):
         rng = np.random.default_rng(43)
-        params = ManipulatorParams()
-        for _ in range(500):
+        for params, _ in product(ROBOTS, range(500)):
             st = _random_joint_state(rng)
-            terms, x, xdot, J, trig = _task_floats(params, *st.q, *st.qdot, include_friction)
+            terms, x, y, xdot, ydot, *J, trig = _task_floats(arm_constants(params), *st.q,
+                                                             *st.qdot, include_friction)
             cart = cartesian_state(params, st)
             assert _bits(*terms[0][0], *terms[0][1], *terms[1], *terms[2][0], *terms[2][1]) == _bits(
                 *_terms_from_public(params, st, include_friction))
-            assert _bits(*x, *xdot) == _bits(*cart.x, *cart.xdot)
-            assert J == jacobian(params, st.q) and trig == _trig(*st.q)
+            assert _bits(x, y, xdot, ydot) == _bits(*cart.x, *cart.xdot)
+            assert _bits(*J) == _bits(*(v for row in jacobian(params, st.q) for v in row))
+            assert trig == _trig(*st.q)
 
-    @pytest.mark.parametrize("gains", [FxtismcGains(), FxtismcGains(force_limit=5.0),
-                                       FxtismcGains(use_sign=True)],
-                             ids=["default", "clamped", "sign"])
+    @GAINS
     @pytest.mark.parametrize("nominal_only", [False, True])
     def test_control(self, gains, nominal_only):
         rng = np.random.default_rng(23)
@@ -433,7 +466,8 @@ class TestKernelsEqualPublicComposition:
             for ctrl_state in (ControllerState(), initialized):
                 state = astuple(ctrl_state)
                 fx, fy, new = _control_floats(
-                    gains, *_exponents(gains), state, _task_floats(params, *st.q, *st.qdot, False)[0],
+                    smc_constants(gains), state,
+                    _task_floats(arm_constants(params), *st.q, *st.qdot, False)[0],
                     *cart.x, *cart.xdot, ref_point.sample, 1e-3, nominal_only)
                 if nominal_only:
                     assert new is state
@@ -452,11 +486,11 @@ class TestKernelsEqualPublicComposition:
     @pytest.mark.parametrize("include_friction", [True, False])
     def test_plant(self, include_friction, dt):
         rng = np.random.default_rng(19)
-        params = ManipulatorParams()
-        for _ in range(500):
+        for params, _ in product(ROBOTS, range(500)):
             st = _random_joint_state(rng)
             tau, f = tuple(rng.uniform(-20, 20, 2).tolist()), tuple(rng.uniform(-10, 10, 2).tolist())
-            got = _plant_floats(params, _trig(*st.q), *st.q, *st.qdot, tau, f, dt, include_friction)
+            got = _plant_floats(arm_constants(params), _trig(*st.q), *st.q, *st.qdot, *tau, *f, dt,
+                                include_friction)
             assert _bits(*got) == _bits(*_rk4_from_joint_accel(params, st.q, st.qdot, tau, f,
                                                                dt, include_friction))
 
@@ -479,6 +513,69 @@ class TestKernelsEqualPublicComposition:
             sim.run(replace(scenario_library()["workspace"], dt=5e-3))
         with pytest.raises(ValidationError, match="^joint state entries must be finite$"):
             _plant_floats(*calls[-1])
+
+
+@GAINS
+def test_control_laws_read_every_gain(gains):
+    """The public per-term laws, whose kernels take the gains' constants
+    record, equal kernel_reference's laws, which read each gain from its
+    field: nominal_control is M_x v, compensating_control M_x times the
+    reaching law at sigma = s - s_initial - integral, and sliding_variable
+    is s."""
+    rng = np.random.default_rng(47)
+    params, dt = CUSTOM_ROBOT, 1e-3
+    for _ in range(300):
+        st = _random_joint_state(rng)
+        terms = cartesian_dynamics_terms(params, st, include_friction=False)
+        cart = cartesian_state(params, st)
+        point = DesiredPoint(np.add(cart.x, rng.uniform(-0.05, 0.05, 2)),
+                             np.add(cart.xdot, rng.uniform(-0.5, 0.5, 2)), rng.uniform(-2, 2, 2))
+        (xi00, xi01), (xi10, xi11) = terms.Xi
+        b0, b1 = terms.bias
+        gamma = (-(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1))
+        v = [ref.nominal_accel(gains, gm, *axis) for gm, axis in zip(
+            gamma, zip(cart.x, cart.xdot, point.x_d, point.xdot_d, point.xddot_d))]
+        assert _bits(*nominal_control(gains, terms, cart, point)) == _bits(*_mv(terms.M_x, v))
+        e, edot, eddot = (tuple(rng.uniform(-0.05, 0.05, 2).tolist()) for _ in range(3))
+        state = ControllerState(True, *(tuple(rng.uniform(-0.1, 0.1, 2).tolist())
+                                        for _ in range(3)))
+        u_s, new = compensating_control(gains, state, terms, e, edot, eddot, dt)
+        s, sdot = zip(*map(ref.surface, [gains] * 2, e, edot, eddot))
+        integral = [i + 0.5 * dt * (p + g) for i, p, g in zip(state.sigma_integral,
+                                                              state.prev_integrand, sdot)]
+        reach = [ref.reaching_accel(gains, si - s0 - i)
+                 for si, s0, i in zip(s, state.s_initial, integral)]
+        assert _bits(*u_s, *new.sigma_integral, *new.prev_integrand) == _bits(
+            *_mv(terms.M_x, reach), *integral, *sdot)
+        assert _bits(*sliding_variable(gains, e, edot)) == _bits(
+            *(ref.surface(gains, a, b, 0.0)[0] for a, b in zip(e, edot)))
+
+
+def test_public_wrappers_follow_a_changed_field():
+    """The parameter records are mutable, and the public wrappers build the
+    kernels' constants on every call: a field changed between two calls
+    takes effect in the second."""
+    st, tau, f = JointState((0.4, 1.9), (0.3, -0.2)), (1.0, -2.0), (3.0, 0.5)
+    params = ManipulatorParams()
+    before = plant_step(params, st, tau, f, 1e-3)
+    params.m2 = 1.3
+    after = plant_step(params, st, tau, f, 1e-3)
+    assert after != before and after == plant_step(ManipulatorParams(m2=1.3), st, tau, f, 1e-3)
+    # |det J| = l1 l2 |sin q2| = 1.35e-4 lies between the two tolerances
+    near = JointState((0.4, math.asin(1.35e-4 / 0.09)), (0.0, 0.0))
+    cartesian_dynamics_terms(params, near)
+    params.singularity_tolerance = 2e-4
+    with pytest.raises(SingularConfiguration):
+        cartesian_dynamics_terms(params, near)
+    gains = FxtismcGains()
+    terms = cartesian_dynamics_terms(params, st, include_friction=False)
+    cart = cartesian_state(params, st)
+    point = DesiredPoint(np.add(cart.x, 0.01), np.add(cart.xdot, -0.1), (0.5, 0.2))
+    before = control(gains, ControllerState(), terms, cart, point, 1e-3)
+    gains.lambda2, gains.use_sign = 25.0, True
+    after = control(gains, ControllerState(), terms, cart, point, 1e-3)
+    assert after != before and after == control(FxtismcGains(lambda2=25.0, use_sign=True),
+                                                ControllerState(), terms, cart, point, 1e-3)
 
 
 @pytest.mark.parametrize("cls", [AdmittanceState, JointState, CartesianState])

@@ -8,7 +8,7 @@ from safeadmit import (ControllerState, DesiredPoint, FxtismcGains,
                        compensating_control, nominal_control, signed_power,
                        sliding_variable)
 from safeadmit.arm import cartesian_dynamics_terms, cartesian_state
-from safeadmit.smc import _power_slope, control
+from safeadmit.smc import _constants, _nominal_axis, control
 
 P = ManipulatorParams()
 GAINS = FxtismcGains()
@@ -37,9 +37,14 @@ class TestSignedPower:
             signed_power(1.0, 0.0)
 
     def test_slope_floor(self):
-        # derivative of |z|^a blows up at 0 for a < 1; the slope helper caps it
-        assert np.isfinite(_power_slope(0.0, 0.5))
-        assert _power_slope(0.0, 0.5) == 0.5 * 1e-6 ** -0.5
+        # derivative of |z|^a blows up at 0 for a < 1; the nominal law caps
+        # alpha's slope at |z| = 1e-6 (beta > 1 needs no floor)
+        g = FxtismcGains()
+        # s1 = 0 and s1dot = s2 = 1: v = -(l1 + l2 alpha 1e-6^(alpha-1)) - l1 - l2 - l3
+        v = _nominal_axis(_constants(g)[0], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        floored = g.lambda2 * (g.alpha * 1e-6 ** (g.alpha - 1.0))
+        assert math.isfinite(v)
+        assert v == pytest.approx(-(g.lambda1 + floored) - g.lambda1 - g.lambda2 - g.lambda3)
 
 
 class TestGainValidation:
