@@ -17,11 +17,10 @@ exactly a pair per field and refuses entries that are not finite. The
 step builds its states and desired points with of_floats, which takes the
 pairs it has just computed as they are. A state's of_floats keeps the
 finiteness check, a desired point's skips it.
-The RK4 step is straight-line float code per axis, each stage's
-acceleration being _msd_accel's (the one drift_term evaluates) written
-out. Its desired input is the three samples at the RK4 substep times.
-admittance_step is the validating wrapper of the step's kernel on bare
-floats, _admittance_floats.
+The RK4 step is straight-line float code per axis over _msd_accel, the
+one MSD acceleration that drift_term also evaluates. Its desired input is
+the three samples at the RK4 substep times. admittance_step is the
+validating wrapper of the step's kernel on bare floats, _admittance_floats.
 """
 
 from dataclasses import dataclass
@@ -102,18 +101,17 @@ def _rk4_axis(axis, gf, x1, x2, x_d0, xdot_d0, xddot_d0, x_dh, xdot_dh, xddot_dh
               xdot_d1, xddot_d1, dt):
     """One axis of the RK4 step under the held input acceleration gf, with
     ``axis`` that axis's entry of AdmittanceParams.axes; the desired samples
-    at t, t + dt/2 and t + dt come as that axis's floats, and each stage's
-    acceleration is _msd_accel's, written out. Returns the next (x1, x2) of
-    the axis."""
+    at t, t + dt/2 and t + dt come as that axis's floats. Returns the next
+    (x1, x2) of the axis."""
     k_m, k_b, k_k, _ = axis
     h = 0.5 * dt
-    k1p, k1v = x2, -(k_b * (x2 - xdot_d0) + k_k * (x1 - x_d0) - k_m * xddot_d0) / k_m + gf
+    k1p, k1v = x2, _msd_accel(k_m, k_b, k_k, x1, x2, x_d0, xdot_d0, xddot_d0) + gf
     k2p = x2 + h * k1v
-    k2v = -(k_b * (k2p - xdot_dh) + k_k * (x1 + h * k1p - x_dh) - k_m * xddot_dh) / k_m + gf
+    k2v = _msd_accel(k_m, k_b, k_k, x1 + h * k1p, k2p, x_dh, xdot_dh, xddot_dh) + gf
     k3p = x2 + h * k2v
-    k3v = -(k_b * (k3p - xdot_dh) + k_k * (x1 + h * k2p - x_dh) - k_m * xddot_dh) / k_m + gf
+    k3v = _msd_accel(k_m, k_b, k_k, x1 + h * k2p, k3p, x_dh, xdot_dh, xddot_dh) + gf
     k4p = x2 + dt * k3v
-    k4v = -(k_b * (k4p - xdot_d1) + k_k * (x1 + dt * k3p - x_d1) - k_m * xddot_d1) / k_m + gf
+    k4v = _msd_accel(k_m, k_b, k_k, x1 + dt * k3p, k4p, x_d1, xdot_d1, xddot_d1) + gf
     k = dt / 6.0
     return (x1 + k * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
             x2 + k * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))

@@ -18,13 +18,13 @@ Conventions:
 - The parameters' constants (_constants: the link lengths, the products
   of masses, lengths and gravity that M and G use, and the singularity
   tolerance) are one flat tuple, which a run builds once and every kernel
-  takes. The step's kernels (_task_floats, _plant_floats through _qddot)
-  are straight-line float code on bare floats that calls no per-term
-  helper, in the operation order of the per-term functions (jacobian,
-  joint_dynamics_terms, joint_accel), so they equal those bit for bit;
-  cartesian_dynamics_terms, joint_accel and plant_step are their
-  validating wrappers, which build the constants on every call, since the
-  parameters are mutable.
+  and per-term helper (_fk, _jac, _jac_dot, _joint_terms) takes. The
+  step's kernels work on bare floats: _task_floats, run once per step,
+  composes the per-term helpers, and _qddot, run at each of the four RK4
+  stages of _plant_floats, is one straight-line body in their operation
+  order, so it equals joint_accel's composition bit for bit. The public
+  functions are validating wrappers that build the constants on every
+  call, since the parameters are mutable.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -103,41 +103,37 @@ def _constants(params: ManipulatorParams):
             m2 * l2 * g, params.singularity_tolerance)
 
 
-def _fk(params: ManipulatorParams, trig) -> Pair:
+def _fk(k, trig) -> Pair:
     s1, c1, _, _, s12, c12 = trig
-    l1, l2 = params.l1, params.l2
+    l1, l2 = k[0], k[1]
     return l1 * c1 + l2 * c12, l1 * s1 + l2 * s12
 
 
-def _jac(params: ManipulatorParams, trig):
+def _jac(k, trig):
     s1, c1, _, _, s12, c12 = trig
-    l1, l2 = params.l1, params.l2
+    l1, l2 = k[0], k[1]
     return ((-l1 * s1 - l2 * s12, -l2 * s12),
             (l1 * c1 + l2 * c12, l2 * c12))
 
 
-def _jac_dot(params: ManipulatorParams, trig, qd1: float, qd2: float):
+def _jac_dot(k, trig, qd1: float, qd2: float):
     s1, c1, _, _, s12, c12 = trig
-    l1, l2 = params.l1, params.l2
+    l1, l2 = k[0], k[1]
     w = qd1 + qd2
     return ((-l1 * c1 * qd1 - l2 * c12 * w, -l2 * c12 * w),
             (-l1 * s1 * qd1 - l2 * s12 * w, -l2 * s12 * w))
 
 
-def _joint_terms(params: ManipulatorParams, trig, qd1: float, qd2: float,
-                 include_friction: bool):
+def _joint_terms(k, trig, qd1: float, qd2: float, include_friction: bool):
     """(M, c_vec, G, F) of the joint-space model; see joint_dynamics_terms."""
-    m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
+    _, _, a, b, nb, b2, e, g1, g2, _ = k
     _, c1, s2, c2, _, c12 = trig
-
-    a = m2 * l2 * l2
-    b = m2 * l1 * l2
-    M = ((a + 2.0 * b * c2 + (m1 + m2) * l1 * l1, a + b * c2),
+    M = ((a + b2 * c2 + e, a + b * c2),
          (a + b * c2, a))
-    c_vec = (-b * s2 * qd2 * qd2 - 2.0 * b * s2 * qd1 * qd2,
+    c_vec = (nb * s2 * qd2 * qd2 - b2 * s2 * qd1 * qd2,
              b * s2 * qd1 * qd1)
-    G = (m2 * l2 * g * c12 + (m1 + m2) * l1 * g * c1,
-         m2 * l2 * g * c12)
+    G = (g2 * c12 + g1 * c1,
+         g2 * c12)
     if include_friction:
         f1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
         F = (f1, -f1)
@@ -152,15 +148,15 @@ def _mv(A, v) -> Pair:
 
 
 def forward_kinematics(params: ManipulatorParams, q) -> Pair:
-    return _fk(params, _trig(*q))
+    return _fk(_constants(params), _trig(*q))
 
 
 def jacobian(params: ManipulatorParams, q):
-    return _jac(params, _trig(*q))
+    return _jac(_constants(params), _trig(*q))
 
 
 def jacobian_dot(params: ManipulatorParams, state: JointState):
-    return _jac_dot(params, _trig(*state.q), *state.qdot)
+    return _jac_dot(_constants(params), _trig(*state.q), *state.qdot)
 
 
 def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
@@ -170,7 +166,7 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     c_vec is the Coriolis/centrifugal force *vector* (already multiplied by
     the joint velocities). F is zeroed when include_friction is False.
     """
-    return _joint_terms(params, _trig(*state.q), *state.qdot, include_friction)
+    return _joint_terms(_constants(params), _trig(*state.q), *state.qdot, include_friction)
 
 
 def _task_floats(k, q1, q2, qd1, qd2, include_friction):
@@ -180,36 +176,29 @@ def _task_floats(k, q1, q2, qd1, qd2, include_friction):
     _trig at the same configuration: (terms, x, y, xdot, ydot, j00, j01,
     j10, j11, trig)."""
     trig = _trig(q1, q2)
-    l1, l2, a, b, nb, b2, e, g1, g2, tol = k
-    s1, c1, s2, c2, s12, c12 = trig
-    j00, j01, j10, j11 = -l1 * s1 - l2 * s12, -l2 * s12, l1 * c1 + l2 * c12, l2 * c12
+    (j00, j01), (j10, j11) = _jac(k, trig)
     det = j00 * j11 - j01 * j10
+    tol = k[9]
     if abs(det) < tol:
         raise SingularConfiguration(f"|det J| = {abs(det):.3e} below tolerance {tol:.3e}")
     i00, i01, i10, i11 = j11 / det, -j01 / det, -j10 / det, j00 / det  # J^-1
-    m00, m01, m11 = a + b2 * c2 + e, a + b * c2, a  # M, symmetric
-    if include_friction:
-        f1 = 2.0 * c1 * s2 + 5.0 * c1 * c1
-        f2 = -f1
-    else:
-        f1 = f2 = 0.0
-    w = qd1 + qd2
+    ((m00, m01), (m10, m11)), (c1, c2), (g1, g2), (f1, f2) = _joint_terms(
+        k, trig, qd1, qd2, include_friction)
+    (d00, d01), (d10, d11) = _jac_dot(k, trig, qd1, qd2)
     # P = J^-T M, then M_x = P J^-1
-    p00, p01 = i00 * m00 + i10 * m01, i00 * m01 + i10 * m11
-    p10, p11 = i01 * m00 + i11 * m01, i01 * m01 + i11 * m11
+    p00, p01 = i00 * m00 + i10 * m10, i00 * m01 + i10 * m11
+    p10, p11 = i01 * m00 + i11 * m10, i01 * m01 + i11 * m11
     x00, x01 = p00 * i00 + p01 * i10, p00 * i01 + p01 * i11
     x10, x11 = p10 * i00 + p11 * i10, p10 * i01 + p11 * i11
     # coupling = M J^-1 Jdot qdot
-    a0 = (-l1 * c1 * qd1 - l2 * c12 * w) * qd1 + -l2 * c12 * w * qd2
-    a1 = (-l1 * s1 * qd1 - l2 * s12 * w) * qd1 + -l2 * s12 * w * qd2
+    a0, a1 = d00 * qd1 + d01 * qd2, d10 * qd1 + d11 * qd2
     u0, u1 = i00 * a0 + i01 * a1, i10 * a0 + i11 * a1
-    r0 = (nb * s2 * qd2 * qd2 - b2 * s2 * qd1 * qd2 + (g2 * c12 + g1 * c1) + f1
-          - (m00 * u0 + m01 * u1))
-    r1 = b * s2 * qd1 * qd1 + g2 * c12 + f2 - (m01 * u0 + m11 * u1)
+    r0 = c1 + g1 + f1 - (m00 * u0 + m01 * u1)
+    r1 = c2 + g2 + f2 - (m10 * u0 + m11 * u1)
     det_x = x00 * x11 - x01 * x10
     terms = (((x00, x01), (x10, x11)), (i00 * r0 + i10 * r1, i01 * r0 + i11 * r1),
              ((x11 / det_x, -x01 / det_x), (-x10 / det_x, x00 / det_x)))
-    return (terms, j10, l1 * s1 + l2 * s12, j00 * qd1 + j01 * qd2, j10 * qd1 + j11 * qd2,
+    return (terms, *_fk(k, trig), j00 * qd1 + j01 * qd2, j10 * qd1 + j11 * qd2,
             j00, j01, j10, j11, trig)
 
 
@@ -292,8 +281,8 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:
-    trig = _trig(*state.q)
-    return CartesianState.of_floats(_fk(params, trig), _mv(_jac(params, trig), state.qdot))
+    k, trig = _constants(params), _trig(*state.q)
+    return CartesianState.of_floats(_fk(k, trig), _mv(_jac(k, trig), state.qdot))
 
 
 def inverse_kinematics(params: ManipulatorParams, x) -> Pair:

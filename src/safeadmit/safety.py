@@ -28,13 +28,15 @@ QP) and returns the safe force plus the additive compensation.
 
 The row table holds each row's floats, r**2 and its gain pair included,
 and is built once per set. One loop evaluates every row
-(ConstraintSet._values) for evaluate and barrier_values. The filter step's
-kernel, _filter_floats, takes and returns bare floats: one pass over the
-table gives each row's h, QP row and bound, refuses a non-finite entry
-and tests the human force against the row, and only where the force lies
-outside a row does the closed-form projection (qp._project_pair) run. It
-builds a QpProblem, and an array, only in the slack fallback;
-filter_force is its validating wrapper.
+(ConstraintSet._values) for evaluate, and one its h alone
+(ConstraintSet._h) for barrier_values and a bypassed filter step. The
+filter step's kernel, _filter_floats, takes and returns bare floats: one
+pass over the table gives each row's values, QP row and bound, refuses a
+non-finite entry and tests the human force against the row, and only
+where the force lies outside a row does the closed-form projection
+(qp._project_pair) run. It builds a QpProblem, and an array, only in the
+slack fallback; filter_force is its validating wrapper, whose diagnostics
+hold the rows the kernel evaluated.
 """
 
 from dataclasses import dataclass, field
@@ -168,6 +170,11 @@ class ConstraintSet:
         # per row: w (2 floats), c (2 floats), r, r**2, K (2 floats), side
         self._rows = [(*w, *c, r, r * r, *K, side) for _, w, c, r, K, side in rows]
 
+    def _h(self, x, y):
+        """Every row's h, a list in table order, at the position (x, y)."""
+        return [w0 * (x - c0) * (x - c0) + w1 * (y - c1) * (y - c1) - rr
+                for w0, w1, c0, c1, _, rr, _, _, _ in self._rows]
+
     def _values(self, x, y, vx, vy, dx, dy, gx, gy):
         """Every row's h, Lf_h, p and QP row A = -q (a pair), four lists in
         table order, at the state (x, y, vx, vy), drift (dx, dy) and gain (gx, gy)."""
@@ -197,7 +204,7 @@ class ConstraintSet:
     def barrier_values(self, x1) -> Tuple[float, ...]:
         """Barrier values at a reference position pair, in row-table order."""
         x, y = x1
-        return tuple(self._values(x, y, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0])
+        return tuple(self._h(x, y))
 
 
 @dataclass
@@ -244,32 +251,36 @@ def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx,
     """filter_force on floats, at the state (x, y, vx, vy), drift (dx, dy),
     input gain (gx, gy) and force (fx, fy): returns f_e_hat and f_e_comp as
     four floats, the rows' h (a list in table order), the active set, the
-    status and the largest slack. ``bypass`` is None to filter, or the
+    status, the largest slack and the rows' (Lf_h, p, A) lists, from which
+    filter_force builds its RowValues. ``bypass`` is None to filter, or the
     status of a step that passes f_e on unfiltered (f_e_comp zero, no
-    active row).
+    active row, only h evaluated and None for the rows).
 
-    One pass over the row table gives each row's h, QP row A_j = -q_j and
-    bound b_j, refuses a non-finite entry, and tests f_e against the row;
-    the projection runs only where f_e lies outside a row."""
+    One pass over the row table gives each row's values, QP row A_j = -q_j
+    and bound b_j, refuses a non-finite entry, and tests f_e against the
+    row; the projection runs only where f_e lies outside a row."""
     if bypass is not None:
-        return fx, fy, 0.0, 0.0, cset._values(x, y, vx, vy, dx, dy, gx, gy)[0], (), bypass, 0.0
+        return fx, fy, 0.0, 0.0, cset._h(x, y), (), bypass, 0.0, None
     if not (isfinite(fx) and isfinite(fy)):
         raise ValidationError("QP entries must be finite")
-    h, A, b, inside = [], [], [], True
+    h, lf_h, p, A, b, inside = [], [], [], [], [], True
     vxx, vyy = vx * vx, vy * vy
     for w0, w1, c0, c1, _, rr, k0, k1, _ in cset._rows:
         o0, o1 = x - c0, y - c1
         wd0, wd1 = w0 * o0, w1 * o1
         hj = wd0 * o0 + wd1 * o1 - rr
         e0, e1 = 2.0 * wd0, 2.0 * wd1
+        lfj = e0 * vx + e1 * vy
+        pj = 2.0 * ((wd0 * dx + wd1 * dy) + (w0 * vxx + w1 * vyy))
         a0, a1 = -(e0 * gx), -(e1 * gy)
-        bj = (2.0 * ((wd0 * dx + wd1 * dy) + (w0 * vxx + w1 * vyy)) + k0 * hj
-              + k1 * (e0 * vx + e1 * vy))
+        bj = pj + k0 * hj + k1 * lfj
         if not (isfinite(bj) and isfinite(a0) and isfinite(a1)):
             raise ValidationError("QP entries must be finite")
         if a0 * fx + a1 * fy > bj + FEAS_TOL:
             inside = False
         h.append(hj)
+        lf_h.append(lfj)
+        p.append(pj)
         A.append((a0, a1))
         b.append(bj)
     try:
@@ -282,7 +293,7 @@ def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx,
         (ux, uy), active = sol.u, sol.active_set
         slack_max = float(slacks.max())
         status = "slack" if slack_max > 0.0 else "ok"
-    return ux, uy, ux - fx, uy - fy, h, active, status, slack_max
+    return ux, uy, ux - fx, uy - fy, h, active, status, slack_max, (lf_h, p, A)
 
 
 def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
@@ -299,7 +310,7 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     (x, y), (vx, vy) = adm.x1, adm.x2
     (dx, dy), (fx, fy) = drift, f_e
     gx, gy = axis_pair(g, "g")
-    ux, uy, cx, cy, _, active, status, slack_max = _filter_floats(
+    ux, uy, cx, cy, h, active, status, slack_max, rows = _filter_floats(
         cset, None, x, y, vx, vy, dx, dy, gx, gy, fx, fy)
-    rows = cset._row_values(cset._values(x, y, vx, vy, dx, dy, gx, gy))
-    return (ux, uy), (cx, cy), FilterDiagnostics(rows, active, status, slack_max)
+    return (ux, uy), (cx, cy), FilterDiagnostics(cset._row_values((h, *rows)), active, status,
+                                                 slack_max)

@@ -278,7 +278,7 @@ def _reference_chain(config: ScenarioConfig, cset: ConstraintSet, adm: Admittanc
                 d0, dh, d1, fex, fey, dx, dy = _sample(t, dt, radius, rate, amplitude, axes,
                                                        x1x, x1y, x2x, x2y)
                 stage = 1
-                fx, fy, cx, cy, h, active, status, _ = _filter_floats(
+                fx, fy, cx, cy, h, active, status, _, _ = _filter_floats(
                     cset, bypass, x1x, x1y, x2x, x2y, dx, dy, gx, gy, fex, fey)
                 # the step's row in COLUMNS order; the plant chain fills x_actual and f_c
                 rows += [t, d0[0], d0[1], x1x, x1y, sx, sy, 0.0, 0.0, fex, fey, fx, fy, cx, cy,

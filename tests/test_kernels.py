@@ -19,8 +19,8 @@ from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet, Control
                        ManipulatorParams, ObstacleConstraint, QpProblem, SimulationAborted,
                        SingularConfiguration, ValidationError, WorkspaceConstraint,
                        admittance_step, assemble_qp, compensating_control, desired_trajectory,
-                       drift_term, human_force, nominal_control, plant_step, scenario_library,
-                       sim, sliding_variable, solve, solve_with_slack)
+                       drift_term, filter_force, human_force, nominal_control, plant_step,
+                       scenario_library, sim, sliding_variable, solve, solve_with_slack)
 from safeadmit.admittance import _admittance_floats
 from safeadmit.arm import (CartesianState, _plant_floats, _task_floats, _trig,
                            cartesian_dynamics_terms, cartesian_state, jacobian, jacobian_dot,
@@ -276,6 +276,12 @@ def _control_from_public(gains, ctrl_state, terms, cart, ref_point, dt):
     return tuple(min(max(a + b, -limit), limit) for a, b in zip((u0x, u0y), u_s)), state
 
 
+def _row_bits(rows):
+    """The bits of every entry of a RowValues, field by field."""
+    h, lf_h, p, q, K = rows
+    return _bits(*h, *lf_h, *p, *(v for pair in q + K for v in pair))
+
+
 def _filter_from_public(cset, x, y, vx, vy, dx, dy, gx, gy, fx, fy):
     """The filter step from evaluate, assemble_qp and solve, and where the
     rows conflict in a slack set, solve_with_slack on the unit rows:
@@ -361,7 +367,7 @@ class TestKernelsEqualPublicComposition:
         seen = set()
         for inputs in _random_filter_inputs(rng, 1000):
             try:
-                ux, uy, cx, cy, h_got, active, status, slack_max = _filter_floats(
+                ux, uy, cx, cy, h_got, active, status, slack_max, _ = _filter_floats(
                     cset, None, *inputs)
             except InfeasibleQp:  # the rows conflict, and the set has no slack
                 with pytest.raises(InfeasibleQp):
@@ -371,6 +377,11 @@ class TestKernelsEqualPublicComposition:
             f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
             assert _bits(ux, uy, cx, cy, *h_got) == _bits(*f_hat, *f_comp, *h)
             assert (active, status, slack_max) == (want_active, want_status, want_slack)
+            # filter_force's diagnostics hold the rows the kernel evaluated
+            x, y, vx, vy, dx, dy, gx, gy, fx, fy = inputs
+            state = AdmittanceState((x, y), (vx, vy))
+            diag = filter_force(cset, state, (dx, dy), (gx, gy), (fx, fy))[2]
+            assert _row_bits(diag.rows) == _row_bits(cset.evaluate(state, (dx, dy), (gx, gy)))
             seen.add(len(active))
         assert seen >= {0, 1} and (preset == "obstacle-only" or 2 in seen)
 
@@ -394,10 +405,11 @@ class TestKernelsEqualPublicComposition:
         rng = np.random.default_rng(37)
         cset = scenario_library()["combined"].constraint_set()
         for inputs in _random_filter_inputs(rng, 200):
-            ux, uy, cx, cy, h_got, active, got, slack_max = _filter_floats(cset, status, *inputs)
+            ux, uy, cx, cy, h_got, active, got, slack_max, rows = _filter_floats(
+                cset, status, *inputs)
             assert _bits(ux, uy, cx, cy, *h_got) == _bits(
                 *inputs[8:], 0.0, 0.0, *cset.barrier_values(inputs[:2]))
-            assert (active, got, slack_max) == ((), status, 0.0)
+            assert (active, got, slack_max, rows) == ((), status, 0.0, None)
 
     def test_filter_slack_fallback(self, monkeypatch):
         # every filter step of the slack run, whose rows conflict on a few
@@ -413,7 +425,7 @@ class TestKernelsEqualPublicComposition:
         sim.run(SLACK_RUN)
         statuses = set()
         for cset, bypass, *inputs in calls:
-            ux, uy, cx, cy, h_got, active, status, slack_max = _filter_floats(cset, bypass, *inputs)
+            ux, uy, cx, cy, h_got, active, status, slack_max, _ = _filter_floats(cset, bypass, *inputs)
             f_hat, f_comp, h, want_active, want_status, want_slack = _filter_from_public(cset, *inputs)
             assert _bits(ux, uy, cx, cy, *h_got, slack_max) == _bits(*f_hat, *f_comp, *h,
                                                                           want_slack)
@@ -576,6 +588,28 @@ def test_public_wrappers_follow_a_changed_field():
     after = control(gains, ControllerState(), terms, cart, point, 1e-3)
     assert after != before and after == control(FxtismcGains(lambda2=25.0, use_sign=True),
                                                 ControllerState(), terms, cart, point, 1e-3)
+
+
+def test_nominal_law_reads_only_its_own_gains():
+    """nominal_control builds the nominal law's constants alone: gains whose
+    kappa1 ** -m_exp overflows still give the nominal force, and each
+    slope floor follows its exponent, also one changed past the validator
+    (alpha > 1 unfloored, beta < 1 floored, as kernel_reference's law)."""
+    st = JointState((0.4, 1.9), (0.3, -0.2))
+    terms = cartesian_dynamics_terms(CUSTOM_ROBOT, st, include_friction=False)
+    cart = cartesian_state(CUSTOM_ROBOT, st)
+    point = DesiredPoint(cart.x, np.add(cart.xdot, -0.1), (0.5, 0.2))  # s1 = 0 on both axes
+    tiny = FxtismcGains(kappa1=5e-324, m_exp=0.99)
+    assert nominal_control(tiny, terms, cart, point) == nominal_control(FxtismcGains(), terms,
+                                                                        cart, point)
+    gains = FxtismcGains()
+    gains.alpha, gains.beta = 1.5, 0.8
+    (xi00, xi01), (xi10, xi11) = terms.Xi
+    b0, b1 = terms.bias
+    gamma = (-(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1))
+    v = [ref.nominal_accel(gains, gm, *axis) for gm, axis in zip(
+        gamma, zip(cart.x, cart.xdot, point.x_d, point.xdot_d, point.xddot_d))]
+    assert _bits(*nominal_control(gains, terms, cart, point)) == _bits(*_mv(terms.M_x, v))
 
 
 @pytest.mark.parametrize("cls", [AdmittanceState, JointState, CartesianState])
