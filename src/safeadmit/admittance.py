@@ -11,12 +11,14 @@ with the force as the control input. Axes are decoupled.
 Every 2-vector here is a float pair: the parameters, the states and the
 desired points hold two Python floats per field, and drift_term and
 admittance_step take and return pairs, so the step never builds an array.
-A parameter is a per-axis coefficient, so one number serves both axes; a
-state or desired point is an errors.PairRecord, whose constructor takes
-exactly a pair per field and refuses entries that are not finite. The
-step builds its states and desired points with of_floats, which takes the
-pairs it has just computed as they are. A state's of_floats keeps the
-finiteness check, a desired point's skips it.
+A parameter is a per-axis coefficient, so one number serves both axes,
+and AdmittanceParams is frozen and holds the kernel's constants, built
+once when the record is made; a state or desired point is an
+errors.PairRecord, whose constructor takes exactly a pair per field and
+refuses entries that are not finite. The step builds its states and
+desired points with of_floats, which takes the pairs it has just computed
+as they are. A state's of_floats keeps the finiteness check, a desired
+point's skips it.
 The RK4 step is straight-line float code per axis over _msd_accel, the
 one MSD acceleration that drift_term also evaluates. Its desired input is
 the three samples at the RK4 substep times. admittance_step is the
@@ -27,12 +29,13 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
-from .errors import Pair, PairRecord, ValidationError, finite_fields, float_pair
+from .errors import Pair, PairRecord, ValidationError, finite_constants, finite_fields, float_pair
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmittanceParams:
-    """Per-axis MSD coefficients; a scalar serves both axes."""
+    """Per-axis MSD coefficients; a scalar serves both axes. ``input_gain``
+    is the pair 1/k_m, and ``axes`` per axis, x then y, (k_m, k_b, k_k, 1/k_m)."""
 
     k_m: Pair = 20.0
     k_b: Pair = 20.0
@@ -44,16 +47,11 @@ class AdmittanceParams:
             raise ValidationError("k_m must be positive")
         if min(self.k_b) < 0.0 or min(self.k_k) < 0.0:
             raise ValidationError("k_b and k_k must be nonnegative")
-
-    @property
-    def input_gain(self) -> Pair:
         k_mx, k_my = self.k_m
-        return 1.0 / k_mx, 1.0 / k_my
-
-    @property
-    def axes(self):
-        """Per axis, x then y, the kernel's (k_m, k_b, k_k, 1/k_m)."""
-        return tuple(zip(self.k_m, self.k_b, self.k_k, self.input_gain))
+        gain = 1.0 / k_mx, 1.0 / k_my
+        finite_constants(gain, ("1 / k_m",) * 2)
+        object.__setattr__(self, "input_gain", gain)
+        object.__setattr__(self, "axes", tuple(zip(self.k_m, self.k_b, self.k_k, gain)))
 
 
 @dataclass

@@ -15,16 +15,16 @@ Conventions:
 - One set of sines and cosines per configuration (_trig) serves every term
   evaluated there: in an RK4 stage, M, c, G, F and J^T f_e; at a step's
   start, also the task-space terms, the Cartesian state and J.
-- The parameters' constants (_constants: the link lengths, the products
-  of masses, lengths and gravity that M and G use, and the singularity
-  tolerance) are one flat tuple, which a run builds once and every kernel
-  and per-term helper (_fk, _jac, _jac_dot, _joint_terms) takes. The
-  step's kernels work on bare floats: _task_floats, run once per step,
-  composes the per-term helpers, and _qddot, run at each of the four RK4
-  stages of _plant_floats, is one straight-line body in their operation
-  order, so it equals joint_accel's composition bit for bit. The public
-  functions are validating wrappers that build the constants on every
-  call, since the parameters are mutable.
+- ManipulatorParams is frozen, and holds its kernel constants
+  (``constants``: the link lengths, the products of masses, lengths and
+  gravity that M and G use, and the singularity tolerance) as one flat
+  tuple, built and checked finite once, when the record is made, which
+  every kernel and per-term helper (_fk, _jac, _jac_dot, _joint_terms)
+  takes. The step's kernels work on bare floats: _task_floats composes the
+  per-term helpers, and _qddot, run at each RK4 stage of _plant_floats, is
+  one straight-line body in their operation order, so it equals M^-1 (tau_c
+  + J^T f_e - c_vec - G - F) composed from _joint_terms and _jac bit for
+  bit. The public functions are validating wrappers.
 - Joint friction is position-dependent (as modelled) and is applied to the
   plant only; callers building a controller model pass include_friction=False
   so friction acts as unmodelled uncertainty.
@@ -35,10 +35,18 @@ from dataclasses import dataclass, fields
 import math
 from typing import Tuple
 
-from .errors import Pair, PairRecord, SingularConfiguration, ValidationError, finite_fields, float_pair
+from .errors import (Pair, PairRecord, SingularConfiguration, ValidationError, finite_constants,
+                     finite_fields, float_pair)
 
 
-@dataclass
+# Each entry of ManipulatorParams.constants, the kernels' tuple (l1, l2, a,
+# b, -b, 2b, e, g1, g2, tol), as the refusal of a non-finite one names it;
+# each product is grouped left to right, as the per-term formulas group it.
+_FORMULAS = ("l1", "l2", "m2 l2 l2", "m2 l1 l2", "-m2 l1 l2", "2 m2 l1 l2", "(m1 + m2) l1 l1",
+             "(m1 + m2) l1 gravity", "m2 l2 gravity", "singularity_tolerance")
+
+
+@dataclass(frozen=True)
 class ManipulatorParams:
     m1: float = 1.5
     m2: float = 1.0
@@ -54,6 +62,12 @@ class ManipulatorParams:
                 raise ValidationError(f"{name} must be positive")
         if not self.singularity_tolerance > 0.0:
             raise ValidationError("singularity_tolerance must be positive")
+        m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.gravity
+        b = m2 * l1 * l2
+        k = (l1, l2, m2 * l2 * l2, b, -b, 2.0 * b, (m1 + m2) * l1 * l1, (m1 + m2) * l1 * g,
+             m2 * l2 * g, self.singularity_tolerance)
+        finite_constants(k, _FORMULAS)
+        object.__setattr__(self, "constants", k)
 
 
 @dataclass
@@ -88,19 +102,6 @@ def _trig(q1: float, q2: float):
     q12 = q1 + q2
     return (math.sin(q1), math.cos(q1), math.sin(q2), math.cos(q2),
             math.sin(q12), math.cos(q12))
-
-
-def _constants(params: ManipulatorParams):
-    """The kernels' constants of ``params``, which a run builds once and a
-    kernel's wrapper on every call: (l1, l2, a, b, -b, 2b, e, g1, g2, tol),
-    with a = m2 l2^2 and b = m2 l1 l2 the mass matrix's, e = (m1 + m2) l1^2,
-    g1 = (m1 + m2) l1 g and g2 = m2 l2 g the gravity products and tol the
-    singularity tolerance. Each product is grouped left to right, as the
-    per-term formulas group it."""
-    m1, m2, l1, l2, g = params.m1, params.m2, params.l1, params.l2, params.gravity
-    b = m2 * l1 * l2
-    return (l1, l2, m2 * l2 * l2, b, -b, 2.0 * b, (m1 + m2) * l1 * l1, (m1 + m2) * l1 * g,
-            m2 * l2 * g, params.singularity_tolerance)
 
 
 def _fk(k, trig) -> Pair:
@@ -148,15 +149,15 @@ def _mv(A, v) -> Pair:
 
 
 def forward_kinematics(params: ManipulatorParams, q) -> Pair:
-    return _fk(_constants(params), _trig(*q))
+    return _fk(params.constants, _trig(*q))
 
 
 def jacobian(params: ManipulatorParams, q):
-    return _jac(_constants(params), _trig(*q))
+    return _jac(params.constants, _trig(*q))
 
 
 def jacobian_dot(params: ManipulatorParams, state: JointState):
-    return _jac_dot(_constants(params), _trig(*state.q), *state.qdot)
+    return _jac_dot(params.constants, _trig(*state.q), *state.qdot)
 
 
 def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
@@ -166,7 +167,7 @@ def joint_dynamics_terms(params: ManipulatorParams, state: JointState,
     c_vec is the Coriolis/centrifugal force *vector* (already multiplied by
     the joint velocities). F is zeroed when include_friction is False.
     """
-    return _joint_terms(_constants(params), _trig(*state.q), *state.qdot, include_friction)
+    return _joint_terms(params.constants, _trig(*state.q), *state.qdot, include_friction)
 
 
 def _task_floats(k, q1, q2, qd1, qd2, include_friction):
@@ -207,7 +208,7 @@ def cartesian_dynamics_terms(params: ManipulatorParams, state: JointState,
     """M_x = J^-T M J^-1, bias = J^-T (c_vec + G + F - M J^-1 Jdot qdot) and
     Xi = M_x^-1, with cofactor inverses; raises SingularConfiguration where
     |det J| is below the tolerance."""
-    return CartesianDynamicsTerms(*_task_floats(_constants(params), *state.q, *state.qdot,
+    return CartesianDynamicsTerms(*_task_floats(params.constants, *state.q, *state.qdot,
                                                 include_friction)[0])
 
 
@@ -236,7 +237,7 @@ def _qddot(k, trig, qd1: float, qd2: float, t1: float, t2: float, fx: float, fy:
 def joint_accel(params: ManipulatorParams, q, qdot, tau_c, f_e,
                 include_friction: bool = True) -> Pair:
     """qddot = M^-1 (tau_c + J^T f_e - c_vec - G - F)."""
-    return _qddot(_constants(params), _trig(*q), *qdot, *float_pair(tau_c, "tau_c"),
+    return _qddot(params.constants, _trig(*q), *qdot, *float_pair(tau_c, "tau_c"),
                   *float_pair(f_e, "f_e"), include_friction)
 
 
@@ -275,13 +276,13 @@ def plant_step(params: ManipulatorParams, state: JointState, tau_c, f_e,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     tau_c, f_e = float_pair(tau_c, "tau_c"), float_pair(f_e, "f_e")
-    q1, q2, qd1, qd2 = _plant_floats(_constants(params), _trig(*state.q), *state.q, *state.qdot,
+    q1, q2, qd1, qd2 = _plant_floats(params.constants, _trig(*state.q), *state.q, *state.qdot,
                                      *tau_c, *f_e, dt, include_friction)
     return JointState.of_floats((q1, q2), (qd1, qd2))
 
 
 def cartesian_state(params: ManipulatorParams, state: JointState) -> CartesianState:
-    k, trig = _constants(params), _trig(*state.q)
+    k, trig = params.constants, _trig(*state.q)
     return CartesianState.of_floats(_fk(k, trig), _mv(_jac(k, trig), state.qdot))
 
 

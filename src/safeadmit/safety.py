@@ -26,12 +26,13 @@ forward invariance (Nguyen & Sreenath, ACC 2016). The filter
 projects the measured human force onto that polyhedron (minimal-deviation
 QP) and returns the safe force plus the additive compensation.
 
-The row table holds each row's floats, r**2 and its gain pair included,
-and is built once per set. One loop evaluates every row
-(ConstraintSet._values) for evaluate, and one its h alone
-(ConstraintSet._h) for barrier_values and a bypassed filter step. The
-filter step's kernel, _filter_floats, takes and returns bare floats: one
-pass over the table gives each row's values, QP row and bound, refuses a
+The records are frozen, and their geometry arrays read-only. The row
+table holds each row's floats, r**2 and its gain pair included, and is
+built once, when the set is made. One loop
+evaluates every row (_row_pass) for the filter and for evaluate, and one
+its h alone (ConstraintSet._h) for barrier_values and a bypassed filter
+step. The filter step's kernel, _filter_floats, takes and returns bare
+floats: the row pass gives each row's values, QP row and bound, refuses a
 non-finite entry and tests the human force against the row, and only
 where the force lies outside a row does the closed-form projection
 (qp._project_pair) run. It builds a QpProblem, and an array, only in the
@@ -60,7 +61,14 @@ DEFAULT_SAFE_DISTANCE = 0.04
 _START_TOL = 1e-9
 
 
-@dataclass
+def _read_only(obj, *names) -> None:
+    """Make each pair field of ``obj`` named in ``names`` a read-only array."""
+    for name in names:
+        object.__setattr__(obj, name, np.array(getattr(obj, name)))
+        getattr(obj, name).flags.writeable = False
+
+
+@dataclass(frozen=True)
 class WorkspaceConstraint:
     x_min: np.ndarray = (-DEFAULT_BOUNDS, -DEFAULT_BOUNDS)
     x_max: np.ndarray = (DEFAULT_BOUNDS, DEFAULT_BOUNDS)
@@ -68,21 +76,21 @@ class WorkspaceConstraint:
 
     def __post_init__(self):
         finite_fields(self, numbers=("r",), pairs=("x_min", "x_max"))
-        self.x_min, self.x_max = np.array(self.x_min), np.array(self.x_max)
+        _read_only(self, "x_min", "x_max")
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
         if not (self.x_min + self.r < self.x_max - self.r).all():
             raise ValidationError("workspace interior is empty (x_min + r >= x_max - r)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObstacleConstraint:
     x_obs: np.ndarray = DEFAULT_OBSTACLE
     r: float = DEFAULT_SAFE_DISTANCE
 
     def __post_init__(self):
         finite_fields(self, numbers=("r",), pairs=("x_obs",))
-        self.x_obs = np.array(self.x_obs)
+        _read_only(self, "x_obs")
         if not self.r > 0.0:
             raise ValidationError("safe distance r must be positive")
 
@@ -94,7 +102,7 @@ def real_roots(pair: Pair) -> bool:
     return k1 * k1 >= 4.0 * k0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcbfGains:
     """Barrier condition coefficients, one (position, velocity) gain pair
     per barrier kind: the upper and the lower box sides, and the obstacle.
@@ -138,7 +146,7 @@ def assemble_qp(rows: RowValues, u_nom) -> QpProblem:
                                     in zip(rows.p, rows.K, rows.h, rows.lf_h)]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintSet:
     """Enabled constraints plus their barrier gains and the slack policy.
 
@@ -166,40 +174,28 @@ class ConstraintSet:
                 rows.append((f"ws_min_{suffix}", w, x_min, ws.r, gains.K_min, -1.0))
         if obs is not None:
             rows.append(("obs", (1.0, 1.0), float_pair(obs.x_obs, "x_obs"), obs.r, gains.K_obs, 0.0))
-        self.names: Tuple[str, ...] = tuple(row[0] for row in rows)
+        object.__setattr__(self, "names", tuple(row[0] for row in rows))
         # per row: w (2 floats), c (2 floats), r, r**2, K (2 floats), side
-        self._rows = [(*w, *c, r, r * r, *K, side) for _, w, c, r, K, side in rows]
+        object.__setattr__(self, "_rows", [(*w, *c, r, r * r, *K, side) for _, w, c, r, K, side in rows])
 
     def _h(self, x, y):
         """Every row's h, a list in table order, at the position (x, y)."""
         return [w0 * (x - c0) * (x - c0) + w1 * (y - c1) * (y - c1) - rr
                 for w0, w1, c0, c1, _, rr, _, _, _ in self._rows]
 
-    def _values(self, x, y, vx, vy, dx, dy, gx, gy):
-        """Every row's h, Lf_h, p and QP row A = -q (a pair), four lists in
-        table order, at the state (x, y, vx, vy), drift (dx, dy) and gain (gx, gy)."""
-        h, lf_h, p, A = [], [], [], []
-        for w0, w1, c0, c1, _, rr, _, _, _ in self._rows:
-            o0, o1 = x - c0, y - c1
-            wd0, wd1 = w0 * o0, w1 * o1
-            h.append(wd0 * o0 + wd1 * o1 - rr)
-            lf_h.append(2.0 * wd0 * vx + 2.0 * wd1 * vy)
-            p.append(2.0 * ((wd0 * dx + wd1 * dy) + (w0 * (vx * vx) + w1 * (vy * vy))))
-            A.append((-(2.0 * wd0 * gx), -(2.0 * wd1 * gy)))
-        return h, lf_h, p, A
-
-    def _row_values(self, values) -> RowValues:
-        h, lf_h, p, A = values
+    def _row_values(self, h, lf_h, p, A) -> RowValues:
         return RowValues(tuple(h), tuple(lf_h), tuple(p), tuple([(-a, -b) for a, b in A]),
                          tuple([(k0, k1) for *_, k0, k1, _ in self._rows]))
 
     def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
         """Every row at ``adm`` under the force-free acceleration pair
         ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
-        for both axes)."""
+        for both axes), from the filter's row pass; a QP row or bound that
+        is not finite raises ValidationError."""
         (x, y), (vx, vy) = adm.x1, adm.x2
         dx, dy = drift
-        return self._row_values(self._values(x, y, vx, vy, dx, dy, *axis_pair(g, "g")))
+        h, lf_h, p, A, _, _ = _row_pass(self, x, y, vx, vy, dx, dy, *axis_pair(g, "g"), 0.0, 0.0)
+        return self._row_values(h, lf_h, p, A)
 
     def barrier_values(self, x1) -> Tuple[float, ...]:
         """Barrier values at a reference position pair, in row-table order."""
@@ -246,23 +242,10 @@ def _unit_rows(problem: QpProblem) -> QpProblem:
                              tuple((np.array(problem.b) / norms).tolist()))
 
 
-def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx, dy, gx, gy,
-                   fx, fy):
-    """filter_force on floats, at the state (x, y, vx, vy), drift (dx, dy),
-    input gain (gx, gy) and force (fx, fy): returns f_e_hat and f_e_comp as
-    four floats, the rows' h (a list in table order), the active set, the
-    status, the largest slack and the rows' (Lf_h, p, A) lists, from which
-    filter_force builds its RowValues. ``bypass`` is None to filter, or the
-    status of a step that passes f_e on unfiltered (f_e_comp zero, no
-    active row, only h evaluated and None for the rows).
-
-    One pass over the row table gives each row's values, QP row A_j = -q_j
-    and bound b_j, refuses a non-finite entry, and tests f_e against the
-    row; the projection runs only where f_e lies outside a row."""
-    if bypass is not None:
-        return fx, fy, 0.0, 0.0, cset._h(x, y), (), bypass, 0.0, None
-    if not (isfinite(fx) and isfinite(fy)):
-        raise ValidationError("QP entries must be finite")
+def _row_pass(cset: ConstraintSet, x, y, vx, vy, dx, dy, gx, gy, fx, fy):
+    """Every row's h, Lf_h, p, QP row A = -q (a pair) and bound b, five
+    lists in table order, and whether the force (fx, fy) lies inside every
+    row; a QP row or bound that is not finite raises ValidationError."""
     h, lf_h, p, A, b, inside = [], [], [], [], [], True
     vxx, vyy = vx * vx, vy * vy
     for w0, w1, c0, c1, _, rr, k0, k1, _ in cset._rows:
@@ -283,6 +266,24 @@ def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx,
         p.append(pj)
         A.append((a0, a1))
         b.append(bj)
+    return h, lf_h, p, A, b, inside
+
+
+def _filter_floats(cset: ConstraintSet, bypass: Optional[str], x, y, vx, vy, dx, dy, gx, gy,
+                   fx, fy):
+    """filter_force on floats, at the state (x, y, vx, vy), drift (dx, dy),
+    input gain (gx, gy) and force (fx, fy): returns f_e_hat and f_e_comp as
+    four floats, the rows' h (a list in table order), the active set, the
+    status, the largest slack and the rows' (Lf_h, p, A) lists, from which
+    filter_force builds its RowValues. ``bypass`` is None to filter, or the
+    status of a step that passes f_e on unfiltered (f_e_comp zero, no
+    active row, only h evaluated and None for the rows). The projection
+    runs only where f_e lies outside a row."""
+    if bypass is not None:
+        return fx, fy, 0.0, 0.0, cset._h(x, y), (), bypass, 0.0, None
+    if not (isfinite(fx) and isfinite(fy)):
+        raise ValidationError("QP entries must be finite")
+    h, lf_h, p, A, b, inside = _row_pass(cset, x, y, vx, vy, dx, dy, gx, gy, fx, fy)
     try:
         (ux, uy), active = ((fx, fy), ()) if inside else _project_pair((fx, fy), A, b)
         status, slack_max = "ok", 0.0
@@ -312,5 +313,5 @@ def filter_force(cset: ConstraintSet, adm: AdmittanceState, drift, g, f_e):
     gx, gy = axis_pair(g, "g")
     ux, uy, cx, cy, h, active, status, slack_max, rows = _filter_floats(
         cset, None, x, y, vx, vy, dx, dy, gx, gy, fx, fy)
-    return (ux, uy), (cx, cy), FilterDiagnostics(cset._row_values((h, *rows)), active, status,
+    return (ux, uy), (cx, cy), FilterDiagnostics(cset._row_values(h, *rows), active, status,
                                                  slack_max)

@@ -11,12 +11,13 @@ child where a second CPU is free.
 
 A chain's step is one call per stage to a float kernel, looked up as a
 global here, with bare floats between them; the public per-term functions
-are validating wrappers over the same kernels. A chain binds its run's
-constants once: the plant chain builds the arm's and the tracker's
-constant tuples (arm._constants, smc._constants) when it is made, and the
-reference chain reads the row table that the ConstraintSet built and the
-admittance axes once per run. Each step's floats are one row of a flat
-float log (an ``array('d')``), which the reference chain writes, h
+are validating wrappers over the same kernels. The parameter records,
+ScenarioConfig among them, are frozen, and each holds its kernels'
+constants, built once when it is made: the plant chain reads the arm's and
+the tracker's constant tuples (ManipulatorParams.constants,
+FxtismcGains.constants), and the reference chain the row table of its
+ConstraintSet and the admittance axes. Each step's floats are one row of
+a flat float log (an ``array('d')``), which the reference chain writes, h
 included, with one extend per step and hands on a block at a time, and
 which the plant chain reads x1, f_e and f_hat from and writes x_actual
 and f_c into. The loop's log is viewed as the (N, width) step matrix that
@@ -34,7 +35,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import arm, forks, smc
+from . import forks
 # drift_term, admittance_step and filter_force are re-exported: callers look them up here.
 from .admittance import (AdmittanceParams, AdmittanceState, DesiredPoint, _admittance_floats,
                          _msd_accel, admittance_step, drift_term)
@@ -94,7 +95,7 @@ def _sample(t, dt, radius, rate, amplitude: Pair, axes, x1x, x1y, x2x, x2y):
             _msd_accel(k_my, k_by, k_ky, x1y, x2y, y, vy, ay))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "custom"
     duration: float = 16.0
@@ -310,7 +311,6 @@ class _PlantChain:
     def __init__(self, config: ScenarioConfig, steps: int, width: int):
         self.config, self.steps, self.width = config, steps, width
         self.joint, self.ctrl, self.k = (*config.q0, *config.qdot0), astuple(ControllerState()), 0
-        self.constants = arm._constants(config.robot), smc._constants(config.controller)
         self.failure: Optional[_Failed] = None
 
     def feed(self, rows: array, handoff: array) -> bool:
@@ -318,7 +318,7 @@ class _PlantChain:
         (x2, the drift); returns whether the chain still runs."""
         config, steps, width = self.config, self.steps, self.width
         dt, nominal_only, (gx, gy) = config.dt, config.nominal_only, config.admittance.input_gain
-        arm_k, smc_k = self.constants
+        arm_k, smc_k = config.robot.constants, config.controller.constants
         (q1, q2, qd1, qd2), ctrl, k, stage = self.joint, self.ctrl, self.k, 2
         try:
             for o, i in zip(range(0, len(rows), width), range(0, len(handoff), _HANDOFF)):

@@ -14,36 +14,44 @@ exponents of possibly-negative errors appear. The discontinuous switching
 term is smoothed by a boundary-layer saturation by default; pure sign
 switching is available behind ``use_sign`` for fidelity runs.
 
-The gains' constants (_constants: the gains, the exponents less one,
-their products that the laws use, and each nominal exponent's slope
-floor) are one tuple of flat tuples, one per law, which a run builds once;
-nominal_control and sliding_variable build only their own law's tuple.
-The step's kernel, _control_floats, composes the float kernels of the
-nominal law and of the compensation, whose per-axis helpers write each
-signed power out, on floats, on those constants and on the astuple of the
-terms and of the controller state; control, nominal_control and
-compensating_control are their validating wrappers, which build the
-constants on every call (the gains are mutable), so control equals
-nominal_control plus compensating_control bit for bit.
+FxtismcGains is frozen, and holds its kernel constants (``constants``:
+the gains, the exponents less one and the products that the laws use) as
+one tuple of flat tuples, one per law, built and checked finite once, when
+the record is made. The step's kernel, _control_floats, composes the
+float kernels of the nominal law and of the compensation, whose per-axis
+helpers write each signed power out, on floats, on those constants and on
+the astuple of the terms and of the controller state; control,
+nominal_control and compensating_control are their validating wrappers,
+which read the record's constants, so control equals nominal_control plus
+compensating_control bit for bit.
 """
 
 from dataclasses import astuple, dataclass, fields
-from math import copysign
+from math import copysign, inf
 from typing import Tuple
 
 import numpy as np
 
 from .admittance import DesiredPoint
 from .arm import CartesianDynamicsTerms, CartesianState
-from .errors import Pair, ValidationError, all_finite, finite_fields
+from .errors import Pair, ValidationError, all_finite, finite_constants, finite_fields
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
 POWER_SLOPE_FLOOR = 1e-6
 
 
-@dataclass
+# Each entry of the surface's constants in FxtismcGains.constants, then the
+# reaching law's first, as the refusal of a non-finite one names it.
+_FORMULAS = ("kappa1 ** -m_exp", "1 / m_exp", "kappa1 ** -m_exp / m_exp", "1 / m_exp - 1",
+             "kappa2", "n_exp", "kappa2 n_exp", "n_exp - 1", "rho + epsilon")
+
+
+@dataclass(frozen=True)
 class FxtismcGains:
+    """The tracker's gains; ``constants`` holds the nominal law's, the
+    surface's and the reaching law's constant tuples, and force_limit."""
+
     lambda1: float = 3.0
     lambda2: float = 20.0
     lambda3: float = 50.0
@@ -79,6 +87,20 @@ class FxtismcGains:
                 raise ValidationError(f"{name} must exceed 1")
         if not self.boundary_layer > 0.0:
             raise ValidationError("boundary_layer must be positive")
+        g = self
+        try:
+            k1m = g.kappa1 ** -g.m_exp
+        except OverflowError:  # refused below, by its formula
+            k1m = inf
+        minv = 1.0 / g.m_exp
+        ks = (k1m, minv, k1m / g.m_exp, minv - 1.0, g.kappa2, g.n_exp, g.kappa2 * g.n_exp,
+              g.n_exp - 1.0)
+        kr = (-(g.rho + g.epsilon), g.kappa3, g.p_exp, g.kappa4, g.q_exp, g.boundary_layer,
+              g.use_sign)
+        finite_constants((*ks, kr[0]), _FORMULAS)
+        object.__setattr__(self, "constants", (
+            (g.lambda1, g.lambda2, g.lambda3, g.alpha, g.beta, g.alpha - 1.0, g.beta - 1.0),
+            ks, kr, g.force_limit))
 
 
 @dataclass
@@ -93,7 +115,7 @@ class ControllerState:
 
 
 # The kernels below work per axis on Python floats, under the constants
-# record of _constants; signed_power and sliding_variable also accept numpy
+# of FxtismcGains; signed_power and sliding_variable also accept numpy
 # arrays, elementwise. The controller's inputs and outputs are float pairs.
 
 def _spow(z: float, a: float) -> float:
@@ -107,52 +129,19 @@ def signed_power(z, a: float) -> np.ndarray:
     return np.vectorize(_spow, otypes=[float])(z, a)
 
 
-def _nominal_constants(gains: FxtismcGains):
-    """The nominal law's constants of ``gains``: (lambda1, lambda2, lambda3,
-    alpha, beta, alpha - 1, beta - 1) and each exponent's slope floor,
-    POWER_SLOPE_FLOOR for an exponent below 1 and 0 (no floor) otherwise."""
-    g = gains
-    floor_a, floor_b = (POWER_SLOPE_FLOOR if e < 1.0 else 0.0 for e in (g.alpha, g.beta))
-    return (g.lambda1, g.lambda2, g.lambda3, g.alpha, g.beta, g.alpha - 1.0, g.beta - 1.0,
-            floor_a, floor_b)
-
-
-def _surface_constants(gains: FxtismcGains):
-    """The sliding surface's constants of ``gains``: (kappa1^-m, 1/m,
-    kappa1^-m / m, 1/m - 1, kappa2, n, kappa2 n, n - 1) for m = m_exp and
-    n = n_exp."""
-    g = gains
-    k1m, minv = g.kappa1 ** -g.m_exp, 1.0 / g.m_exp
-    return (k1m, minv, k1m / g.m_exp, minv - 1.0, g.kappa2, g.n_exp, g.kappa2 * g.n_exp,
-            g.n_exp - 1.0)
-
-
-def _constants(gains: FxtismcGains):
-    """The kernels' constants of ``gains``, which a run builds once and a
-    kernel's wrapper on every call: the nominal law's and the surface's
-    tuples, the reaching law's (-(rho + epsilon), kappa3, p_exp, kappa4,
-    q_exp, boundary_layer, use_sign), and force_limit."""
-    g = gains
-    return (_nominal_constants(g), _surface_constants(g),
-            (-(g.rho + g.epsilon), g.kappa3, g.p_exp, g.kappa4, g.q_exp, g.boundary_layer,
-             g.use_sign),
-            g.force_limit)
-
-
 def _nominal_axis(kn, gm: float, x: float, xdot: float, r: float, rdot: float,
                   rddot: float) -> float:
     """One axis of the backstepping law's acceleration v (the nominal force
     is M_x v), under the drift gm, tracking (r, rdot, rddot). The slope of
-    each signed power of s1 is taken at |s1| floored at that exponent's
-    floor in ``kn``."""
-    l1, l2, l3, a, b, am1, bm1, floor_a, floor_b = kn
+    the alpha power of s1 is taken at |s1| floored at POWER_SLOPE_FLOOR;
+    the beta power's, whose exponent exceeds 1, needs no floor."""
+    l1, l2, l3, a, b, am1, bm1 = kn
     s1 = x - r
     s1dot = xdot - rdot
     m = abs(s1)
     alpha_s = -(l1 * s1 + l2 * copysign(m ** a, s1) + l3 * copysign(m ** b, s1)) + rdot
-    ma = floor_a if floor_a > m else m
-    mb = floor_b if floor_b > m else m
-    alpha_s_dot = -(l1 + l2 * (a * ma ** am1) + l3 * (b * mb ** bm1)) * s1dot + rddot
+    ma = POWER_SLOPE_FLOOR if POWER_SLOPE_FLOOR > m else m
+    alpha_s_dot = -(l1 + l2 * (a * ma ** am1) + l3 * (b * m ** bm1)) * s1dot + rddot
     s2 = xdot - alpha_s
     m = abs(s2)
     return -gm + alpha_s_dot - l1 * s2 - l2 * copysign(m ** a, s2) - l3 * copysign(m ** b, s2)
@@ -172,7 +161,7 @@ def _nominal_floats(kn, terms, x, y, xdot, ydot, ref):
 def nominal_control(gains: FxtismcGains, terms: CartesianDynamicsTerms,
                     cart: CartesianState, ref: DesiredPoint) -> Pair:
     """Backstepping nominal law tracking (ref.x_d, ref.xdot_d, ref.xddot_d)."""
-    fx, fy, _, _ = _nominal_floats(_nominal_constants(gains), astuple(terms), *cart.x,
+    fx, fy, _, _ = _nominal_floats(gains.constants[0], astuple(terms), *cart.x,
                                    *cart.xdot, ref.sample)
     return fx, fy
 
@@ -190,7 +179,7 @@ def _surface_axis(ks, e: float, edot: float, eddot: float):
 
 
 def sliding_variable(gains: FxtismcGains, e, edot) -> np.ndarray:
-    ks = _surface_constants(gains)
+    ks = gains.constants[1]
     return np.vectorize(lambda e, edot: _surface_axis(ks, e, edot, 0.0)[0],
                         otypes=[float])(e, edot)
 
@@ -239,7 +228,7 @@ def compensating_control(gains: FxtismcGains, ctrl_state: ControllerState,
     if not dt > 0.0:
         raise ValidationError("dt must be positive")
     (ex, ey), (edx, edy), (eddx, eddy) = e, edot, eddot
-    ux, uy, state = _compensating_floats(_constants(gains), astuple(ctrl_state), terms.M_x,
+    ux, uy, state = _compensating_floats(gains.constants, astuple(ctrl_state), terms.M_x,
                                          ex, ey, edx, edy, eddx, eddy, dt)
     return (ux, uy), ControllerState(*state)
 
@@ -278,6 +267,6 @@ def control(gains: FxtismcGains, ctrl_state: ControllerState,
     """
     if not (nominal_only or dt > 0.0):
         raise ValidationError("dt must be positive")
-    fx, fy, state = _control_floats(_constants(gains), astuple(ctrl_state), astuple(terms),
+    fx, fy, state = _control_floats(gains.constants, astuple(ctrl_state), astuple(terms),
                                     *cart.x, *cart.xdot, ref.sample, dt, nominal_only)
     return (fx, fy), ctrl_state if nominal_only else ControllerState(*state)

@@ -27,6 +27,17 @@ ACTIVE_SETS = {"active-index": "1.5", "active-past-rows": "4", "active-repeated"
 MALFORMED_CASES = ("field-count", "missing-column", "repeated-h-column", "non-numeric",
                    "non-finite", *ACTIVE_SETS, "status", "form-feed", "encoding", "crlf")
 
+# Records whose every field passes its own check but one of whose kernel
+# constants is not finite: (record class, its fields, the INI that gives
+# them, the formula of the constant that the refusal names).
+NON_FINITE_CONSTANTS = (
+    ("FxtismcGains", {"kappa1": 5e-324, "m_exp": 0.99},
+     "[controller]\nkappa1 = 5e-324\nm_exp = 0.99\n", "kappa1 ** -m_exp"),
+    ("AdmittanceParams", {"k_m": 5e-324}, "[admittance]\nk_m = 5e-324\n", "1 / k_m"),
+    ("ManipulatorParams", {"m1": 1e300, "l1": 1e300}, "[robot]\nm1 = 1e300\nl1 = 1e300\n",
+     "(m1 + m2) l1 l1"),
+)
+
 
 @pytest.fixture
 def malformed_csv(tmp_path):

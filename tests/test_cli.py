@@ -6,7 +6,7 @@ import pytest
 from safeadmit import cli, read_csv, scenario_library, serialize_config
 from safeadmit.cli import main
 
-from conftest import MALFORMED_CASES
+from conftest import MALFORMED_CASES, NON_FINITE_CONSTANTS
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +169,16 @@ class TestRun:
                                "--out", str(tmp_path))
         assert code == 1
         assert any(l.startswith("error: [") for l in err.splitlines())
+
+    @pytest.mark.parametrize("text,formula", [case[2:] for case in NON_FINITE_CONSTANTS],
+                             ids=[case[0] for case in NON_FINITE_CONSTANTS])
+    def test_non_finite_kernel_constant_exits_one(self, capsys, tmp_path, text, formula):
+        cfg_path = tmp_path / "overflow.ini"
+        cfg_path.write_text(f"[scenario]\nduration = 0.01\n{text}")
+        code, out, err = run_cli(capsys, "run", "--scenario", str(cfg_path),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", f"error: {formula} must be finite\n")
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_duration_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--scenario", "workspace",

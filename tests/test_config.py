@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import safeadmit
 from safeadmit import (AdmittanceParams, ConfigError, EcbfGains,
                        ManipulatorParams, ObstacleConstraint, ScenarioConfig,
                        ValidationError, WorkspaceConstraint, parse_config,
                        scenario_library)
 from safeadmit.config import (parse_config_text, serialize_config)
+
+from conftest import NON_FINITE_CONSTANTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -171,11 +174,23 @@ r = 0.05
                                  ).admittance_start is None
 
 
+@pytest.mark.parametrize("cls,kwargs,text,formula", NON_FINITE_CONSTANTS,
+                         ids=[case[0] for case in NON_FINITE_CONSTANTS])
+def test_non_finite_kernel_constant_refused(cls, kwargs, text, formula):
+    """A record whose kernel constants overflow is refused when it is made,
+    by the formula of the constant, and so is the INI that gives it."""
+    message = f"^{re.escape(formula)} must be finite$"
+    with pytest.raises(ValidationError, match=message):
+        getattr(safeadmit, cls)(**kwargs)
+    with pytest.raises(ValidationError, match=message):
+        parse_config_text(text)
+
+
 def _robot_with_gravity(gravity):
-    # ManipulatorParams refuses a non-finite gravity, but its fields stay
-    # assignable after construction.
+    # ManipulatorParams refuses a non-finite gravity, and is frozen: the
+    # serializer's own refusal is reached through a field set past both.
     robot = ManipulatorParams()
-    robot.gravity = gravity
+    object.__setattr__(robot, "gravity", gravity)
     return robot
 
 

@@ -3,12 +3,13 @@ two-variable projection against the SVD enumeration; the admittance and
 plant RK4 steps and the task-space terms against the numpy reference in
 kernel_reference.py; and the public plant step and controller and each
 stage kernel of the two chains, bit for bit, against their composition
-from the public per-term functions. The kernels take constants that a run
-builds once, so they also run under non-default parameters, against
-references that read each parameter from its field."""
+from the public per-term functions. The kernels take the constants that
+each frozen parameter record builds once, so they also run under
+non-default parameters, against references that read each parameter from
+its field."""
 
 import math
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from itertools import product
 
 import numpy as np
@@ -22,13 +23,12 @@ from safeadmit import (AdmittanceParams, AdmittanceState, ConstraintSet, Control
                        drift_term, filter_force, human_force, nominal_control, plant_step,
                        scenario_library, sim, sliding_variable, solve, solve_with_slack)
 from safeadmit.admittance import _admittance_floats
-from safeadmit.arm import (CartesianState, _plant_floats, _task_floats, _trig,
-                           cartesian_dynamics_terms, cartesian_state, jacobian, jacobian_dot,
-                           joint_accel, joint_dynamics_terms)
-from safeadmit.arm import _constants as arm_constants
+from safeadmit.arm import (CartesianState, _jac, _joint_terms, _plant_floats, _qddot, _task_floats,
+                           _trig, cartesian_dynamics_terms, cartesian_state, jacobian,
+                           jacobian_dot, joint_accel, joint_dynamics_terms)
 from safeadmit.qp import RANK_TOL
 from safeadmit.safety import _filter_floats, _unit_rows
-from safeadmit.smc import _constants as smc_constants, _control_floats, control
+from safeadmit.smc import _control_floats, control
 
 import kernel_reference as ref
 
@@ -386,17 +386,26 @@ class TestKernelsEqualPublicComposition:
         assert seen >= {0, 1} and (preset == "obstacle-only" or 2 in seen)
 
     def test_row_table_reads_every_constraint_field(self):
-        # the table holds each row's r**2 and gain pair, which the filter
-        # kernel and evaluate both read: h = w.(x1 - c)**2 - r**2, and K
+        # the table holds each row's centre, r**2 and gain pair, which the
+        # filter's row pass reads for the filter and for evaluate: per row,
+        # with o = x1 - c, h = w.o**2 - r**2, Lf_h = 2 w.o x2,
+        # p = 2 w.o drift + 2 w.x2**2, q = 2 w o g, and K
         ws, obs, gains = CUSTOM_CSET.workspace, CUSTOM_CSET.obstacle, CUSTOM_CSET.gains
         rng = np.random.default_rng(53)
         for x, y, vx, vy, dx, dy, gx, gy, _, _ in _random_filter_inputs(rng, 100):
             rows = CUSTOM_CSET.evaluate(AdmittanceState((x, y), (vx, vy)), (dx, dy), (gx, gy))
-            want = [(x - ws.x_max[0]) ** 2, (x - ws.x_min[0]) ** 2, (y - ws.x_max[1]) ** 2,
-                    (y - ws.x_min[1]) ** 2]
-            want = [v - ws.r ** 2 for v in want] + [
-                (x - obs.x_obs[0]) ** 2 + (y - obs.x_obs[1]) ** 2 - obs.r ** 2]
-            assert np.abs(np.subtract(rows.h, want)).max() <= 1e-15
+            want_h, want_lf, want_p, want_q = [], [], [], []
+            for w, c, r in (((1, 0), ws.x_max, ws.r), ((1, 0), ws.x_min, ws.r),
+                            ((0, 1), ws.x_max, ws.r), ((0, 1), ws.x_min, ws.r),
+                            ((1, 1), obs.x_obs, obs.r)):
+                o = (w[0] * (x - c[0]), w[1] * (y - c[1]))
+                want_h.append(o[0] ** 2 + o[1] ** 2 - r ** 2)
+                want_lf.append(2 * (o[0] * vx + o[1] * vy))
+                want_p.append(2 * (o[0] * dx + o[1] * dy) + 2 * (w[0] * vx ** 2 + w[1] * vy ** 2))
+                want_q.append((2 * o[0] * gx, 2 * o[1] * gy))
+            for got, want in ((rows.h, want_h), (rows.lf_h, want_lf), (rows.p, want_p),
+                              (rows.q, want_q)):
+                assert np.abs(np.subtract(got, want)).max() <= 1e-13 * max(1.0, np.abs(want).max())
             assert rows.K == (gains.K_max, gains.K_min, gains.K_max, gains.K_min, gains.K_obs)
 
     @pytest.mark.parametrize("status", ["bypass", "ok"])
@@ -452,7 +461,7 @@ class TestKernelsEqualPublicComposition:
         rng = np.random.default_rng(43)
         for params, _ in product(ROBOTS, range(500)):
             st = _random_joint_state(rng)
-            terms, x, y, xdot, ydot, *J, trig = _task_floats(arm_constants(params), *st.q,
+            terms, x, y, xdot, ydot, *J, trig = _task_floats(params.constants, *st.q,
                                                              *st.qdot, include_friction)
             cart = cartesian_state(params, st)
             assert _bits(*terms[0][0], *terms[0][1], *terms[1], *terms[2][0], *terms[2][1]) == _bits(
@@ -478,8 +487,8 @@ class TestKernelsEqualPublicComposition:
             for ctrl_state in (ControllerState(), initialized):
                 state = astuple(ctrl_state)
                 fx, fy, new = _control_floats(
-                    smc_constants(gains), state,
-                    _task_floats(arm_constants(params), *st.q, *st.qdot, False)[0],
+                    gains.constants, state,
+                    _task_floats(params.constants, *st.q, *st.qdot, False)[0],
                     *cart.x, *cart.xdot, ref_point.sample, 1e-3, nominal_only)
                 if nominal_only:
                     assert new is state
@@ -501,10 +510,26 @@ class TestKernelsEqualPublicComposition:
         for params, _ in product(ROBOTS, range(500)):
             st = _random_joint_state(rng)
             tau, f = tuple(rng.uniform(-20, 20, 2).tolist()), tuple(rng.uniform(-10, 10, 2).tolist())
-            got = _plant_floats(arm_constants(params), _trig(*st.q), *st.q, *st.qdot, *tau, *f, dt,
+            got = _plant_floats(params.constants, _trig(*st.q), *st.q, *st.qdot, *tau, *f, dt,
                                 include_friction)
             assert _bits(*got) == _bits(*_rk4_from_joint_accel(params, st.q, st.qdot, tau, f,
                                                                dt, include_friction))
+
+    @pytest.mark.parametrize("include_friction", [True, False])
+    def test_qddot_is_the_per_term_composition(self, include_friction):
+        # M^-1 (tau_c + J^T f_e - c_vec - G - F) from _joint_terms and _jac,
+        # with the cofactor inverse of M, as _qddot writes it out
+        rng = np.random.default_rng(59)
+        for params, _ in product(ROBOTS, range(1000)):
+            st = _random_joint_state(rng)
+            t1, t2, fx, fy = rng.uniform(-20, 20, 4).tolist()
+            k, trig = params.constants, _trig(*st.q)
+            M, c, G, F = _joint_terms(k, trig, *st.qdot, include_friction)
+            (j00, j01), (j10, j11) = _jac(k, trig)
+            r = (t1 + (j00 * fx + j10 * fy) - c[0] - G[0] - F[0],
+                 t2 + (j01 * fx + j11 * fy) - c[1] - G[1] - F[1])
+            assert _bits(*_qddot(k, trig, *st.qdot, t1, t2, fx, fy, include_friction)) == _bits(
+                *_mv(_inv(M), r))
 
     def test_admittance_refuses_a_non_finite_state(self):
         args = (AdmittanceParams().axes, 0.0, 0.0, 0.0, 0.0, (math.inf,) + (0.0,) * 5,
@@ -563,53 +588,51 @@ def test_control_laws_read_every_gain(gains):
             *(ref.surface(gains, a, b, 0.0)[0] for a, b in zip(e, edot)))
 
 
-def test_public_wrappers_follow_a_changed_field():
-    """The parameter records are mutable, and the public wrappers build the
-    kernels' constants on every call: a field changed between two calls
-    takes effect in the second."""
-    st, tau, f = JointState((0.4, 1.9), (0.3, -0.2)), (1.0, -2.0), (3.0, 0.5)
-    params = ManipulatorParams()
-    before = plant_step(params, st, tau, f, 1e-3)
-    params.m2 = 1.3
-    after = plant_step(params, st, tau, f, 1e-3)
-    assert after != before and after == plant_step(ManipulatorParams(m2=1.3), st, tau, f, 1e-3)
+RECORDS = (ManipulatorParams(), FxtismcGains(), AdmittanceParams(), EcbfGains(),
+           WorkspaceConstraint(), ObstacleConstraint(), CUSTOM_CSET,
+           scenario_library()["combined"])
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_parameter_records_are_frozen(record):
+    """A record is checked once, when it is made, and cannot change after:
+    assigning any field raises, and so does writing into a geometry array."""
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+    for name in ("x_min", "x_max", "x_obs"):
+        if hasattr(record, name):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(record, name)[0] = 5.0
+
+
+def test_replace_validates_the_copy():
+    """replace builds a changed copy, validated again, with its own constants."""
+    cfg = scenario_library()["combined"]
+    with pytest.raises(ValidationError, match="^dt must be positive$"):
+        replace(cfg, dt=-1e-3)
+    with pytest.raises(ValidationError, match="^alpha must lie in"):
+        replace(cfg.controller, alpha=2.0)
+    robot = replace(cfg.robot, singularity_tolerance=2e-4)
+    assert robot.constants == ManipulatorParams(singularity_tolerance=2e-4).constants
     # |det J| = l1 l2 |sin q2| = 1.35e-4 lies between the two tolerances
     near = JointState((0.4, math.asin(1.35e-4 / 0.09)), (0.0, 0.0))
-    cartesian_dynamics_terms(params, near)
-    params.singularity_tolerance = 2e-4
+    cartesian_dynamics_terms(cfg.robot, near)
     with pytest.raises(SingularConfiguration):
-        cartesian_dynamics_terms(params, near)
-    gains = FxtismcGains()
-    terms = cartesian_dynamics_terms(params, st, include_friction=False)
-    cart = cartesian_state(params, st)
-    point = DesiredPoint(np.add(cart.x, 0.01), np.add(cart.xdot, -0.1), (0.5, 0.2))
-    before = control(gains, ControllerState(), terms, cart, point, 1e-3)
-    gains.lambda2, gains.use_sign = 25.0, True
-    after = control(gains, ControllerState(), terms, cart, point, 1e-3)
-    assert after != before and after == control(FxtismcGains(lambda2=25.0, use_sign=True),
-                                                ControllerState(), terms, cart, point, 1e-3)
+        cartesian_dynamics_terms(robot, near)
 
 
 def test_nominal_law_reads_only_its_own_gains():
-    """nominal_control builds the nominal law's constants alone: gains whose
-    kappa1 ** -m_exp overflows still give the nominal force, and each
-    slope floor follows its exponent, also one changed past the validator
-    (alpha > 1 unfloored, beta < 1 floored, as kernel_reference's law)."""
+    """nominal_control reads the nominal law's constants alone: gains that
+    differ from the defaults in every other field give the same force."""
     st = JointState((0.4, 1.9), (0.3, -0.2))
     terms = cartesian_dynamics_terms(CUSTOM_ROBOT, st, include_friction=False)
     cart = cartesian_state(CUSTOM_ROBOT, st)
     point = DesiredPoint(cart.x, np.add(cart.xdot, -0.1), (0.5, 0.2))  # s1 = 0 on both axes
-    tiny = FxtismcGains(kappa1=5e-324, m_exp=0.99)
-    assert nominal_control(tiny, terms, cart, point) == nominal_control(FxtismcGains(), terms,
-                                                                        cart, point)
-    gains = FxtismcGains()
-    gains.alpha, gains.beta = 1.5, 0.8
-    (xi00, xi01), (xi10, xi11) = terms.Xi
-    b0, b1 = terms.bias
-    gamma = (-(xi00 * b0 + xi01 * b1), -(xi10 * b0 + xi11 * b1))
-    v = [ref.nominal_accel(gains, gm, *axis) for gm, axis in zip(
-        gamma, zip(cart.x, cart.xdot, point.x_d, point.xdot_d, point.xddot_d))]
-    assert _bits(*nominal_control(gains, terms, cart, point)) == _bits(*_mv(terms.M_x, v))
+    nominal = ("lambda1", "lambda2", "lambda3", "alpha", "beta")
+    others = replace(CUSTOM_GAINS, **{name: getattr(FxtismcGains(), name) for name in nominal})
+    assert nominal_control(others, terms, cart, point) == nominal_control(FxtismcGains(), terms,
+                                                                          cart, point)
 
 
 @pytest.mark.parametrize("cls", [AdmittanceState, JointState, CartesianState])

@@ -8,7 +8,7 @@ from safeadmit import (ControllerState, DesiredPoint, FxtismcGains,
                        compensating_control, nominal_control, signed_power,
                        sliding_variable)
 from safeadmit.arm import cartesian_dynamics_terms, cartesian_state
-from safeadmit.smc import _nominal_axis, _nominal_constants, control
+from safeadmit.smc import _nominal_axis, control
 
 P = ManipulatorParams()
 GAINS = FxtismcGains()
@@ -41,7 +41,7 @@ class TestSignedPower:
         # alpha's slope at |z| = 1e-6 (beta > 1 needs no floor)
         g = FxtismcGains()
         # s1 = 0 and s1dot = s2 = 1: v = -(l1 + l2 alpha 1e-6^(alpha-1)) - l1 - l2 - l3
-        v = _nominal_axis(_nominal_constants(g), 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        v = _nominal_axis(g.constants[0], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
         floored = g.lambda2 * (g.alpha * 1e-6 ** (g.alpha - 1.0))
         assert math.isfinite(v)
         assert v == -(g.lambda1 + floored) - g.lambda1 - g.lambda2 - g.lambda3
