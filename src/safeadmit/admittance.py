@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
-from .errors import Pair, PairRecord, ValidationError, finite_constants, finite_fields, float_pair
+from .errors import Pair, PairRecord, ValidationError, all_finite, finite_fields, float_pair
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class AdmittanceParams:
             raise ValidationError("k_b and k_k must be nonnegative")
         k_mx, k_my = self.k_m
         gain = 1.0 / k_mx, 1.0 / k_my
-        finite_constants(gain, ("1 / k_m",) * 2)
+        if not all_finite(*gain):
+            raise ValidationError("k_m gives an input gain 1 / k_m that is not finite")
         object.__setattr__(self, "input_gain", gain)
         object.__setattr__(self, "axes", tuple(zip(self.k_m, self.k_b, self.k_k, gain)))
 

@@ -35,15 +35,8 @@ from dataclasses import dataclass, fields
 import math
 from typing import Tuple
 
-from .errors import (Pair, PairRecord, SingularConfiguration, ValidationError, finite_constants,
+from .errors import (Pair, PairRecord, SingularConfiguration, ValidationError, all_finite,
                      finite_fields, float_pair)
-
-
-# Each entry of ManipulatorParams.constants, the kernels' tuple (l1, l2, a,
-# b, -b, 2b, e, g1, g2, tol), as the refusal of a non-finite one names it;
-# each product is grouped left to right, as the per-term formulas group it.
-_FORMULAS = ("l1", "l2", "m2 l2 l2", "m2 l1 l2", "-m2 l1 l2", "2 m2 l1 l2", "(m1 + m2) l1 l1",
-             "(m1 + m2) l1 gravity", "m2 l2 gravity", "singularity_tolerance")
 
 
 @dataclass(frozen=True)
@@ -62,11 +55,15 @@ class ManipulatorParams:
                 raise ValidationError(f"{name} must be positive")
         if not self.singularity_tolerance > 0.0:
             raise ValidationError("singularity_tolerance must be positive")
+        # the kernels' tuple (l1, l2, a, b, -b, 2b, e, g1, g2, tol), each
+        # product grouped left to right, as the per-term formulas group it
         m1, m2, l1, l2, g = self.m1, self.m2, self.l1, self.l2, self.gravity
         b = m2 * l1 * l2
         k = (l1, l2, m2 * l2 * l2, b, -b, 2.0 * b, (m1 + m2) * l1 * l1, (m1 + m2) * l1 * g,
              m2 * l2 * g, self.singularity_tolerance)
-        finite_constants(k, _FORMULAS)
+        if not all_finite(*k):
+            raise ValidationError("m1, m2, l1, l2 and gravity give a kernel constant that is "
+                                  "not finite")
         object.__setattr__(self, "constants", k)
 
 

@@ -7,8 +7,7 @@ two numbers in order (float_pair); only a per-axis coefficient (axis_pair:
 k_m, k_b, k_k, the input gain) takes one number for both axes, as the INI
 does. A value of the wrong kind raises ValidationError naming the field,
 and so does one that is or holds text, and one that is NaN or infinite.
-A parameter record is a frozen dataclass whose kernel constants
-finite_constants checks. The step's states and desired points are PairRecords."""
+The step's states and desired points are PairRecords."""
 
 from math import isfinite
 from numbers import Real
@@ -121,14 +120,6 @@ def finite_fields(obj, numbers=(), pairs=(), axes=()) -> None:
             if not all_finite(*value):
                 raise ValidationError(f"{name} must be finite")
             object.__setattr__(obj, name, value if len(value) == 2 else value[0])
-
-
-def finite_constants(values, formulas) -> None:
-    """Refuse the first of a record's kernel constants ``values`` that is
-    not finite, naming its formula in ``formulas`` (in field names)."""
-    for value, formula in zip(values, formulas):
-        if not isfinite(value):
-            raise ValidationError(f"{formula} must be finite")
 
 
 class PairRecord:

@@ -190,8 +190,9 @@ class ConstraintSet:
     def evaluate(self, adm: AdmittanceState, drift, g) -> RowValues:
         """Every row at ``adm`` under the force-free acceleration pair
         ``drift`` and the per-axis input gain ``g`` (a pair, or one gain
-        for both axes), from the filter's row pass; a QP row or bound that
-        is not finite raises ValidationError."""
+        for both axes), from the filter's row pass, which also computes
+        each row's bound b and tests a zero force against it; neither is
+        returned. A QP row or bound that is not finite raises ValidationError."""
         (x, y), (vx, vy) = adm.x1, adm.x2
         dx, dy = drift
         h, lf_h, p, A, _, _ = _row_pass(self, x, y, vx, vy, dx, dy, *axis_pair(g, "g"), 0.0, 0.0)

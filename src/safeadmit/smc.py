@@ -34,17 +34,11 @@ import numpy as np
 
 from .admittance import DesiredPoint
 from .arm import CartesianDynamicsTerms, CartesianState
-from .errors import Pair, ValidationError, all_finite, finite_constants, finite_fields
+from .errors import Pair, ValidationError, all_finite, finite_fields
 
 # Floor on |z| in the slope of signed powers with exponent < 1; keeps the
 # nominal feedback finite as the surface crosses zero at finite step size.
 POWER_SLOPE_FLOOR = 1e-6
-
-
-# Each entry of the surface's constants in FxtismcGains.constants, then the
-# reaching law's first, as the refusal of a non-finite one names it.
-_FORMULAS = ("kappa1 ** -m_exp", "1 / m_exp", "kappa1 ** -m_exp / m_exp", "1 / m_exp - 1",
-             "kappa2", "n_exp", "kappa2 n_exp", "n_exp - 1", "rho + epsilon")
 
 
 @dataclass(frozen=True)
@@ -90,14 +84,16 @@ class FxtismcGains:
         g = self
         try:
             k1m = g.kappa1 ** -g.m_exp
-        except OverflowError:  # refused below, by its formula
+        except OverflowError:  # refused below
             k1m = inf
         minv = 1.0 / g.m_exp
         ks = (k1m, minv, k1m / g.m_exp, minv - 1.0, g.kappa2, g.n_exp, g.kappa2 * g.n_exp,
               g.n_exp - 1.0)
         kr = (-(g.rho + g.epsilon), g.kappa3, g.p_exp, g.kappa4, g.q_exp, g.boundary_layer,
               g.use_sign)
-        finite_constants((*ks, kr[0]), _FORMULAS)
+        if not all_finite(*ks, kr[0]):
+            raise ValidationError("kappa1, m_exp, kappa2, n_exp, rho and epsilon give a kernel "
+                                  "constant that is not finite")
         object.__setattr__(self, "constants", (
             (g.lambda1, g.lambda2, g.lambda3, g.alpha, g.beta, g.alpha - 1.0, g.beta - 1.0),
             ks, kr, g.force_limit))

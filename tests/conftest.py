@@ -29,13 +29,15 @@ MALFORMED_CASES = ("field-count", "missing-column", "repeated-h-column", "non-nu
 
 # Records whose every field passes its own check but one of whose kernel
 # constants is not finite: (record class, its fields, the INI that gives
-# them, the formula of the constant that the refusal names).
+# them, the refusal's message, which names the fields feeding the constants).
 NON_FINITE_CONSTANTS = (
     ("FxtismcGains", {"kappa1": 5e-324, "m_exp": 0.99},
-     "[controller]\nkappa1 = 5e-324\nm_exp = 0.99\n", "kappa1 ** -m_exp"),
-    ("AdmittanceParams", {"k_m": 5e-324}, "[admittance]\nk_m = 5e-324\n", "1 / k_m"),
+     "[controller]\nkappa1 = 5e-324\nm_exp = 0.99\n",
+     "kappa1, m_exp, kappa2, n_exp, rho and epsilon give a kernel constant that is not finite"),
+    ("AdmittanceParams", {"k_m": 5e-324}, "[admittance]\nk_m = 5e-324\n",
+     "k_m gives an input gain 1 / k_m that is not finite"),
     ("ManipulatorParams", {"m1": 1e300, "l1": 1e300}, "[robot]\nm1 = 1e300\nl1 = 1e300\n",
-     "(m1 + m2) l1 l1"),
+     "m1, m2, l1, l2 and gravity give a kernel constant that is not finite"),
 )
 
 

@@ -170,14 +170,14 @@ class TestRun:
         assert code == 1
         assert any(l.startswith("error: [") for l in err.splitlines())
 
-    @pytest.mark.parametrize("text,formula", [case[2:] for case in NON_FINITE_CONSTANTS],
+    @pytest.mark.parametrize("text,message", [case[2:] for case in NON_FINITE_CONSTANTS],
                              ids=[case[0] for case in NON_FINITE_CONSTANTS])
-    def test_non_finite_kernel_constant_exits_one(self, capsys, tmp_path, text, formula):
+    def test_non_finite_kernel_constant_exits_one(self, capsys, tmp_path, text, message):
         cfg_path = tmp_path / "overflow.ini"
         cfg_path.write_text(f"[scenario]\nduration = 0.01\n{text}")
         code, out, err = run_cli(capsys, "run", "--scenario", str(cfg_path),
                                  "--out", str(tmp_path / "out"))
-        assert (code, out, err) == (1, "", f"error: {formula} must be finite\n")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     def test_infinite_duration_exits_one(self, capsys, tmp_path):

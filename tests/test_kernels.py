@@ -394,17 +394,19 @@ class TestKernelsEqualPublicComposition:
         rng = np.random.default_rng(53)
         for x, y, vx, vy, dx, dy, gx, gy, _, _ in _random_filter_inputs(rng, 100):
             rows = CUSTOM_CSET.evaluate(AdmittanceState((x, y), (vx, vy)), (dx, dy), (gx, gy))
-            want_h, want_lf, want_p, want_q = [], [], [], []
-            for w, c, r in (((1, 0), ws.x_max, ws.r), ((1, 0), ws.x_min, ws.r),
-                            ((0, 1), ws.x_max, ws.r), ((0, 1), ws.x_min, ws.r),
-                            ((1, 1), obs.x_obs, obs.r)):
+            want = [(x - ws.x_max[0]) ** 2, (x - ws.x_min[0]) ** 2, (y - ws.x_max[1]) ** 2,
+                    (y - ws.x_min[1]) ** 2]
+            want = [v - ws.r ** 2 for v in want] + [
+                (x - obs.x_obs[0]) ** 2 + (y - obs.x_obs[1]) ** 2 - obs.r ** 2]
+            assert np.abs(np.subtract(rows.h, want)).max() <= 1e-15
+            want_lf, want_p, want_q = [], [], []
+            for w, c in (((1, 0), ws.x_max), ((1, 0), ws.x_min), ((0, 1), ws.x_max),
+                         ((0, 1), ws.x_min), ((1, 1), obs.x_obs)):
                 o = (w[0] * (x - c[0]), w[1] * (y - c[1]))
-                want_h.append(o[0] ** 2 + o[1] ** 2 - r ** 2)
                 want_lf.append(2 * (o[0] * vx + o[1] * vy))
                 want_p.append(2 * (o[0] * dx + o[1] * dy) + 2 * (w[0] * vx ** 2 + w[1] * vy ** 2))
                 want_q.append((2 * o[0] * gx, 2 * o[1] * gy))
-            for got, want in ((rows.h, want_h), (rows.lf_h, want_lf), (rows.p, want_p),
-                              (rows.q, want_q)):
+            for got, want in ((rows.lf_h, want_lf), (rows.p, want_p), (rows.q, want_q)):
                 assert np.abs(np.subtract(got, want)).max() <= 1e-13 * max(1.0, np.abs(want).max())
             assert rows.K == (gains.K_max, gains.K_min, gains.K_max, gains.K_min, gains.K_obs)
 

@@ -344,6 +344,17 @@ class TestRowProblem:
             with pytest.raises(ValidationError, match="^QP entries must be finite$"):
                 filter_force(cset, _state((0.0, 0.0)), drift, GAIN_G, f_e)
 
+    @pytest.mark.parametrize("drift,g", [
+        ((math.nan, 0.0), GAIN_G), ((0.0, math.inf), GAIN_G),
+        ((0.0, 0.0), (math.inf, 1.0)), ((0.0, 0.0), math.nan),
+    ], ids=["nan-drift", "inf-drift", "inf-gain", "nan-gain"])
+    def test_evaluate_refuses_non_finite_drift_or_gain(self, drift, g):
+        # evaluate reads the filter's row pass, so it refuses what the QP
+        # would; a set without rows has nothing to refuse
+        with pytest.raises(ValidationError, match="^QP entries must be finite$"):
+            CSET.evaluate(_state((0.0, 0.0)), drift, g)
+        assert ConstraintSet().evaluate(_state((0.0, 0.0)), drift, g).h == ()
+
 
 class TestFilter:
     def _cset(self, workspace=WS, obstacle=OBS, **kw):
